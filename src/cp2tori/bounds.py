@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, List, Tuple
+from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -331,9 +331,13 @@ def lemma5_strip_certificates(eps: float = DEFAULT_EPS, threshold: float = 0.9,
 
 def certify_lemma5(eps: float = DEFAULT_EPS, threshold: float = 0.9,
                    max_depth: int = 40, max_boxes: int = 10_000_000,
-                   with_strip: bool = True) -> Certificate:
+                   strips: Optional[Sequence[Certificate]] = None) -> Certificate:
     """Prove b2 > threshold on {0 <= y <= x - eps, x <= 1} (the full
     triangle minus the diagonal band; the band has its own certificate).
+
+    ``strips`` are the band certificates from
+    :func:`lemma5_strip_certificates` at the same arguments, which the
+    notes cite; they are computed here when not given.
 
     The certified function is the plus-branch bound b2; the minus-branch
     bound b1 exceeds 0.9 a fortiori wherever b1 > 1 is certified.
@@ -345,14 +349,15 @@ def certify_lemma5(eps: float = DEFAULT_EPS, threshold: float = 0.9,
         "sometimes-reused label B1 for this claim is a misprint -- "
         "b1 > 0.9 already follows from the b1 > 1 certificate",
     ]
-    if with_strip:
-        for strip in lemma5_strip_certificates(eps, threshold, max_depth, max_boxes):
-            notes.append(
-                f"diagonal band covered by companion certificate "
-                f"'{strip.target}': status {strip.status.value}, "
-                f"{strip.retained_count} boxes, digest {strip.box_digest()[:16]}")
-            if strip.status is not CertStatus.PROVED:
-                notes.append("WARNING: diagonal band certification incomplete")
+    if strips is None:
+        strips = lemma5_strip_certificates(eps, threshold, max_depth, max_boxes)
+    for strip in strips:
+        notes.append(
+            f"diagonal band covered by companion certificate "
+            f"'{strip.target}': status {strip.status.value}, "
+            f"{strip.retained_count} boxes, digest {strip.box_digest()[:16]}")
+        if strip.status is not CertStatus.PROVED:
+            notes.append("WARNING: diagonal band certification incomplete")
     return certify_lower_bound(
         "B2", b2_expr, Box2.make(0.0, 1.0, 0.0, 1.0), threshold,
         clip=clip_lemma5(eps), point_in_domain=_point_in_lemma5(eps),
@@ -525,13 +530,13 @@ def classify_case(alpha: AlphaTriple, d: DerivedConstants) -> int:
 
 
 def case_chain_check(alpha: AlphaTriple, a1: float, a2: float,
-                     branch: Branch, tol: float = 1e-11) -> ChainReport:
+                     branch: Branch) -> ChainReport:
     """Audit the alpha2 > 0 proof chain at one feasible point: classify
     the branch and numerically assert each displayed inequality."""
     if not (alpha.is_normalized and alpha.alpha2 > 0):
         raise ValueError("case_chain_check requires normalized alpha with alpha2 > 0")
     d = derive_constants(alpha, ModuliPoint(a1, a2, branch))
-    fv = energy_mironov(d, 1, tol)
+    fv = energy_mironov(d)
     E, ECl = fv.energy, clifford_energy()
     b, c1 = alpha.b, alpha.c1
     a3, aa = d.a3, d.slope_x
@@ -583,7 +588,7 @@ def case_chain_check(alpha: AlphaTriple, a1: float, a2: float,
 
 
 def degenerate_c2_bounds_check(alpha: AlphaTriple, a1: float, a2: float,
-                               branch: Branch, tol: float = 1e-11) -> ChainReport:
+                               branch: Branch) -> ChainReport:
     """Audit the alpha2 = 0 chain at one point: reduced feasibility forms,
     the square-root squeeze, the c2^2 and a3 sandwiches, and the displayed
     slope/area/Willmore/energy bounds down to E >= pi^2 B1 (minus branch)
@@ -595,7 +600,7 @@ def degenerate_c2_bounds_check(alpha: AlphaTriple, a1: float, a2: float,
     if not (0.0 < y < x <= 1.0):
         raise ValueError(f"(a1/p, a2/p) = ({x}, {y}) outside the triangle")
     d = derive_constants(alpha, ModuliPoint(a1, a2, branch))
-    fv = energy_mironov(d, 1, tol)
+    fv = energy_mironov(d)
     A, W, E = fv.area, fv.willmore, fv.energy
     b = alpha.b
     aa, a3, c2 = d.slope_x, d.a3, d.c2

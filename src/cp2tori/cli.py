@@ -56,6 +56,17 @@ def _branch(value: str) -> Branch:
         raise argparse.ArgumentTypeError(f"branch must be 'minus' or 'plus', got {value!r}")
 
 
+def _positive(kind):
+    """argparse type: a finite number of ``kind`` that is > 0."""
+    def parse(value: str):
+        v = kind(value)  # a ValueError becomes argparse's "invalid ... value"
+        if not (0 < v < math.inf):
+            raise argparse.ArgumentTypeError(f"must be positive and finite, got {value!r}")
+        return v
+    parse.__name__ = f"positive {kind.__name__}"
+    return parse
+
+
 def _alpha_from(ns) -> AlphaTriple:
     return AlphaTriple(*[int(v) for v in ns.alpha])
 
@@ -112,7 +123,7 @@ def cmd_energy(ns) -> int:
     alpha = _alpha_from(ns)
     point = _moduli_from(ns)
     d = derive_constants(alpha, point)
-    fv = energy_mironov(d, ns.periods, ns.quad_tol)
+    fv = energy_mironov(d, ns.periods)
     print(f"alpha = {alpha.weights}  a1 = {_fmt(point.a1)}  a2 = {_fmt(point.a2)}"
           f"  branch = {point.branch.value}  N = {ns.periods}")
     print(f"c2 = {_fmt(d.c2)}  a3 = {_fmt(d.a3)}  a = {_fmt(d.slope_x)}"
@@ -123,13 +134,13 @@ def cmd_energy(ns) -> int:
 
 
 def _scan_task(args):
-    weights, a1, a2, branch_value, periods, tol = args
+    weights, a1, a2, branch_value, periods = args
     alpha = AlphaTriple(*weights)
     try:
         d = derive_constants(alpha, ModuliPoint(a1, a2, Branch(branch_value)))
     except Cp2ToriError:
         return None
-    fv = energy_mironov(d, periods, tol)
+    fv = energy_mironov(d, periods)
     return {"alpha1": alpha.alpha1, "alpha2": alpha.alpha2, "alpha3": alpha.alpha3,
             "a1": a1, "a2": a2, "branch": branch_value, "c2": d.c2, "a3": d.a3,
             "a": d.slope_x, "T": d.period, "A": fv.area, "W": fv.willmore,
@@ -143,7 +154,7 @@ def cmd_scan(ns) -> int:
     for alpha in alphas:
         for a1, a2 in feasible_grid(alpha, ns.grid, ns.margin):
             for br in branches:
-                tasks.append((alpha.weights, a1, a2, br.value, ns.periods, ns.quad_tol))
+                tasks.append((alpha.weights, a1, a2, br.value, ns.periods))
     if ns.jobs > 1:
         with ProcessPoolExecutor(max_workers=ns.jobs) as pool:
             rows = [r for r in pool.map(_scan_task, tasks, chunksize=16) if r]
@@ -168,7 +179,7 @@ def cmd_scan(ns) -> int:
     return EXIT_OK
 
 
-def _sampled_energy_bounds(seed: int, samples: int, quad_tol: float):
+def _sampled_energy_bounds(seed: int, samples: int):
     """Strict lower-bound spot checks at random feasible points (the area
     bound, the Willmore bound and their energy combination)."""
     rng = np.random.default_rng(seed)
@@ -186,7 +197,7 @@ def _sampled_energy_bounds(seed: int, samples: int, quad_tol: float):
             d = derive_constants(alpha, ModuliPoint(float(a1v), float(a2v), branch))
         except Cp2ToriError:
             continue
-        fv = energy_mironov(d, 1, quad_tol)
+        fv = energy_mironov(d)
         checked += 1
         root = math.sqrt(d.a1 + d.a3)
         ok = (fv.area > math.pi ** 2 * (d.a1 + d.a2) / root
@@ -206,8 +217,9 @@ def cmd_verify(ns) -> int:
                                     ns.max_depth, ns.max_boxes))
     if ns.target in ("all", "B2"):
         thr = ns.threshold if ns.target == "B2" and ns.threshold else 0.9
-        certs.append(certify_lemma5(ns.eps, thr, ns.max_depth, ns.max_boxes))
-        certs.extend(lemma5_strip_certificates(ns.eps, thr, ns.max_depth, ns.max_boxes))
+        strips = lemma5_strip_certificates(ns.eps, thr, ns.max_depth, ns.max_boxes)
+        certs.append(certify_lemma5(ns.eps, thr, ns.max_depth, ns.max_boxes, strips))
+        certs.extend(strips)
     scalar_report = None
     if ns.target in ("all", "scalars"):
         scalar_report = scalar_bound_checks(max_boxes=ns.max_boxes)
@@ -230,7 +242,7 @@ def cmd_verify(ns) -> int:
                   f"D >= {_fmt(tail.d_lower)}  -> {'ok' if tail.holds else 'FAILED'}")
             all_proved &= tail.holds
     if ns.target == "all":
-        checked, violations = _sampled_energy_bounds(ns.seed, ns.samples, ns.quad_tol)
+        checked, violations = _sampled_energy_bounds(ns.seed, ns.samples)
         print(f"energy bound spot checks: {checked} random feasible points "
               f"(seed={ns.seed}): {len(violations)} violations")
         all_proved &= not violations
@@ -304,8 +316,12 @@ def build_parser() -> _Parser:
 
     def add_common(p):
         p.add_argument("--config", help="JSON file of option defaults (flags win)")
-        p.add_argument("--quad-tol", type=float, default=1e-11,
-                       help="absolute quadrature tolerance per period")
+
+    def add_quad_tol(p):
+        p.add_argument("--quad-tol", type=_positive(float), default=1e-11,
+                       help="absolute tolerance of the adaptive quadrature of the "
+                            "phase integrals G_i (values above 1e-11 act as 1e-11); "
+                            "energies need none, their area is in closed form")
 
     def add_moduli(p):
         p.add_argument("--alpha", nargs=3, type=int, metavar=("A1", "A2", "A3"))
@@ -333,7 +349,7 @@ def build_parser() -> _Parser:
     p.add_argument("--branch", choices=("minus", "plus", "both"), default="both")
     p.add_argument("--margin", type=float, default=0.02)
     p.add_argument("--periods", type=int, default=1)
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--jobs", type=_positive(int), default=1)
     p.add_argument("--out", help="CSV path (stdout when omitted)")
     p.set_defaults(func=cmd_scan)
 
@@ -342,7 +358,7 @@ def build_parser() -> _Parser:
     p.add_argument("--target", choices=("all", "B1", "B2", "scalars"), default="all")
     p.add_argument("--threshold", type=float, default=None,
                    help="override the proved threshold for a single target")
-    p.add_argument("--eps", type=float, default=1e-4)
+    p.add_argument("--eps", type=_positive(float), default=1e-4)
     p.add_argument("--max-depth", type=int, default=40)
     p.add_argument("--max-boxes", type=int, default=10_000_000)
     p.add_argument("--samples", type=int, default=200)
@@ -352,6 +368,7 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("periodicity", help="rational winding fit and lattice data")
     add_common(p)
+    add_quad_tol(p)
     add_moduli(p)
     p.add_argument("--max-denominator", type=int, default=10 ** 6)
     p.add_argument("--tol", type=float, default=1e-9)
@@ -360,6 +377,7 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("export", help="sample the immersion into CSV/OBJ")
     add_common(p)
+    add_quad_tol(p)
     add_moduli(p)
     p.add_argument("--grid", nargs=2, type=int, default=(64, 64), metavar=("NX", "NY"))
     p.add_argument("--chart", default="auto", help="affine chart component (0/1/2 or auto)")

@@ -1,10 +1,17 @@
 """Area, Willmore and energy functionals for the three torus families.
 
-The energy is E = A + W/8.  For the two-parameter family, A comes from
-one-period quadrature of the conformal factor, W has the closed form
-2 pi N T (a^2 + b^2) in the Lagrangian-angle slopes, and everything
-scales linearly in the period count N, so the energy ratio is evaluated
-at N = 1 (where E/E_Cl > 1 is hardest).
+The energy is E = A + W/8.  For the two-parameter family both terms
+have closed forms.  A integrates the conformal factor
+a1 - (a1 - a2) sn^2(x sqrt(a1+a3), k) over one period T = 2K/sqrt(a1+a3);
+with int_0^2K sn^2 du = 2 (K - E)/k^2 (DLMF 22.16) that is
+2 (a1 K - (a1 - a2) D) / sqrt(a1 + a3), D = (K - E)/k^2 from the AGM
+(DLMF 19.8).  The textbook form 2 ((a1 + a3) E - a3 K) / sqrt(a1 + a3)
+is the same number, but where a3 >> a1 it subtracts two a3-sized terms
+and loses digits; the D form, rewritten through (a1 + a3) k^2 = a1 - a2,
+subtracts nothing larger than a1 K.  W is 2 pi N T (a^2 + b^2) in the
+Lagrangian-angle slopes.  Everything scales linearly in the period count
+N, so the energy ratio is evaluated at N = 1 (where E/E_Cl > 1 is
+hardest).
 """
 
 from __future__ import annotations
@@ -16,6 +23,7 @@ from typing import Iterable, List, Sequence
 import numpy as np
 from scipy.integrate import quad
 
+from .elliptic import complete_kd
 from .errors import InfeasibleParameters
 from .family import (AlphaTriple, Branch, DerivedConstants, ModuliPoint,
                      conformal_factor, derive_constants, lemma3_box)
@@ -60,18 +68,18 @@ class FunctionalValues:
     ratio: float  # energy / clifford_energy()
 
 
-def period_integral(d: DerivedConstants, tol: float = _QUAD_TOL) -> float:
-    """Integral of the conformal factor over one period."""
-    val, _ = quad(lambda x: conformal_factor(x, d), 0.0, d.period,
-                  epsabs=tol, epsrel=1e-12, limit=300)
-    return val
+def period_integral(d: DerivedConstants) -> float:
+    """Integral of the conformal factor over one period, in closed form:
+    2 (a1 K - (a1 - a2) D) / sqrt(a1 + a3) with D = (K - E)/k^2."""
+    K, D = complete_kd(d.modulus)
+    return 2.0 * (d.a1 * K - (d.a1 - d.a2) * D) / d.sqrt_a1_a3
 
 
-def area_mironov(d: DerivedConstants, n_periods: int = 1, tol: float = _QUAD_TOL) -> float:
-    """A = 2 pi N * integral_0^T (2 e^v) dx, by one-period quadrature."""
+def area_mironov(d: DerivedConstants, n_periods: int = 1) -> float:
+    """A = 2 pi N * integral_0^T (2 e^v) dx."""
     if n_periods < 1:
         raise ValueError("n_periods must be >= 1")
-    return 2.0 * math.pi * n_periods * period_integral(d, tol)
+    return 2.0 * math.pi * n_periods * period_integral(d)
 
 
 def willmore_mironov(d: DerivedConstants, n_periods: int = 1) -> float:
@@ -92,23 +100,21 @@ def willmore_quadrature(d: DerivedConstants, n_periods: int = 1,
     return 2.0 * math.pi * n_periods * val
 
 
-def energy_mironov(d: DerivedConstants, n_periods: int = 1,
-                   tol: float = _QUAD_TOL) -> FunctionalValues:
-    A = area_mironov(d, n_periods, tol)
+def energy_mironov(d: DerivedConstants, n_periods: int = 1) -> FunctionalValues:
+    A = area_mironov(d, n_periods)
     W = willmore_mironov(d, n_periods)
     E = A + W / 8.0
     return FunctionalValues(area=A, willmore=W, energy=E, ratio=E / clifford_energy())
 
 
-def potential_energy_check(d: DerivedConstants, n_periods: int = 1,
-                           tol: float = _QUAD_TOL) -> float:
+def potential_energy_check(d: DerivedConstants, n_periods: int = 1) -> float:
     """Energy recomputed as half the integral of the associated
     Schroedinger potential 4 e^v + (a^2 + b^2)/4 over the lattice cell
     (the Laplacian term drops out for a linear Lagrangian angle).
     Agrees with area + willmore/8 analytically."""
     h2 = d.slope_x ** 2 + d.slope_y ** 2
     # 1/2 * 2pi * [ 2 * int cf dx + (h2/4) * N T ]
-    return (math.pi * 2.0 * n_periods * period_integral(d, tol)
+    return (math.pi * 2.0 * n_periods * period_integral(d)
             + math.pi * h2 * n_periods * d.period / 4.0)
 
 
@@ -137,8 +143,7 @@ def feasible_grid(alpha: AlphaTriple, n: int, margin: float = 0.02) -> List[tupl
 
 def energy_scan(alphas: Iterable[AlphaTriple], n: int = 20,
                 branches: Sequence[Branch] = (Branch.MINUS, Branch.PLUS),
-                n_periods: int = 1, margin: float = 0.02,
-                tol: float = _QUAD_TOL) -> List[dict]:
+                n_periods: int = 1, margin: float = 0.02) -> List[dict]:
     """One row per feasible grid point and branch, CSV-ready."""
     rows: List[dict] = []
     for alpha in alphas:
@@ -148,7 +153,7 @@ def energy_scan(alphas: Iterable[AlphaTriple], n: int = 20,
                     d = derive_constants(alpha, ModuliPoint(a1, a2, branch))
                 except InfeasibleParameters:
                     continue
-                fv = energy_mironov(d, n_periods, tol)
+                fv = energy_mironov(d, n_periods)
                 rows.append({
                     "alpha1": alpha.alpha1, "alpha2": alpha.alpha2,
                     "alpha3": alpha.alpha3, "a1": a1, "a2": a2,

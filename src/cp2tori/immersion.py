@@ -46,7 +46,7 @@ class PropertyReport:
                    self.slope_x_error, self.slope_y_error)
 
 
-def _frame_arrays(d: DerivedConstants, xs: np.ndarray):
+def _frame_arrays(d: DerivedConstants, xs: np.ndarray, quad_tol: float):
     """F, F', G, G', cf at the grid x-values (vectorized over columns)."""
     cf = conformal_factor(xs, d)
     cfp = conformal_factor_prime(xs, d)
@@ -56,7 +56,7 @@ def _frame_arrays(d: DerivedConstants, xs: np.ndarray):
         Fp = np.where(F > 1e-150, cfp[None, :] / (2.0 * den * F), 0.0)
     num = d.c2 - 0.5 * d.slope_x * cf[None, :]
     Gp = num / (cf[None, :] + _f_offsets(d.alpha)[:, None])
-    G = g_phases_cumulative(xs, d)
+    G = g_phases_cumulative(xs, d, quad_tol)
     return F, Fp, G, Gp, cf
 
 
@@ -75,7 +75,7 @@ def geometry_residuals(d: DerivedConstants, grid: Tuple[int, int] = (64, 64),
     nx, ny = grid
     xs = np.linspace(0.0, d.period, nx, endpoint=False)
     ys = np.linspace(0.0, 2.0 * math.pi, ny, endpoint=False)
-    F, Fp, G, Gp, cf = _frame_arrays(d, xs)
+    F, Fp, G, Gp, cf = _frame_arrays(d, xs, quad_tol)
     alphas = np.array(d.alpha.weights, dtype=float)[:, None]
 
     F2 = F * F
@@ -217,7 +217,7 @@ def export_samples(d: DerivedConstants, grid: Tuple[int, int],
         chart = default_chart(d)
     xs = np.linspace(0.0, d.period, nx, endpoint=False)
     ys = np.linspace(0.0, 2.0 * math.pi, ny, endpoint=False)
-    F, Fp, G, Gp, cf = _frame_arrays(d, xs)
+    F, Fp, G, Gp, cf = _frame_arrays(d, xs, quad_tol)
     alphas = np.array(d.alpha.weights, dtype=float)[:, None]
     rows = []
     others = [i for i in range(3) if i != chart]

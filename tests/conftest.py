@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
+from scipy.integrate import quad
 
-from cp2tori.family import AlphaTriple, Branch, ModuliPoint, derive_constants
+from cp2tori.family import (AlphaTriple, Branch, ModuliPoint, conformal_factor,
+                            derive_constants)
 
 # triples used throughout the sweeps (all normalized, coprime differences)
 CANONICAL_TRIPLES = [(2, 1, -1), (3, 1, -1), (3, 2, -1), (1, 0, -1), (2, 0, -1)]
@@ -16,6 +18,15 @@ SIGN_SLIP_STEPS = (
     "2 pi^2 a^2/sqrt(a1+a3) >= 2 pi^2 sqrt(p) beta^2 s/sqrt(x+xy/s)",
     "W >= 2 pi^2 sqrt(p) beta^2 s/sqrt(x+xy/s)",
 )
+
+
+def quad_period_integral(d):
+    """Oracle for functionals.period_integral: adaptive quadrature of the
+    conformal factor over one period, through scalar sn (the area path
+    the closed form replaced)."""
+    val, _ = quad(lambda x: conformal_factor(x, d), 0.0, d.period,
+                  epsabs=1e-11, epsrel=1e-12, limit=300)
+    return val
 
 
 @pytest.fixture(scope="session")

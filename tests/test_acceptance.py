@@ -36,7 +36,8 @@ from cp2tori.periodicity import (LatticeData, best_rational, closure_residual,
                                  phase_differences, rational_fit,
                                  tau_free_invariant)
 from cp2tori.immersion import geometry_residuals
-from conftest import CANONICAL_TRIPLES, SIGN_SLIP_STEPS, SLOPE_SLIP_STEP
+from conftest import (CANONICAL_TRIPLES, SIGN_SLIP_STEPS, SLOPE_SLIP_STEP,
+                      quad_period_integral)
 
 POSITIVE_TRIPLES = [(2, 1, -1), (3, 1, -1), (3, 2, -1)]
 DEGENERATE_TRIPLES = [(1, 0, -1), (2, 0, -1)]
@@ -185,7 +186,7 @@ def test_06_theorem1_numerical_witness():
 
 
 def test_07_functional_identities(full_sweep):
-    worst_w, worst_pot = 0.0, 0.0
+    worst_w, worst_pot, worst_a = 0.0, 0.0, 0.0
     n = 0
     for (_, _), pts in full_sweep.items():
         for a1, a2, d, fv in pts[::7]:  # identity checks on a subsample stride
@@ -193,10 +194,14 @@ def test_07_functional_identities(full_sweep):
             if fv.willmore > 0:
                 worst_w = max(worst_w, abs(fv.willmore - w_quad) / fv.willmore)
             worst_pot = max(worst_pot, abs(potential_energy_check(d) - fv.energy))
+            # the closed-form area against quadrature of the conformal factor
+            a_quad = 2.0 * math.pi * quad_period_integral(d)
+            worst_a = max(worst_a, abs(fv.area - a_quad) / a_quad)
             n += 1
-    ok = worst_w <= 1e-9 and worst_pot <= 1e-9
+    ok = worst_w <= 1e-9 and worst_pot <= 1e-9 and worst_a <= 1e-12
     _report(7, ok, f"{n} sweep points: worst Willmore closed-vs-quadrature "
-                   f"rel {worst_w:.2e}, worst potential identity {worst_pot:.2e}")
+                   f"rel {worst_w:.2e}, worst potential identity {worst_pot:.2e}, "
+                   f"worst area closed-vs-quadrature rel {worst_a:.2e}")
 
 
 def test_08_paper_bounds_strict(full_sweep):

@@ -167,6 +167,8 @@ def test_lemma5_certificate_small_eps():
     assert replay_certificate(cert, b2_expr, sample=500)
     strips = lemma5_strip_certificates(eps=1e-3)
     assert all(c.status is CertStatus.PROVED for c in strips)
+    # band certificates passed in are cited exactly as computed ones
+    assert certify_lemma5(eps=1e-3, strips=strips).notes == cert.notes
 
 
 # ----------------------------------------------------------------------

@@ -55,6 +55,37 @@ def test_missing_required_flags_exit_code(capsys):
     assert exc.value.code == EXIT_USAGE
 
 
+def _exit_code(*argv):
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    return exc.value.code
+
+
+def test_verify_rejects_nonpositive_eps(tmp_path, capsys):
+    for eps in ("0", "-1e-4", "nan"):
+        assert _exit_code("verify", "--target", "B1", "--eps", eps,
+                          "--out-dir", str(tmp_path)) == EXIT_USAGE
+    assert "--eps" in capsys.readouterr().err
+
+
+def test_scan_rejects_nonpositive_jobs(tmp_path, capsys):
+    for jobs in ("0", "-2"):
+        assert _exit_code("scan", "--alpha", "2", "1", "-1", "--grid", "3",
+                          "--jobs", jobs, "--out", str(tmp_path / "s.csv")) == EXIT_USAGE
+    assert "--jobs" in capsys.readouterr().err
+    assert not (tmp_path / "s.csv").exists()
+
+
+def test_rejects_nonpositive_quad_tol(tmp_path, capsys):
+    moduli = ("--alpha", "2", "1", "-1", "--a1", "1.8", "--a2", "1.2")
+    assert _exit_code("periodicity", *moduli, "--quad-tol", "0") == EXIT_USAGE
+    assert _exit_code("export", *moduli, "--quad-tol", "-1",
+                      "--out", str(tmp_path / "e.csv")) == EXIT_USAGE
+    assert "--quad-tol" in capsys.readouterr().err
+    # scan evaluates energies in closed form and has no quadrature to tune
+    assert _exit_code("scan", "--alpha", "2", "1", "-1", "--quad-tol", "1e-9") == EXIT_USAGE
+
+
 def test_scan_csv_and_determinism(tmp_path, capsys):
     out1 = tmp_path / "scan1.csv"
     out2 = tmp_path / "scan2.csv"
@@ -104,6 +135,25 @@ def test_verify_single_target_and_threshold(tmp_path, capsys):
                        "--eps", "1e-3", "--out-dir", str(tmp_path))
     assert code == EXIT_NOT_PROVED
     assert "witness" in out
+
+
+def test_verify_computes_band_certificates_once(tmp_path, capsys, monkeypatch):
+    from cp2tori import bounds, cli
+    calls = []
+    real = bounds.lemma5_strip_certificates
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "lemma5_strip_certificates", counted)
+    monkeypatch.setattr(bounds, "lemma5_strip_certificates", counted)
+    code, out, _ = run(capsys, "verify", "--target", "B2", "--eps", "1e-3",
+                       "--out-dir", str(tmp_path))
+    assert code == EXIT_OK
+    assert len(calls) == 1
+    notes = json.loads((tmp_path / "B2.json").read_text())["notes"]
+    assert sum("companion certificate" in n for n in notes) == 2
 
 
 def test_periodicity_json(tmp_path, capsys):

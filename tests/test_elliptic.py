@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from cp2tori.elliptic import (EllipticModulus, complete_k, incomplete_f,
-                              jacobi_sn, sn2_prime)
+from scipy.special import ellipe, ellipk
+
+from cp2tori.elliptic import (EllipticModulus, complete_k, complete_kd,
+                              incomplete_f, jacobi_sn, sn2_prime)
 
 
 def oracle_f(theta, k):
@@ -41,6 +43,37 @@ def test_complete_k_values():
     k99 = complete_k(0.99)
     assert k99 > 3.0 and math.isfinite(k99)
     assert k99 == pytest.approx(oracle_f(math.pi / 2, 0.99), rel=1e-12)
+
+
+def test_complete_kd_against_scipy():
+    # scipy.special takes the parameter m = k^2
+    for k in [0.0, 1e-5, *np.linspace(1e-3, 0.999, 400)]:
+        K, D = complete_kd(k)
+        assert K == complete_k(k)  # the same AGM run, bit for bit
+        m = k * k
+        assert K == pytest.approx(ellipk(m), rel=2e-15)
+        # E = K - k^2 D and K - E = k^2 D, to the rounding of K and E
+        assert K - m * D == pytest.approx(ellipe(m), rel=2e-15)
+        assert m * D == pytest.approx(ellipk(m) - ellipe(m), abs=2e-15 * K)
+
+
+def test_complete_kd_small_modulus():
+    assert complete_kd(0.0) == (math.pi / 2, math.pi / 4)
+    # D = (pi/4)(1 + 3m/8 + 15m^2/64 + ...): (K - E)/k^2 from scipy would
+    # lose half its digits here, the series does not
+    for k in (1e-5, 1e-3):
+        m = k * k
+        series = 0.25 * math.pi * (1.0 + 3.0 * m / 8.0 + 15.0 * m * m / 64.0)
+        assert complete_kd(k)[1] == pytest.approx(series, rel=1e-15)
+
+
+def test_complete_kd_against_mpmath():
+    import mpmath
+    with mpmath.workdps(40):
+        for k in (0.01, 0.2, 0.5, 0.8, 0.95, 0.999):
+            m = mpmath.mpf(k) ** 2
+            ref = (mpmath.ellipk(m) - mpmath.ellipe(m)) / m
+            assert complete_kd(k)[1] == pytest.approx(float(ref), rel=2e-15)
 
 
 def test_complete_k_exceeds_pi_half():

@@ -200,7 +200,7 @@ def test_g_phase_zero_weight_limit(degenerate_derived):
     # alpha_i = 0 forces c1 = 0, so the raw integrand is 0/0; the family
     # limit divides out alpha_i: integrand = (c2 - a e^v)/(2 e^v + a1 a3).
     # The naive "prefactor alpha_i makes G_i vanish" reading would break
-    # horizontality and conformality of the lift (see the ledger).
+    # horizontality and conformality of the lift (README, "Zero weights").
     d = degenerate_derived
     off = float(d.alpha.alpha1 * d.alpha.alpha3)
     val, _ = quad(lambda z: (d.c2 - 0.5 * d.slope_x * conformal_factor(z, d))

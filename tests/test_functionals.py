@@ -11,6 +11,7 @@ from cp2tori.functionals import (HomogeneousParams, area_mironov,
                                  feasible_grid, homogeneous_energy,
                                  period_integral, potential_energy_check,
                                  willmore_mironov, willmore_quadrature)
+from conftest import CANONICAL_TRIPLES, quad_period_integral
 
 SQ3 = 1.0 / math.sqrt(3.0)
 
@@ -79,6 +80,39 @@ def test_area_substitution_identity(sample_derived, sample_derived_plus):
             0.0, math.pi, epsabs=1e-13, epsrel=1e-13, limit=200)
         lhs = period_integral(d)
         assert lhs == pytest.approx(d.a1 / math.sqrt(d.a1 + d.a3) * angular, abs=1e-9)
+
+
+def test_area_closed_form_matches_quadrature_on_sweep():
+    # every point of the acceptance sweep: 5 triples, 30x30 grid, both branches
+    worst, n = 0.0, 0
+    for weights in CANONICAL_TRIPLES:
+        al = AlphaTriple(*weights)
+        for a1, a2 in feasible_grid(al, 30):
+            for br in (Branch.MINUS, Branch.PLUS):
+                d = derive_constants(al, ModuliPoint(a1, a2, br))
+                ref = quad_period_integral(d)
+                worst = max(worst, abs(period_integral(d) - ref) / ref)
+                n += 1
+    assert n == 4350
+    assert worst <= 1e-12
+
+
+def test_area_where_a3_dwarfs_a1():
+    # a3 = 8.19e6 >> a1: the form (a1+a3)E - a3 K cancels 2.3e-10 of
+    # relative accuracy here, more than the margin of the area bound
+    import mpmath
+    d = derive_constants(AlphaTriple(3, 2, -1),
+                         ModuliPoint(2.5572684491734603, 2.5562529947352655,
+                                     Branch.PLUS))
+    assert d.a3 > 8e6
+    with mpmath.workdps(40):
+        a1, a2, a3 = (mpmath.mpf(v) for v in (d.a1, d.a2, d.a3))
+        m = (a1 - a2) / (a1 + a3)
+        ref = float(4 * mpmath.pi * ((a1 + a3) * mpmath.ellipe(m)
+                                     - a3 * mpmath.ellipk(m)) / mpmath.sqrt(a1 + a3))
+    A = area_mironov(d)
+    assert A == pytest.approx(ref, rel=1e-14)
+    assert A > math.pi ** 2 * (d.a1 + d.a2) / math.sqrt(d.a1 + d.a3)
 
 
 def test_area_small_modulus_limit():
