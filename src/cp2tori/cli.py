@@ -3,7 +3,8 @@
 Subcommands: energy, scan, verify, periodicity, export, mnk, feasibility.
 Exit codes: 0 success, 2 infeasible parameters, 3 a requested
 certification did not come back proved, 64 usage error.  A JSON config
-file can pre-set any long option; explicit flags win.
+file can pre-set any long option of the subcommand, checked as the same
+flag would be; explicit flags win.
 """
 
 from __future__ import annotations
@@ -24,8 +25,8 @@ from .bounds import (certify_lemma4, certify_lemma5, lemma5_strip_certificates,
 from .errors import Cp2ToriError, InfeasibleParameters
 from .family import (AlphaTriple, Branch, ModuliPoint, derive_constants,
                      feasibility_check, lemma3_box)
-from .functionals import (SCAN_COLUMNS, HomogeneousParams, clifford_energy,
-                          energy_mironov, energy_scan, feasible_grid,
+from .functionals import (SCAN_COLUMNS, HomogeneousParams, _scan_row,
+                          _scan_tasks, clifford_energy, energy_mironov,
                           homogeneous_energy)
 from .immersion import export_samples, write_csv, write_obj
 from .interval import CertStatus
@@ -89,14 +90,35 @@ def _load_params_file(path: str):
     return out
 
 
-def _apply_config(ns, parser_defaults):
+def _config_value(sub, action, value):
+    """A config value read as the same option on the command line would
+    be: each item through the option's type and choices, so a bad value
+    is a usage error (exit 64)."""
+    count = action.nargs if isinstance(action.nargs, int) else None
+    items = value if count else [value]
+    if not isinstance(items, list) or len(items) != (count or 1):
+        sub.error(f"config: {action.dest} takes {count} values, got {value!r}")
+    try:
+        parsed = [sub._get_value(action, str(v)) for v in items]
+        for v in parsed:
+            sub._check_value(action, v)
+    except argparse.ArgumentError as exc:
+        sub.error(f"config: {exc}")
+    return parsed if count else parsed[0]
+
+
+def _apply_config(ns, sub):
+    """Fill the options of subcommand parser ``sub`` that were left at
+    their defaults from the --config JSON file (flags win), then moduli
+    left unset from the --params file."""
     if getattr(ns, "config", None):
         with open(ns.config) as fh:
             cfg = json.load(fh)
+        actions = {a.dest: a for a in sub._actions}
         for key, val in cfg.items():
-            attr = key.replace("-", "_")
-            if hasattr(ns, attr) and parser_defaults.get(attr, None) == getattr(ns, attr):
-                setattr(ns, attr, val)
+            action = actions.get(key.replace("-", "_"))
+            if action is not None and getattr(ns, action.dest, None) == action.default:
+                setattr(ns, action.dest, _config_value(sub, action, val))
     if getattr(ns, "params", None):
         for key, val in _load_params_file(ns.params).items():
             if getattr(ns, key, None) is None:
@@ -133,33 +155,15 @@ def cmd_energy(ns) -> int:
     return EXIT_OK
 
 
-def _scan_task(args):
-    weights, a1, a2, branch_value, periods = args
-    alpha = AlphaTriple(*weights)
-    try:
-        d = derive_constants(alpha, ModuliPoint(a1, a2, Branch(branch_value)))
-    except Cp2ToriError:
-        return None
-    fv = energy_mironov(d, periods)
-    return {"alpha1": alpha.alpha1, "alpha2": alpha.alpha2, "alpha3": alpha.alpha3,
-            "a1": a1, "a2": a2, "branch": branch_value, "c2": d.c2, "a3": d.a3,
-            "a": d.slope_x, "T": d.period, "A": fv.area, "W": fv.willmore,
-            "E": fv.energy, "ratio": fv.ratio}
-
-
 def cmd_scan(ns) -> int:
     alphas = [AlphaTriple(*[int(v) for v in trip]) for trip in ns.alpha]
     branches = [Branch.MINUS, Branch.PLUS] if ns.branch == "both" else [Branch(ns.branch)]
-    tasks = []
-    for alpha in alphas:
-        for a1, a2 in feasible_grid(alpha, ns.grid, ns.margin):
-            for br in branches:
-                tasks.append((alpha.weights, a1, a2, br.value, ns.periods))
+    tasks = _scan_tasks(alphas, ns.grid, branches, ns.periods, ns.margin)
     if ns.jobs > 1:
         with ProcessPoolExecutor(max_workers=ns.jobs) as pool:
-            rows = [r for r in pool.map(_scan_task, tasks, chunksize=16) if r]
+            rows = [r for r in pool.map(_scan_row, tasks, chunksize=16) if r]
     else:
-        rows = [r for r in map(_scan_task, tasks) if r]
+        rows = [r for r in map(_scan_row, tasks) if r]
     lines = [",".join(SCAN_COLUMNS)]
     for row in rows:
         lines.append(",".join(
@@ -404,8 +408,9 @@ def build_parser() -> _Parser:
 def main(argv: Optional[List[str]] = None) -> int:
     parser = build_parser()
     ns = parser.parse_args(argv)
-    defaults = {a.dest: a.default for a in parser._actions}
-    ns = _apply_config(ns, defaults)
+    commands = next(a for a in parser._actions
+                    if isinstance(a, argparse._SubParsersAction))
+    ns = _apply_config(ns, commands.choices[ns.command])
     needs_moduli = ns.command in ("periodicity", "export") or (
         ns.command == "energy" and ns.family == "mironov")
     if needs_moduli and (getattr(ns, "alpha", None) is None

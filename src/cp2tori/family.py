@@ -324,18 +324,6 @@ def f_coefficients(x: float, d: DerivedConstants) -> np.ndarray:
     return f_from_conformal(conformal_factor(x, d), d.alpha)
 
 
-def f_prime(x: float, d: DerivedConstants) -> np.ndarray:
-    """Analytic x-derivative of the F_i (chain rule through the
-    conformal factor)."""
-    F = f_coefficients(x, d)
-    cfp = conformal_factor_prime(x, d)
-    den = _f_denominators(d.alpha)
-    out = np.zeros(3)
-    nz = F > 1e-150
-    out[nz] = cfp / (2.0 * den[nz] * F[nz])
-    return out
-
-
 def phase_denominator_range(d: DerivedConstants, i: int) -> Tuple[float, float]:
     """Range of 2 e^v + alpha_j alpha_k over one period (monotone in e^v).
 
@@ -357,19 +345,33 @@ def _check_phase_denominator(d: DerivedConstants, i: int) -> None:
             f"over [{lo:.3g}, {hi:.3g}]; too close to zero for quadrature")
 
 
+def _phase_rate(cf, d: DerivedConstants, offset):
+    """G_i' = (c2 - a cf / 2) / (cf + alpha_j alpha_k) at conformal-factor
+    value(s) cf, for the offset(s) alpha_j alpha_k of the components."""
+    return (d.c2 - 0.5 * d.slope_x * cf) / (cf + offset)
+
+
 def g_integrand(x: float, d: DerivedConstants, i: int) -> float:
-    cf = conformal_factor(x, d)
-    return (d.c2 - 0.5 * d.slope_x * cf) / (cf + _f_offsets(d.alpha)[i])
+    return _phase_rate(conformal_factor(x, d), d, _f_offsets(d.alpha)[i])
 
 
 def g_phase(x: float, d: DerivedConstants, i: int, tol: float = 1e-10) -> float:
-    """G_i(x): the phase integral from 0 to x (adaptive quadrature)."""
+    """G_i(x): the phase integral from 0 to x.  The integrand has period T,
+    so x = qT + r gives G_i(r) + q G_i(T) with two adaptive quadratures
+    over at most one period, however large x is."""
     if x == 0.0:
         return 0.0
     _check_phase_denominator(d, i)
-    val, _err = quad(g_integrand, 0.0, x, args=(d, i),
-                     epsabs=min(tol, _QUAD_TOL), epsrel=1e-12, limit=400)
-    return val
+
+    def integral(upper):
+        val, _err = quad(g_integrand, 0.0, upper, args=(d, i),
+                         epsabs=min(tol, _QUAD_TOL), epsrel=1e-12, limit=400)
+        return val
+
+    q, r = divmod(x, d.period)
+    if q == 0.0:
+        return integral(x)
+    return (integral(r) if r else 0.0) + q * integral(d.period)
 
 
 def g_phases(x: float, d: DerivedConstants, tol: float = 1e-10) -> np.ndarray:
@@ -379,10 +381,14 @@ def g_phases(x: float, d: DerivedConstants, tol: float = 1e-10) -> np.ndarray:
 def g_phases_cumulative(xs: Sequence[float], d: DerivedConstants,
                         tol: float = 1e-10) -> np.ndarray:
     """G_i at an increasing grid of x values, shape (3, n); integrates
-    piecewise so a whole grid costs one pass."""
+    piecewise so a whole grid costs one pass.  A grid that leaves the
+    first period is taken point by point through g_phase, which reduces
+    x by the period."""
     xs = np.asarray(xs, dtype=float)
     if np.any(np.diff(xs) < 0):
         raise ValueError("grid must be non-decreasing")
+    if xs.size and xs[-1] > d.period:
+        return np.array([g_phases(x, d, tol) for x in xs]).T
     out = np.zeros((3, xs.size))
     for i in range(3):
         _check_phase_denominator(d, i)
@@ -396,11 +402,6 @@ def g_phases_cumulative(xs: Sequence[float], d: DerivedConstants,
                 prev = xj
             out[i, j] = acc
     return out
-
-
-def g_prime(x: float, d: DerivedConstants) -> np.ndarray:
-    """Analytic derivatives G_i'(x) (the integrands themselves)."""
-    return np.array([g_integrand(x, d, i) for i in range(3)])
 
 
 def lift(x: float, y: float, d: DerivedConstants,

@@ -18,13 +18,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, List, Sequence
+from typing import Iterable, List, Optional, Sequence
 
 import numpy as np
 from scipy.integrate import quad
 
 from .elliptic import complete_kd
-from .errors import InfeasibleParameters
+from .errors import Cp2ToriError
 from .family import (AlphaTriple, Branch, DerivedConstants, ModuliPoint,
                      conformal_factor, derive_constants, lemma3_box)
 
@@ -141,25 +141,36 @@ def feasible_grid(alpha: AlphaTriple, n: int, margin: float = 0.02) -> List[tupl
     return [(float(a1), float(a2)) for a1 in vals for a2 in vals if a2 < a1 - sep]
 
 
+def _scan_tasks(alphas: Iterable[AlphaTriple], n: int,
+                branches: Sequence[Branch], n_periods: int,
+                margin: float) -> List[tuple]:
+    """(weights, a1, a2, branch value, N) for every scan grid point."""
+    return [(alpha.weights, a1, a2, branch.value, n_periods)
+            for alpha in alphas for a1, a2 in feasible_grid(alpha, n, margin)
+            for branch in branches]
+
+
+def _scan_row(task: tuple) -> Optional[dict]:
+    """The CSV-ready row of one scan task, or None where the point gives
+    no torus (any Cp2ToriError).  Top level, so process pools can pickle
+    it."""
+    weights, a1, a2, branch_value, n_periods = task
+    alpha = AlphaTriple(*weights)
+    try:
+        d = derive_constants(alpha, ModuliPoint(a1, a2, Branch(branch_value)))
+    except Cp2ToriError:
+        return None
+    fv = energy_mironov(d, n_periods)
+    return {"alpha1": alpha.alpha1, "alpha2": alpha.alpha2,
+            "alpha3": alpha.alpha3, "a1": a1, "a2": a2,
+            "branch": branch_value, "c2": d.c2, "a3": d.a3,
+            "a": d.slope_x, "T": d.period, "A": fv.area, "W": fv.willmore,
+            "E": fv.energy, "ratio": fv.ratio}
+
+
 def energy_scan(alphas: Iterable[AlphaTriple], n: int = 20,
                 branches: Sequence[Branch] = (Branch.MINUS, Branch.PLUS),
                 n_periods: int = 1, margin: float = 0.02) -> List[dict]:
     """One row per feasible grid point and branch, CSV-ready."""
-    rows: List[dict] = []
-    for alpha in alphas:
-        for a1, a2 in feasible_grid(alpha, n, margin):
-            for branch in branches:
-                try:
-                    d = derive_constants(alpha, ModuliPoint(a1, a2, branch))
-                except InfeasibleParameters:
-                    continue
-                fv = energy_mironov(d, n_periods)
-                rows.append({
-                    "alpha1": alpha.alpha1, "alpha2": alpha.alpha2,
-                    "alpha3": alpha.alpha3, "a1": a1, "a2": a2,
-                    "branch": branch.value, "c2": d.c2, "a3": d.a3,
-                    "a": d.slope_x, "T": d.period,
-                    "A": fv.area, "W": fv.willmore, "E": fv.energy,
-                    "ratio": fv.ratio,
-                })
-    return rows
+    tasks = _scan_tasks(alphas, n, branches, n_periods, margin)
+    return [row for row in map(_scan_row, tasks) if row]

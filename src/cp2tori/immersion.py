@@ -16,9 +16,8 @@ from typing import Optional, TextIO, Tuple
 import numpy as np
 
 from .family import (DerivedConstants, _f_denominators, _f_offsets,
-                     conformal_factor, conformal_factor_prime, f_coefficients,
-                     f_from_conformal, f_prime, g_phases, g_phases_cumulative,
-                     g_prime, lift)
+                     _phase_rate, conformal_factor, conformal_factor_prime,
+                     f_from_conformal, g_phases_cumulative, lift)
 
 
 @dataclass(frozen=True)
@@ -54,10 +53,34 @@ def _frame_arrays(d: DerivedConstants, xs: np.ndarray, quad_tol: float):
     den = _f_denominators(d.alpha)[:, None]
     with np.errstate(divide="ignore", invalid="ignore"):
         Fp = np.where(F > 1e-150, cfp[None, :] / (2.0 * den * F), 0.0)
-    num = d.c2 - 0.5 * d.slope_x * cf[None, :]
-    Gp = num / (cf[None, :] + _f_offsets(d.alpha)[:, None])
+    Gp = _phase_rate(cf[None, :], d, _f_offsets(d.alpha)[:, None])
     G = g_phases_cumulative(xs, d, quad_tol)
     return F, Fp, G, Gp, cf
+
+
+def _unit_frame(d: DerivedConstants, xs: np.ndarray, ys: np.ndarray,
+                quad_tol: float):
+    """The unitary frame (r, r_x/|r_x|, r_y/|r_y|) of the lift on the grid
+    xs x ys, as an array frame[row, component, ix, iy], together with the
+    F, F', G', cf along xs that it was built from.
+
+    Raises ValueError where r_x or r_y (nearly) vanishes, since the frame
+    is undefined there."""
+    F, Fp, G, Gp, cf = _frame_arrays(d, xs, quad_tol)
+    alphas = np.array(d.alpha.weights, dtype=float)[:, None, None]
+    phase = np.exp(1j * (G[:, :, None] + alphas * ys[None, None, :]))
+    frame = np.empty((3,) + phase.shape, dtype=complex)
+    r, rx, ry = frame
+    np.multiply(F[:, :, None], phase, out=r)
+    np.multiply((Fp + 1j * (F * Gp))[:, :, None], phase, out=rx)
+    del phase
+    np.multiply(1j * alphas, r, out=ry)
+    for row in (rx, ry):
+        norm = np.sqrt((np.abs(row) ** 2).sum(axis=0))
+        if norm.min() < 1e-12:
+            raise ValueError("degenerate derivative; cannot build the frame")
+        row /= norm
+    return frame, F, Fp, Gp, cf
 
 
 def _det3(rows: np.ndarray) -> np.ndarray:
@@ -75,7 +98,7 @@ def geometry_residuals(d: DerivedConstants, grid: Tuple[int, int] = (64, 64),
     nx, ny = grid
     xs = np.linspace(0.0, d.period, nx, endpoint=False)
     ys = np.linspace(0.0, 2.0 * math.pi, ny, endpoint=False)
-    F, Fp, G, Gp, cf = _frame_arrays(d, xs, quad_tol)
+    frame, F, Fp, Gp, cf = _unit_frame(d, xs, ys, quad_tol)
     alphas = np.array(d.alpha.weights, dtype=float)[:, None]
 
     F2 = F * F
@@ -91,14 +114,8 @@ def geometry_residuals(d: DerivedConstants, grid: Tuple[int, int] = (64, 64),
     pair_im = np.abs(pair.imag).max()
 
     # Lagrangian angle on the 2D grid
-    theta = G[:, :, None] + alphas[:, :, None] * ys[None, None, :]
-    phase = np.exp(1j * theta)
-    r = F[:, :, None] * phase
-    rx = (Fp[:, :, None] + 1j * (F * Gp)[:, :, None]) * phase
-    ry = 1j * alphas[:, :, None] * r
-    rx_n = rx / np.sqrt((np.abs(rx) ** 2).sum(axis=0))[None, :, :]
-    ry_n = ry / np.sqrt((np.abs(ry) ** 2).sum(axis=0))[None, :, :]
-    det = _det3(np.stack([r, rx_n, ry_n]))
+    det = _det3(frame)
+    del frame
     # e^{i beta} = conj(det R) in these component conventions
     beta = -np.angle(det)
     target = d.slope_x * xs[:, None] + d.slope_y * ys[None, :]
@@ -124,40 +141,25 @@ def geometry_residuals(d: DerivedConstants, grid: Tuple[int, int] = (64, 64),
         grid=(nx, ny))
 
 
+def _frame_at(d: DerivedConstants, x: float, y: float,
+              quad_tol: float) -> np.ndarray:
+    """The 3 x 3 unitary frame at one point (x, y)."""
+    return _unit_frame(d, np.array([float(x)]), np.array([float(y)]),
+                       quad_tol)[0][:, :, 0, 0]
+
+
 def lagrangian_angle(d: DerivedConstants, x: float, y: float,
                      quad_tol: float = 1e-10) -> float:
     """beta(x, y) in (-pi, pi] from the unitary frame (r, r_x/|r_x|,
     r_y/|r_y|); the determinant is conjugated so that beta = a x + b y
     holds with the derived slopes under the Hermitian conventions used
     here."""
-    F = f_coefficients(x, d)
-    Fp = f_prime(x, d)
-    Gp = g_prime(x, d)
-    G = g_phases(x, d, quad_tol)
-    alphas = np.array(d.alpha.weights, dtype=float)
-    phase = np.exp(1j * (G + alphas * y))
-    r = F * phase
-    rx = (Fp + 1j * F * Gp) * phase
-    ry = 1j * alphas * r
-    nx_, ny_ = np.linalg.norm(rx), np.linalg.norm(ry)
-    if nx_ < 1e-12 or ny_ < 1e-12:
-        raise ValueError("degenerate derivative; cannot build the frame")
-    M = np.array([r, rx / nx_, ry / ny_])
-    return float(-np.angle(np.linalg.det(M)))
+    return float(-np.angle(_det3(_frame_at(d, x, y, quad_tol))))
 
 
 def frame_unitarity_residual(d: DerivedConstants, x: float, y: float) -> float:
     """Max entry of R R* - I for the frame at (x, y)."""
-    F = f_coefficients(x, d)
-    Fp = f_prime(x, d)
-    Gp = g_prime(x, d)
-    G = g_phases(x, d)
-    alphas = np.array(d.alpha.weights, dtype=float)
-    phase = np.exp(1j * (G + alphas * y))
-    r = F * phase
-    rx = (Fp + 1j * F * Gp) * phase
-    ry = 1j * alphas * r
-    M = np.array([r, rx / np.linalg.norm(rx), ry / np.linalg.norm(ry)])
+    M = _frame_at(d, x, y, 1e-10)
     return float(np.abs(M @ M.conj().T - np.eye(3)).max())
 
 
@@ -212,36 +214,21 @@ def export_samples(d: DerivedConstants, grid: Tuple[int, int],
     """Sample rows (x, y, affine chart coordinates in C^2, conformal
     factor, Lagrangian angle); rows where the chart component is tiny are
     flagged rather than dropped."""
-    nx, ny = grid
     if chart is None:
         chart = default_chart(d)
+    nx, ny = grid
     xs = np.linspace(0.0, d.period, nx, endpoint=False)
     ys = np.linspace(0.0, 2.0 * math.pi, ny, endpoint=False)
-    F, Fp, G, Gp, cf = _frame_arrays(d, xs, quad_tol)
-    alphas = np.array(d.alpha.weights, dtype=float)[:, None]
-    rows = []
+    frame, _F, _Fp, _Gp, cf = _unit_frame(d, xs, ys, quad_tol)
+    r = frame[0]
+    beta = -np.angle(_det3(frame))
+    pivot = r[chart]
+    flagged = np.abs(pivot) < 1e-9
     others = [i for i in range(3) if i != chart]
-    for i, x in enumerate(xs):
-        theta = G[:, i][:, None] + alphas * ys[None, :]
-        r = F[:, i][:, None] * np.exp(1j * theta)
-        rx = (Fp[:, i][:, None] + 1j * (F[:, i] * Gp[:, i])[:, None]) * np.exp(1j * theta)
-        ry = 1j * alphas * r
-        rx_n = rx / np.sqrt((np.abs(rx) ** 2).sum(axis=0))
-        ry_n = ry / np.sqrt((np.abs(ry) ** 2).sum(axis=0))
-        det = _det3(np.stack([r, rx_n, ry_n]))
-        beta = -np.angle(det)
-        for j, y in enumerate(ys):
-            pivot = r[chart, j]
-            flagged = bool(abs(pivot) < 1e-9)
-            if flagged:
-                w1 = w2 = complex(float("nan"), float("nan"))
-            else:
-                w1 = r[others[0], j] / pivot
-                w2 = r[others[1], j] / pivot
-            rows.append((float(x), float(y), w1.real, w1.imag,
-                         w2.real, w2.imag, float(cf[i]), float(beta[j]),
-                         flagged))
-    return rows, chart
+    w1, w2 = r[others] / np.where(flagged, complex(math.nan, math.nan), pivot)
+    columns = (np.repeat(xs, ny), np.tile(ys, nx), w1.real, w1.imag,
+               w2.real, w2.imag, np.repeat(cf, ny), beta, flagged)
+    return list(zip(*(c.ravel().tolist() for c in columns))), chart
 
 
 def write_csv(rows, fh: TextIO) -> None:

@@ -108,10 +108,11 @@ def _mul_up(a, b):
 
 def _div_exact(q, b, a):
     # q = fl(a / b) is exact iff q*b == a without rounding.
-    if math.isinf(q) or abs(q) > _SPLIT_SAFE or abs(b) > _SPLIT_SAFE:
+    if math.isinf(q):
         return False
     p = q * b
-    return p == a and _two_prod_err(q, b, p) == 0.0
+    return (p == a and not _prod_maybe_inexact(q, b, p)
+            and _two_prod_err(q, b, p) == 0.0)
 
 
 def _div_down(a, b):

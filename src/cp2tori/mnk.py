@@ -3,10 +3,17 @@ torus-vs-Klein-bottle topology predicate.
 
 The base curve is the intersection of the unit sphere with the cone
 m u1^2 + n u2^2 + k u3^2 = 0 (m >= n > 0 > k).  The total space is a
-torus iff the involution u -> ((-1)^m u1, (-1)^n u2, (-1)^k u3)
-preserves the orientation of the cone surface; that is decided here
-numerically by transporting a tangent frame, with the cone oriented by
-its gradient normal (the fixed convention reported in the output).
+torus iff the involution u -> sigma u, sigma = diag((-1)^m, (-1)^n,
+(-1)^k), preserves the orientation of the cone surface, with the cone
+oriented by its gradient normal (the fixed convention reported in the
+output).  The gradient 2 (m u1, n u2, k u3) is linear and diagonal, so
+it commutes with sigma, and a tangent frame (e1, e2) at u maps to
+(sigma e1, sigma e2) at sigma u.  Hence
+
+    det[grad(sigma u), sigma e1, sigma e2] = det sigma * det[grad u, e1, e2],
+
+and the involution preserves the orientation exactly when
+det sigma = (-1)^(m + n + k) = +1, i.e. when m + n + k is even.
 """
 
 from __future__ import annotations
@@ -45,41 +52,10 @@ def curve_point(p: MnkParams, t: float) -> np.ndarray:
     return np.array([r * c, r * s, u3])
 
 
-def _cone_gradient(p: MnkParams, u: np.ndarray) -> np.ndarray:
-    return 2.0 * np.array([p.m * u[0], p.n * u[1], p.k * u[2]])
-
-
-def _tangent_frame(p: MnkParams, t: float):
-    """(point, tangent basis) on the cone; the radial direction is tangent
-    because the defining quadric is homogeneous."""
-    u = curve_point(p, t)
-    h = 1e-6
-    e1 = (curve_point(p, t + h) - curve_point(p, t - h)) / (2.0 * h)
-    e2 = u
-    return u, e1, e2
-
-
-def is_torus(p: MnkParams, samples: int = 10) -> bool:
+def is_torus(p: MnkParams) -> bool:
     """True iff the involution preserves the cone orientation (gradient
-    normal convention), decided by comparing frame orientations at sample
-    points; resamples when a frame is numerically degenerate."""
-    sigma = np.array(p.involution_signs, dtype=float)
-    decisions = []
-    for i in range(samples):
-        t = 0.37 + 2.0 * math.pi * i / samples
-        u, e1, e2 = _tangent_frame(p, t)
-        n_u = _cone_gradient(p, u)
-        d1 = float(np.linalg.det(np.array([n_u, e1, e2])))
-        if abs(d1) < 1e-12:
-            continue
-        n_v = _cone_gradient(p, sigma * u)
-        d2 = float(np.linalg.det(np.array([n_v, sigma * e1, sigma * e2])))
-        decisions.append(d1 * d2 > 0)
-    if not decisions:
-        raise RuntimeError("all sample frames degenerate")
-    if len(set(decisions)) != 1:
-        raise RuntimeError("orientation decision not sample-independent")
-    return decisions[0]
+    normal convention): exactly when m + n + k is even."""
+    return (p.m + p.n + p.k) % 2 == 0
 
 
 ORIENTATION_CONVENTION = ("cone oriented by its gradient normal; a tangent frame "

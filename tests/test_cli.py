@@ -219,3 +219,64 @@ def test_config_file_defaults_and_flag_precedence(tmp_path, capsys):
     code, _, _ = run(capsys, "scan", "--alpha", "2", "1", "-1",
                      "--config", str(cfg), "--out", str(tmp_path / "flag.csv"))
     assert (tmp_path / "flag.csv").exists()
+
+
+def test_config_sets_subcommand_defaults(tmp_path, capsys):
+    # "grid" has a non-None default, which the config must still override
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"grid": 3}))
+    run(capsys, "scan", "--alpha", "2", "1", "-1", "--config", str(cfg),
+        "--out", str(tmp_path / "cfg.csv"))
+    run(capsys, "scan", "--alpha", "2", "1", "-1", "--grid", "3",
+        "--out", str(tmp_path / "flag.csv"))
+    text = (tmp_path / "cfg.csv").read_text()
+    assert text == (tmp_path / "flag.csv").read_text()
+    assert len(text.splitlines()) == 7  # header + 3 points x 2 branches
+
+
+def test_config_values_are_parsed_like_flags(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"threshold": "1.2"}))
+    code, out, _ = run(capsys, "verify", "--target", "B1", "--eps", "1e-3",
+                       "--config", str(cfg), "--out-dir", str(tmp_path))
+    assert code == EXIT_NOT_PROVED
+    assert "threshold=1.2 " in out and "witness" in out
+
+
+def test_config_values_meet_the_flag_checks(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    verify = ("verify", "--out-dir", str(tmp_path))
+    scan = ("scan", "--alpha", "2", "1", "-1", "--out", str(tmp_path / "s.csv"))
+    export = ("export", "--alpha", "2", "1", "-1", "--a1", "1.8", "--a2", "1.2",
+              "--out", str(tmp_path / "e.csv"))
+    for bad, argv in [({"eps": 0, "target": "B1"}, verify), ({"jobs": 0}, scan),
+                      ({"target": "B3"}, verify), ({"grid": "x"}, scan),
+                      ({"grid": 4}, export)]:
+        cfg.write_text(json.dumps(bad))
+        assert _exit_code(*argv, "--config", str(cfg)) == EXIT_USAGE, bad
+        assert next(iter(bad)) in capsys.readouterr().err
+    assert not (tmp_path / "s.csv").exists() and not (tmp_path / "e.csv").exists()
+
+
+def test_scan_skips_degenerate_points_in_api_and_cli(tmp_path, capsys, monkeypatch):
+    from cp2tori import functionals
+    from cp2tori.errors import DegenerateParameters
+    from cp2tori.family import AlphaTriple
+    al = AlphaTriple(2, 1, -1)
+    a1, a2 = functionals.feasible_grid(al, 4)[0]
+    real = functionals.derive_constants
+
+    def derive(alpha, point):
+        if (point.a1, point.a2, point.branch.value) == (a1, a2, "plus"):
+            raise DegenerateParameters("c2 vanishes")
+        return real(alpha, point)
+
+    full = functionals.energy_scan([al], n=4)
+    monkeypatch.setattr(functionals, "derive_constants", derive)
+    rows = functionals.energy_scan([al], n=4)
+    assert len(rows) == len(full) - 1
+    assert not any((r["a1"], r["a2"], r["branch"]) == (a1, a2, "plus") for r in rows)
+    code, _, err = run(capsys, "scan", "--alpha", "2", "1", "-1", "--grid", "4",
+                       "--out", str(tmp_path / "s.csv"))
+    assert code == EXIT_OK
+    assert f"rows = {len(rows)} " in err

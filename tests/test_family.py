@@ -9,10 +9,9 @@ from cp2tori.errors import (DegenerateParameters, InfeasibleParameters,
                             SingularIntegrand)
 from cp2tori.family import (AlphaTriple, Branch, ModuliPoint, conformal_factor,
                             conformal_factor_prime, derive_constants,
-                            f_coefficients, f_prime, feasibility_check,
-                            g_phase, g_phases, g_phases_cumulative, g_prime,
-                            lemma3_box, lift, q_cubic, quartic_coefficients,
-                            solve_c2)
+                            f_coefficients, feasibility_check, g_phase,
+                            g_phases, g_phases_cumulative, lemma3_box, lift,
+                            q_cubic, quartic_coefficients, solve_c2)
 from conftest import CANONICAL_TRIPLES
 
 

@@ -1,9 +1,11 @@
 import io
 import math
 
+import numpy as np
 import pytest
 
-from cp2tori.family import AlphaTriple, Branch, ModuliPoint, derive_constants
+from cp2tori.family import (AlphaTriple, Branch, ModuliPoint, conformal_factor,
+                            derive_constants, lift)
 from cp2tori.immersion import (EXPORT_COLUMNS, default_chart,
                                export_samples, frame_unitarity_residual,
                                geometry_residuals, lagrangian_angle,
@@ -54,6 +56,17 @@ def test_lagrangian_angle_slopes(sample_derived):
     assert by == pytest.approx(d.slope_y, abs=1e-6)
 
 
+@pytest.mark.filterwarnings("error")
+def test_lagrangian_angle_beyond_one_period(sample_derived):
+    # beta(x + N T, y) = beta(x, y) + a N T: the phase integrals past the
+    # first period must be reduced by it, not integrated from 0
+    d = sample_derived
+    x, y = 0.4, 1.0
+    for n in (1, 1000):
+        shift = lagrangian_angle(d, x + n * d.period, y) - lagrangian_angle(d, x, y)
+        assert abs(math.remainder(shift - d.slope_x * n * d.period, 2 * math.pi)) <= 1e-9
+
+
 def test_frame_unitarity(sample_derived, rng):
     d = sample_derived
     for _ in range(10):
@@ -86,6 +99,28 @@ def test_export_row_count_and_roundtrip(sample_derived):
     reread = [float(v) for v in lines[1].split(",")[:-1]]
     for orig, back in zip(rows[0][:-1], reread):
         assert back == pytest.approx(orig, rel=1e-11, abs=1e-11)
+
+
+def test_export_values_match_the_lift(sample_derived, sample_derived_plus,
+                                      degenerate_derived):
+    # pointwise oracles at sampled rows: the chart coordinates are ratios
+    # of lift components, the conformal factor is conformal_factor(x), and
+    # beta - (a x + b y) is one constant mod 2 pi
+    rng = np.random.default_rng(5)
+    for d in (sample_derived, sample_derived_plus, degenerate_derived):
+        rows, chart = export_samples(d, (12, 10))
+        others = [i for i in range(3) if i != chart]
+        shifts = []
+        for k in rng.choice(len(rows), 15, replace=False):
+            x, y, re1, im1, re2, im2, cf, beta, flagged = rows[k]
+            assert not flagged
+            v = lift(x, y, d)
+            assert abs(complex(re1, im1) - v[others[0]] / v[chart]) <= 1e-12
+            assert abs(complex(re2, im2) - v[others[1]] / v[chart]) <= 1e-12
+            assert cf == conformal_factor(x, d)
+            shifts.append(beta - d.slope_x * x - d.slope_y * y)
+        spread = np.angle(np.exp(1j * (np.array(shifts) - shifts[0])))
+        assert np.abs(spread).max() <= 1e-9
 
 
 def test_export_obj_vertices(sample_derived):

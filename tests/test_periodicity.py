@@ -127,6 +127,17 @@ def test_engineered_periodic_point_closes():
     assert closure_residual(d, res, n_samples=25) <= 1e-7
 
 
+@pytest.mark.filterwarnings("error")
+def test_closure_at_a_large_period_multiple(sample_derived):
+    """G_i(x + N T) = G_i(x) + N G_i(T): with N near 10^6 a quadrature from
+    0 to x + N T loses the lattice (and warns); reducing x by the period
+    closes it to rounding."""
+    d = sample_derived
+    res = rational_fit(d)
+    assert isinstance(res, LatticeData) and res.n_period > 10 ** 5
+    assert closure_residual(d, res, n_samples=5) <= 1e-9
+
+
 def test_projective_distance_phase_invariance(rng):
     v = rng.normal(size=3) + 1j * rng.normal(size=3)
     v /= np.linalg.norm(v)
