@@ -7,7 +7,7 @@ __version__ = "0.1.0"
 from .elliptic import EllipticModulus, complete_k, incomplete_f, jacobi_sn
 from .family import (AlphaTriple, Branch, DerivedConstants, ModuliPoint,
                      conformal_factor, derive_constants, f_coefficients,
-                     feasibility_check, g_phase, lemma3_box, lift, q_cubic,
+                     feasibility_check, g_phases, lemma3_box, lift, q_cubic,
                      solve_c2)
 from .functionals import (FunctionalValues, HomogeneousParams, clifford_energy,
                           energy_mironov, homogeneous_energy)
@@ -18,7 +18,7 @@ __all__ = [
     "EllipticModulus", "complete_k", "incomplete_f", "jacobi_sn",
     "AlphaTriple", "Branch", "DerivedConstants", "ModuliPoint",
     "conformal_factor", "derive_constants", "f_coefficients",
-    "feasibility_check", "g_phase", "lemma3_box", "lift", "q_cubic",
+    "feasibility_check", "g_phases", "lemma3_box", "lift", "q_cubic",
     "solve_c2",
     "FunctionalValues", "HomogeneousParams", "clifford_energy",
     "energy_mironov", "homogeneous_energy",

@@ -2,9 +2,10 @@
 
 Subcommands: energy, scan, verify, periodicity, export, mnk, feasibility.
 Exit codes: 0 success, 2 infeasible parameters, 3 a requested
-certification did not come back proved, 64 usage error.  A JSON config
-file can pre-set any long option of the subcommand, checked as the same
-flag would be; explicit flags win.
+certification did not come back proved, 4 degenerate parameters (a
+vanishing root c2 or a phase denominator too close to zero), 64 usage
+error.  A JSON config file can pre-set any long option of the
+subcommand, checked as the same flag would be; explicit flags win.
 """
 
 from __future__ import annotations
@@ -22,7 +23,8 @@ import numpy as np
 from . import __version__
 from .bounds import (certify_lemma4, certify_lemma5, lemma5_strip_certificates,
                      scalar_bound_checks)
-from .errors import Cp2ToriError, InfeasibleParameters
+from .errors import (Cp2ToriError, DegenerateParameters, InfeasibleParameters,
+                     SingularIntegrand)
 from .family import (AlphaTriple, Branch, ModuliPoint, derive_constants,
                      feasibility_check, lemma3_box)
 from .functionals import (SCAN_COLUMNS, HomogeneousParams, _scan_row,
@@ -36,6 +38,7 @@ from .periodicity import rational_fit
 EXIT_OK = 0
 EXIT_INFEASIBLE = 2
 EXIT_NOT_PROVED = 3
+EXIT_DEGENERATE = 4
 EXIT_USAGE = 64
 
 
@@ -76,53 +79,59 @@ def _moduli_from(ns) -> ModuliPoint:
     return ModuliPoint(float(ns.a1), float(ns.a2), ns.branch)
 
 
-def _load_params_file(path: str):
-    with open(path) as fh:
-        data = json.load(fh)
-    out = {}
-    if "alpha" in data:
-        out["alpha"] = [int(v) for v in data["alpha"]]
-    for key in ("a1", "a2"):
-        if key in data:
-            out[key] = float(data[key])
-    if "branch" in data:
-        out["branch"] = _branch(str(data["branch"]))
-    return out
-
-
-def _config_value(sub, action, value):
-    """A config value read as the same option on the command line would
-    be: each item through the option's type and choices, so a bad value
-    is a usage error (exit 64)."""
+def _config_value(sub, what, action, value):
+    """A value from a JSON file read as the same option on the command
+    line would be: each item through the option's type and choices, so a
+    bad value is a usage error (exit 64)."""
     count = action.nargs if isinstance(action.nargs, int) else None
     items = value if count else [value]
     if not isinstance(items, list) or len(items) != (count or 1):
-        sub.error(f"config: {action.dest} takes {count} values, got {value!r}")
+        sub.error(f"{what}: {action.dest} takes {count} values, got {value!r}")
     try:
         parsed = [sub._get_value(action, str(v)) for v in items]
         for v in parsed:
             sub._check_value(action, v)
     except argparse.ArgumentError as exc:
-        sub.error(f"config: {exc}")
+        sub.error(f"{what}: {exc}")
     return parsed if count else parsed[0]
+
+
+def _fill_from_file(ns, sub, what, path, actions):
+    """Set the options in ``actions`` that the JSON object in ``path``
+    names, where they are still at their defaults.  A file that cannot be
+    read, invalid JSON, a top level that is not an object, a key that
+    names no option in ``actions`` and a bad value (even one a flag
+    overrides) are usage errors."""
+    try:
+        with open(path) as fh:
+            data = json.load(fh)
+    except OSError as exc:
+        sub.error(f"{what}: cannot read {path!r}: {exc.strerror}")
+    except ValueError as exc:
+        sub.error(f"{what}: {path!r} is not valid JSON: {exc}")
+    if not isinstance(data, dict):
+        sub.error(f"{what}: {path!r} must hold a JSON object, "
+                  f"not {type(data).__name__}")
+    for key, val in data.items():
+        action = actions.get(key.replace("-", "_"))
+        if action is None:
+            sub.error(f"{what}: {key!r} is not an option here "
+                      f"(choose from {', '.join(sorted(actions))})")
+        value = _config_value(sub, what, action, val)
+        if getattr(ns, action.dest) == action.default:
+            setattr(ns, action.dest, value)
 
 
 def _apply_config(ns, sub):
     """Fill the options of subcommand parser ``sub`` that were left at
-    their defaults from the --config JSON file (flags win), then moduli
-    left unset from the --params file."""
+    their defaults from the --config JSON file, then the moduli still at
+    their defaults from the --params file (flags win over both)."""
+    actions = {a.dest: a for a in sub._actions if a.dest not in ("help", "config")}
     if getattr(ns, "config", None):
-        with open(ns.config) as fh:
-            cfg = json.load(fh)
-        actions = {a.dest: a for a in sub._actions}
-        for key, val in cfg.items():
-            action = actions.get(key.replace("-", "_"))
-            if action is not None and getattr(ns, action.dest, None) == action.default:
-                setattr(ns, action.dest, _config_value(sub, action, val))
+        _fill_from_file(ns, sub, "config", ns.config, actions)
     if getattr(ns, "params", None):
-        for key, val in _load_params_file(ns.params).items():
-            if getattr(ns, key, None) is None:
-                setattr(ns, key, val)
+        moduli = {k: actions[k] for k in ("alpha", "a1", "a2", "branch")}
+        _fill_from_file(ns, sub, "params", ns.params, moduli)
     return ns
 
 
@@ -256,7 +265,7 @@ def cmd_verify(ns) -> int:
 def cmd_periodicity(ns) -> int:
     alpha = _alpha_from(ns)
     d = derive_constants(alpha, _moduli_from(ns))
-    result = rational_fit(d, ns.max_denominator, ns.tol, ns.quad_tol)
+    result = rational_fit(d, ns.max_denominator, ns.tol)
     payload = result.to_json_dict()
     payload["alpha"] = list(alpha.weights)
     payload["a1"], payload["a2"], payload["branch"] = d.a1, d.a2, d.branch.value
@@ -273,7 +282,7 @@ def cmd_export(ns) -> int:
     alpha = _alpha_from(ns)
     d = derive_constants(alpha, _moduli_from(ns))
     chart = None if ns.chart == "auto" else int(ns.chart)
-    rows, chart_used = export_samples(d, tuple(ns.grid), chart, ns.quad_tol)
+    rows, chart_used = export_samples(d, tuple(ns.grid), chart)
     with open(ns.out, "w") as fh:
         write_csv(rows, fh)
     print(f"wrote {len(rows)} rows to {ns.out} (chart component {chart_used})")
@@ -321,12 +330,6 @@ def build_parser() -> _Parser:
     def add_common(p):
         p.add_argument("--config", help="JSON file of option defaults (flags win)")
 
-    def add_quad_tol(p):
-        p.add_argument("--quad-tol", type=_positive(float), default=1e-11,
-                       help="absolute tolerance of the adaptive quadrature of the "
-                            "phase integrals G_i (values above 1e-11 act as 1e-11); "
-                            "energies need none, their area is in closed form")
-
     def add_moduli(p):
         p.add_argument("--alpha", nargs=3, type=int, metavar=("A1", "A2", "A3"))
         p.add_argument("--a1", type=float)
@@ -372,7 +375,6 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("periodicity", help="rational winding fit and lattice data")
     add_common(p)
-    add_quad_tol(p)
     add_moduli(p)
     p.add_argument("--max-denominator", type=int, default=10 ** 6)
     p.add_argument("--tol", type=float, default=1e-9)
@@ -381,7 +383,6 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("export", help="sample the immersion into CSV/OBJ")
     add_common(p)
-    add_quad_tol(p)
     add_moduli(p)
     p.add_argument("--grid", nargs=2, type=int, default=(64, 64), metavar=("NX", "NY"))
     p.add_argument("--chart", default="auto", help="affine chart component (0/1/2 or auto)")
@@ -421,6 +422,9 @@ def main(argv: Optional[List[str]] = None) -> int:
     except InfeasibleParameters as exc:
         print(f"infeasible parameters: {exc}", file=sys.stderr)
         return EXIT_INFEASIBLE
+    except (DegenerateParameters, SingularIntegrand) as exc:
+        print(f"degenerate parameters: {exc}", file=sys.stderr)
+        return EXIT_DEGENERATE
     except Cp2ToriError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INFEASIBLE

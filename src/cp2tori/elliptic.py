@@ -1,4 +1,5 @@
-"""Elliptic integrals of the first kind and the Jacobi sn function.
+"""Elliptic integrals, Carlson's symmetric forms and the Jacobi sn, cn
+functions.
 
 Conventions: the second argument is the *modulus* k, i.e. the integrand of
 the incomplete integral is 1/sqrt(1 - k^2 sin^2(phi)), and it is the
@@ -6,10 +7,12 @@ modulus (not k^2) that the torus family passes around.
 
 Algorithms: the complete integral uses the arithmetic-geometric mean (which
 also gives D = (K - E)/k^2 without cancellation, see :func:`complete_kd`), the
-incomplete integral the Carlson symmetric form R_F, and sn a descending
-Landen transformation; each is validated in the test suite against direct
-adaptive quadrature of the defining integral.  Relative accuracy is about
-1e-13 for k <= 0.99; k >= 1 is rejected.
+incomplete integral the Carlson symmetric form R_F, and sn, cn a descending
+Landen transformation.  R_F, R_J (which the family's third-kind phase
+integrals need) and sn, cn work elementwise on numpy arrays; for scalar
+input R_F and sn return floats.  The test suite checks them against direct
+adaptive quadrature of the defining integral, scipy.special and mpmath.
+Relative accuracy is about 1e-13 for k <= 0.99; k >= 1 is rejected.
 """
 
 from __future__ import annotations
@@ -17,6 +20,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from typing import Tuple
+
+import numpy as np
 
 
 @dataclass(frozen=True)
@@ -40,14 +45,16 @@ def _as_k(k) -> float:
     return EllipticModulus(float(k)).k
 
 
-def _carlson_rf(x: float, y: float, z: float) -> float:
+def _carlson_rf(x, y, z):
     """Carlson R_F(x, y, z) by the duplication theorem (x, y, z >= 0,
-    at most one zero)."""
+    at most one zero); elementwise over numpy arrays, a float for
+    scalars."""
+    x, y, z = (np.asarray(v, dtype=float) for v in (x, y, z))
     A = (x + y + z) / 3.0
-    Q = (3.0e-16) ** (-1.0 / 8.0) * max(abs(A - x), abs(A - y), abs(A - z))
+    Q = (3.0e-16) ** (-1.0 / 8.0) * np.maximum.reduce([abs(A - x), abs(A - y), abs(A - z)])
     f = 1.0
-    while Q >= abs(A) * f:
-        sx, sy, sz = math.sqrt(x), math.sqrt(y), math.sqrt(z)
+    while np.any(Q >= abs(A) * f):
+        sx, sy, sz = np.sqrt(x), np.sqrt(y), np.sqrt(z)
         lam = sx * sy + sy * sz + sz * sx
         x = 0.25 * (x + lam)
         y = 0.25 * (y + lam)
@@ -60,30 +67,67 @@ def _carlson_rf(x: float, y: float, z: float) -> float:
     Z = -(X + Y)
     E2 = X * Y - Z * Z
     E3 = X * Y * Z
-    return (
+    out = (
         1.0 - E2 / 10.0 + E3 / 14.0 + E2 * E2 / 24.0 - 3.0 * E2 * E3 / 44.0
         - 5.0 * E2 ** 3 / 208.0 + 3.0 * E3 * E3 / 104.0 + E2 * E2 * E3 / 16.0
-    ) / math.sqrt(A)
+    ) / np.sqrt(A)
+    return float(out) if out.ndim == 0 else out
+
+
+def _carlson_rj(x, y, z, p):
+    """Carlson R_J(x, y, z, p) for x, y, z >= 0 (at most one zero) and
+    p > 0, elementwise over numpy arrays (Carlson 1995, algorithm for R_J;
+    DLMF 19.36.ii).  Each duplication step adds a term
+    4^-m R_C(1, 1 + e_m) / d_m, with R_C(1, 1 + t) = arctan(sqrt t)/sqrt t
+    (artanh for t < 0); |e_m| < 1, so the artanh branch stays finite."""
+    x, y, z, p = (np.asarray(v, dtype=float) for v in (x, y, z, p))
+    x0, y0, z0 = x, y, z
+    A0 = (x + y + z + 2.0 * p) / 5.0
+    delta = (p - x) * (p - y) * (p - z)
+    Q = (0.25e-16) ** (-1.0 / 6.0) * np.maximum.reduce(
+        [abs(A0 - x), abs(A0 - y), abs(A0 - z), abs(A0 - p)])
+    A = A0
+    total = np.zeros(np.broadcast(x, y, z, p).shape)
+    f = 1.0  # 4^m
+    while np.any(Q >= abs(A) * f):
+        sx, sy, sz, sp = np.sqrt(x), np.sqrt(y), np.sqrt(z), np.sqrt(p)
+        lam = sx * sy + sy * sz + sz * sx
+        dm = (sp + sx) * (sp + sy) * (sp + sz)
+        t = delta / (f ** 3 * dm * dm)
+        r = np.sqrt(abs(t))
+        with np.errstate(invalid="ignore", divide="ignore"):
+            rc = np.where(t > 0, np.arctan(r) / r,
+                          np.where(t < 0, np.arctanh(r) / r, 1.0))
+        total = total + rc / (f * dm)
+        x = 0.25 * (x + lam)
+        y = 0.25 * (y + lam)
+        z = 0.25 * (z + lam)
+        p = 0.25 * (p + lam)
+        A = 0.25 * (A + lam)
+        f *= 4.0
+    # A_m - x_m = (A0 - x0) / 4^m, taken from the unreduced values
+    X = (A0 - x0) / (f * A)
+    Y = (A0 - y0) / (f * A)
+    Z = (A0 - z0) / (f * A)
+    P = -(X + Y + Z) / 2.0
+    E2 = X * Y + X * Z + Y * Z - 3.0 * P * P
+    E3 = X * Y * Z + 2.0 * E2 * P + 4.0 * P ** 3
+    E4 = (2.0 * X * Y * Z + E2 * P + 3.0 * P ** 3) * P
+    E5 = X * Y * Z * P * P
+    series = (1.0 - 3.0 * E2 / 14.0 + E3 / 6.0 + 9.0 * E2 * E2 / 88.0
+              - 3.0 * E4 / 22.0 - 9.0 * E2 * E3 / 52.0 + 3.0 * E5 / 26.0)
+    return series / (f * A * np.sqrt(A)) + 6.0 * total
 
 
 def complete_k(k) -> float:
-    """Complete elliptic integral K(k) = F(pi/2, k), by AGM iteration."""
-    kk = _as_k(k)
-    if kk == 0.0:
-        return 0.5 * math.pi
-    a = 1.0
-    b = math.sqrt((1.0 - kk) * (1.0 + kk))
-    for _ in range(40):  # quadratic convergence; 8 steps suffice for k <= 1 - 1e-12
-        if abs(a - b) <= 4e-16 * a:
-            break
-        a, b = 0.5 * (a + b), math.sqrt(a * b)
-    return math.pi / (a + b)
+    """Complete elliptic integral K(k) = F(pi/2, k), by the AGM run of
+    :func:`complete_kd`."""
+    return complete_kd(k)[0]
 
 
 def complete_kd(k) -> Tuple[float, float]:
     """K(k) and D(k) = (K(k) - E(k)) / k^2 from one AGM run.
 
-    The run is the one :func:`complete_k` makes, so K has the same bits.
     D comes from K - E = K * sum_{n>=0} 2^(n-1) c_n^2 (DLMF 19.8.6) with
     c_0 = k and c_n = c_{n-1}^2 / (4 a_n), divided by k^2 term by term:
     D = K (1/2 + sum_{n>=1} 2^(n-1) (c_n/k)^2).  K and E are never
@@ -98,7 +142,7 @@ def complete_kd(k) -> Tuple[float, float]:
     q = 1.0    # c_n / k
     w = 1.0    # 2^(n-1)
     s = 0.5
-    for _ in range(40):
+    for _ in range(40):  # quadratic convergence; 8 steps suffice for k <= 1 - 1e-12
         if abs(a - b) <= 4e-16 * a:
             break
         a, b = 0.5 * (a + b), math.sqrt(a * b)
@@ -131,50 +175,36 @@ def incomplete_f(theta: float, k) -> float:
     return base + s * _carlson_rf(c * c, (1.0 - kk * s) * (1.0 + kk * s), 1.0)
 
 
-def _landen_ladder(k: float):
-    """Descending moduli k -> k1 -> ... until negligible."""
-    ladder = []
-    while k > 1e-13:
-        kp = math.sqrt((1.0 - k) * (1.0 + k))
-        k = (1.0 - kp) / (1.0 + kp)
-        ladder.append(k)
-    return ladder
-
-
-def jacobi_sn(u: float, k) -> float:
-    """Jacobi sn(u, k): the inverse of incomplete_f, sn(F(theta,k),k) = sin(theta)."""
-    kk = _as_k(k)
-    if kk == 0.0:
-        return math.sin(u)
-    K = complete_k(kk)
-    # sn has period 4K; reduce u into [-2K, 2K]
-    m = math.floor(u / (4.0 * K) + 0.5)
-    if m:
-        u = u - 4.0 * K * m
-    ladder = _landen_ladder(kk)
+def _sn_cn(u, k: float):
+    """sn(u, k) and cn(u, k) elementwise by descending Landen (DLMF 22.7.1,
+    22.7.2).  cn is carried as a product from cos at the bottom of the
+    ladder, not taken as sqrt(1 - sn^2), so it keeps its relative accuracy
+    where it vanishes (u near an odd multiple of K)."""
+    u = np.asarray(u, dtype=float)
+    if k == 0.0:
+        return np.sin(u), np.cos(u)
+    K = complete_k(k)
+    # sn and cn have period 4K; reduce u into [-2K, 2K]
+    u = u - 4.0 * K * np.floor(u / (4.0 * K) + 0.5)
+    ladder, kl = [], k  # descending moduli k -> k1 -> ... until negligible
+    while kl > 1e-13:
+        kp = math.sqrt((1.0 - kl) * (1.0 + kl))
+        kl = (1.0 - kp) / (1.0 + kp)
+        ladder.append(kl)
     v = u
     for ki in ladder:
-        v /= 1.0 + ki
-    s = math.sin(v)
+        v = v / (1.0 + ki)
+    s, c = np.sin(v), np.cos(v)
     for ki in reversed(ladder):
-        s = (1.0 + ki) * s / (1.0 + ki * s * s)
-    return s
+        den = 1.0 + ki * s * s
+        c = c * np.sqrt((1.0 - ki * s) * (1.0 + ki * s)) / den
+        s = (1.0 + ki) * s / den
+    return s, c
 
 
-def sn2_prime(u: float, k) -> float:
-    """Derivative of sn(u, k)^2 with respect to u.
-
-    Equals 2 sn cn dn; the sign is fixed by where u sits in the 2K-period
-    of sn^2 (increasing on [0, K), decreasing on [K, 2K)).
-    """
-    kk = _as_k(k)
-    if kk == 0.0:
-        return math.sin(2.0 * u)
-    K = complete_k(kk)
-    s = jacobi_sn(u, kk)
-    s2 = s * s
-    mag = 2.0 * math.sqrt(max(s2 * (1.0 - s2) * (1.0 - kk * kk * s2), 0.0))
-    phase = math.fmod(u, 2.0 * K)
-    if phase < 0.0:
-        phase += 2.0 * K
-    return mag if phase < K else -mag
+def jacobi_sn(u, k):
+    """Jacobi sn(u, k), the inverse of incomplete_f: sn(F(theta,k),k) =
+    sin(theta).  Elementwise over a numpy array of u; a float for a
+    scalar u."""
+    s = _sn_cn(u, _as_k(k))[0]
+    return float(s) if s.ndim == 0 else s

@@ -16,15 +16,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Optional, Sequence, Tuple
+from typing import Iterable, Optional, Tuple
 
 import numpy as np
-from scipy.integrate import quad
 
-from .elliptic import EllipticModulus, complete_k, jacobi_sn, sn2_prime
+from .elliptic import (EllipticModulus, _carlson_rf, _carlson_rj, _sn_cn,
+                       complete_k, jacobi_sn)
 from .errors import DegenerateParameters, InfeasibleParameters, SingularIntegrand
-
-_QUAD_TOL = 1e-11
 
 
 @dataclass(frozen=True)
@@ -269,23 +267,18 @@ def derive_constants(alpha: AlphaTriple, point: ModuliPoint) -> DerivedConstants
 def conformal_factor(x, d: DerivedConstants):
     """2 e^{v(x)} = a1 - (a1 - a2) sn^2(x sqrt(a1+a3), k); accepts scalars
     or numpy arrays, oscillates between a1 (at x=0) and a2 (at x=T/2)."""
-    root = d.sqrt_a1_a3
-    if np.ndim(x) == 0:
-        s = jacobi_sn(float(x) * root, d.modulus)
-        return d.a1 - (d.a1 - d.a2) * s * s
-    xs = np.asarray(x, dtype=float)
-    sn = np.array([jacobi_sn(v * root, d.modulus) for v in xs.ravel()])
-    return (d.a1 - (d.a1 - d.a2) * sn * sn).reshape(xs.shape)
+    s = jacobi_sn(np.asarray(x, dtype=float) * d.sqrt_a1_a3, d.modulus)
+    return d.a1 - (d.a1 - d.a2) * s * s
 
 
 def conformal_factor_prime(x, d: DerivedConstants):
-    """d/dx of the conformal factor (analytic, via d(sn^2)/du)."""
-    root = d.sqrt_a1_a3
-    if np.ndim(x) == 0:
-        return -(d.a1 - d.a2) * root * sn2_prime(float(x) * root, d.modulus)
-    xs = np.asarray(x, dtype=float)
-    vals = np.array([sn2_prime(v * root, d.modulus) for v in xs.ravel()])
-    return (-(d.a1 - d.a2) * root * vals).reshape(xs.shape)
+    """d/dx of the conformal factor, -(a1 - a2) sqrt(a1+a3) d(sn^2)/du
+    with d(sn^2)/du = 2 sn cn dn; accepts scalars or numpy arrays."""
+    k = d.modulus.k
+    s, c = _sn_cn(np.asarray(x, dtype=float) * d.sqrt_a1_a3, k)
+    dn = np.sqrt((1.0 - k * s) * (1.0 + k * s))
+    out = -2.0 * (d.a1 - d.a2) * d.sqrt_a1_a3 * s * c * dn
+    return float(out) if out.ndim == 0 else out
 
 
 def _f_denominators(alpha: AlphaTriple) -> np.ndarray:
@@ -342,66 +335,44 @@ def _check_phase_denominator(d: DerivedConstants, i: int) -> None:
     if lo <= 0.0 <= hi or min(abs(lo), abs(hi)) < 1e-8 * scale:
         raise SingularIntegrand(
             f"phase denominator 2 e^v + alpha_j alpha_k (i = {i + 1}) ranges "
-            f"over [{lo:.3g}, {hi:.3g}]; too close to zero for quadrature")
+            f"over [{lo:.3g}, {hi:.3g}]; too close to zero for the phase integral")
 
 
-def _phase_rate(cf, d: DerivedConstants, offset):
-    """G_i' = (c2 - a cf / 2) / (cf + alpha_j alpha_k) at conformal-factor
-    value(s) cf, for the offset(s) alpha_j alpha_k of the components."""
-    return (d.c2 - 0.5 * d.slope_x * cf) / (cf + offset)
+def g_phases(x, d: DerivedConstants) -> np.ndarray:
+    """The phase integrals G_i(x) = int_0^x G_i' in closed form, shape (3,)
+    for a scalar x and (3,) + x.shape for an array, in any order.
 
+    With o = alpha_j alpha_k, n = (a1 - a2)/(a1 + o) and u = x sqrt(a1+a3),
+    G_i' = -a/2 + (c2 + a o/2) / ((a1 + o)(1 - n sn^2 u)), so
 
-def g_integrand(x: float, d: DerivedConstants, i: int) -> float:
-    return _phase_rate(conformal_factor(x, d), d, _f_offsets(d.alpha)[i])
+        G_i(x) = -a x/2 + (c2 + a o/2) / ((a1 + o) sqrt(a1+a3)) Pi(n; am u, k).
 
+    1/(1 - n sn^2) has period 2K, so for u = 2Kq + r with |r| <= K,
+    Pi(n; am u) = 2q Pi(n) + Pi(n; am r), and with s = sn r, c = cn r,
+    dn^2 = 1 - k^2 s^2 (DLMF 19.25; Carlson 1995)
 
-def g_phase(x: float, d: DerivedConstants, i: int, tol: float = 1e-10) -> float:
-    """G_i(x): the phase integral from 0 to x.  The integrand has period T,
-    so x = qT + r gives G_i(r) + q G_i(T) with two adaptive quadratures
-    over at most one period, however large x is."""
-    if x == 0.0:
-        return 0.0
-    _check_phase_denominator(d, i)
+        Pi(n; am r) = s R_F(c^2, dn^2, 1) + (n/3) s^3 R_J(c^2, dn^2, 1, 1 - n s^2),
+        Pi(n) = K + (n/3) R_J(0, 1 - k^2, 1, 1 - n).
 
-    def integral(upper):
-        val, _err = quad(g_integrand, 0.0, upper, args=(d, i),
-                         epsabs=min(tol, _QUAD_TOL), epsrel=1e-12, limit=400)
-        return val
-
-    q, r = divmod(x, d.period)
-    if q == 0.0:
-        return integral(x)
-    return (integral(r) if r else 0.0) + q * integral(d.period)
-
-
-def g_phases(x: float, d: DerivedConstants, tol: float = 1e-10) -> np.ndarray:
-    return np.array([g_phase(x, d, i, tol) for i in range(3)])
-
-
-def g_phases_cumulative(xs: Sequence[float], d: DerivedConstants,
-                        tol: float = 1e-10) -> np.ndarray:
-    """G_i at an increasing grid of x values, shape (3, n); integrates
-    piecewise so a whole grid costs one pass.  A grid that leaves the
-    first period is taken point by point through g_phase, which reduces
-    x by the period."""
-    xs = np.asarray(xs, dtype=float)
-    if np.any(np.diff(xs) < 0):
-        raise ValueError("grid must be non-decreasing")
-    if xs.size and xs[-1] > d.period:
-        return np.array([g_phases(x, d, tol) for x in xs]).T
-    out = np.zeros((3, xs.size))
+    _check_phase_denominator keeps 1 - n s^2 > 0 on the whole path.
+    """
     for i in range(3):
         _check_phase_denominator(d, i)
-        acc = 0.0
-        prev = 0.0
-        for j, xj in enumerate(xs):
-            if xj != prev:
-                seg, _ = quad(g_integrand, prev, xj, args=(d, i),
-                              epsabs=min(tol, _QUAD_TOL), epsrel=1e-12, limit=200)
-                acc += seg
-                prev = xj
-            out[i, j] = acc
-    return out
+    x = np.asarray(x, dtype=float)
+    k = d.modulus.k
+    K = complete_k(k)
+    off = _f_offsets(d.alpha).reshape((3,) + (1,) * x.ndim)
+    n = (d.a1 - d.a2) / (d.a1 + off)
+    u = x * d.sqrt_a1_a3
+    q = np.round(u / (2.0 * K))
+    s, c = _sn_cn(u - 2.0 * K * q, k)
+    s2, c2 = s * s, c * c
+    dn2 = (1.0 - k * s) * (1.0 + k * s)
+    pi_r = (s * _carlson_rf(c2, dn2, 1.0)
+            + n / 3.0 * s * s2 * _carlson_rj(c2, dn2, 1.0, 1.0 - n * s2))
+    pi_complete = K + n / 3.0 * _carlson_rj(0.0, (1.0 - k) * (1.0 + k), 1.0, 1.0 - n)
+    coeff = (d.c2 + 0.5 * d.slope_x * off) / ((d.a1 + off) * d.sqrt_a1_a3)
+    return -0.5 * d.slope_x * x + coeff * (2.0 * q * pi_complete + pi_r)
 
 
 def lift(x: float, y: float, d: DerivedConstants,

@@ -21,14 +21,11 @@ from dataclasses import dataclass
 from typing import Iterable, List, Optional, Sequence
 
 import numpy as np
-from scipy.integrate import quad
 
 from .elliptic import complete_kd
 from .errors import Cp2ToriError
 from .family import (AlphaTriple, Branch, DerivedConstants, ModuliPoint,
-                     conformal_factor, derive_constants, lemma3_box)
-
-_QUAD_TOL = 1e-11
+                     derive_constants, lemma3_box)
 
 
 def clifford_energy() -> float:
@@ -88,16 +85,6 @@ def willmore_mironov(d: DerivedConstants, n_periods: int = 1) -> float:
         raise ValueError("n_periods must be >= 1")
     return (2.0 * math.pi * n_periods * d.period
             * (d.slope_x ** 2 + d.slope_y ** 2))
-
-
-def willmore_quadrature(d: DerivedConstants, n_periods: int = 1,
-                        tol: float = _QUAD_TOL) -> float:
-    """W by quadrature of |H|^2 over the surface, with
-    |H|^2 = (a^2 + b^2) / (2 e^v); cross-checks the closed form."""
-    h2 = d.slope_x ** 2 + d.slope_y ** 2
-    val, _ = quad(lambda x: (h2 / conformal_factor(x, d)) * conformal_factor(x, d),
-                  0.0, d.period, epsabs=tol, epsrel=1e-12, limit=300)
-    return 2.0 * math.pi * n_periods * val
 
 
 def energy_mironov(d: DerivedConstants, n_periods: int = 1) -> FunctionalValues:

@@ -16,8 +16,8 @@ from typing import Optional, TextIO, Tuple
 import numpy as np
 
 from .family import (DerivedConstants, _f_denominators, _f_offsets,
-                     _phase_rate, conformal_factor, conformal_factor_prime,
-                     f_from_conformal, g_phases_cumulative, lift)
+                     conformal_factor, conformal_factor_prime,
+                     f_from_conformal, g_phases, lift)
 
 
 @dataclass(frozen=True)
@@ -45,7 +45,7 @@ class PropertyReport:
                    self.slope_x_error, self.slope_y_error)
 
 
-def _frame_arrays(d: DerivedConstants, xs: np.ndarray, quad_tol: float):
+def _frame_arrays(d: DerivedConstants, xs: np.ndarray):
     """F, F', G, G', cf at the grid x-values (vectorized over columns)."""
     cf = conformal_factor(xs, d)
     cfp = conformal_factor_prime(xs, d)
@@ -53,20 +53,20 @@ def _frame_arrays(d: DerivedConstants, xs: np.ndarray, quad_tol: float):
     den = _f_denominators(d.alpha)[:, None]
     with np.errstate(divide="ignore", invalid="ignore"):
         Fp = np.where(F > 1e-150, cfp[None, :] / (2.0 * den * F), 0.0)
-    Gp = _phase_rate(cf[None, :], d, _f_offsets(d.alpha)[:, None])
-    G = g_phases_cumulative(xs, d, quad_tol)
+    # G_i' = (c2 - a cf / 2) / (cf + alpha_j alpha_k)
+    Gp = (d.c2 - 0.5 * d.slope_x * cf) / (cf + _f_offsets(d.alpha)[:, None])
+    G = g_phases(xs, d)
     return F, Fp, G, Gp, cf
 
 
-def _unit_frame(d: DerivedConstants, xs: np.ndarray, ys: np.ndarray,
-                quad_tol: float):
+def _unit_frame(d: DerivedConstants, xs: np.ndarray, ys: np.ndarray):
     """The unitary frame (r, r_x/|r_x|, r_y/|r_y|) of the lift on the grid
     xs x ys, as an array frame[row, component, ix, iy], together with the
     F, F', G', cf along xs that it was built from.
 
     Raises ValueError where r_x or r_y (nearly) vanishes, since the frame
     is undefined there."""
-    F, Fp, G, Gp, cf = _frame_arrays(d, xs, quad_tol)
+    F, Fp, G, Gp, cf = _frame_arrays(d, xs)
     alphas = np.array(d.alpha.weights, dtype=float)[:, None, None]
     phase = np.exp(1j * (G[:, :, None] + alphas * ys[None, None, :]))
     frame = np.empty((3,) + phase.shape, dtype=complex)
@@ -91,14 +91,14 @@ def _det3(rows: np.ndarray) -> np.ndarray:
             + a[2] * (b[0] * c[1] - b[1] * c[0]))
 
 
-def geometry_residuals(d: DerivedConstants, grid: Tuple[int, int] = (64, 64),
-                       quad_tol: float = 1e-10) -> PropertyReport:
+def geometry_residuals(d: DerivedConstants,
+                       grid: Tuple[int, int] = (64, 64)) -> PropertyReport:
     """Evaluate every immersion property on an (nx, ny) grid over one
     lattice cell [0, T) x [0, 2 pi)."""
     nx, ny = grid
     xs = np.linspace(0.0, d.period, nx, endpoint=False)
     ys = np.linspace(0.0, 2.0 * math.pi, ny, endpoint=False)
-    frame, F, Fp, Gp, cf = _unit_frame(d, xs, ys, quad_tol)
+    frame, F, Fp, Gp, cf = _unit_frame(d, xs, ys)
     alphas = np.array(d.alpha.weights, dtype=float)[:, None]
 
     F2 = F * F
@@ -141,31 +141,27 @@ def geometry_residuals(d: DerivedConstants, grid: Tuple[int, int] = (64, 64),
         grid=(nx, ny))
 
 
-def _frame_at(d: DerivedConstants, x: float, y: float,
-              quad_tol: float) -> np.ndarray:
+def _frame_at(d: DerivedConstants, x: float, y: float) -> np.ndarray:
     """The 3 x 3 unitary frame at one point (x, y)."""
-    return _unit_frame(d, np.array([float(x)]), np.array([float(y)]),
-                       quad_tol)[0][:, :, 0, 0]
+    return _unit_frame(d, np.array([float(x)]), np.array([float(y)]))[0][:, :, 0, 0]
 
 
-def lagrangian_angle(d: DerivedConstants, x: float, y: float,
-                     quad_tol: float = 1e-10) -> float:
+def lagrangian_angle(d: DerivedConstants, x: float, y: float) -> float:
     """beta(x, y) in (-pi, pi] from the unitary frame (r, r_x/|r_x|,
     r_y/|r_y|); the determinant is conjugated so that beta = a x + b y
     holds with the derived slopes under the Hermitian conventions used
     here."""
-    return float(-np.angle(_det3(_frame_at(d, x, y, quad_tol))))
+    return float(-np.angle(_det3(_frame_at(d, x, y))))
 
 
 def frame_unitarity_residual(d: DerivedConstants, x: float, y: float) -> float:
     """Max entry of R R* - I for the frame at (x, y)."""
-    M = _frame_at(d, x, y, 1e-10)
+    M = _frame_at(d, x, y)
     return float(np.abs(M @ M.conj().T - np.eye(3)).max())
 
 
 def mean_curvature_check(d: DerivedConstants, samples: int = 100,
-                         seed: int = 20240801, h: float = 1e-5,
-                         quad_tol: float = 1e-12) -> float:
+                         seed: int = 20240801, h: float = 1e-5) -> float:
     """Max residual of |H|^2 against the closed form (a^2 + b^2)/(2 e^v),
     with |H|^2 computed as the conformal-metric norm of the numerical
     gradient of the Lagrangian angle (Richardson-extrapolated central
@@ -174,8 +170,8 @@ def mean_curvature_check(d: DerivedConstants, samples: int = 100,
     worst = 0.0
 
     def beta_diff(x1, y1, x2, y2):
-        b1v = lagrangian_angle(d, x1, y1, quad_tol)
-        b2v = lagrangian_angle(d, x2, y2, quad_tol)
+        b1v = lagrangian_angle(d, x1, y1)
+        b2v = lagrangian_angle(d, x2, y2)
         return math.remainder(b2v - b1v, 2.0 * math.pi)
 
     for _ in range(samples):
@@ -202,15 +198,14 @@ EXPORT_COLUMNS = ("x", "y", "re_w1", "im_w1", "re_w2", "im_w2",
                   "conformal_factor", "beta", "flagged")
 
 
-def default_chart(d: DerivedConstants, grid: Tuple[int, int] = (8, 8)) -> int:
+def default_chart(d: DerivedConstants) -> int:
     """Index of the component largest in modulus at the cell center."""
     v = lift(0.5 * d.period, math.pi, d)
     return int(np.argmax(np.abs(v)))
 
 
 def export_samples(d: DerivedConstants, grid: Tuple[int, int],
-                   chart: Optional[int] = None,
-                   quad_tol: float = 1e-10):
+                   chart: Optional[int] = None):
     """Sample rows (x, y, affine chart coordinates in C^2, conformal
     factor, Lagrangian angle); rows where the chart component is tiny are
     flagged rather than dropped."""
@@ -219,7 +214,7 @@ def export_samples(d: DerivedConstants, grid: Tuple[int, int],
     nx, ny = grid
     xs = np.linspace(0.0, d.period, nx, endpoint=False)
     ys = np.linspace(0.0, 2.0 * math.pi, ny, endpoint=False)
-    frame, _F, _Fp, _Gp, cf = _unit_frame(d, xs, ys, quad_tol)
+    frame, _F, _Fp, _Gp, cf = _unit_frame(d, xs, ys)
     r = frame[0]
     beta = -np.angle(_det3(frame))
     pivot = r[chart]

@@ -25,9 +25,9 @@ import numpy as np
 from .family import DerivedConstants, g_phases, lift
 
 
-def phase_differences(d: DerivedConstants, tol: float = 1e-10) -> Tuple[float, float]:
+def phase_differences(d: DerivedConstants) -> Tuple[float, float]:
     """(G1(T) - G3(T), G2(T) - G3(T)) over one period."""
-    g = g_phases(d.period, d, tol)
+    g = g_phases(d.period, d)
     return float(g[0] - g[2]), float(g[1] - g[2])
 
 
@@ -97,8 +97,7 @@ def best_rational(mu: float, max_denominator: int = 10 ** 6) -> Tuple[Fraction, 
 
 
 def rational_fit(d: DerivedConstants, max_denominator: int = 10 ** 6,
-                 tol: float = 1e-9,
-                 quad_tol: float = 1e-10) -> Union[LatticeData, NotPeriodic]:
+                 tol: float = 1e-9) -> Union[LatticeData, NotPeriodic]:
     """Fit the tau-free invariant mu by a bounded-denominator fraction and,
     on success, construct tau, both rational ratios and the lattice.
 
@@ -111,7 +110,7 @@ def rational_fit(d: DerivedConstants, max_denominator: int = 10 ** 6,
     m2 = d.alpha.alpha2 - d.alpha.alpha3
     if math.gcd(m1, m2) != 1:
         raise ValueError(f"difference weights of {d.alpha.weights} are not coprime")
-    dg13, dg23 = phase_differences(d, quad_tol)
+    dg13, dg23 = phase_differences(d)
     mu = tau_free_invariant(d, dg13, dg23)
     best, err = best_rational(mu, max_denominator)
     if err > tol:

@@ -1,9 +1,13 @@
+import math
+
 import numpy as np
 import pytest
 from scipy.integrate import quad
+from scipy.special import ellipj
 
 from cp2tori.family import (AlphaTriple, Branch, ModuliPoint, conformal_factor,
                             derive_constants)
+from cp2tori.immersion import _det3, _unit_frame
 
 # triples used throughout the sweeps (all normalized, coprime differences)
 CANONICAL_TRIPLES = [(2, 1, -1), (3, 1, -1), (3, 2, -1), (1, 0, -1), (2, 0, -1)]
@@ -27,6 +31,42 @@ def quad_period_integral(d):
     val, _ = quad(lambda x: conformal_factor(x, d), 0.0, d.period,
                   epsabs=1e-11, epsrel=1e-12, limit=300)
     return val
+
+
+def quad_g_phases(x, d):
+    """Oracle for family.g_phases at one x: adaptive quadrature of
+    G_i' = (c2 - a cf/2)/(cf + alpha_j alpha_k) over the part of x within
+    one period, plus q G_i(T) for the q whole periods (the quadrature
+    path the closed form replaced), with sn from scipy.special.ellipj."""
+    a1, a2, a3 = d.alpha.weights
+    q, r = divmod(x, d.period)
+
+    def integral(off, upper):
+        def rate(z):
+            sn = ellipj(z * d.sqrt_a1_a3, d.modulus.k2)[0]
+            cf = d.a1 - (d.a1 - d.a2) * sn * sn
+            return (d.c2 - 0.5 * d.slope_x * cf) / (cf + off)
+        val, _ = quad(rate, 0.0, upper, epsabs=1e-13, epsrel=1e-13, limit=400)
+        return val
+
+    return np.array([integral(off, r) + (q * integral(off, d.period) if q else 0.0)
+                     for off in (a2 * a3, a1 * a3, a1 * a2)])
+
+
+def angle_willmore(d):
+    """Oracle for the Willmore closed form 2 pi T (a^2 + b^2): W is the
+    integral of |grad beta|^2 over the cell [0, T) x [0, 2 pi), with the
+    Lagrangian angle beta = -arg det of the unitary frame measured on a
+    grid by wrap-safe differences (nx, ny chosen so a step of beta stays
+    below pi)."""
+    nx = int(abs(d.slope_x) * d.period / math.pi) + 16
+    ny = 2 * int(abs(d.slope_y)) + 8
+    xs = np.linspace(0.0, d.period, nx, endpoint=False)
+    ys = np.linspace(0.0, 2.0 * math.pi, ny, endpoint=False)
+    det = _det3(_unit_frame(d, xs, ys)[0])
+    beta_x = np.angle(det[:-1, :] * np.conj(det[1:, :])) / (xs[1] - xs[0])
+    beta_y = np.angle(det[:, :-1] * np.conj(det[:, 1:])) / (ys[1] - ys[0])
+    return d.period * 2.0 * math.pi * (np.mean(beta_x ** 2) + np.mean(beta_y ** 2))
 
 
 @pytest.fixture(scope="session")

@@ -30,14 +30,14 @@ from cp2tori.family import (AlphaTriple, Branch, ModuliPoint, derive_constants,
 from cp2tori.functionals import (HomogeneousParams, clifford_energy,
                                  energy_mironov, feasible_grid,
                                  homogeneous_energy, potential_energy_check,
-                                 willmore_mironov, willmore_quadrature)
+                                 willmore_mironov)
 from cp2tori.interval import CertStatus, replay_certificate
 from cp2tori.periodicity import (LatticeData, best_rational, closure_residual,
                                  phase_differences, rational_fit,
                                  tau_free_invariant)
 from cp2tori.immersion import geometry_residuals
 from conftest import (CANONICAL_TRIPLES, SIGN_SLIP_STEPS, SLOPE_SLIP_STEP,
-                      quad_period_integral)
+                      angle_willmore, quad_period_integral)
 
 POSITIVE_TRIPLES = [(2, 1, -1), (3, 1, -1), (3, 2, -1)]
 DEGENERATE_TRIPLES = [(1, 0, -1), (2, 0, -1)]
@@ -190,16 +190,17 @@ def test_07_functional_identities(full_sweep):
     n = 0
     for (_, _), pts in full_sweep.items():
         for a1, a2, d, fv in pts[::7]:  # identity checks on a subsample stride
-            w_quad = willmore_quadrature(d)
+            # the Willmore closed form against |grad beta|^2 of the frame
+            w_angle = angle_willmore(d)
             if fv.willmore > 0:
-                worst_w = max(worst_w, abs(fv.willmore - w_quad) / fv.willmore)
+                worst_w = max(worst_w, abs(fv.willmore - w_angle) / fv.willmore)
             worst_pot = max(worst_pot, abs(potential_energy_check(d) - fv.energy))
             # the closed-form area against quadrature of the conformal factor
             a_quad = 2.0 * math.pi * quad_period_integral(d)
             worst_a = max(worst_a, abs(fv.area - a_quad) / a_quad)
             n += 1
     ok = worst_w <= 1e-9 and worst_pot <= 1e-9 and worst_a <= 1e-12
-    _report(7, ok, f"{n} sweep points: worst Willmore closed-vs-quadrature "
+    _report(7, ok, f"{n} sweep points: worst Willmore closed-vs-angle "
                    f"rel {worst_w:.2e}, worst potential identity {worst_pot:.2e}, "
                    f"worst area closed-vs-quadrature rel {worst_a:.2e}")
 
@@ -313,7 +314,7 @@ def test_11_case_chain_audit(full_sweep):
 
 def _mu_of_a1(al, a1, a2, branch):
     d = derive_constants(al, ModuliPoint(a1, a2, branch))
-    return tau_free_invariant(d, *phase_differences(d, tol=1e-12))
+    return tau_free_invariant(d, *phase_differences(d))
 
 
 def _simplest_between(lo, hi):

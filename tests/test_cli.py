@@ -1,10 +1,14 @@
 import json
 import math
+import os
+import subprocess
+import sys
 
 import pytest
 
-from cp2tori.cli import (EXIT_INFEASIBLE, EXIT_NOT_PROVED, EXIT_OK, EXIT_USAGE,
-                         main)
+import cp2tori
+from cp2tori.cli import (EXIT_DEGENERATE, EXIT_INFEASIBLE, EXIT_NOT_PROVED,
+                         EXIT_OK, EXIT_USAGE, main)
 
 
 def run(capsys, *argv):
@@ -77,13 +81,43 @@ def test_scan_rejects_nonpositive_jobs(tmp_path, capsys):
 
 
 def test_rejects_nonpositive_quad_tol(tmp_path, capsys):
+    # energies and phase integrals are in closed form: no subcommand has a
+    # quadrature tolerance left to set, at any value
     moduli = ("--alpha", "2", "1", "-1", "--a1", "1.8", "--a2", "1.2")
-    assert _exit_code("periodicity", *moduli, "--quad-tol", "0") == EXIT_USAGE
-    assert _exit_code("export", *moduli, "--quad-tol", "-1",
-                      "--out", str(tmp_path / "e.csv")) == EXIT_USAGE
-    assert "--quad-tol" in capsys.readouterr().err
-    # scan evaluates energies in closed form and has no quadrature to tune
-    assert _exit_code("scan", "--alpha", "2", "1", "-1", "--quad-tol", "1e-9") == EXIT_USAGE
+    for argv in [("energy", *moduli), ("scan", "--alpha", "2", "1", "-1"),
+                 ("verify", "--out-dir", str(tmp_path)), ("periodicity", *moduli),
+                 ("export", *moduli, "--out", str(tmp_path / "e.csv")),
+                 ("mnk", "--m", "2", "--n", "2", "--k", "-2"),
+                 ("feasibility", *moduli)]:
+        for value in ("0", "1e-11"):
+            assert _exit_code(*argv, "--quad-tol", value) == EXIT_USAGE, argv
+            assert "--quad-tol" in capsys.readouterr().err
+    assert not (tmp_path / "e.csv").exists()
+
+
+def test_degenerate_parameters_have_their_own_exit_code(capsys):
+    # a phase denominator 2 e^v + alpha_j alpha_k that nearly vanishes
+    # (SingularIntegrand) and a vanishing root c2 (DegenerateParameters)
+    # are feasible moduli, not infeasible ones
+    assert EXIT_DEGENERATE not in (EXIT_OK, EXIT_INFEASIBLE, EXIT_NOT_PROVED, EXIT_USAGE)
+    code, out, err = run(capsys, "periodicity", "--alpha", "2", "1", "-1",
+                         "--a1", "1.8", "--a2", "1.000000000001")
+    assert code == EXIT_DEGENERATE and out == ""
+    assert err.startswith("degenerate parameters:") and "phase denominator" in err
+    code, _, err = run(capsys, "energy", "--alpha", "2", "1", "-1",
+                       "--a1", "1.5689744598438513", "--a2", "1.2")
+    assert code == EXIT_DEGENERATE and "c2" in err
+
+
+def test_import_loads_no_scipy():
+    # the runtime depends on numpy alone; scipy is a test oracle
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cp2tori.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    code = ("import sys, cp2tori.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True, timeout=60).stdout
+    assert out.strip() == "[]"
 
 
 def test_scan_csv_and_determinism(tmp_path, capsys):
@@ -206,6 +240,39 @@ def test_params_file(tmp_path, capsys):
                        "--params", str(params))
     assert code == EXIT_OK
     assert float(out.split("ratio =")[1]) > 1.0
+
+
+def test_params_file_sets_the_branch(tmp_path, capsys):
+    params = tmp_path / "p.json"
+    params.write_text(json.dumps(
+        {"alpha": [2, 1, -1], "a1": 1.8, "a2": 1.2, "branch": "plus"}))
+    code, out, _ = run(capsys, "energy", "--params", str(params))
+    assert code == EXIT_OK and "branch = plus" in out
+    _, flags, _ = run(capsys, "energy", "--alpha", "2", "1", "-1", "--a1", "1.8",
+                      "--a2", "1.2", "--branch", "plus")
+    assert out == flags
+
+
+@pytest.mark.parametrize("option", ["--config", "--params"])
+def test_unusable_option_files_are_usage_errors(tmp_path, capsys, option):
+    # a missing file, invalid JSON, a top level that is not an object, an
+    # unknown key (a leftover quad_tol included) and a bad value each exit
+    # 64 with a message naming the file's role, not with a traceback
+    argv = ("export", "--alpha", "2", "1", "-1", "--a1", "1.8", "--a2", "1.2",
+            "--out", str(tmp_path / "e.csv"))
+    bad = tmp_path / "bad.json"
+    cases = [(None, "cannot read"), ("{bad", "not valid JSON"),
+             ("[1, 2]", "JSON object"), ('"x"', "JSON object"),
+             ('{"quad_tol": 1e-9}', "'quad_tol' is not an option"),
+             ('{"alpha": "x"}', "alpha")]
+    for text, message in cases:
+        path = tmp_path / "missing.json" if text is None else bad
+        if text is not None:
+            bad.write_text(text)
+        assert _exit_code(*argv, option, str(path)) == EXIT_USAGE, text
+        err = capsys.readouterr().err
+        assert f"{option[2:]}: " in err and message in err, (text, err)
+    assert not (tmp_path / "e.csv").exists()
 
 
 def test_config_file_defaults_and_flag_precedence(tmp_path, capsys):

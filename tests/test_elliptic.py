@@ -4,10 +4,10 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from scipy.special import ellipe, ellipk
+from scipy.special import ellipe, ellipj, ellipk, elliprj
 
-from cp2tori.elliptic import (EllipticModulus, complete_k, complete_kd,
-                              incomplete_f, jacobi_sn, sn2_prime)
+from cp2tori.elliptic import (EllipticModulus, _carlson_rj, _sn_cn, complete_k,
+                              complete_kd, incomplete_f, jacobi_sn)
 
 
 def oracle_f(theta, k):
@@ -140,9 +140,46 @@ def test_sn_degenerate_modulus_agreement(rng):
 
 
 def test_sn2_prime_matches_finite_differences(rng):
+    # d(sn^2)/du = 2 sn cn dn, the form conformal_factor_prime uses
     h = 1e-6
     for _ in range(100):
         u = rng.uniform(-8.0, 8.0)
         k = rng.uniform(0.01, 0.95)
         fd = (jacobi_sn(u + h, k) ** 2 - jacobi_sn(u - h, k) ** 2) / (2.0 * h)
-        assert sn2_prime(u, k) == pytest.approx(fd, abs=5e-9)
+        s, c = _sn_cn(u, k)
+        assert 2.0 * s * c * math.sqrt(1.0 - (k * s) ** 2) == pytest.approx(fd, abs=5e-9)
+
+
+def test_sn_cn_arrays_against_scipy(rng):
+    u = rng.uniform(-30.0, 30.0, 500)
+    for k in (0.0, 0.3, 0.9, 0.99):
+        s, c = _sn_cn(u, k)
+        sr, cr, _, _ = ellipj(u, k * k)  # scipy takes m = k^2
+        assert np.abs(s - sr).max() <= 2e-14 and np.abs(c - cr).max() <= 2e-14
+        # one implementation: the scalar call gives the array's value
+        assert all(jacobi_sn(float(v), k) == sv for v, sv in zip(u[:20], s[:20]))
+        assert isinstance(jacobi_sn(float(u[0]), k), float)
+
+
+def test_cn_keeps_relative_accuracy_near_its_zeros():
+    # cn is carried as a product, not sqrt(1 - sn^2), which would lose
+    # half its digits where u is near an odd multiple of K
+    import mpmath
+    k = 0.8
+    K = complete_k(k)
+    for u in (K - 1e-3, K - 1e-7, K + 1e-9, 3 * K + 1e-5):
+        ref = float(mpmath.ellipfun("cn", mpmath.mpf(u), m=mpmath.mpf(k) ** 2))
+        assert _sn_cn(u, k)[1] == pytest.approx(ref, rel=1e-8, abs=1e-15)
+
+
+def test_carlson_rj_against_scipy_and_mpmath(rng):
+    import mpmath
+    x, y, p = rng.uniform(0.0, 3.0, (3, 2000))
+    z = rng.uniform(0.01, 3.0, 2000)
+    p = p * 30.0 + 1e-3
+    x[:200] = 0.0  # the complete integrals Pi(n) take x = 0
+    ref = elliprj(x, y, z, p)
+    assert np.abs(_carlson_rj(x, y, z, p) / ref - 1.0).max() <= 5e-15
+    for args in [(0.0, 0.36, 1.0, 0.2), (0.5, 0.9, 1.0, 3.7), (1e-9, 0.1, 1.0, 1.0)]:
+        assert float(_carlson_rj(*args)) == pytest.approx(
+            float(mpmath.elliprj(*args)), rel=5e-15)

@@ -9,10 +9,11 @@ from cp2tori.errors import (DegenerateParameters, InfeasibleParameters,
                             SingularIntegrand)
 from cp2tori.family import (AlphaTriple, Branch, ModuliPoint, conformal_factor,
                             conformal_factor_prime, derive_constants,
-                            f_coefficients, feasibility_check, g_phase,
-                            g_phases, g_phases_cumulative, lemma3_box, lift,
-                            q_cubic, quartic_coefficients, solve_c2)
-from conftest import CANONICAL_TRIPLES
+                            f_coefficients, feasibility_check, g_phases,
+                            lemma3_box, lift, q_cubic, quartic_coefficients,
+                            solve_c2)
+from cp2tori.functionals import feasible_grid
+from conftest import CANONICAL_TRIPLES, quad_g_phases
 
 
 def test_alpha_derived_quantities():
@@ -191,8 +192,7 @@ def test_f_coefficient_identities(weights, rng):
 
 
 def test_g_phase_zero_cases(sample_derived):
-    for i in range(3):
-        assert g_phase(0.0, sample_derived, i) == 0.0
+    assert np.all(g_phases(0.0, sample_derived) == 0.0)
 
 
 def test_g_phase_zero_weight_limit(degenerate_derived):
@@ -205,7 +205,7 @@ def test_g_phase_zero_weight_limit(degenerate_derived):
     val, _ = quad(lambda z: (d.c2 - 0.5 * d.slope_x * conformal_factor(z, d))
                   / (conformal_factor(z, d) + off),
                   0.0, 0.7, epsabs=1e-12, epsrel=1e-12, limit=200)
-    assert g_phase(0.7, degenerate_derived, 1) == pytest.approx(val, abs=1e-10)
+    assert g_phases(0.7, degenerate_derived)[1] == pytest.approx(val, abs=1e-10)
     assert abs(val) > 1e-3  # genuinely nonzero
 
 
@@ -223,18 +223,33 @@ def test_g_phase_against_high_precision_oracle(sample_derived):
 
     for i in range(3):
         for x in (0.3, 1.1, d.period):
-            ours = g_phase(x, d, i)
+            ours = g_phases(x, d)[i]
             ref = float(mpmath.quad(integrand(i), [0, x / 2, x]))
             assert ours == pytest.approx(ref, abs=1e-9)
 
 
-def test_g_phases_cumulative_matches_pointwise(sample_derived):
-    d = sample_derived
-    xs = np.linspace(0.0, d.period, 9)
-    cum = g_phases_cumulative(xs, d)
-    for j, x in enumerate(xs):
-        direct = g_phases(x, d)
-        assert np.allclose(cum[:, j], direct, atol=1e-10)
+def test_g_phases_closed_form_matches_quadrature():
+    # feasible_grid(alpha, 6) of every canonical triple, alpha2 = 0
+    # included, both branches, at x from 0 to 3.5 T in shuffled order
+    rng = np.random.default_rng(6)
+    fractions = rng.permutation([0.0, 0.13, 0.5, 0.77, 1.0, 1.6, 2.45, 3.5])
+    worst, n = 0.0, 0
+    for weights in CANONICAL_TRIPLES:
+        al = AlphaTriple(*weights)
+        for a1, a2 in feasible_grid(al, 6):
+            for br in (Branch.MINUS, Branch.PLUS):
+                d = derive_constants(al, ModuliPoint(a1, a2, br))
+                xs = fractions * d.period
+                closed = g_phases(xs, d)
+                assert closed.shape == (3, xs.size)
+                for j, x in enumerate(xs):
+                    ref = quad_g_phases(x, d)
+                    worst = max(worst, np.max(np.abs(closed[:, j] - ref)
+                                              / np.maximum(1.0, np.abs(ref))))
+                n += 1
+    assert n == 150
+    assert worst <= 1e-12
+    assert g_phases(0.5, d).shape == (3,)
 
 
 def test_g_phase_singular_guard():
@@ -242,7 +257,7 @@ def test_g_phase_singular_guard():
     al = AlphaTriple(2, 1, -1)
     d = derive_constants(al, ModuliPoint(1.8, 1.0 + 1e-12, Branch.MINUS))
     with pytest.raises(SingularIntegrand):
-        g_phase(0.5, d, 0)
+        g_phases(0.5, d)
 
 
 def test_lift_unit_norm(sample_derived, rng):

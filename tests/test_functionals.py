@@ -10,8 +10,8 @@ from cp2tori.functionals import (HomogeneousParams, area_mironov,
                                  clifford_energy, energy_mironov, energy_scan,
                                  feasible_grid, homogeneous_energy,
                                  period_integral, potential_energy_check,
-                                 willmore_mironov, willmore_quadrature)
-from conftest import CANONICAL_TRIPLES, quad_period_integral
+                                 willmore_mironov)
+from conftest import CANONICAL_TRIPLES, angle_willmore, quad_period_integral
 
 SQ3 = 1.0 / math.sqrt(3.0)
 
@@ -132,7 +132,7 @@ def test_area_exceeds_lemma_bound(sample_derived):
 def test_willmore_closed_form_vs_quadrature(sample_derived, sample_derived_plus):
     for d in (sample_derived, sample_derived_plus):
         w1 = willmore_mironov(d)
-        w2 = willmore_quadrature(d)
+        w2 = angle_willmore(d)
         assert w1 == pytest.approx(w2, rel=1e-9)
 
 

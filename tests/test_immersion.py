@@ -12,26 +12,6 @@ from cp2tori.immersion import (EXPORT_COLUMNS, default_chart,
                                mean_curvature_check, write_csv, write_obj)
 
 
-def test_quad_tol_reaches_the_phase_integrals(sample_derived, tmp_path,
-                                              monkeypatch, capsys):
-    from cp2tori import cli, immersion
-    seen = []
-    real = immersion.g_phases_cumulative
-
-    def spy(xs, d, tol=1e-10):
-        seen.append(tol)
-        return real(xs, d, tol)
-
-    monkeypatch.setattr(immersion, "g_phases_cumulative", spy)
-    geometry_residuals(sample_derived, grid=(8, 8), quad_tol=1e-13)
-    export_samples(sample_derived, (4, 4), quad_tol=2e-13)
-    assert cli.main(["export", "--alpha", "2", "1", "-1", "--a1", "1.8",
-                     "--a2", "1.2", "--grid", "4", "4", "--quad-tol", "3e-13",
-                     "--out", str(tmp_path / "e.csv")]) == 0
-    capsys.readouterr()
-    assert seen == [1e-13, 2e-13, 3e-13]
-
-
 def test_geometry_residuals_small(sample_derived, sample_derived_plus):
     for d in (sample_derived, sample_derived_plus):
         rep = geometry_residuals(d, grid=(32, 32))

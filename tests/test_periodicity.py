@@ -10,6 +10,7 @@ from cp2tori.periodicity import (LatticeData, NotPeriodic, best_rational,
                                  closure_residual, phase_differences,
                                  projective_distance, rational_fit,
                                  tau_free_invariant)
+from conftest import quad_g_phases
 
 
 def test_best_rational_synthetic():
@@ -47,12 +48,14 @@ def test_phase_differences_alpha2_zero(degenerate_derived):
     assert dg23 == pytest.approx(g[1] - g[2], abs=1e-12)
 
 
-def test_phase_differences_refinement_oracle(sample_derived):
-    d = sample_derived
-    coarse = phase_differences(d, tol=1e-8)
-    fine = phase_differences(d, tol=1e-13)
-    assert coarse[0] == pytest.approx(fine[0], abs=1e-9)
-    assert coarse[1] == pytest.approx(fine[1], abs=1e-9)
+def test_phase_differences_refinement_oracle(sample_derived, sample_derived_plus,
+                                            degenerate_derived):
+    # the closed form against quadrature refined to 1e-13
+    for d in (sample_derived, sample_derived_plus, degenerate_derived):
+        g = quad_g_phases(d.period, d)
+        dg13, dg23 = phase_differences(d)
+        assert dg13 == pytest.approx(g[0] - g[2], abs=1e-12)
+        assert dg23 == pytest.approx(g[1] - g[2], abs=1e-12)
 
 
 def test_rational_fit_reports_not_periodic(sample_derived):
@@ -84,7 +87,7 @@ def test_rational_fit_invariants(sample_derived):
 
 def _mu_of_a1(al, a1, a2, branch):
     d = derive_constants(al, ModuliPoint(a1, a2, branch))
-    return tau_free_invariant(d, *phase_differences(d, tol=1e-12))
+    return tau_free_invariant(d, *phase_differences(d))
 
 
 def _simplest_between(lo, hi):
