@@ -2,11 +2,20 @@
 comparison, with certified interval verification.
 
 Two bivariate bound functions live on the normalized triangle
-0 < y < x <= 1 (x = a1/p, y = a2/p with p = -alpha1*alpha3):
+0 <= y <= x <= 1 (x = a1/p, y = a2/p with p = -alpha1*alpha3), each
+written once as an expression that runs on floats, ``Interval`` and
+``IntervalArray``:
 
-* ``b1`` -- the degenerate-family minus-branch energy bound; certified > 1.
-* ``b2`` -- the plus-branch analogue built from the squeeze functions
-  ``f_aux <= g_aux``; certified > 0.9.
+* ``b1_expr`` -- the degenerate-family minus-branch energy bound;
+  certified > 1 on the whole closed triangle (:func:`certify_lemma4`).
+* ``b2_expr`` -- the plus-branch analogue built from the squeeze functions
+  ``f_aux <= g_aux``; certified > 0.9 off the diagonal band
+  0 < x - y <= eps (:func:`certify_lemma5`) and on the band through a
+  lower bound in two charts (:func:`lemma5_strip_certificates`).
+
+Each domain is stated once, as an outward-rounded clip
+(:func:`clip_triangle`, :func:`clip_band`), which also decides whether a
+disproved box's midpoint is a witness.
 
 The chain audits (:func:`case_chain_check`, :func:`degenerate_c2_bounds_check`)
 evaluate every displayed inequality of the underlying argument at a
@@ -36,7 +45,10 @@ from .functionals import clifford_energy, energy_mironov
 from .interval import (Box2, Certificate, CertStatus, Interval,
                        certify_lower_bound, sqrt)
 
-DEFAULT_EPS = 1e-4
+DEFAULT_EPS = 1e-4     # width of the diagonal band that B2 certifies apart
+B1_THRESHOLD = 1.0
+B2_THRESHOLD = 0.9
+SCALAR_X_MAX = 100.0   # scalar bounds: subdivision on [0, SCALAR_X_MAX], tails beyond
 
 
 def _sq(v):
@@ -52,18 +64,6 @@ def _div_ext(num, den):
         den_i = den if isinstance(den, Interval) else Interval(den)
         return _ivl_div_extended(num_i, den_i)
     return num / den  # IntervalArray handles it; floats never hit 0 in-domain
-
-
-@dataclass(frozen=True)
-class TrianglePoint:
-    """Normalized coordinates with 0 < y < x <= 1."""
-
-    x: float
-    y: float
-
-    def __post_init__(self):
-        if not (0.0 < self.y < self.x <= 1.0):
-            raise ValueError(f"(x, y) = ({self.x}, {self.y}) outside 0 < y < x <= 1")
 
 
 # ----------------------------------------------------------------------
@@ -83,31 +83,25 @@ def b1_expr(x, y):
     return _div_ext(num, den)
 
 
-def b1(t: TrianglePoint) -> float:
-    return b1_expr(t.x, t.y)
-
-
-def f_aux(t: TrianglePoint) -> float:
+def f_aux(x, y):
     """Lower squeeze function x^2 y^2 (2(2-x-y) - (x-y)^2/(2-x-y)) / (x-y)^2."""
-    s, d = 2.0 - t.x - t.y, t.x - t.y
-    return t.x * t.x * t.y * t.y * (2.0 * s - d * d / s) / (d * d)
+    s, d = 2.0 - x - y, x - y
+    return x * x * y * y * (2.0 * s - d * d / s) / (d * d)
 
 
-def g_aux(t: TrianglePoint) -> float:
+def g_aux(x, y):
     """Upper squeeze function x^2 y^2 (2(2-x-y) - (x-y)^2/(2(2-x-y))) / (x-y)^2."""
-    s, d = 2.0 - t.x - t.y, t.x - t.y
-    return t.x * t.x * t.y * t.y * (2.0 * s - d * d / (2.0 * s)) / (d * d)
-
-
-def b2(t: TrianglePoint) -> float:
-    """Plus-branch bound, composed from f_aux and g_aux as displayed."""
-    f, g = f_aux(t), g_aux(t)
-    num = t.x + t.y + 0.25 * ((t.x + t.y) * f / (t.x * t.y) - t.x * t.y) ** 2 / g
-    return num / math.sqrt(t.x + g / (t.x * t.y))
+    s, d = 2.0 - x - y, x - y
+    return x * x * y * y * (2.0 * s - d * d / (2.0 * s)) / (d * d)
 
 
 def b2_expr(x, y):
-    """b2 after clearing the f/g compositions:
+    """The plus-branch bound, displayed as
+
+        b2 = (x + y + ((x+y) f/(x y) - x y)^2 / (4 g)) / sqrt(x + g/(x y))
+
+    with f = f_aux, g = g_aux, and evaluated after clearing the f/g
+    compositions:
 
         b2 = (u + 2 (u s^2 - d^2)^2 / (s d^2 (4 s^2 - d^2)))
              / sqrt(x + x y (4 s^2 - d^2) / (2 s d^2)),
@@ -124,10 +118,6 @@ def b2_expr(x, y):
     w = _div_ext(2.0 * _sq(u * _sq(s) - d2), s * d2 * four_s2_d2)
     den = sqrt(_nonneg(x + _div_ext(x * y * four_s2_d2, 2.0 * s * d2)))
     return _div_ext(u + w, den)
-
-
-def b2_expanded(t: TrianglePoint) -> float:
-    return b2_expr(t.x, t.y)
 
 
 def b2_strip_lower_expr(x, rho):
@@ -175,66 +165,48 @@ def b2_strip_corner_expr(s, rho_s):
 
 
 # ----------------------------------------------------------------------
-# Domain clips (vectorized over box arrays; conservative bounding boxes)
+# Domain clips (vectorized over box arrays; each rounds outward, so that
+# no point of the domain is ever cut away)
 # ----------------------------------------------------------------------
 
 
-def _shrink(xlo, xhi, ylo, yhi, eps, diag_gap, xy_cap):
-    """Bounding box of the intersection with
-    {y >= 0, y <= x - diag_gap, x <= 1, x >= eps, x + y <= xy_cap}."""
-    for _ in range(2):
-        xlo = np.maximum(np.maximum(xlo, eps), ylo + diag_gap)
-        xhi = np.minimum(np.minimum(xhi, 1.0), xy_cap - ylo)
+def _add_rounded(a, b, toward):
+    """a + b rounded toward ``toward`` (-inf or +inf): the nearest sum,
+    moved one ulp where TwoSum shows it lies beyond the exact one."""
+    s = a + b
+    bb = s - a
+    err = (a - (s - bb)) + (b - bb)  # a + b == s + err exactly
+    beyond = err < 0 if toward < 0 else err > 0
+    return np.where(beyond, np.nextafter(s, toward), s)
+
+
+def clip_triangle(gap: float):
+    """The triangle {0 <= y <= x - gap, x <= 1} (x >= gap and x + y <= 2
+    follow).  Each box shrinks to the bounding box of its intersection with
+    it, with the limit y_lo + gap on x rounded down and x_hi - gap on y
+    rounded up."""
+    def clip(xlo, xhi, ylo, yhi):
         ylo = np.maximum(ylo, 0.0)
-        yhi = np.minimum(np.minimum(yhi, xhi - diag_gap), xy_cap - xlo)
-    keep = (xlo <= xhi) & (ylo <= yhi)
-    return xlo, xhi, ylo, yhi, keep
-
-
-def clip_lemma4(eps: float):
-    def clip(xlo, xhi, ylo, yhi):
-        return _shrink(xlo, xhi, ylo, yhi, eps, 0.0, 2.0 - eps)
+        xhi = np.minimum(xhi, 1.0)
+        xlo = np.maximum(xlo, _add_rounded(ylo, gap, -np.inf))
+        yhi = np.minimum(yhi, _add_rounded(xhi, -gap, np.inf))
+        return xlo, xhi, ylo, yhi, (xlo <= xhi) & (ylo <= yhi)
     return clip
 
 
-def clip_lemma5(eps: float):
-    def clip(xlo, xhi, ylo, yhi):
-        return _shrink(xlo, xhi, ylo, yhi, eps, eps, 2.0)
-    return clip
-
-
-def clip_strip5(eps: float, x_cap: float):
-    """The excluded diagonal band in (x, rho) coordinates: the second box
-    dimension is rho = (x - y)/x, and the band x - y <= eps becomes
-    x * rho <= eps (a hyperbola; boxes certainly beyond it are dropped)."""
-    def clip(xlo, xhi, rlo, rhi):
-        xlo = np.maximum(xlo, 0.0)
-        xhi = np.minimum(xhi, x_cap)
+def clip_band(eps: float, cap: float):
+    """The band 0 < x - y <= eps in a chart (t, (x-y)/t), t = x or 2-x-y:
+    0 <= t <= cap, 0 <= rho <= 1, t * rho <= eps.  Boxes are not shrunk to
+    the hyperbola, only dropped when t_lo * rho_lo rounded down exceeds eps."""
+    def clip(tlo, thi, rlo, rhi):
+        tlo = np.maximum(tlo, 0.0)
+        thi = np.minimum(thi, cap)
         rlo = np.maximum(rlo, 0.0)
         rhi = np.minimum(rhi, 1.0)
-        keep = (xlo <= xhi) & (rlo <= rhi) & (xlo * rlo <= eps)
-        return xlo, xhi, rlo, rhi, keep
+        keep = ((tlo <= thi) & (rlo <= rhi)
+                & (np.nextafter(tlo * rlo, -np.inf) <= eps))
+        return tlo, thi, rlo, rhi, keep
     return clip
-
-
-def clip_strip5_corner(eps: float, s_cap: float):
-    """Corner chart of the band: boxes in (s, rho_s) with s * rho_s <= eps."""
-    def clip(slo, shi, rlo, rhi):
-        slo = np.maximum(slo, 0.0)
-        shi = np.minimum(shi, s_cap)
-        rlo = np.maximum(rlo, 0.0)
-        rhi = np.minimum(rhi, 1.0)
-        keep = (slo <= shi) & (rlo <= rhi) & (slo * rlo <= eps)
-        return slo, shi, rlo, rhi, keep
-    return clip
-
-
-def _point_in_lemma4(eps):
-    return lambda x, y: 0.0 <= y <= x <= 1.0 and x >= eps and x + y <= 2.0 - eps
-
-
-def _point_in_lemma5(eps):
-    return lambda x, y: 0.0 <= y <= x - eps and x <= 1.0
 
 
 # ----------------------------------------------------------------------
@@ -242,61 +214,27 @@ def _point_in_lemma5(eps):
 # ----------------------------------------------------------------------
 
 
-def _b1_point(x, y):
-    return b1_expr(float(x), float(y))
+def certify_lemma4(threshold: float = B1_THRESHOLD, max_depth: int = 40,
+                   max_boxes: int = 10_000_000) -> Certificate:
+    """Prove b1 > threshold on the closed triangle 0 <= y <= x <= 1.
 
-
-def _strip_note_b1_left(eps: float) -> Tuple[float, str]:
-    """Interval bound for b1 on the excluded strip 0 < x < eps, 0 <= y <= x."""
-    X = Interval(0.0, eps)
-    Y = Interval(0.0, eps)
-    num = 16.0 + 8.0 * X + 8.0 * Y - 7.0 * X.sq() - 14.0 * X * Y - 7.0 * Y.sq()
-    den = 16.0 * ((2.0 - X) * (2.0 - X - Y) * X).nonneg().sqrt()
-    lo = num.lo / den.hi  # num > 0, den > 0 on the open strip
-    return lo, (f"strip 0<x<{eps:g}: numerator >= {num.lo:.6g}, denominator <= "
-                f"{den.hi:.6g}, so b1 >= {lo:.6g} there")
-
-
-def _strip_note_b1_corner(eps: float) -> Tuple[float, str]:
-    """Interval bound for b1 on the excluded strip x+y > 2-eps (forces
-    x, y in [1-eps, 1] inside the triangle)."""
-    X = Interval(1.0 - eps, 1.0)
-    Y = Interval(1.0 - eps, 1.0)
-    S = Interval(0.0, eps)  # 2 - x - y on the strip
-    num = 16.0 + 8.0 * X + 8.0 * Y - 7.0 * X.sq() - 14.0 * X * Y - 7.0 * Y.sq()
-    den = 16.0 * ((2.0 - X) * S * X).nonneg().sqrt()
-    lo = num.lo / den.hi
-    return lo, (f"strip x+y>{2 - eps:g}: numerator >= {num.lo:.6g}, denominator <= "
-                f"{den.hi:.6g}, so b1 >= {lo:.6g} there")
-
-
-def certify_lemma4(eps: float = DEFAULT_EPS, threshold: float = 1.0,
-                   max_depth: int = 40, max_boxes: int = 10_000_000) -> Certificate:
-    """Prove b1 > threshold on the triangle with the two blow-up strips
-    (x < eps and x + y > 2 - eps) removed; the strips themselves carry
-    one-box interval bounds recorded in the notes, so the full open
-    triangle is covered."""
-    lo1, note1 = _strip_note_b1_left(eps)
-    lo2, note2 = _strip_note_b1_corner(eps)
-    notes = [
-        f"domain: 0 <= y <= x <= 1 with x >= {eps:g} and x + y <= {2 - eps:g}",
-        note1, note2,
-    ]
-    if min(lo1, lo2) <= threshold:
-        notes.append("WARNING: strip bounds do not clear the threshold")
-    cert = certify_lower_bound(
+    The denominator of b1 vanishes on the edge x = 0 and at the corner
+    (1, 1), where b1 blows up; the enclosure of a box touching them is
+    one-sided (a finite lower bound), so no strip needs excluding."""
+    return certify_lower_bound(
         "B1", b1_expr, Box2.make(0.0, 1.0, 0.0, 1.0), threshold,
-        clip=clip_lemma4(eps), point_in_domain=_point_in_lemma4(eps),
-        point_fn=_b1_point, epsilon=eps, max_depth=max_depth,
-        max_boxes=max_boxes, notes=notes)
-    return cert
+        clip=clip_triangle(0.0), max_depth=max_depth, max_boxes=max_boxes,
+        notes=["domain: the closed triangle 0 <= y <= x <= 1; boxes on x = 0 "
+               "or at (1, 1), where the denominator vanishes, have "
+               "one-sided enclosures"])
 
 
 _STRIP_X_CAP = 0.875  # chart overlap: x <= 7/8 here, s <= 1/2 in the corner
 _STRIP_S_CAP = 0.5    # chart; any band point has x <= 7/8 or s <= 0.2501
 
 
-def lemma5_strip_certificates(eps: float = DEFAULT_EPS, threshold: float = 0.9,
+def lemma5_strip_certificates(eps: float = DEFAULT_EPS,
+                              threshold: float = B2_THRESHOLD,
                               max_depth: int = 40,
                               max_boxes: int = 10_000_000) -> List[Certificate]:
     """Prove b2 > threshold on the excluded diagonal band 0 < x - y <= eps
@@ -305,31 +243,23 @@ def lemma5_strip_certificates(eps: float = DEFAULT_EPS, threshold: float = 0.9,
     Two overlapping charts: (x, rho = d/x) for x <= 7/8 and, for the
     (1, 1) corner, (s, rho_s = d/s) for s <= 1/2.  Every band point lands
     in one of them (x > 7/8 forces s <= 2 - 2x + eps < 1/2)."""
-    main = certify_lower_bound(
-        "B2-diagonal-strip", b2_strip_lower_expr,
-        Box2.make(0.0, _STRIP_X_CAP, 0.0, 1.0), threshold,
-        clip=clip_strip5(eps, _STRIP_X_CAP),
-        point_in_domain=lambda x, r: 0.0 < x <= _STRIP_X_CAP
-        and 0.0 < r <= 1.0 and x * r <= eps,
-        point_fn=lambda x, r: float(b2_strip_lower_expr(float(x), float(r))),
-        epsilon=eps, max_depth=max_depth, max_boxes=max_boxes,
-        notes=[f"band 0 < x - y <= {eps:g}, x <= {_STRIP_X_CAP:g}, in "
-               "(x, (x-y)/x) coordinates; target is a proven lower bound "
-               "for b2 that tends to +inf on the diagonal"])
-    corner = certify_lower_bound(
-        "B2-diagonal-strip-corner", b2_strip_corner_expr,
-        Box2.make(0.0, _STRIP_S_CAP, 0.0, 1.0), threshold,
-        clip=clip_strip5_corner(eps, _STRIP_S_CAP),
-        point_in_domain=lambda s, r: 0.0 < s <= _STRIP_S_CAP
-        and 0.0 < r <= 1.0 and s * r <= eps,
-        point_fn=lambda s, r: float(b2_strip_corner_expr(float(s), float(r))),
-        epsilon=eps, max_depth=max_depth, max_boxes=max_boxes,
-        notes=[f"band 0 < x - y <= {eps:g} near (1, 1): s = 2-x-y <= "
-               f"{_STRIP_S_CAP:g}, in (s, (x-y)/s) coordinates"])
-    return [main, corner]
+    charts = [
+        ("B2-diagonal-strip", b2_strip_lower_expr, _STRIP_X_CAP,
+         f"band 0 < x - y <= {eps:g}, x <= {_STRIP_X_CAP:g}, in "
+         "(x, (x-y)/x) coordinates; target is a proven lower bound "
+         "for b2 that tends to +inf on the diagonal"),
+        ("B2-diagonal-strip-corner", b2_strip_corner_expr, _STRIP_S_CAP,
+         f"band 0 < x - y <= {eps:g} near (1, 1): s = 2-x-y <= "
+         f"{_STRIP_S_CAP:g}, in (s, (x-y)/s) coordinates"),
+    ]
+    return [certify_lower_bound(
+                target, expr, Box2.make(0.0, cap, 0.0, 1.0), threshold,
+                clip=clip_band(eps, cap), epsilon=eps, max_depth=max_depth,
+                max_boxes=max_boxes, notes=[note])
+            for target, expr, cap, note in charts]
 
 
-def certify_lemma5(eps: float = DEFAULT_EPS, threshold: float = 0.9,
+def certify_lemma5(eps: float = DEFAULT_EPS, threshold: float = B2_THRESHOLD,
                    max_depth: int = 40, max_boxes: int = 10_000_000,
                    strips: Optional[Sequence[Certificate]] = None) -> Certificate:
     """Prove b2 > threshold on {0 <= y <= x - eps, x <= 1} (the full
@@ -360,9 +290,8 @@ def certify_lemma5(eps: float = DEFAULT_EPS, threshold: float = 0.9,
             notes.append("WARNING: diagonal band certification incomplete")
     return certify_lower_bound(
         "B2", b2_expr, Box2.make(0.0, 1.0, 0.0, 1.0), threshold,
-        clip=clip_lemma5(eps), point_in_domain=_point_in_lemma5(eps),
-        point_fn=lambda x, y: b2_expr(float(x), float(y)),
-        epsilon=eps, max_depth=max_depth, max_boxes=max_boxes, notes=notes)
+        clip=clip_triangle(eps), epsilon=eps, max_depth=max_depth,
+        max_boxes=max_boxes, notes=notes)
 
 
 # ----------------------------------------------------------------------
@@ -437,36 +366,24 @@ class ScalarBoundReport:
                 and all(t.holds for t in self.tails))
 
 
-def _clip_1d(x_max: float):
-    def clip(xlo, xhi, ylo, yhi):
-        xlo = np.maximum(xlo, 0.0)
-        xhi = np.minimum(xhi, x_max)
-        keep = xlo <= xhi
-        return xlo, xhi, ylo, yhi, keep
-    return clip
-
-
-def _certify_scalar(label: str, expr: Callable, x_max: float, threshold: float,
+def _certify_scalar(label: str, expr: Callable, threshold: float,
                     max_depth: int, max_boxes: int) -> Certificate:
+    # the root box is the domain: bisection never leaves it, so no clip
     return certify_lower_bound(
-        label, lambda X, Y: expr(X), Box2.make(0.0, x_max, 0.0, 0.0),
-        threshold, clip=_clip_1d(x_max),
-        point_in_domain=lambda x, y: 0.0 <= x <= x_max,
-        point_fn=lambda x, y: float(expr(float(x))),
-        epsilon=0.0, max_depth=max_depth, max_boxes=max_boxes,
-        notes=[f"1D domain [0, {x_max:g}]; monotone tail certified separately"])
+        label, lambda X, Y: expr(X), Box2.make(0.0, SCALAR_X_MAX, 0.0, 0.0),
+        threshold, max_depth=max_depth, max_boxes=max_boxes,
+        notes=[f"1D domain [0, {SCALAR_X_MAX:g}]; monotone tail certified separately"])
 
 
-def scalar_bound_checks(x_max: float = 100.0, max_depth: int = 60,
+def scalar_bound_checks(max_depth: int = 40,
                         max_boxes: int = 10_000_000) -> ScalarBoundReport:
     """Certify both scalar comparison functions above 4/(3 sqrt(3)) on
-    (0, x_max] by interval subdivision, plus the monotone tails."""
+    (0, SCALAR_X_MAX] by interval subdivision, plus the monotone tails."""
     thr = comparison_threshold().hi
-    certs = [
-        _certify_scalar("scalar-1", scalar_bound_1, x_max, thr, max_depth, max_boxes),
-        _certify_scalar("scalar-2", scalar_bound_2, x_max, thr, max_depth, max_boxes),
-    ]
-    tails = [_tail_record_1(x_max), _tail_record_2(x_max)]
+    certs = [_certify_scalar(label, expr, thr, max_depth, max_boxes)
+             for label, expr in (("scalar-1", scalar_bound_1),
+                                 ("scalar-2", scalar_bound_2))]
+    tails = [_tail_record_1(SCALAR_X_MAX), _tail_record_2(SCALAR_X_MAX)]
     return ScalarBoundReport(certificates=certs, tails=tails, threshold=thr)
 
 
@@ -648,10 +565,9 @@ def degenerate_c2_bounds_check(alpha: AlphaTriple, a1: float, a2: float,
         eb = math.pi ** 2 * sp * (u + 0.25 * beta * beta * s) / den
         _step(rep, "E >= pi^2 sqrt(p)(x+y+beta^2 s/4)/sqrt(x+xy/s)", E, eb, slack=slack)
         _step(rep, "E >= pi^2 B1 (using p >= 1)", E,
-              math.pi ** 2 * b1(TrianglePoint(x, y)), slack=slack)
+              math.pi ** 2 * b1_expr(x, y), slack=slack)
     else:
-        t = TrianglePoint(x, y)
-        f, g = f_aux(t), g_aux(t)
+        f, g = f_aux(x, y), g_aux(x, y)
         _step(rep, "f <= g", g, f, slack=slack)
         _step(rep, "c2^2 >= p^3 f", c2 * c2, p ** 3 * f, slack=slack * max(1, p ** 3 * f))
         _step(rep, "c2^2 <= p^3 g", p ** 3 * g, c2 * c2, slack=slack * max(1, p ** 3 * g))
@@ -672,6 +588,6 @@ def degenerate_c2_bounds_check(alpha: AlphaTriple, a1: float, a2: float,
         _step(rep, "E >= pi^2 sqrt(p)(x+y+((x+y)f/xy-xy)^2/(4g))/sqrt(x+g/xy)",
               E, eb, slack=slack)
         _step(rep, "E >= pi^2 B2 (using p >= 1)", E,
-              math.pi ** 2 * b2(t), slack=slack)
+              math.pi ** 2 * b2_expr(x, y), slack=slack)
     _step(rep, "E > E_Cl", E, clifford_energy(), ">")
     return rep

@@ -21,8 +21,8 @@ from typing import List, Optional
 import numpy as np
 
 from . import __version__
-from .bounds import (certify_lemma4, certify_lemma5, lemma5_strip_certificates,
-                     scalar_bound_checks)
+from .bounds import (DEFAULT_EPS, certify_lemma4, certify_lemma5,
+                     lemma5_strip_certificates, scalar_bound_checks)
 from .errors import (Cp2ToriError, DegenerateParameters, InfeasibleParameters,
                      SingularIntegrand)
 from .family import (AlphaTriple, Branch, ModuliPoint, derive_constants,
@@ -145,8 +145,6 @@ def cmd_energy(ns) -> int:
         print(f"E = {_fmt(clifford_energy())}  ratio = 1")
         return EXIT_OK
     if ns.family == "homogeneous":
-        if ns.r is None:
-            raise Cp2ToriError("--r R1 R2 R3 is required for the homogeneous family")
         params = HomogeneousParams(*[float(v) for v in ns.r])
         e = homogeneous_energy(params)
         print(f"E = {_fmt(e)}  ratio = {_fmt(e / clifford_energy())}")
@@ -225,17 +223,18 @@ def _sampled_energy_bounds(seed: int, samples: int):
 def cmd_verify(ns) -> int:
     os.makedirs(ns.out_dir, exist_ok=True)
     certs = []
+    # main() allows --threshold only with --target B1 or B2
+    thr = {} if ns.threshold is None else {"threshold": ns.threshold}
+    budget = {"max_depth": ns.max_depth, "max_boxes": ns.max_boxes}
     if ns.target in ("all", "B1"):
-        certs.append(certify_lemma4(ns.eps, ns.threshold if ns.target == "B1" and ns.threshold else 1.0,
-                                    ns.max_depth, ns.max_boxes))
+        certs.append(certify_lemma4(**thr, **budget))
     if ns.target in ("all", "B2"):
-        thr = ns.threshold if ns.target == "B2" and ns.threshold else 0.9
-        strips = lemma5_strip_certificates(ns.eps, thr, ns.max_depth, ns.max_boxes)
-        certs.append(certify_lemma5(ns.eps, thr, ns.max_depth, ns.max_boxes, strips))
+        strips = lemma5_strip_certificates(ns.eps, **thr, **budget)
+        certs.append(certify_lemma5(ns.eps, **thr, **budget, strips=strips))
         certs.extend(strips)
     scalar_report = None
     if ns.target in ("all", "scalars"):
-        scalar_report = scalar_bound_checks(max_boxes=ns.max_boxes)
+        scalar_report = scalar_bound_checks(**budget)
         certs.extend(scalar_report.certificates)
     all_proved = True
     for cert in certs:
@@ -364,11 +363,15 @@ def build_parser() -> _Parser:
     add_common(p)
     p.add_argument("--target", choices=("all", "B1", "B2", "scalars"), default="all")
     p.add_argument("--threshold", type=float, default=None,
-                   help="override the proved threshold for a single target")
-    p.add_argument("--eps", type=_positive(float), default=1e-4)
-    p.add_argument("--max-depth", type=int, default=40)
-    p.add_argument("--max-boxes", type=int, default=10_000_000)
-    p.add_argument("--samples", type=int, default=200)
+                   help="prove this threshold instead of the default one "
+                        "(with --target B1 or B2 only)")
+    p.add_argument("--eps", type=_positive(float), default=DEFAULT_EPS,
+                   help="width of the diagonal band x - y <= eps that B2 "
+                        "certifies in its own charts")
+    p.add_argument("--max-depth", type=_positive(int), default=40)
+    p.add_argument("--max-boxes", type=_positive(int), default=10_000_000)
+    p.add_argument("--samples", type=_positive(int), default=200,
+                   help="random feasible points for the energy spot checks")
     p.add_argument("--seed", type=int, default=20240801)
     p.add_argument("--out-dir", default="certificates")
     p.set_defaults(func=cmd_verify)
@@ -417,6 +420,11 @@ def main(argv: Optional[List[str]] = None) -> int:
     if needs_moduli and (getattr(ns, "alpha", None) is None
                          or ns.a1 is None or ns.a2 is None):
         parser.error(f"{ns.command}: --alpha/--a1/--a2 (or --params) required")
+    if ns.command == "energy" and ns.family == "homogeneous" and ns.r is None:
+        parser.error("energy: --r R1 R2 R3 required for the homogeneous family")
+    if ns.command == "verify" and ns.threshold is not None and (
+            ns.target not in ("B1", "B2") or not math.isfinite(ns.threshold)):
+        parser.error("verify: --threshold takes a finite number, with --target B1 or B2")
     try:
         return ns.func(ns)
     except InfeasibleParameters as exc:

@@ -431,9 +431,6 @@ class Box2:
     def make(cls, xlo, xhi, ylo, yhi) -> "Box2":
         return cls(Interval(xlo, xhi), Interval(ylo, yhi))
 
-    def as_tuple(self):
-        return (self.x.lo, self.x.hi, self.y.lo, self.y.hi)
-
     def split(self):
         """Bisect along the wider dimension."""
         if self.x.width >= self.y.width:
@@ -515,8 +512,6 @@ def certify_lower_bound(
     threshold: float,
     *,
     clip: Optional[Callable] = None,
-    point_in_domain: Optional[Callable[[float, float], bool]] = None,
-    point_fn: Optional[Callable[[float, float], float]] = None,
     epsilon: float = 0.0,
     max_depth: int = 40,
     max_boxes: int = 10_000_000,
@@ -525,10 +520,12 @@ def certify_lower_bound(
     """Prove ``f > threshold`` on ``root`` (clipped to the domain) by
     adaptive bisection with interval enclosures.
 
-    ``clip(xlo, xhi, ylo, yhi) -> (xlo, xhi, ylo, yhi, keep)`` shrinks each
-    box to a bounding box of its intersection with the domain and marks
-    certainly-disjoint boxes; boxes are arrays.  ``point_in_domain`` /
-    ``point_fn`` are only used to confirm a FAILED witness pointwise.
+    ``clip(xlo, xhi, ylo, yhi) -> (xlo, xhi, ylo, yhi, keep)`` is the
+    domain: it shrinks each box to a bounding box of its intersection with
+    the domain and marks certainly-disjoint boxes; boxes are arrays.  A box
+    whose enclosure lies below ``threshold`` fails the claim when the clip
+    keeps its midpoint as a degenerate box; the witness is that midpoint
+    with the box's enclosure upper bound, a proved upper bound of f there.
     """
     t0 = time.perf_counter()
     clip = clip or _clip_arrays_noop
@@ -559,19 +556,14 @@ def certify_lower_bound(
         if proved.any():
             retained.append(boxes[proved])
         if disproved.any():
-            # enclosure entirely below threshold; confirm with a domain point
-            # (boxes without a confirmable witness keep getting split)
-            for i, row in enumerate(boxes[disproved]):
-                mx, my = 0.5 * (row[0] + row[1]), 0.5 * (row[2] + row[3])
-                if point_in_domain is None or point_in_domain(mx, my):
-                    val = point_fn(mx, my) if point_fn else None
-                    if val is None or val < threshold:
-                        status = CertStatus.FAILED
-                        witness = (mx, my,
-                                   val if val is not None
-                                   else float(enc.hi[disproved.nonzero()[0][i]]))
-                        break
-            if status is CertStatus.FAILED:
+            # boxes whose midpoint the clip drops keep getting split
+            rows, upper = boxes[disproved], enc.hi[disproved]
+            mx, my = 0.5 * (rows[:, 0] + rows[:, 1]), 0.5 * (rows[:, 2] + rows[:, 3])
+            inside = np.flatnonzero(clip(mx, mx, my, my)[4])
+            if inside.size:
+                i = inside[0]
+                status = CertStatus.FAILED
+                witness = (float(mx[i]), float(my[i]), float(upper[i]))
                 break
         todo = boxes[~proved]
         if not todo.shape[0]:

@@ -1,12 +1,13 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from cp2tori.bounds import (TrianglePoint, b1, b1_expr, b2, b2_expanded,
-                            b2_expr, b2_strip_corner_expr, b2_strip_lower_expr,
-                            case_chain_check, certify_lemma4, certify_lemma5,
-                            classify_case, comparison_threshold,
+from cp2tori.bounds import (b1_expr, b2_expr, b2_strip_corner_expr,
+                            b2_strip_lower_expr, case_chain_check,
+                            certify_lemma4, certify_lemma5, classify_case,
+                            clip_band, clip_triangle, comparison_threshold,
                             degenerate_c2_bounds_check, f_aux, g_aux,
                             lemma5_strip_certificates, scalar_bound_1,
                             scalar_bound_2, scalar_bound_checks)
@@ -16,22 +17,22 @@ from cp2tori.interval import CertStatus, Interval, replay_certificate
 from conftest import SIGN_SLIP_STEPS
 
 
-def test_triangle_point_validation():
-    TrianglePoint(0.5, 0.25)
-    for bad in [(0.5, 0.5), (0.5, 0.6), (1.2, 0.5), (0.5, 0.0)]:
-        with pytest.raises(ValueError):
-            TrianglePoint(*bad)
+def b2_composed(x, y):
+    """b2 as the paper displays it, composed from the squeeze functions;
+    the oracle for the single-fraction form ``b2_expr``."""
+    f, g = f_aux(x, y), g_aux(x, y)
+    num = x + y + 0.25 * ((x + y) * f / (x * y) - x * y) ** 2 / g
+    return num / math.sqrt(x + g / (x * y))
 
 
 def test_b1_frozen_value():
-    t = TrianglePoint(1.0, 0.5)
     expected = 12.25 / (16.0 * math.sqrt(0.5))
-    assert b1(t) == pytest.approx(expected, rel=1e-14)
-    assert abs(b1(t) - 1.0828) < 1e-4
+    assert b1_expr(1.0, 0.5) == pytest.approx(expected, rel=1e-14)
+    assert abs(b1_expr(1.0, 0.5) - 1.0828) < 1e-4
 
 
 def test_b1_blows_up_near_left_edge():
-    assert b1(TrianglePoint(1e-8, 0.5e-8)) > 1e3
+    assert b1_expr(1e-8, 0.5e-8) > 1e3
 
 
 def test_b1_grid_above_one():
@@ -59,26 +60,21 @@ def test_f_below_g(rng):
     for _ in range(10_000):
         x = rng.uniform(1e-3, 1.0)
         y = rng.uniform(x * 1e-3, x * 0.999)
-        t = TrianglePoint(x, y)
-        fv, gv = f_aux(t), g_aux(t)
+        fv, gv = f_aux(x, y), g_aux(x, y)
         assert 0.0 < fv <= gv + 1e-12
 
 
 def test_f_g_pole_towards_diagonal():
-    t1 = TrianglePoint(0.5, 0.5 - 1e-4)
-    t2 = TrianglePoint(0.5, 0.5 - 1e-6)
-    assert g_aux(t2) > g_aux(t1) > 1e4
+    assert g_aux(0.5, 0.5 - 1e-6) > g_aux(0.5, 0.5 - 1e-4) > 1e4
 
 
 def test_b2_dual_formula_agreement(rng):
-    t = TrianglePoint(1.0, 0.2)
-    assert b2(t) == pytest.approx(b2_expanded(t), abs=1e-10)
-    assert b2(t) > 0
+    assert b2_composed(1.0, 0.2) == pytest.approx(b2_expr(1.0, 0.2), abs=1e-10)
+    assert b2_expr(1.0, 0.2) > 0
     for _ in range(2000):
         x = rng.uniform(1e-2, 1.0)
         y = rng.uniform(x * 1e-3, x * 0.995)
-        t = TrianglePoint(x, y)
-        assert b2(t) == pytest.approx(b2_expanded(t), rel=1e-9)
+        assert b2_composed(x, y) == pytest.approx(b2_expr(x, y), rel=1e-9)
 
 
 def test_b2_grid_above_threshold():
@@ -147,18 +143,36 @@ def test_scalar_bound_certification():
     assert report.threshold > 4.0 / (3.0 * math.sqrt(3.0)) - 1e-15
 
 
-def test_lemma4_certificate_small_eps():
-    cert = certify_lemma4(eps=1e-3)
-    assert cert.status is CertStatus.PROVED
-    assert replay_certificate(cert, b1_expr, sample=500)
+def _covered(boxes, pts):
+    inside = ((boxes[:, 0] <= pts[:, :1]) & (pts[:, :1] <= boxes[:, 1])
+              & (boxes[:, 2] <= pts[:, 1:]) & (pts[:, 1:] <= boxes[:, 3]))
+    return inside.any(axis=1)
+
+
+def test_lemma4_certificate_small_eps(rng):
+    # B1 has no excluded strip: its boxes cover the closed triangle, up to
+    # the edge x = 0 and the corner (1, 1) where b1 blows up, and replay
+    cert = certify_lemma4()
+    assert cert.status is CertStatus.PROVED and cert.epsilon == 0.0
+    x = np.concatenate([rng.uniform(0, 1, 4000), rng.uniform(0, 1e-4, 1000),
+                        1 - rng.uniform(0, 5e-5, 1000), [0.0, 1.0, 1.0, 0.5]])
+    y = np.concatenate([x[:-4] * rng.uniform(0, 1, x.size - 4), [0.0, 0.0, 1.0, 0.5]])
+    y[5000:6000] = x[5000:6000] - rng.uniform(0, 5e-5, 1000)
+    pts = np.column_stack([x, y])
+    assert np.all((0 <= y) & (y <= x) & (x <= 1))
+    assert (x < 1e-4).sum() >= 1000 and (x + y > 2 - 1e-4).sum() >= 500
+    assert _covered(cert.retained_boxes, pts).all()
+    assert replay_certificate(cert, b1_expr)
 
 
 def test_lemma4_fails_at_higher_threshold():
-    cert = certify_lemma4(eps=1e-3, threshold=1.2)
+    cert = certify_lemma4(threshold=1.2)
     assert cert.status is CertStatus.FAILED
     assert cert.witness is not None
     x, y, val = cert.witness
-    assert val < 1.2 and 0.0 <= y <= x <= 1.0
+    assert 0.0 <= y <= x <= 1.0
+    # the witness value is a proved upper bound of b1 at the witness
+    assert b1_expr(x, y) <= val < 1.2
 
 
 def test_lemma5_certificate_small_eps():
@@ -169,6 +183,50 @@ def test_lemma5_certificate_small_eps():
     assert all(c.status is CertStatus.PROVED for c in strips)
     # band certificates passed in are cited exactly as computed ones
     assert certify_lemma5(eps=1e-3, strips=strips).notes == cert.notes
+
+
+def _random_boxes(rng, n):
+    """Boxes in [0, 1]^2 of widths up to 0.05, many crossing the diagonal."""
+    xlo = rng.uniform(0, 1, n)
+    ylo = np.clip(xlo + rng.uniform(-0.05, 0.02, n), 0, 1)
+    return xlo, xlo + rng.uniform(0, 0.05, n), ylo, ylo + rng.uniform(0, 0.05, n)
+
+
+@pytest.mark.parametrize("gap", [0.0, 1e-4])
+def test_triangle_clip_rounds_outward(gap):
+    # every clipped limit against the exact limit of the triangle
+    # {0 <= y <= x - gap, x <= 1}: never inside it, at most one ulp outside
+    rng = np.random.default_rng(5)
+    boxes = _random_boxes(rng, 20_000)
+    xlo, xhi, ylo, yhi, keep = clip_triangle(gap)(*boxes)
+    g = Fraction(gap)
+    kept = 0
+    for x0, x1, y0, y1, c0, c1, c2, c3, k in zip(*boxes, xlo, xhi, ylo, yhi, keep):
+        ex_ylo = max(Fraction(y0), Fraction(0))
+        ex_xhi = min(Fraction(x1), Fraction(1))
+        ex_xlo = max(Fraction(x0), ex_ylo + g)
+        ex_yhi = min(Fraction(y1), ex_xhi - g)
+        nonempty = ex_xlo <= ex_xhi and ex_ylo <= ex_yhi
+        assert k or not nonempty
+        if not nonempty:
+            continue
+        kept += 1
+        assert (Fraction(c2), Fraction(c1)) == (ex_ylo, ex_xhi)
+        assert Fraction(c0) <= ex_xlo <= Fraction(c0) + Fraction(math.ulp(c0))
+        assert Fraction(c3) - Fraction(math.ulp(c3)) <= ex_yhi <= Fraction(c3)
+    assert kept > 10_000
+
+
+def test_band_clip_keeps_every_box_meeting_the_band():
+    eps = 1e-4
+    rng = np.random.default_rng(5)
+    tlo = rng.uniform(2e-4, 0.5, 20_000)
+    rlo = eps / tlo * rng.uniform(0.999, 1.001, tlo.size)
+    keep = clip_band(eps, 0.5)(tlo, tlo + 1e-3, rlo, rlo + 1e-3)[4]
+    exact = np.array([Fraction(t) * Fraction(r) <= Fraction(eps)
+                      for t, r in zip(tlo, rlo)])
+    assert keep[exact].all()
+    assert not keep[tlo * rlo > eps * (1 + 1e-12)].any()
 
 
 # ----------------------------------------------------------------------
@@ -202,6 +260,10 @@ def test_case_chain_holds_everywhere(weights):
 def test_case_chain_rejects_degenerate_alpha():
     with pytest.raises(ValueError):
         case_chain_check(AlphaTriple(1, 0, -1), 0.9, 0.4, Branch.MINUS)
+    # the alpha2 = 0 audit takes only points of the open triangle
+    for a1, a2 in [(0.5, 0.5), (0.5, 0.6), (1.2, 0.5), (0.5, 0.0)]:
+        with pytest.raises(ValueError):
+            degenerate_c2_bounds_check(AlphaTriple(1, 0, -1), a1, a2, Branch.MINUS)
 
 
 @pytest.mark.parametrize("weights", DEGENERATE_TRIPLES)

@@ -57,6 +57,10 @@ def test_missing_required_flags_exit_code(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["energy", "--family", "mironov"])  # no alpha/a1/a2
     assert exc.value.code == EXIT_USAGE
+    with pytest.raises(SystemExit) as exc:
+        main(["energy", "--family", "homogeneous"])  # no --r
+    assert exc.value.code == EXIT_USAGE
+    assert "--r" in capsys.readouterr().err
 
 
 def _exit_code(*argv):
@@ -158,17 +162,54 @@ def test_scan_empty_feasible_set_warns(tmp_path, capsys):
 
 
 def test_verify_single_target_and_threshold(tmp_path, capsys):
-    code, out, _ = run(capsys, "verify", "--target", "B1",
-                       "--eps", "1e-3", "--out-dir", str(tmp_path))
+    code, out, _ = run(capsys, "verify", "--target", "B1", "--out-dir", str(tmp_path))
     assert code == EXIT_OK
     data = json.loads((tmp_path / "B1.json").read_text())
     assert data["status"] == "proved"
-    assert data["epsilon"] == 1e-3
+    assert data["epsilon"] == 0.0  # the closed triangle: no band excluded
+    code, out, _ = run(capsys, "verify", "--target", "B2", "--eps", "1e-3",
+                       "--out-dir", str(tmp_path))
+    assert code == EXIT_OK
+    assert json.loads((tmp_path / "B2.json").read_text())["epsilon"] == 1e-3
     # a deliberately unprovable threshold fails with a witness
     code, out, _ = run(capsys, "verify", "--target", "B1", "--threshold", "1.2",
-                       "--eps", "1e-3", "--out-dir", str(tmp_path))
+                       "--out-dir", str(tmp_path))
     assert code == EXIT_NOT_PROVED
     assert "witness" in out
+    x, y, val = json.loads((tmp_path / "B1.json").read_text())["witness"]
+    b1 = ((16 + 8 * x + 8 * y - 7 * x * x - 14 * x * y - 7 * y * y)
+          / (16 * math.sqrt((2 - x) * (2 - x - y) * x)))
+    assert 0 <= y <= x <= 1 and b1 <= val < 1.2
+
+
+def test_verify_threshold_is_the_one_given(tmp_path, capsys):
+    # 0 is a threshold like any other, not "use the default"
+    code, out, _ = run(capsys, "verify", "--target", "B1", "--threshold", "0",
+                       "--out-dir", str(tmp_path))
+    assert code == EXIT_OK and "B1: proved  threshold=0 " in out
+    assert json.loads((tmp_path / "B1.json").read_text())["threshold"] == 0.0
+    # the other targets prove fixed thresholds; an ignored flag is an error
+    for target, value in [("all", "0.5"), ("scalars", "0.5"), ("B1", "nan"), ("B2", "inf")]:
+        assert _exit_code("verify", "--target", target, "--threshold", value,
+                          "--out-dir", str(tmp_path)) == EXIT_USAGE
+        assert "--threshold" in capsys.readouterr().err
+
+
+def test_verify_depth_reaches_the_scalar_certificates(tmp_path, capsys):
+    code, out, _ = run(capsys, "verify", "--target", "scalars", "--max-depth", "3",
+                       "--out-dir", str(tmp_path))
+    assert code == EXIT_NOT_PROVED
+    assert "scalar-1: inconclusive" in out and "depth=3 " in out
+    assert "max depth 3 reached" in (tmp_path / "scalar-1.json").read_text()
+
+
+def test_verify_rejects_nonpositive_counts(tmp_path, capsys):
+    for option in ("--samples", "--max-depth", "--max-boxes"):
+        for value in ("0", "-5"):
+            assert _exit_code("verify", option, value,
+                              "--out-dir", str(tmp_path)) == EXIT_USAGE
+            assert option in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
 
 
 def test_verify_computes_band_certificates_once(tmp_path, capsys, monkeypatch):

@@ -143,10 +143,12 @@ def test_certify_constant_function():
 def test_certify_detects_failure_with_witness():
     # f(x, y) = x dips below 0.5 on the unit square
     cert = certify_lower_bound("identity", lambda X, Y: X + Y * 0.0,
-                               Box2.make(0.0, 1.0, 0.0, 1.0), 0.5,
-                               point_fn=lambda x, y: x)
+                               Box2.make(0.0, 1.0, 0.0, 1.0), 0.5)
     assert cert.status is CertStatus.FAILED
-    assert cert.witness is not None and cert.witness[0] < 0.5
+    x, y, val = cert.witness
+    assert 0.0 <= x <= 1.0 and 0.0 <= y <= 1.0
+    # the witness value is a proved upper bound of f at the witness
+    assert x <= val < 0.5
 
 
 def test_certificate_json_roundtrip(tmp_path):
