@@ -4,7 +4,9 @@ comparison, with certified interval verification.
 Two bivariate bound functions live on the normalized triangle
 0 <= y <= x <= 1 (x = a1/p, y = a2/p with p = -alpha1*alpha3), each
 written once as an expression that runs on floats, ``Interval`` and
-``IntervalArray``:
+``IntervalArray``.  They divide with plain ``/``: where a denominator
+vanishes on the edge of a domain, both interval engines give a one-sided
+enclosure by the same rule, so a proof and its scalar replay agree there.
 
 * ``b1_expr`` -- the degenerate-family minus-branch energy bound;
   certified > 1 on the whole closed triangle (:func:`certify_lemma4`).
@@ -42,8 +44,8 @@ import numpy as np
 from .family import (AlphaTriple, Branch, DerivedConstants, ModuliPoint,
                      derive_constants)
 from .functionals import clifford_energy, energy_mironov
-from .interval import (Box2, Certificate, CertStatus, Interval,
-                       certify_lower_bound, sqrt)
+from .interval import (MAX_BOXES, MAX_DEPTH, Box2, Certificate, CertStatus,
+                       Interval, certify_lower_bound, sqrt)
 
 DEFAULT_EPS = 1e-4     # width of the diagonal band that B2 certifies apart
 B1_THRESHOLD = 1.0
@@ -53,17 +55,6 @@ SCALAR_X_MAX = 100.0   # scalar bounds: subdivision on [0, SCALAR_X_MAX], tails 
 
 def _sq(v):
     return v.sq() if hasattr(v, "sq") else v * v
-
-
-def _div_ext(num, den):
-    """Division tolerating a denominator that touches zero at an endpoint
-    (sign-definite numerator); dispatches per arithmetic engine."""
-    if isinstance(num, Interval) or isinstance(den, Interval):
-        from .interval import _ivl_div_extended
-        num_i = num if isinstance(num, Interval) else Interval(num)
-        den_i = den if isinstance(den, Interval) else Interval(den)
-        return _ivl_div_extended(num_i, den_i)
-    return num / den  # IntervalArray handles it; floats never hit 0 in-domain
 
 
 # ----------------------------------------------------------------------
@@ -80,7 +71,7 @@ def b1_expr(x, y):
     """(16 + 8x + 8y - 7x^2 - 14xy - 7y^2) / (16 sqrt((2-x)(2-x-y)x))."""
     num = 16.0 + 8.0 * x + 8.0 * y - 7.0 * _sq(x) - 14.0 * x * y - 7.0 * _sq(y)
     den = 16.0 * sqrt(_nonneg((2.0 - x) * (2.0 - x - y) * x))
-    return _div_ext(num, den)
+    return num / den
 
 
 def f_aux(x, y):
@@ -115,9 +106,9 @@ def b2_expr(x, y):
     d = _nonneg(x - y)
     d2 = _sq(d)
     four_s2_d2 = _nonneg(4.0 * _sq(s) - d2)
-    w = _div_ext(2.0 * _sq(u * _sq(s) - d2), s * d2 * four_s2_d2)
-    den = sqrt(_nonneg(x + _div_ext(x * y * four_s2_d2, 2.0 * s * d2)))
-    return _div_ext(u + w, den)
+    w = 2.0 * _sq(u * _sq(s) - d2) / (s * d2 * four_s2_d2)
+    den = sqrt(_nonneg(x + x * y * four_s2_d2 / (2.0 * s * d2)))
+    return (u + w) / den
 
 
 def b2_strip_lower_expr(x, rho):
@@ -142,7 +133,7 @@ def b2_strip_lower_expr(x, rho):
     s2 = _sq(s)
     num = _sq((2.0 - rho) * s2 - x * _sq(rho))
     den = 2.0 * s * s2 * rho * sqrt(_nonneg(x * _sq(rho) + 2.0 * (1.0 - rho) * s))
-    return _div_ext(num, den)
+    return num / den
 
 
 def b2_strip_corner_expr(s, rho_s):
@@ -161,7 +152,7 @@ def b2_strip_corner_expr(s, rho_s):
     y = 1.0 - s * (1.0 + rho_s) / 2.0
     num = _sq(2.0 - s - _sq(rho_s))
     den = 2.0 * rho_s * sqrt(_nonneg(x * s * (s * _sq(rho_s) + 2.0 * y)))
-    return _div_ext(num, den)
+    return num / den
 
 
 # ----------------------------------------------------------------------
@@ -214,8 +205,8 @@ def clip_band(eps: float, cap: float):
 # ----------------------------------------------------------------------
 
 
-def certify_lemma4(threshold: float = B1_THRESHOLD, max_depth: int = 40,
-                   max_boxes: int = 10_000_000) -> Certificate:
+def certify_lemma4(threshold: float = B1_THRESHOLD, max_depth: int = MAX_DEPTH,
+                   max_boxes: int = MAX_BOXES) -> Certificate:
     """Prove b1 > threshold on the closed triangle 0 <= y <= x <= 1.
 
     The denominator of b1 vanishes on the edge x = 0 and at the corner
@@ -235,8 +226,8 @@ _STRIP_S_CAP = 0.5    # chart; any band point has x <= 7/8 or s <= 0.2501
 
 def lemma5_strip_certificates(eps: float = DEFAULT_EPS,
                               threshold: float = B2_THRESHOLD,
-                              max_depth: int = 40,
-                              max_boxes: int = 10_000_000) -> List[Certificate]:
+                              max_depth: int = MAX_DEPTH,
+                              max_boxes: int = MAX_BOXES) -> List[Certificate]:
     """Prove b2 > threshold on the excluded diagonal band 0 < x - y <= eps
     via a rigorous lower bound that blows up on the diagonal.
 
@@ -260,7 +251,7 @@ def lemma5_strip_certificates(eps: float = DEFAULT_EPS,
 
 
 def certify_lemma5(eps: float = DEFAULT_EPS, threshold: float = B2_THRESHOLD,
-                   max_depth: int = 40, max_boxes: int = 10_000_000,
+                   max_depth: int = MAX_DEPTH, max_boxes: int = MAX_BOXES,
                    strips: Optional[Sequence[Certificate]] = None) -> Certificate:
     """Prove b2 > threshold on {0 <= y <= x - eps, x <= 1} (the full
     triangle minus the diagonal band; the band has its own certificate).
@@ -375,8 +366,8 @@ def _certify_scalar(label: str, expr: Callable, threshold: float,
         notes=[f"1D domain [0, {SCALAR_X_MAX:g}]; monotone tail certified separately"])
 
 
-def scalar_bound_checks(max_depth: int = 40,
-                        max_boxes: int = 10_000_000) -> ScalarBoundReport:
+def scalar_bound_checks(max_depth: int = MAX_DEPTH,
+                        max_boxes: int = MAX_BOXES) -> ScalarBoundReport:
     """Certify both scalar comparison functions above 4/(3 sqrt(3)) on
     (0, SCALAR_X_MAX] by interval subdivision, plus the monotone tails."""
     thr = comparison_threshold().hi

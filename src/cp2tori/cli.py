@@ -5,7 +5,8 @@ Exit codes: 0 success, 2 infeasible parameters, 3 a requested
 certification did not come back proved, 4 degenerate parameters (a
 vanishing root c2 or a phase denominator too close to zero), 64 usage
 error.  A JSON config file can pre-set any long option of the
-subcommand, checked as the same flag would be; explicit flags win.
+subcommand, checked as the same flag would be; an option given on the
+command line wins, whatever its value.
 """
 
 from __future__ import annotations
@@ -15,7 +16,6 @@ import json
 import math
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from typing import List, Optional
 
 import numpy as np
@@ -27,11 +27,10 @@ from .errors import (Cp2ToriError, DegenerateParameters, InfeasibleParameters,
                      SingularIntegrand)
 from .family import (AlphaTriple, Branch, ModuliPoint, derive_constants,
                      feasibility_check, lemma3_box)
-from .functionals import (SCAN_COLUMNS, HomogeneousParams, _scan_row,
-                          _scan_tasks, clifford_energy, energy_mironov,
-                          homogeneous_energy)
+from .functionals import (SCAN_COLUMNS, HomogeneousParams, clifford_energy,
+                          energy_mironov, energy_scan, homogeneous_energy)
 from .immersion import export_samples, write_csv, write_obj
-from .interval import CertStatus
+from .interval import MAX_BOXES, MAX_DEPTH, CertStatus
 from .mnk import ORIENTATION_CONVENTION, MnkParams, is_torus
 from .periodicity import rational_fit
 
@@ -96,12 +95,12 @@ def _config_value(sub, what, action, value):
     return parsed if count else parsed[0]
 
 
-def _fill_from_file(ns, sub, what, path, actions):
+def _fill_from_file(ns, sub, what, path, actions, given):
     """Set the options in ``actions`` that the JSON object in ``path``
-    names, where they are still at their defaults.  A file that cannot be
-    read, invalid JSON, a top level that is not an object, a key that
-    names no option in ``actions`` and a bad value (even one a flag
-    overrides) are usage errors."""
+    names, except the dests in ``given``, and add them to ``given``.  A
+    file that cannot be read, invalid JSON, a top level that is not an
+    object, a key that names no option in ``actions`` and a bad value
+    (even one a flag overrides) are usage errors."""
     try:
         with open(path) as fh:
             data = json.load(fh)
@@ -118,20 +117,39 @@ def _fill_from_file(ns, sub, what, path, actions):
             sub.error(f"{what}: {key!r} is not an option here "
                       f"(choose from {', '.join(sorted(actions))})")
         value = _config_value(sub, what, action, val)
-        if getattr(ns, action.dest) == action.default:
+        if action.dest not in given:
             setattr(ns, action.dest, value)
+            given.add(action.dest)
 
 
-def _apply_config(ns, sub):
-    """Fill the options of subcommand parser ``sub`` that were left at
-    their defaults from the --config JSON file, then the moduli still at
-    their defaults from the --params file (flags win over both)."""
+def _subcommands(parser) -> argparse._SubParsersAction:
+    return next(a for a in parser._actions
+                if isinstance(a, argparse._SubParsersAction))
+
+
+def _given_in(argv, command) -> set:
+    """The dests that ``argv`` itself sets, whatever their values: argv
+    parsed again with every default of the subcommand suppressed."""
+    parser = build_parser()
+    for action in _subcommands(parser).choices[command]._actions:
+        action.default = argparse.SUPPRESS
+    return set(vars(parser.parse_args(argv)))
+
+
+def _apply_config(ns, sub, argv):
+    """Fill the options of subcommand parser ``sub`` that ``argv`` does
+    not give from the --config JSON file, then the moduli that neither
+    gives from the --params file: flags win over both, --config over
+    --params."""
+    if not (getattr(ns, "config", None) or getattr(ns, "params", None)):
+        return ns
     actions = {a.dest: a for a in sub._actions if a.dest not in ("help", "config")}
+    given = _given_in(argv, ns.command)
     if getattr(ns, "config", None):
-        _fill_from_file(ns, sub, "config", ns.config, actions)
+        _fill_from_file(ns, sub, "config", ns.config, actions, given)
     if getattr(ns, "params", None):
         moduli = {k: actions[k] for k in ("alpha", "a1", "a2", "branch")}
-        _fill_from_file(ns, sub, "params", ns.params, moduli)
+        _fill_from_file(ns, sub, "params", ns.params, moduli, given)
     return ns
 
 
@@ -165,12 +183,7 @@ def cmd_energy(ns) -> int:
 def cmd_scan(ns) -> int:
     alphas = [AlphaTriple(*[int(v) for v in trip]) for trip in ns.alpha]
     branches = [Branch.MINUS, Branch.PLUS] if ns.branch == "both" else [Branch(ns.branch)]
-    tasks = _scan_tasks(alphas, ns.grid, branches, ns.periods, ns.margin)
-    if ns.jobs > 1:
-        with ProcessPoolExecutor(max_workers=ns.jobs) as pool:
-            rows = [r for r in pool.map(_scan_row, tasks, chunksize=16) if r]
-    else:
-        rows = [r for r in map(_scan_row, tasks) if r]
+    rows = energy_scan(alphas, ns.grid, branches, ns.periods, ns.margin)
     lines = [",".join(SCAN_COLUMNS)]
     for row in rows:
         lines.append(",".join(
@@ -355,7 +368,6 @@ def build_parser() -> _Parser:
     p.add_argument("--branch", choices=("minus", "plus", "both"), default="both")
     p.add_argument("--margin", type=float, default=0.02)
     p.add_argument("--periods", type=int, default=1)
-    p.add_argument("--jobs", type=_positive(int), default=1)
     p.add_argument("--out", help="CSV path (stdout when omitted)")
     p.set_defaults(func=cmd_scan)
 
@@ -368,8 +380,8 @@ def build_parser() -> _Parser:
     p.add_argument("--eps", type=_positive(float), default=DEFAULT_EPS,
                    help="width of the diagonal band x - y <= eps that B2 "
                         "certifies in its own charts")
-    p.add_argument("--max-depth", type=_positive(int), default=40)
-    p.add_argument("--max-boxes", type=_positive(int), default=10_000_000)
+    p.add_argument("--max-depth", type=_positive(int), default=MAX_DEPTH)
+    p.add_argument("--max-boxes", type=_positive(int), default=MAX_BOXES)
     p.add_argument("--samples", type=_positive(int), default=200,
                    help="random feasible points for the energy spot checks")
     p.add_argument("--seed", type=int, default=20240801)
@@ -412,9 +424,7 @@ def build_parser() -> _Parser:
 def main(argv: Optional[List[str]] = None) -> int:
     parser = build_parser()
     ns = parser.parse_args(argv)
-    commands = next(a for a in parser._actions
-                    if isinstance(a, argparse._SubParsersAction))
-    ns = _apply_config(ns, commands.choices[ns.command])
+    ns = _apply_config(ns, _subcommands(parser).choices[ns.command], argv)
     needs_moduli = ns.command in ("periodicity", "export") or (
         ns.command == "energy" and ns.family == "mironov")
     if needs_moduli and (getattr(ns, "alpha", None) is None

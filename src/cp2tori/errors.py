@@ -34,7 +34,3 @@ class SingularIntegrand(Cp2ToriError):
 class IntervalDomainError(Cp2ToriError):
     """An interval operation was asked to leave its domain (sqrt of a
     negative interval, ...)."""
-
-
-class IntervalDivisionError(IntervalDomainError):
-    """Division by an interval containing zero."""

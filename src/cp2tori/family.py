@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Optional, Tuple
+from typing import Iterable, Tuple
 
 import numpy as np
 
@@ -32,8 +32,8 @@ class AlphaTriple:
     b = -(alpha1+alpha2+alpha3) is also the y-slope of the Lagrangian
     angle; c1 = -alpha1*alpha2*alpha3 enters the phase integrands.
     The permissive constructor accepts any integers so that feasibility
-    can be *evaluated* anywhere; :meth:`normalized` is the strict entry
-    point used by the CLI.
+    can be *evaluated* anywhere; :meth:`normalized` reduces a triple to
+    the strict normal form, for callers that want one.
     """
 
     alpha1: int
@@ -375,10 +375,9 @@ def g_phases(x, d: DerivedConstants) -> np.ndarray:
     return -0.5 * d.slope_x * x + coeff * (2.0 * q * pi_complete + pi_r)
 
 
-def lift(x: float, y: float, d: DerivedConstants,
-         g_values: Optional[np.ndarray] = None) -> np.ndarray:
+def lift(x: float, y: float, d: DerivedConstants) -> np.ndarray:
     """Unit horizontal lift psi(x, y) in C^3."""
     F = f_coefficients(x, d)
-    G = g_phases(x, d) if g_values is None else np.asarray(g_values, dtype=float)
+    G = g_phases(x, d)
     alphas = np.array(d.alpha.weights, dtype=float)
     return F * np.exp(1j * (G + alphas * y))

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, List, Optional, Sequence
+from typing import Iterable, List, Sequence
 
 import numpy as np
 
@@ -94,17 +94,6 @@ def energy_mironov(d: DerivedConstants, n_periods: int = 1) -> FunctionalValues:
     return FunctionalValues(area=A, willmore=W, energy=E, ratio=E / clifford_energy())
 
 
-def potential_energy_check(d: DerivedConstants, n_periods: int = 1) -> float:
-    """Energy recomputed as half the integral of the associated
-    Schroedinger potential 4 e^v + (a^2 + b^2)/4 over the lattice cell
-    (the Laplacian term drops out for a linear Lagrangian angle).
-    Agrees with area + willmore/8 analytically."""
-    h2 = d.slope_x ** 2 + d.slope_y ** 2
-    # 1/2 * 2pi * [ 2 * int cf dx + (h2/4) * N T ]
-    return (math.pi * 2.0 * n_periods * period_integral(d)
-            + math.pi * h2 * n_periods * d.period / 4.0)
-
-
 # ----------------------------------------------------------------------
 # Parameter sweeps
 # ----------------------------------------------------------------------
@@ -128,36 +117,23 @@ def feasible_grid(alpha: AlphaTriple, n: int, margin: float = 0.02) -> List[tupl
     return [(float(a1), float(a2)) for a1 in vals for a2 in vals if a2 < a1 - sep]
 
 
-def _scan_tasks(alphas: Iterable[AlphaTriple], n: int,
-                branches: Sequence[Branch], n_periods: int,
-                margin: float) -> List[tuple]:
-    """(weights, a1, a2, branch value, N) for every scan grid point."""
-    return [(alpha.weights, a1, a2, branch.value, n_periods)
-            for alpha in alphas for a1, a2 in feasible_grid(alpha, n, margin)
-            for branch in branches]
-
-
-def _scan_row(task: tuple) -> Optional[dict]:
-    """The CSV-ready row of one scan task, or None where the point gives
-    no torus (any Cp2ToriError).  Top level, so process pools can pickle
-    it."""
-    weights, a1, a2, branch_value, n_periods = task
-    alpha = AlphaTriple(*weights)
-    try:
-        d = derive_constants(alpha, ModuliPoint(a1, a2, Branch(branch_value)))
-    except Cp2ToriError:
-        return None
-    fv = energy_mironov(d, n_periods)
-    return {"alpha1": alpha.alpha1, "alpha2": alpha.alpha2,
-            "alpha3": alpha.alpha3, "a1": a1, "a2": a2,
-            "branch": branch_value, "c2": d.c2, "a3": d.a3,
-            "a": d.slope_x, "T": d.period, "A": fv.area, "W": fv.willmore,
-            "E": fv.energy, "ratio": fv.ratio}
-
-
 def energy_scan(alphas: Iterable[AlphaTriple], n: int = 20,
                 branches: Sequence[Branch] = (Branch.MINUS, Branch.PLUS),
                 n_periods: int = 1, margin: float = 0.02) -> List[dict]:
-    """One row per feasible grid point and branch, CSV-ready."""
-    tasks = _scan_tasks(alphas, n, branches, n_periods, margin)
-    return [row for row in map(_scan_row, tasks) if row]
+    """One CSV-ready row per feasible grid point and branch; a point that
+    gives no torus (any Cp2ToriError) is skipped."""
+    rows = []
+    for alpha in alphas:
+        for a1, a2 in feasible_grid(alpha, n, margin):
+            for branch in branches:
+                try:
+                    d = derive_constants(alpha, ModuliPoint(a1, a2, branch))
+                except Cp2ToriError:
+                    continue
+                fv = energy_mironov(d, n_periods)
+                rows.append({"alpha1": alpha.alpha1, "alpha2": alpha.alpha2,
+                             "alpha3": alpha.alpha3, "a1": a1, "a2": a2,
+                             "branch": branch.value, "c2": d.c2, "a3": d.a3,
+                             "a": d.slope_x, "T": d.period, "A": fv.area,
+                             "W": fv.willmore, "E": fv.energy, "ratio": fv.ratio})
+    return rows

@@ -14,9 +14,16 @@ Two arithmetic engines share one operator API:
 * :class:`Interval` -- scalar, used by public code and certificate replay;
 * :class:`IntervalArray` -- numpy-backed, used by the subdivision engine.
 
-A formula written against ``+ - * /`` and the module-level :func:`sqrt`
-therefore runs unchanged on either engine, which gives certificate replay
-an arithmetic path independent of the one that produced the proof.
+Both divide by one rule (IEEE Std 1788-2015): a divisor that touches zero
+at one end gives an enclosure of n/d over its nonzero part -- one-sided
+for a dividend of one sign, about 0 for a zero dividend, the whole line
+for a dividend of both signs -- and any other divisor containing zero
+gives the whole line.  Division never raises, so a formula written
+against ``+ - * /`` and the module-level :func:`sqrt` runs unchanged on
+either engine, which gives certificate replay an arithmetic path
+independent of the one that produced the proof.  The subdivision engine
+treats a non-finite lower bound as "undecided, split"; replay treats it
+as not proved.
 """
 
 from __future__ import annotations
@@ -24,6 +31,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import sys
 import time
 from dataclasses import dataclass, field
 from enum import Enum
@@ -31,9 +39,10 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .errors import IntervalDivisionError, IntervalDomainError
+from .errors import IntervalDomainError
 
 _INF = math.inf
+_MAX = sys.float_info.max
 
 # Dekker splitting fails near overflow; outside this band we just nudge.
 _SPLIT_SAFE = 1e150
@@ -68,14 +77,14 @@ def _two_prod_err(a: float, b: float, p: float) -> float:
 def _add_down(a, b):
     s = a + b
     if math.isinf(s):
-        return s if s < 0 else math.float_info.max
+        return s if s < 0 else _MAX
     return s if _two_sum_err(a, b, s) >= 0 else _down(s)
 
 
 def _add_up(a, b):
     s = a + b
     if math.isinf(s):
-        return s if s > 0 else -math.float_info.max
+        return s if s > 0 else -_MAX
     return s if _two_sum_err(a, b, s) <= 0 else _up(s)
 
 
@@ -91,7 +100,7 @@ def _prod_maybe_inexact(a, b, p):
 def _mul_down(a, b):
     p = a * b
     if math.isinf(p) or math.isnan(p):
-        return p if p <= 0 else math.float_info.max
+        return p if p <= 0 else _MAX
     if _prod_maybe_inexact(a, b, p):
         return _down(p)
     return p if _two_prod_err(a, b, p) >= 0 else _down(p)
@@ -100,7 +109,7 @@ def _mul_down(a, b):
 def _mul_up(a, b):
     p = a * b
     if math.isinf(p) or math.isnan(p):
-        return p if p >= 0 else -math.float_info.max
+        return p if p >= 0 else -_MAX
     if _prod_maybe_inexact(a, b, p):
         return _up(p)
     return p if _two_prod_err(a, b, p) <= 0 else _up(p)
@@ -123,7 +132,7 @@ def _div_down(a, b):
     if math.isnan(q):
         return -_INF
     if math.isinf(q):
-        return q if q < 0 else math.float_info.max
+        return q if q < 0 else _MAX
     return q if _div_exact(q, b, a) else _down(q)
 
 
@@ -135,7 +144,7 @@ def _div_up(a, b):
     if math.isnan(q):
         return _INF
     if math.isinf(q):
-        return q if q > 0 else -math.float_info.max
+        return q if q > 0 else -_MAX
     return q if _div_exact(q, b, a) else _up(q)
 
 
@@ -166,22 +175,8 @@ class Interval:
     def width(self) -> float:
         return self.hi - self.lo
 
-    @property
-    def mid(self) -> float:
-        return 0.5 * (self.lo + self.hi)
-
     def __contains__(self, v: float) -> bool:
         return self.lo <= v <= self.hi
-
-    def contains_interval(self, other: "Interval") -> bool:
-        return self.lo <= other.lo and other.hi <= self.hi
-
-    def hull(self, other: "Interval") -> "Interval":
-        return Interval(min(self.lo, other.lo), max(self.hi, other.hi))
-
-    def intersect(self, other: "Interval") -> Optional["Interval"]:
-        lo, hi = max(self.lo, other.lo), min(self.hi, other.hi)
-        return Interval(lo, hi) if lo <= hi else None
 
     def __repr__(self):
         return f"Interval({self.lo!r}, {self.hi!r})"
@@ -222,8 +217,14 @@ class Interval:
 
     def __truediv__(self, other):
         o = self._coerce(other)
+        if o.lo == 0.0 < o.hi:  # d in (0, o.hi]
+            return Interval(_div_down(self.lo, o.hi) if self.lo >= 0.0 else -_INF,
+                            _div_up(self.hi, o.hi) if self.hi <= 0.0 else _INF)
+        if o.lo < 0.0 == o.hi:  # d in [o.lo, 0)
+            return Interval(_div_down(self.hi, o.lo) if self.hi <= 0.0 else -_INF,
+                            _div_up(self.lo, o.lo) if self.lo >= 0.0 else _INF)
         if o.lo <= 0.0 <= o.hi:
-            raise IntervalDivisionError(f"division by {o!r} containing zero")
+            return Interval(-_INF, _INF)
         pairs = ((self.lo, o.lo), (self.lo, o.hi), (self.hi, o.lo), (self.hi, o.hi))
         return Interval(
             min(_div_down(a, b) for a, b in pairs),
@@ -255,27 +256,6 @@ class Interval:
         if self.hi < 0:
             raise IntervalDomainError(f"{self!r} entirely negative")
         return Interval(max(self.lo, 0.0), self.hi)
-
-
-def _ivl_div_extended(num: Interval, den: Interval) -> Interval:
-    """Division where ``den`` may touch zero at one endpoint.
-
-    Enclosure of {n/d : n in num, d in den, d != 0}; requires sign-definite
-    num when den touches zero.  Internal tool for boundary-strip evaluators.
-    """
-    if den.lo > 0.0 or den.hi < 0.0:
-        return num / den
-    if den.lo == 0.0 and den.hi > 0.0:
-        if num.lo >= 0.0:
-            return Interval(_div_down(num.lo, den.hi), _INF)
-        if num.hi <= 0.0:
-            return Interval(-_INF, _div_up(num.hi, den.hi))
-    if den.hi == 0.0 and den.lo < 0.0:
-        if num.lo >= 0.0:
-            return Interval(-_INF, _div_up(num.lo, den.lo))
-        if num.hi <= 0.0:
-            return Interval(_div_down(num.hi, den.lo), _INF)
-    raise IntervalDivisionError(f"extended division {num!r} / {den!r} undefined")
 
 
 PI = Interval(_down(math.pi), _up(math.pi))
@@ -310,12 +290,7 @@ def _nudge_up(a):
 
 
 class IntervalArray:
-    """Array of intervals (parallel lo/hi arrays), always outward-nudged.
-
-    Division by a zero-touching or zero-spanning denominator yields
-    infinite endpoints instead of raising; the subdivision engine treats
-    non-finite lower bounds as "undecided, split".
-    """
+    """Array of intervals (parallel lo/hi arrays), always outward-nudged."""
 
     __slots__ = ("lo", "hi")
 
@@ -360,35 +335,20 @@ class IntervalArray:
 
     def __truediv__(self, other):
         olo, ohi = self._coerce(other)
-        olo = np.broadcast_to(olo, self.lo.shape) if np.ndim(olo) == 0 else olo
-        ohi = np.broadcast_to(ohi, self.hi.shape) if np.ndim(ohi) == 0 else ohi
+        pos = (olo == 0.0) & (ohi > 0.0)  # d in (0, ohi]
+        neg = (olo < 0.0) & (ohi == 0.0)  # d in [olo, 0)
+        whole = (olo <= 0.0) & (ohi >= 0.0) & ~pos & ~neg
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             q1, q2 = self.lo / olo, self.lo / ohi
             q3, q4 = self.hi / olo, self.hi / ohi
             lo = _nudge_down(np.minimum(np.minimum(q1, q2), np.minimum(q3, q4)))
             hi = _nudge_up(np.maximum(np.maximum(q1, q2), np.maximum(q3, q4)))
-        spans = (olo < 0.0) & (ohi > 0.0)
-        touches_pos = (olo == 0.0) & (ohi > 0.0)
-        touches_neg = (ohi == 0.0) & (olo < 0.0)
-        zero_den = (olo == 0.0) & (ohi == 0.0)
-        num_pos = self.lo >= 0.0
-        num_neg = self.hi <= 0.0
-        # den touching 0 with sign-definite numerator: one-sided enclosure
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            lo = np.where(touches_pos & num_pos, _nudge_down(self.lo / ohi), lo)
-            hi = np.where(touches_pos & num_pos, _INF, hi)
-            hi = np.where(touches_pos & num_neg, _nudge_up(self.hi / ohi), hi)
-            lo = np.where(touches_pos & num_neg, -_INF, lo)
-            hi = np.where(touches_neg & num_pos, _nudge_up(self.lo / olo), hi)
-            lo = np.where(touches_neg & num_pos, -_INF, lo)
-            lo = np.where(touches_neg & num_neg, _nudge_down(self.hi / olo), lo)
-            hi = np.where(touches_neg & num_neg, _INF, hi)
-        bad = spans | zero_den | (touches_pos & ~(num_pos | num_neg)) | (
-            touches_neg & ~(num_pos | num_neg))
-        lo = np.where(bad, -_INF, lo)
-        hi = np.where(bad, _INF, hi)
-        lo = np.where(np.isnan(lo), -_INF, lo)
-        hi = np.where(np.isnan(hi), _INF, hi)
+            lo = np.where(pos, np.where(self.lo >= 0.0, _nudge_down(self.lo / ohi), -_INF), lo)
+            hi = np.where(pos, np.where(self.hi <= 0.0, _nudge_up(self.hi / ohi), _INF), hi)
+            lo = np.where(neg, np.where(self.hi <= 0.0, _nudge_down(self.hi / olo), -_INF), lo)
+            hi = np.where(neg, np.where(self.lo >= 0.0, _nudge_up(self.lo / olo), _INF), hi)
+        lo = np.where(whole | np.isnan(lo), -_INF, lo)
+        hi = np.where(whole | np.isnan(hi), _INF, hi)
         return IntervalArray(lo, hi)
 
     def __rtruediv__(self, other):
@@ -430,16 +390,6 @@ class Box2:
     @classmethod
     def make(cls, xlo, xhi, ylo, yhi) -> "Box2":
         return cls(Interval(xlo, xhi), Interval(ylo, yhi))
-
-    def split(self):
-        """Bisect along the wider dimension."""
-        if self.x.width >= self.y.width:
-            m = self.x.mid
-            return (Box2(Interval(self.x.lo, m), self.y),
-                    Box2(Interval(m, self.x.hi), self.y))
-        m = self.y.mid
-        return (Box2(self.x, Interval(self.y.lo, m)),
-                Box2(self.x, Interval(m, self.y.hi)))
 
 
 class CertStatus(Enum):
@@ -501,6 +451,11 @@ class Certificate:
             fh.write("\n")
 
 
+# the branch-and-bound budget: bisection depth and boxes examined
+MAX_DEPTH = 40
+MAX_BOXES = 10_000_000
+
+
 def _clip_arrays_noop(xlo, xhi, ylo, yhi):
     return xlo, xhi, ylo, yhi, np.ones_like(xlo, dtype=bool)
 
@@ -513,8 +468,8 @@ def certify_lower_bound(
     *,
     clip: Optional[Callable] = None,
     epsilon: float = 0.0,
-    max_depth: int = 40,
-    max_boxes: int = 10_000_000,
+    max_depth: int = MAX_DEPTH,
+    max_boxes: int = MAX_BOXES,
     notes: Sequence[str] = (),
 ) -> Certificate:
     """Prove ``f > threshold`` on ``root`` (clipped to the domain) by
@@ -608,22 +563,16 @@ def certify_lower_bound(
 def replay_certificate(
     cert: Certificate,
     evaluator_scalar: Callable[[Interval, Interval], Interval],
-    *,
-    sample: Optional[int] = None,
-    rng: Optional[np.random.Generator] = None,
 ) -> bool:
     """Re-verify a PROVED certificate box-by-box with the scalar engine.
 
     The scalar path (exactness-aware rounding) is independent of and never
-    wider than the array path, so every retained box must re-verify.
+    wider than the array path, so every retained box must re-verify; a
+    box whose enclosure is unbounded below does not.
     """
     if cert.status is not CertStatus.PROVED:
         return False
-    boxes = cert.retained_boxes
-    if sample is not None and sample < boxes.shape[0]:
-        rng = rng or np.random.default_rng(0)
-        boxes = boxes[rng.choice(boxes.shape[0], size=sample, replace=False)]
-    for xlo, xhi, ylo, yhi in boxes:
+    for xlo, xhi, ylo, yhi in cert.retained_boxes:
         enc = evaluator_scalar(Interval(xlo, xhi), Interval(ylo, yhi))
         if not enc.lo > cert.threshold:
             return False

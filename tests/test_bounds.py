@@ -13,7 +13,8 @@ from cp2tori.bounds import (b1_expr, b2_expr, b2_strip_corner_expr,
                             scalar_bound_2, scalar_bound_checks)
 from cp2tori.family import AlphaTriple, Branch, ModuliPoint, derive_constants
 from cp2tori.functionals import feasible_grid
-from cp2tori.interval import CertStatus, Interval, replay_certificate
+from cp2tori.interval import (Box2, CertStatus, Interval, IntervalArray,
+                              certify_lower_bound, replay_certificate, sqrt)
 from conftest import SIGN_SLIP_STEPS
 
 
@@ -178,11 +179,62 @@ def test_lemma4_fails_at_higher_threshold():
 def test_lemma5_certificate_small_eps():
     cert = certify_lemma5(eps=1e-3)
     assert cert.status is CertStatus.PROVED
-    assert replay_certificate(cert, b2_expr, sample=500)
+    assert cert.retained_count == 3005
+    assert replay_certificate(cert, b2_expr)
     strips = lemma5_strip_certificates(eps=1e-3)
     assert all(c.status is CertStatus.PROVED for c in strips)
     # band certificates passed in are cited exactly as computed ones
     assert certify_lemma5(eps=1e-3, strips=strips).notes == cert.notes
+
+
+def _b1_plain(x, y):
+    # b1 as the paper displays it, with plain / and sqrt and no clamp
+    u = x + y
+    return (16.0 + 8.0 * u - 7.0 * u * u) / (16.0 * sqrt((2.0 - x) * (2.0 - u) * x))
+
+
+def test_b1_with_plain_division_proves_and_replays():
+    # its denominator vanishes on x = 0 and at (1, 1): the scalar replay
+    # divides there by the same rule as the proof, so it neither raises
+    # nor fails
+    cert = certify_lower_bound("B1", _b1_plain, Box2.make(0.0, 1.0, 0.0, 1.0),
+                               1.0, clip=clip_triangle(0.0))
+    assert cert.status is CertStatus.PROVED
+    assert replay_certificate(cert, _b1_plain)
+
+
+def _edge_boxes(rng, n, fixed):
+    """n boxes in [0, 1]^2 with widths up to 0.05; ``fixed`` pins
+    endpoints, e.g. {0: 0.0} for boxes on the edge x = 0."""
+    xlo, ylo = rng.uniform(0, 0.95, (2, n))
+    wx, wy = rng.uniform(1e-9, 0.05, (2, n))
+    boxes = np.array([xlo, xlo + wx, ylo, ylo + wy])
+    for col, val in fixed.items():
+        boxes[col] = val
+    return boxes
+
+
+# each bound on boxes touching where its denominator vanishes: x = 0 and
+# the corner (1, 1) for b1, y = 0 for b2, rho = 0 for the band charts
+ZERO_LOCUS_BOXES = [
+    (b1_expr, clip_triangle(0.0), {0: 0.0, 2: 0.0}),
+    (b1_expr, clip_triangle(0.0), {1: 1.0, 3: 1.0}),
+    (b2_expr, clip_triangle(1e-4), {2: 0.0}),
+    (b2_strip_lower_expr, clip_band(1e-4, 0.875), {2: 0.0}),
+    (b2_strip_corner_expr, clip_band(1e-4, 0.5), {2: 0.0}),
+]
+
+
+@pytest.mark.parametrize("expr, clip, fixed", ZERO_LOCUS_BOXES)
+def test_bounds_on_both_engines_at_their_zero_loci(expr, clip, fixed):
+    rng = np.random.default_rng(11)
+    xlo, xhi, ylo, yhi, keep = clip(*_edge_boxes(rng, 400, fixed))
+    xlo, xhi, ylo, yhi = xlo[keep], xhi[keep], ylo[keep], yhi[keep]
+    assert xlo.size >= 50
+    arr = expr(IntervalArray(xlo, xhi), IntervalArray(ylo, yhi))
+    for i in range(xlo.size):
+        enc = expr(Interval(xlo[i], xhi[i]), Interval(ylo[i], yhi[i]))
+        assert arr.lo[i] <= enc.lo and enc.hi <= arr.hi[i]
 
 
 def _random_boxes(rng, n):

@@ -76,11 +76,17 @@ def test_verify_rejects_nonpositive_eps(tmp_path, capsys):
     assert "--eps" in capsys.readouterr().err
 
 
-def test_scan_rejects_nonpositive_jobs(tmp_path, capsys):
-    for jobs in ("0", "-2"):
-        assert _exit_code("scan", "--alpha", "2", "1", "-1", "--grid", "3",
-                          "--jobs", jobs, "--out", str(tmp_path / "s.csv")) == EXIT_USAGE
+def test_scan_has_no_jobs_option(tmp_path, capsys):
+    # a scan runs in one process: --jobs is unknown on the command line
+    # and in a config file
+    scan = ("scan", "--alpha", "2", "1", "-1", "--grid", "3",
+            "--out", str(tmp_path / "s.csv"))
+    assert _exit_code(*scan, "--jobs", "2") == EXIT_USAGE
     assert "--jobs" in capsys.readouterr().err
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"jobs": 2}))
+    assert _exit_code(*scan, "--config", str(cfg)) == EXIT_USAGE
+    assert "'jobs' is not an option" in capsys.readouterr().err
     assert not (tmp_path / "s.csv").exists()
 
 
@@ -140,16 +146,6 @@ def test_scan_csv_and_determinism(tmp_path, capsys):
     assert rows
     ratio_col = header.split(",").index("ratio")
     assert all(float(r.split(",")[ratio_col]) > 1.0 for r in rows)
-
-
-def test_scan_parallel_matches_serial(tmp_path, capsys):
-    serial = tmp_path / "serial.csv"
-    parallel = tmp_path / "parallel.csv"
-    args = ["scan", "--alpha", "3", "1", "-1", "--grid", "4"]
-    assert main(args + ["--out", str(serial)]) == EXIT_OK
-    assert main(args + ["--jobs", "2", "--out", str(parallel)]) == EXIT_OK
-    capsys.readouterr()
-    assert serial.read_text() == parallel.read_text()
 
 
 def test_scan_empty_feasible_set_warns(tmp_path, capsys):
@@ -351,13 +347,47 @@ def test_config_values_are_parsed_like_flags(tmp_path, capsys):
     assert "threshold=1.2 " in out and "witness" in out
 
 
+def test_flag_at_its_default_value_beats_the_config(tmp_path, capsys):
+    # a flag given on the command line wins even where its value equals
+    # the option's default
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"eps": 0.001}))
+    code, out, _ = run(capsys, "verify", "--target", "B2", "--eps", "1e-4",
+                       "--config", str(cfg), "--out-dir", str(tmp_path))
+    assert code == EXIT_OK
+    assert json.loads((tmp_path / "B2.json").read_text())["epsilon"] == 1e-4
+    assert "eps=0.0001 " in out and "eps=0.001 " not in out
+
+
+def test_branch_flag_at_its_default_beats_the_params_file(tmp_path, capsys):
+    params = tmp_path / "p.json"
+    params.write_text(json.dumps({"branch": "plus"}))
+    moduli = ("energy", "--alpha", "2", "1", "-1", "--a1", "1.8", "--a2", "1.2",
+              "--params", str(params))
+    code, out, _ = run(capsys, *moduli, "--branch", "minus")
+    assert code == EXIT_OK and "branch = minus" in out
+    code, out, _ = run(capsys, *moduli)
+    assert code == EXIT_OK and "branch = plus" in out
+
+
+def test_grid_flag_equal_to_its_default_beats_the_config(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"grid": [4, 4]}))
+    export = ("export", "--alpha", "2", "1", "-1", "--a1", "1.8", "--a2", "1.2",
+              "--config", str(cfg), "--out", str(tmp_path / "e.csv"))
+    code, out, _ = run(capsys, *export, "--grid", "64", "64")
+    assert code == EXIT_OK and "wrote 4096 rows" in out
+    code, out, _ = run(capsys, *export)
+    assert code == EXIT_OK and "wrote 16 rows" in out
+
+
 def test_config_values_meet_the_flag_checks(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     verify = ("verify", "--out-dir", str(tmp_path))
     scan = ("scan", "--alpha", "2", "1", "-1", "--out", str(tmp_path / "s.csv"))
     export = ("export", "--alpha", "2", "1", "-1", "--a1", "1.8", "--a2", "1.2",
               "--out", str(tmp_path / "e.csv"))
-    for bad, argv in [({"eps": 0, "target": "B1"}, verify), ({"jobs": 0}, scan),
+    for bad, argv in [({"eps": 0, "target": "B1"}, verify), ({"samples": 0}, verify),
                       ({"target": "B3"}, verify), ({"grid": "x"}, scan),
                       ({"grid": 4}, export)]:
         cfg.write_text(json.dumps(bad))

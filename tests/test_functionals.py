@@ -9,8 +9,7 @@ from cp2tori.family import (AlphaTriple, Branch, ModuliPoint, derive_constants,
 from cp2tori.functionals import (HomogeneousParams, area_mironov,
                                  clifford_energy, energy_mironov, energy_scan,
                                  feasible_grid, homogeneous_energy,
-                                 period_integral, potential_energy_check,
-                                 willmore_mironov)
+                                 period_integral, willmore_mironov)
 from conftest import CANONICAL_TRIPLES, angle_willmore, quad_period_integral
 
 SQ3 = 1.0 / math.sqrt(3.0)
@@ -147,7 +146,11 @@ def test_energy_decomposition_and_potential(sample_derived):
     d = sample_derived
     fv = energy_mironov(d)
     assert fv.energy == fv.area + fv.willmore / 8.0  # exact by construction
-    assert potential_energy_check(d) == pytest.approx(fv.energy, abs=1e-9)
+    # half the integral of the potential 4 e^v + (a^2 + b^2)/4 over the
+    # cell, by quadrature
+    h2 = d.slope_x ** 2 + d.slope_y ** 2
+    potential = math.pi * (2.0 * quad_period_integral(d) + h2 * d.period / 4.0)
+    assert potential == pytest.approx(fv.energy, abs=1e-9)
     assert fv.ratio == fv.energy / clifford_energy()
 
 

@@ -1,4 +1,5 @@
 import math
+import sys
 from fractions import Fraction
 
 import mpmath
@@ -7,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from cp2tori.errors import IntervalDivisionError, IntervalDomainError
+from cp2tori.errors import IntervalDomainError
 from cp2tori.interval import (PI, Box2, CertStatus, Interval, IntervalArray,
                               certify_lower_bound, replay_certificate)
 
@@ -31,11 +32,53 @@ def test_sqrt_two_enclosure_vs_high_precision():
     assert enc.width <= 2 * math.ulp(enc.lo)
 
 
-def test_division_by_zero_interval_raises():
-    with pytest.raises(IntervalDivisionError):
-        Interval(1, 2) / Interval(-1, 1)
-    with pytest.raises(IntervalDivisionError):
-        Interval(1, 2) / Interval(0, 1)
+INF = math.inf
+
+# dividend, divisor containing zero, the exact hull of n/d over d != 0
+# (IEEE Std 1788-2015)
+ZERO_DIVISOR_CASES = [
+    ((1, 2), (0, 4), (0.25, INF)),        # touching at the lower end
+    ((-2, -1), (0, 4), (-INF, -0.25)),
+    ((1, 2), (-4, 0), (-INF, -0.25)),     # touching at the upper end
+    ((-2, -1), (-4, 0), (0.25, INF)),
+    ((0, 2), (0, 4), (0.0, INF)),
+    ((-2, 0), (-4, 0), (0.0, INF)),
+    ((0, 0), (0, 4), (0.0, 0.0)),         # a zero dividend
+    ((0, 0), (-4, 0), (0.0, 0.0)),
+    ((-1, 2), (0, 4), (-INF, INF)),       # a dividend of both signs
+    ((-1, 2), (-4, 0), (-INF, INF)),
+    ((1, 2), (-1, 1), (-INF, INF)),       # a spanning divisor
+    ((0, 0), (-1, 1), (-INF, INF)),
+    ((1, 2), (0, 0), (-INF, INF)),        # [0, 0]
+    ((-2, 2), (0, 0), (-INF, INF)),
+]
+
+
+@pytest.mark.parametrize("num, den, hull", ZERO_DIVISOR_CASES)
+def test_both_engines_divide_by_zero_alike(num, den, hull):
+    # one rule on both engines, and no exception: the scalar result lies
+    # inside the array result, and both enclose the hull with its
+    # infinite ends
+    s = Interval(*num) / Interval(*den)
+    a = (IntervalArray(np.array([num[0]], float), np.array([num[1]], float))
+         / IntervalArray(np.array([den[0]], float), np.array([den[1]], float)))
+    alo, ahi = float(a.lo[0]), float(a.hi[0])
+    assert alo <= s.lo and s.hi <= ahi
+    for lo, hi in ((s.lo, s.hi), (alo, ahi)):
+        assert lo <= hull[0] and hull[1] <= hi
+        assert (math.isinf(lo), math.isinf(hi)) == tuple(map(math.isinf, hull))
+    # the scalar path's exact-aware rounding gives the hull itself here
+    assert (s.lo, s.hi) == hull
+
+
+def test_overflow_rounds_to_the_largest_float():
+    # a result beyond the largest float: the outer end is infinite and the
+    # inner one the largest float
+    big = Interval(1e308)
+    for enc in (big + big, big * 10.0, big / 1e-10):
+        assert (enc.lo, enc.hi) == (sys.float_info.max, INF)
+    for enc in (-big - big, -big * 10.0, -big / 1e-10):
+        assert (enc.lo, enc.hi) == (-INF, -sys.float_info.max)
 
 
 def test_sqrt_negative_raises():
@@ -114,9 +157,8 @@ def test_monotone_refinement():
     # splitting never widens the union enclosure (inclusion isotonicity)
     box = Box2.make(0.0, 1.0, 0.0, 1.0)
     parent = _poly_expr(box.x, box.y)
-    c1, c2 = box.split()
-    e1 = _poly_expr(c1.x, c1.y)
-    e2 = _poly_expr(c2.x, c2.y)
+    e1 = _poly_expr(Interval(0.0, 0.5), box.y)
+    e2 = _poly_expr(Interval(0.5, 1.0), box.y)
     assert parent.lo <= min(e1.lo, e2.lo)
     assert parent.hi >= max(e1.hi, e2.hi)
 
