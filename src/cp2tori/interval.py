@@ -9,6 +9,16 @@ results (TwoSum / Dekker product) and skips the nudge, so integer-valued
 computations stay tight; the vectorized path always nudges (slightly wider,
 never unsound).
 
+The scalar path rounds each endpoint product or quotient once to both
+sides (:func:`_mul_out`, :func:`_div_out`): a product moves one ulp out
+only on the side where Dekker's error term puts the exact value, a
+quotient on both sides unless it is exact.  Operands of one sign need two
+endpoint pairs, not four (Moore, Kearfott & Cloud, *Introduction to
+Interval Analysis*, SIAM 2009, §2.3): both factors >= 0 give
+[a*c, b*d] and a dividend >= 0 over a divisor > 0 gives [a/d, b/c]; any
+other case rounds its four pairs once each.  On both engines an endpoint
+product of 0 and +-inf is 0 (IEEE Std 1788-2015).
+
 Two arithmetic engines share one operator API:
 
 * :class:`Interval` -- scalar, used by public code and certificate replay;
@@ -97,22 +107,23 @@ def _prod_maybe_inexact(a, b, p):
     return abs(p) < 1e-290
 
 
-def _mul_down(a, b):
+def _mul_out(a, b):
+    """(down, up) enclosure of a * b from one rounded product: only the
+    side on which Dekker's error term puts the exact product moves one
+    ulp out."""
     p = a * b
-    if math.isinf(p) or math.isnan(p):
-        return p if p <= 0 else _MAX
+    if p != p:  # 0 * inf is 0 (IEEE Std 1788-2015)
+        return 0.0, 0.0
+    if math.isinf(p):
+        return (p, -_MAX) if p < 0 else (_MAX, p)
     if _prod_maybe_inexact(a, b, p):
-        return _down(p)
-    return p if _two_prod_err(a, b, p) >= 0 else _down(p)
-
-
-def _mul_up(a, b):
-    p = a * b
-    if math.isinf(p) or math.isnan(p):
-        return p if p >= 0 else -_MAX
-    if _prod_maybe_inexact(a, b, p):
-        return _up(p)
-    return p if _two_prod_err(a, b, p) <= 0 else _up(p)
+        return _down(p), _up(p)
+    e = _two_prod_err(a, b, p)
+    if e > 0:
+        return p, _up(p)
+    if e < 0:
+        return _down(p), p
+    return p, p
 
 
 def _div_exact(q, b, a):
@@ -124,28 +135,17 @@ def _div_exact(q, b, a):
             and _two_prod_err(q, b, p) == 0.0)
 
 
-def _div_down(a, b):
-    try:
-        q = a / b
-    except ZeroDivisionError:
-        return -_INF
-    if math.isnan(q):
-        return -_INF
+def _div_out(a, b):
+    """(down, up) enclosure of a / b for b != 0 from one rounded quotient:
+    kept where it is exact, else one ulp out on both sides."""
+    q = a / b
+    if q != q:  # inf / inf
+        return -_INF, _INF
     if math.isinf(q):
-        return q if q < 0 else _MAX
-    return q if _div_exact(q, b, a) else _down(q)
-
-
-def _div_up(a, b):
-    try:
-        q = a / b
-    except ZeroDivisionError:
-        return _INF
-    if math.isnan(q):
-        return _INF
-    if math.isinf(q):
-        return q if q > 0 else -_MAX
-    return q if _div_exact(q, b, a) else _up(q)
+        return (q, -_MAX) if q < 0 else (_MAX, q)
+    if _div_exact(q, b, a):
+        return q, q
+    return _down(q), _up(q)
 
 
 class Interval:
@@ -158,7 +158,7 @@ class Interval:
             hi = lo
         lo = float(lo)
         hi = float(hi)
-        if math.isnan(lo) or math.isnan(hi) or lo > hi:
+        if not lo <= hi:  # also rejects NaN
             raise IntervalDomainError(f"invalid interval bounds [{lo}, {hi}]")
         self.lo = lo
         self.hi = hi
@@ -207,29 +207,29 @@ class Interval:
 
     def __mul__(self, other):
         o = self._coerce(other)
-        pairs = ((self.lo, o.lo), (self.lo, o.hi), (self.hi, o.lo), (self.hi, o.hi))
-        return Interval(
-            min(_mul_down(a, b) for a, b in pairs),
-            max(_mul_up(a, b) for a, b in pairs),
-        )
+        a, b, c, d = self.lo, self.hi, o.lo, o.hi
+        if a >= 0.0 and c >= 0.0:  # the pairs (a, c) and (b, d) bound it
+            return Interval(_mul_out(a, c)[0], _mul_out(b, d)[1])
+        ends = (_mul_out(a, c), _mul_out(a, d), _mul_out(b, c), _mul_out(b, d))
+        return Interval(min(e[0] for e in ends), max(e[1] for e in ends))
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
         o = self._coerce(other)
-        if o.lo == 0.0 < o.hi:  # d in (0, o.hi]
-            return Interval(_div_down(self.lo, o.hi) if self.lo >= 0.0 else -_INF,
-                            _div_up(self.hi, o.hi) if self.hi <= 0.0 else _INF)
-        if o.lo < 0.0 == o.hi:  # d in [o.lo, 0)
-            return Interval(_div_down(self.hi, o.lo) if self.hi <= 0.0 else -_INF,
-                            _div_up(self.lo, o.lo) if self.lo >= 0.0 else _INF)
-        if o.lo <= 0.0 <= o.hi:
+        a, b, c, d = self.lo, self.hi, o.lo, o.hi
+        if c > 0.0 and a >= 0.0:  # the pairs (a, d) and (b, c) bound it
+            return Interval(_div_out(a, d)[0], _div_out(b, c)[1])
+        if c == 0.0 < d:  # divisor in (0, d]
+            return Interval(_div_out(a, d)[0] if a >= 0.0 else -_INF,
+                            _div_out(b, d)[1] if b <= 0.0 else _INF)
+        if c < 0.0 == d:  # divisor in [c, 0)
+            return Interval(_div_out(b, c)[0] if b <= 0.0 else -_INF,
+                            _div_out(a, c)[1] if a >= 0.0 else _INF)
+        if c <= 0.0 <= d:
             return Interval(-_INF, _INF)
-        pairs = ((self.lo, o.lo), (self.lo, o.hi), (self.hi, o.lo), (self.hi, o.hi))
-        return Interval(
-            min(_div_down(a, b) for a, b in pairs),
-            max(_div_up(a, b) for a, b in pairs),
-        )
+        ends = (_div_out(a, c), _div_out(a, d), _div_out(b, c), _div_out(b, d))
+        return Interval(min(e[0] for e in ends), max(e[1] for e in ends))
 
     def __rtruediv__(self, other):
         return self._coerce(other) / self
@@ -238,9 +238,8 @@ class Interval:
         """Tight square: never dips below zero for sign-changing intervals."""
         a, b = abs(self.lo), abs(self.hi)
         lo_m, hi_m = (a, b) if a <= b else (b, a)
-        if self.lo <= 0.0 <= self.hi:
-            return Interval(0.0, _mul_up(hi_m, hi_m))
-        return Interval(_mul_down(lo_m, lo_m), _mul_up(hi_m, hi_m))
+        lo = 0.0 if self.lo <= 0.0 <= self.hi else _mul_out(lo_m, lo_m)[0]
+        return Interval(lo, _mul_out(hi_m, hi_m)[1])
 
     def sqrt(self) -> "Interval":
         if self.lo < 0:
@@ -329,6 +328,10 @@ class IntervalArray:
             p3, p4 = self.hi * olo, self.hi * ohi
         lo = np.minimum(np.minimum(p1, p2), np.minimum(p3, p4))
         hi = np.maximum(np.maximum(p1, p2), np.maximum(p3, p4))
+        nan = np.isnan(lo)
+        if nan.any():  # 0 * inf: that endpoint product is 0 (IEEE Std 1788-2015)
+            lo = np.where(nan, np.fmin(np.fmin(np.fmin(p1, p2), np.fmin(p3, p4)), 0.0), lo)
+            hi = np.where(nan, np.fmax(np.fmax(np.fmax(p1, p2), np.fmax(p3, p4)), 0.0), hi)
         return IntervalArray(_nudge_down(lo), _nudge_up(hi))
 
     __rmul__ = __mul__

@@ -1,4 +1,6 @@
+import hashlib
 import math
+import struct
 from fractions import Fraction
 
 import numpy as np
@@ -185,6 +187,32 @@ def test_lemma5_certificate_small_eps():
     assert all(c.status is CertStatus.PROVED for c in strips)
     # band certificates passed in are cited exactly as computed ones
     assert certify_lemma5(eps=1e-3, strips=strips).notes == cert.notes
+
+
+# SHA-256 of the scalar enclosures (lo, hi as little-endian doubles) of up
+# to 300 seeded retained boxes per certificate, in the order listed below
+PINNED_REPLAY_DIGEST = "fd93fbda079869aa2e631cb383cb1a1d5e68dd063e3cb3474f8fbaf6a3f89249"
+
+
+def test_replay_enclosures_are_pinned():
+    # every certificate `verify` makes, replayed on a sample of its boxes:
+    # the scalar path gives these enclosures bit for bit, not only the
+    # same verdict
+    strips = lemma5_strip_certificates()
+    scalars = scalar_bound_checks().certificates
+    certs = [(certify_lemma4(), b1_expr), (certify_lemma5(), b2_expr),
+             (strips[0], b2_strip_lower_expr), (strips[1], b2_strip_corner_expr),
+             (scalars[0], lambda x, y: scalar_bound_1(x)),
+             (scalars[1], lambda x, y: scalar_bound_2(x))]
+    rng = np.random.default_rng(1788)
+    digest = hashlib.sha256()
+    for cert, expr in certs:
+        boxes = cert.retained_boxes
+        pick = np.sort(rng.choice(len(boxes), size=min(300, len(boxes)), replace=False))
+        for xlo, xhi, ylo, yhi in boxes[pick]:
+            enc = expr(Interval(xlo, xhi), Interval(ylo, yhi))
+            digest.update(struct.pack("<2d", enc.lo, enc.hi))
+    assert digest.hexdigest() == PINNED_REPLAY_DIGEST
 
 
 def _b1_plain(x, y):

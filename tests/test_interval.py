@@ -71,6 +71,27 @@ def test_both_engines_divide_by_zero_alike(num, den, hull):
     assert (s.lo, s.hi) == hull
 
 
+# an endpoint product of 0 and +-inf is 0 (IEEE Std 1788-2015); the
+# factors and the hull of their product
+ZERO_TIMES_INF_CASES = [
+    ((0, 0), (INF, INF), (0.0, 0.0)),
+    ((0, 1), (1, INF), (0.0, INF)),
+    ((-1, 0), (1, INF), (-INF, 0.0)),
+    ((0, 1), (-INF, INF), (-INF, INF)),
+]
+
+
+@pytest.mark.parametrize("x, y, hull", ZERO_TIMES_INF_CASES)
+def test_both_engines_multiply_zero_by_inf_alike(x, y, hull):
+    s = Interval(*x) * Interval(*y)
+    a = (IntervalArray(np.array([x[0]], float), np.array([x[1]], float))
+         * IntervalArray(np.array([y[0]], float), np.array([y[1]], float)))
+    alo, ahi = float(a.lo[0]), float(a.hi[0])
+    assert (s.lo, s.hi) == hull
+    assert alo <= s.lo and s.hi <= ahi
+    assert (math.isinf(alo), math.isinf(ahi)) == tuple(map(math.isinf, hull))
+
+
 def test_overflow_rounds_to_the_largest_float():
     # a result beyond the largest float: the outer end is infinite and the
     # inner one the largest float
@@ -126,6 +147,86 @@ def test_sub_encloses_exact(a, b):
     enc = Interval(a) - Interval(b)
     exact = Fraction(a) - Fraction(b)
     assert Fraction(enc.lo) <= exact <= Fraction(enc.hi)
+
+
+# Dekker's safe band: where every endpoint and every exact endpoint
+# product or quotient is 0 or lies in it, the scalar path is tight
+_BAND = (Fraction(1e-290), Fraction(1e150))
+magnitude = st.floats(min_value=0.0, max_value=1e200, exclude_min=True,
+                      allow_subnormal=False)
+
+
+@st.composite
+def signed_intervals(draw):
+    """An interval of each sign class: positive, negative, sign-changing,
+    and touching zero at either end."""
+    u, v = sorted((draw(magnitude), draw(magnitude)))
+    return draw(st.sampled_from([(u, v), (-v, -u), (-u, v), (0.0, v), (-v, 0.0)]))
+
+
+def _in_band(values):
+    # exact values may lie far beyond the float range: no float() here
+    return all(v == 0 or _BAND[0] <= abs(Fraction(v)) <= _BAND[1]
+               for v in values if v not in (-INF, INF))
+
+
+def _directed(v, toward):
+    # v correctly rounded toward -inf or +inf
+    if math.isinf(v):
+        return v
+    f = float(v)
+    beyond = Fraction(f) > v if toward < 0 else Fraction(f) < v
+    return math.nextafter(f, toward) if beyond else f
+
+
+def _outward(v, toward):
+    # v to nearest, moved one ulp toward -inf or +inf unless exact
+    if math.isinf(v):
+        return v
+    f = float(v)
+    return f if Fraction(f) == v else math.nextafter(f, toward)
+
+
+def _product_ends(x, y):
+    ps = [Fraction(a) * Fraction(b) for a in x for b in y]
+    return ps, ps
+
+
+def _quotient_ends(x, y):
+    """The exact endpoint quotients whose hull is x / y, with +-inf for an
+    unbounded end (IEEE Std 1788-2015), as (candidates for lo, for hi)."""
+    (a, b), (c, d) = x, y
+    if c > 0 or d < 0:
+        qs = [Fraction(n) / Fraction(m) for n in x for m in y]
+        return qs, qs
+    if c == 0 < d:
+        return ([Fraction(a) / Fraction(d) if a >= 0 else -INF],
+                [Fraction(b) / Fraction(d) if b <= 0 else INF])
+    if c < 0 == d:
+        return ([Fraction(b) / Fraction(c) if b <= 0 else -INF],
+                [Fraction(a) / Fraction(c) if a >= 0 else INF])
+    return [-INF], [INF]
+
+
+@pytest.mark.parametrize("op, ends, rounding", [
+    (lambda x, y: x * y, _product_ends, _directed),
+    (lambda x, y: x / y, _quotient_ends, _outward),
+], ids=["mul", "div"])
+@given(x=signed_intervals(), y=signed_intervals())
+@settings(max_examples=300)
+# an in-band dividend over an in-band divisor whose quotient overflows
+@example(x=(1e100, 1e100), y=(1e-250, 1e-250))
+def test_mul_div_tight_on_every_sign_class(op, ends, rounding, x, y):
+    # the result encloses the exact hull; in the band each end is the
+    # pairwise rounding of the endpoint products (directed, so RD(min)
+    # and RU(max)) or quotients (nearest, one ulp out unless exact), so
+    # choosing pairs by sign class never widens it
+    enc = op(Interval(*x), Interval(*y))
+    los, his = ends(x, y)
+    assert enc.lo <= min(los) and max(his) <= enc.hi
+    if _in_band([*x, *y, *los, *his]):
+        assert enc.lo == min(rounding(v, -INF) for v in los)
+        assert enc.hi == max(rounding(v, INF) for v in his)
 
 
 def test_point_ops_enclose_random(rng):
