@@ -11,9 +11,10 @@ enclosure by the same rule, so a proof and its scalar replay agree there.
 * ``b1_expr`` -- the degenerate-family minus-branch energy bound;
   certified > 1 on the whole closed triangle (:func:`certify_lemma4`).
 * ``b2_expr`` -- the plus-branch analogue built from the squeeze functions
-  ``f_aux <= g_aux``; certified > 0.9 off the diagonal band
-  0 < x - y <= eps (:func:`certify_lemma5`) and on the band through a
-  lower bound in two charts (:func:`lemma5_strip_certificates`).
+  ``f_aux <= g_aux``, written with d = x - y cleared so that a box
+  reaching the diagonal band keeps a finite lower bound; certified > 0.9
+  off the band 0 < x - y <= eps (:func:`certify_lemma5`) and on the band
+  through a lower bound in two charts (:func:`lemma5_strip_certificates`).
 
 Each domain is stated once, as an outward-rounded clip
 (:func:`clip_triangle`, :func:`clip_band`), which also decides whether a
@@ -92,23 +93,29 @@ def b2_expr(x, y):
         b2 = (x + y + ((x+y) f/(x y) - x y)^2 / (4 g)) / sqrt(x + g/(x y))
 
     with f = f_aux, g = g_aux, and evaluated after clearing the f/g
-    compositions:
+    compositions and multiplying numerator and denominator by d:
 
-        b2 = (u + 2 (u s^2 - d^2)^2 / (s d^2 (4 s^2 - d^2)))
-             / sqrt(x + x y (4 s^2 - d^2) / (2 s d^2)),
+        b2 = (u d + 2 (u s^2 - d^2)^2 / (s d (4 s^2 - d^2)))
+             / sqrt(x d^2 + x y (4 s^2 - d^2) / (2 s)),
 
     u = x+y, s = 2-u, d = x-y.  Defined on y = 0 as well (only d = 0 is
-    excluded); the single-fraction form avoids the catastrophic
-    cancellation of the composed one near y = 0.
+    excluded); the cleared form avoids the catastrophic cancellation of
+    the composed one near y = 0.  Dividing by d^2 twice, as the form
+    without the factor d does, gives a box reaching d = 0 an enclosure
+    whose lower end is about 0, and it is split until narrower than the
+    band x - y <= eps.  Here d divides once, under a positive numerator,
+    so such a box gets a one-sided enclosure with a finite lower end and
+    proves at a width far above eps.
     """
     u = x + y
     s = _nonneg(2.0 - u)
     d = _nonneg(x - y)
+    s2 = _sq(s)
     d2 = _sq(d)
-    four_s2_d2 = _nonneg(4.0 * _sq(s) - d2)
-    w = 2.0 * _sq(u * _sq(s) - d2) / (s * d2 * four_s2_d2)
-    den = sqrt(_nonneg(x + x * y * four_s2_d2 / (2.0 * s * d2)))
-    return (u + w) / den
+    four_s2_d2 = _nonneg(4.0 * s2 - d2)
+    w = 2.0 * _sq(u * s2 - d2) / (s * d * four_s2_d2)
+    den = sqrt(_nonneg(x * d2 + x * y * four_s2_d2 / (2.0 * s)))
+    return (u * d + w) / den
 
 
 def b2_strip_lower_expr(x, rho):
@@ -264,8 +271,10 @@ def certify_lemma5(eps: float = DEFAULT_EPS, threshold: float = B2_THRESHOLD,
     bound b1 exceeds 0.9 a fortiori wherever b1 > 1 is certified.
     """
     notes = [
-        f"domain: 0 <= y <= x - {eps:g}, x <= 1 (includes the y = 0 edge; "
-        "the expanded single-fraction form of b2 is regular there)",
+        f"domain: 0 <= y <= x - {eps:g}, x <= 1 (includes the y = 0 edge, "
+        "where the cleared form of b2 is regular; d = x - y sits in one "
+        "denominator under a positive numerator, so a box reaching the cut "
+        "x - y = eps has a finite lower bound)",
         "the certified target is the plus-branch bound function; the "
         "sometimes-reused label B1 for this claim is a misprint -- "
         "b1 > 0.9 already follows from the b1 > 1 certificate",

@@ -6,7 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from cp2tori.bounds import (b1_expr, b2_expr, b2_strip_corner_expr,
+from cp2tori.bounds import (DEFAULT_EPS, b1_expr, b2_expr, b2_strip_corner_expr,
                             b2_strip_lower_expr, case_chain_check,
                             certify_lemma4, certify_lemma5, classify_case,
                             clip_band, clip_triangle, comparison_threshold,
@@ -26,6 +26,17 @@ def b2_composed(x, y):
     f, g = f_aux(x, y), g_aux(x, y)
     num = x + y + 0.25 * ((x + y) * f / (x * y) - x * y) ** 2 / g
     return num / math.sqrt(x + g / (x * y))
+
+
+def b2_single_fraction(x, y):
+    """b2 with the f/g compositions cleared but d = x - y not: the oracle
+    for the d-cleared form ``b2_expr`` away from the diagonal."""
+    u = x + y
+    s, d = 2.0 - u, x - y
+    s2, d2 = s * s, d * d
+    four_s2_d2 = 4.0 * s2 - d2
+    w = 2.0 * (u * s2 - d2) ** 2 / (s * d2 * four_s2_d2)
+    return (u + w) / np.sqrt(x + x * y * four_s2_d2 / (2.0 * s * d2))
 
 
 def test_b1_frozen_value():
@@ -78,6 +89,30 @@ def test_b2_dual_formula_agreement(rng):
         x = rng.uniform(1e-2, 1.0)
         y = rng.uniform(x * 1e-3, x * 0.995)
         assert b2_composed(x, y) == pytest.approx(b2_expr(x, y), rel=1e-9)
+
+
+def test_b2_agrees_with_single_fraction_form():
+    rng = np.random.default_rng(2017)
+    x = rng.uniform(1e-6, 1.0, 100_000)
+    y = (x - 1e-6) * rng.uniform(0.0, 1.0, x.size)
+    assert (x - y).min() >= 1e-6
+    rel = np.abs(b2_expr(x, y) / b2_single_fraction(x, y) - 1.0)
+    assert rel.max() <= 2e-15
+
+
+def test_b2_box_reaching_the_band_proves_without_splitting():
+    # a box of x-width 2^-8 whose clipped corner reaches x - y = eps: d is
+    # [0, ...] there, and with d in one denominator under a positive
+    # numerator the enclosure keeps a finite lower end above 0.9
+    eps = 1e-4
+    box = [np.array([v]) for v in
+           (0.5, 0.5 + 2.0 ** -8, 0.5 - 2.0 ** -7, 0.5 + 2.0 ** -8 - eps)]
+    xlo, xhi, ylo, yhi, keep = clip_triangle(eps)(*box)
+    assert keep[0] and xlo[0] - yhi[0] < 0.0
+    arr = b2_expr(IntervalArray(xlo, xhi), IntervalArray(ylo, yhi))
+    enc = b2_expr(Interval(xlo[0], xhi[0]), Interval(ylo[0], yhi[0]))
+    assert enc.lo > 0.9 and arr.lo[0] > 0.9
+    assert arr.lo[0] <= enc.lo and enc.hi <= arr.hi[0]
 
 
 def test_b2_grid_above_threshold():
@@ -181,7 +216,7 @@ def test_lemma4_fails_at_higher_threshold():
 def test_lemma5_certificate_small_eps():
     cert = certify_lemma5(eps=1e-3)
     assert cert.status is CertStatus.PROVED
-    assert cert.retained_count == 3005
+    assert cert.retained_count == 866
     assert replay_certificate(cert, b2_expr)
     strips = lemma5_strip_certificates(eps=1e-3)
     assert all(c.status is CertStatus.PROVED for c in strips)
@@ -189,9 +224,37 @@ def test_lemma5_certificate_small_eps():
     assert certify_lemma5(eps=1e-3, strips=strips).notes == cert.notes
 
 
+def test_lemma5_certificate_at_the_defaults():
+    # the box count is pinned: boxes reaching the band prove unsplit
+    cert = certify_lemma5()
+    assert cert.status is CertStatus.PROVED
+    assert (cert.boxes_examined, cert.retained_count) == (1907, 954)
+    assert replay_certificate(cert, b2_expr)
+
+
+def test_lemma5_fails_at_higher_threshold():
+    cert = certify_lemma5(threshold=1.0)
+    assert cert.status is CertStatus.FAILED
+    assert cert.witness is not None
+    x, y, val = cert.witness
+    assert 0.0 <= y <= x - DEFAULT_EPS and x <= 1.0
+    # the witness value is a proved upper bound of b2 at the witness
+    assert b2_expr(x, y) <= val < 1.0
+
+
 # SHA-256 of the scalar enclosures (lo, hi as little-endian doubles) of up
-# to 300 seeded retained boxes per certificate, in the order listed below
-PINNED_REPLAY_DIGEST = "fd93fbda079869aa2e631cb383cb1a1d5e68dd063e3cb3474f8fbaf6a3f89249"
+# to 300 seeded retained boxes of each certificate, drawn in the order
+# listed below
+PINNED_REPLAY_DIGESTS = {
+    "B1": "950df47288b5f1dc1d95537f7bd6756819bb9dd7424104a6db1464518cd70d6b",
+    "B2": "23c337671795dd7044a584fb8ae3d32611339e3fb63ec78c5bd5009aad8d0cbe",
+    "B2-diagonal-strip":
+        "fea89fce7832293ba63382302eb69808763ee63fd6949259185421e8caf32320",
+    "B2-diagonal-strip-corner":
+        "bcd361dfc7d7048c3dbb9ea7b839fa096c783c3b6810bc1eaa915c850146508e",
+    "scalar-1": "c5dec501609a439efc4ccda0249308b51b9ab4ece8a8f922b2f3f3a73495055a",
+    "scalar-2": "4f651701d5892bea71373c383c3d4645e22cca1e5c57d9b7992b688427d532f6",
+}
 
 
 def test_replay_enclosures_are_pinned():
@@ -205,14 +268,16 @@ def test_replay_enclosures_are_pinned():
              (scalars[0], lambda x, y: scalar_bound_1(x)),
              (scalars[1], lambda x, y: scalar_bound_2(x))]
     rng = np.random.default_rng(1788)
-    digest = hashlib.sha256()
+    digests = {}
     for cert, expr in certs:
         boxes = cert.retained_boxes
         pick = np.sort(rng.choice(len(boxes), size=min(300, len(boxes)), replace=False))
+        digest = hashlib.sha256()
         for xlo, xhi, ylo, yhi in boxes[pick]:
             enc = expr(Interval(xlo, xhi), Interval(ylo, yhi))
             digest.update(struct.pack("<2d", enc.lo, enc.hi))
-    assert digest.hexdigest() == PINNED_REPLAY_DIGEST
+        digests[cert.target] = digest.hexdigest()
+    assert digests == PINNED_REPLAY_DIGESTS
 
 
 def _b1_plain(x, y):
