@@ -1,24 +1,23 @@
 """Lower-bound functions and inequality chains behind the main energy
 comparison, with certified interval verification.
 
-Two bivariate bound functions live on the normalized triangle
-0 <= y <= x <= 1 (x = a1/p, y = a2/p with p = -alpha1*alpha3), each
-written once as an expression that runs on floats, ``Interval`` and
-``IntervalArray``.  They divide with plain ``/``: where a denominator
-vanishes on the edge of a domain, both interval engines give a one-sided
-enclosure by the same rule, so a proof and its scalar replay agree there.
+Each bound function is written once, as an expression that runs on
+floats, ``Interval`` and ``IntervalArray``.  They divide with plain ``/``:
+where a denominator vanishes on the edge of a domain, both interval
+engines give a one-sided enclosure by the same rule, so a proof and its
+scalar replay agree there.  On the triangle 0 <= y <= x <= 1 (x = a1/p,
+y = a2/p, p = -alpha1*alpha3), ``b1_expr`` (minus branch) exceeds 1, and
+``b2_expr`` (plus branch, from the squeeze functions ``f_aux <= g_aux``,
+with d = x - y cleared so that a box reaching the diagonal band keeps a
+finite lower bound) exceeds 0.9 off the band 0 < x - y <= eps and, through
+a lower bound in two charts, on it.  The scalar bounds exceed
+4/(3 sqrt 3) on [0, 100] and, in the chart t = 1/x, beyond.
 
-* ``b1_expr`` -- the degenerate-family minus-branch energy bound;
-  certified > 1 on the whole closed triangle (:func:`certify_lemma4`).
-* ``b2_expr`` -- the plus-branch analogue built from the squeeze functions
-  ``f_aux <= g_aux``, written with d = x - y cleared so that a box
-  reaching the diagonal band keeps a finite lower bound; certified > 0.9
-  off the band 0 < x - y <= eps (:func:`certify_lemma5`) and on the band
-  through a lower bound in two charts (:func:`lemma5_strip_certificates`).
-
-Each domain is stated once, as an outward-rounded clip
-(:func:`clip_triangle`, :func:`clip_band`), which also decides whether a
-disproved box's midpoint is a witness.
+Each certificate is one row of :data:`CHARTS`: expression, root box,
+outward-rounded domain clip (which also decides whether a disproved box's
+midpoint is a witness), threshold and notes.  :data:`CLAIMS` names the
+rows each ``verify --target`` proves, and :func:`certify_charts`
+certifies any of them.
 
 The chain audits (:func:`case_chain_check`, :func:`degenerate_c2_bounds_check`)
 evaluate every displayed inequality of the underlying argument at a
@@ -38,6 +37,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cache, partial
 from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -49,7 +49,6 @@ from .interval import (MAX_BOXES, MAX_DEPTH, Box2, Certificate, CertStatus,
                        Interval, certify_lower_bound, sqrt)
 
 DEFAULT_EPS = 1e-4     # width of the diagonal band that B2 certifies apart
-B1_THRESHOLD = 1.0
 B2_THRESHOLD = 0.9
 SCALAR_X_MAX = 100.0   # scalar bounds: subdivision on [0, SCALAR_X_MAX], tails beyond
 
@@ -208,94 +207,7 @@ def clip_band(eps: float, cap: float):
 
 
 # ----------------------------------------------------------------------
-# Certified lemmas
-# ----------------------------------------------------------------------
-
-
-def certify_lemma4(threshold: float = B1_THRESHOLD, max_depth: int = MAX_DEPTH,
-                   max_boxes: int = MAX_BOXES) -> Certificate:
-    """Prove b1 > threshold on the closed triangle 0 <= y <= x <= 1.
-
-    The denominator of b1 vanishes on the edge x = 0 and at the corner
-    (1, 1), where b1 blows up; the enclosure of a box touching them is
-    one-sided (a finite lower bound), so no strip needs excluding."""
-    return certify_lower_bound(
-        "B1", b1_expr, Box2.make(0.0, 1.0, 0.0, 1.0), threshold,
-        clip=clip_triangle(0.0), max_depth=max_depth, max_boxes=max_boxes,
-        notes=["domain: the closed triangle 0 <= y <= x <= 1; boxes on x = 0 "
-               "or at (1, 1), where the denominator vanishes, have "
-               "one-sided enclosures"])
-
-
-_STRIP_X_CAP = 0.875  # chart overlap: x <= 7/8 here, s <= 1/2 in the corner
-_STRIP_S_CAP = 0.5    # chart; any band point has x <= 7/8 or s <= 0.2501
-
-
-def lemma5_strip_certificates(eps: float = DEFAULT_EPS,
-                              threshold: float = B2_THRESHOLD,
-                              max_depth: int = MAX_DEPTH,
-                              max_boxes: int = MAX_BOXES) -> List[Certificate]:
-    """Prove b2 > threshold on the excluded diagonal band 0 < x - y <= eps
-    via a rigorous lower bound that blows up on the diagonal.
-
-    Two overlapping charts: (x, rho = d/x) for x <= 7/8 and, for the
-    (1, 1) corner, (s, rho_s = d/s) for s <= 1/2.  Every band point lands
-    in one of them (x > 7/8 forces s <= 2 - 2x + eps < 1/2)."""
-    charts = [
-        ("B2-diagonal-strip", b2_strip_lower_expr, _STRIP_X_CAP,
-         f"band 0 < x - y <= {eps:g}, x <= {_STRIP_X_CAP:g}, in "
-         "(x, (x-y)/x) coordinates; target is a proven lower bound "
-         "for b2 that tends to +inf on the diagonal"),
-        ("B2-diagonal-strip-corner", b2_strip_corner_expr, _STRIP_S_CAP,
-         f"band 0 < x - y <= {eps:g} near (1, 1): s = 2-x-y <= "
-         f"{_STRIP_S_CAP:g}, in (s, (x-y)/s) coordinates"),
-    ]
-    return [certify_lower_bound(
-                target, expr, Box2.make(0.0, cap, 0.0, 1.0), threshold,
-                clip=clip_band(eps, cap), epsilon=eps, max_depth=max_depth,
-                max_boxes=max_boxes, notes=[note])
-            for target, expr, cap, note in charts]
-
-
-def certify_lemma5(eps: float = DEFAULT_EPS, threshold: float = B2_THRESHOLD,
-                   max_depth: int = MAX_DEPTH, max_boxes: int = MAX_BOXES,
-                   strips: Optional[Sequence[Certificate]] = None) -> Certificate:
-    """Prove b2 > threshold on {0 <= y <= x - eps, x <= 1} (the full
-    triangle minus the diagonal band; the band has its own certificate).
-
-    ``strips`` are the band certificates from
-    :func:`lemma5_strip_certificates` at the same arguments, which the
-    notes cite; they are computed here when not given.
-
-    The certified function is the plus-branch bound b2; the minus-branch
-    bound b1 exceeds 0.9 a fortiori wherever b1 > 1 is certified.
-    """
-    notes = [
-        f"domain: 0 <= y <= x - {eps:g}, x <= 1 (includes the y = 0 edge, "
-        "where the cleared form of b2 is regular; d = x - y sits in one "
-        "denominator under a positive numerator, so a box reaching the cut "
-        "x - y = eps has a finite lower bound)",
-        "the certified target is the plus-branch bound function; the "
-        "sometimes-reused label B1 for this claim is a misprint -- "
-        "b1 > 0.9 already follows from the b1 > 1 certificate",
-    ]
-    if strips is None:
-        strips = lemma5_strip_certificates(eps, threshold, max_depth, max_boxes)
-    for strip in strips:
-        notes.append(
-            f"diagonal band covered by companion certificate "
-            f"'{strip.target}': status {strip.status.value}, "
-            f"{strip.retained_count} boxes, digest {strip.box_digest()[:16]}")
-        if strip.status is not CertStatus.PROVED:
-            notes.append("WARNING: diagonal band certification incomplete")
-    return certify_lower_bound(
-        "B2", b2_expr, Box2.make(0.0, 1.0, 0.0, 1.0), threshold,
-        clip=clip_triangle(eps), epsilon=eps, max_depth=max_depth,
-        max_boxes=max_boxes, notes=notes)
-
-
-# ----------------------------------------------------------------------
-# Scalar bounds with monotone tails
+# Scalar bounds, and their tails in the chart t = 1/x
 # ----------------------------------------------------------------------
 
 
@@ -309,82 +221,155 @@ def scalar_bound_2(x):
     return sqrt(_nonneg((8.0 / 7.0) * _sq(1.0 + x / 4.0) / (1.0 + 1.5 * x)))
 
 
+def scalar_tail_1(t):
+    """scalar_bound_1(1/t) = (t + 9/49) / sqrt(t (t+1)), written with exact
+    constants; it blows up at t = 0, where a box gets a one-sided enclosure."""
+    return (49.0 * t + 9.0) / (49.0 * sqrt(t * (t + 1.0)))
+
+
+def scalar_tail_2(t):
+    """scalar_bound_2(1/t) = sqrt(8/7) (t + 1/4) / sqrt(t (t + 3/2)), written
+    as (4t + 1) / sqrt(7 t (2t + 3)) with exact constants."""
+    return (4.0 * t + 1.0) / sqrt(7.0 * t * (2.0 * t + 3.0))
+
+
 def comparison_threshold() -> Interval:
     """Enclosure of 4 / (3 sqrt(3)), the Clifford ratio constant."""
     return Interval(4.0) / (3.0 * Interval(3.0).sqrt())
 
 
-@dataclass
-class TailRecord:
-    """Interval-checked monotone-tail argument for x >= x_max.
-
-    The cleared-denominator difference D(x) = numerator(x)^2 - c^2 *
-    denominator(x) is a quadratic with positive leading coefficient; if
-    D'(x_max) > 0 and D(x_max) > 0 then the scalar bound holds beyond
-    x_max.
-    """
-
-    label: str
-    x_max: float
-    second_derivative: float
-    dprime_lower: float
-    d_lower: float
-
-    @property
-    def holds(self) -> bool:
-        return (self.second_derivative > 0 and self.dprime_lower > 0
-                and self.d_lower > 0)
+# ----------------------------------------------------------------------
+# Certificates: one chart per row, all certified by one function
+# ----------------------------------------------------------------------
 
 
-def _tail_record_1(x_max: float) -> TailRecord:
-    # D(x) = (1 + 9x/49)^2 - (16/27)(1 + x)
-    X = Interval(x_max)
-    d_val = (1.0 + 9.0 * X / 49.0).sq() - (16.0 * (1.0 + X)) / 27.0
-    dprime = (162.0 * X) / 2401.0 + (Interval(18.0) / 49.0 - Interval(16.0) / 27.0)
-    return TailRecord("(1+9x/49)/sqrt(1+x)", x_max, 162.0 / 2401.0,
-                      dprime.lo, d_val.lo)
+@dataclass(frozen=True)
+class Chart:
+    """One certificate: ``expr(x, y) > threshold`` on the root box
+    (x_lo, x_hi, y_lo, y_hi), cut to the domain by ``clip(eps)`` if it has
+    a clip.  Its eps, the band width if ``banded`` and else 0, also formats
+    its notes; ``cites`` names the charts whose certificates they cite."""
+
+    expr: Callable
+    root: Tuple[float, float, float, float]
+    clip: Optional[Callable[[float], Callable]]
+    threshold: float
+    banded: bool
+    notes: Tuple[str, ...]
+    cites: Tuple[str, ...] = ()
 
 
-def _tail_record_2(x_max: float) -> TailRecord:
-    # D(x) = (8/7)(1 + x/4)^2 - (16/27)(1 + 3x/2)
-    X = Interval(x_max)
-    d_val = (8.0 * (1.0 + X / 4.0).sq()) / 7.0 - (16.0 * (1.0 + 1.5 * X)) / 27.0
-    dprime = X / 7.0 + (Interval(4.0) / 7.0 - Interval(8.0) / 9.0)
-    return TailRecord("sqrt(8/7)(1+x/4)/sqrt(1+3x/2)", x_max, 1.0 / 7.0,
-                      dprime.lo, d_val.lo)
+def _scalar_chart(f, x_max: float, note: str) -> Chart:
+    return Chart(lambda x, y: f(x), (0.0, x_max, 0.0, 0.0), None,
+                 comparison_threshold().hi, False, (note,))
+
+
+_STRIP_X_CAP = 0.875  # chart overlap: x <= 7/8 here, s <= 1/2 in the corner
+_STRIP_S_CAP = 0.5    # chart; any band point has x <= 7/8 or s <= 0.2501
+_SCALAR_NOTE = f"1D domain [0, {SCALAR_X_MAX:g}]; monotone tail certified separately"
+_TAIL_NOTE = (f"x >= {SCALAR_X_MAX:g} in the chart t = 1/x, t in [0, fl(1/100)]: "
+              "{}; the box on the pole t = 0 has a one-sided enclosure")
+
+CHARTS = {
+    "B1": Chart(
+        b1_expr, (0.0, 1.0, 0.0, 1.0), clip_triangle, 1.0, False,
+        ("domain: the closed triangle 0 <= y <= x <= 1; boxes on x = 0 or at "
+         "(1, 1), where the denominator vanishes, have one-sided enclosures",)),
+    "B2": Chart(
+        b2_expr, (0.0, 1.0, 0.0, 1.0), clip_triangle, B2_THRESHOLD, True,
+        ("domain: 0 <= y <= x - {eps:g}, x <= 1 (includes the y = 0 edge, "
+         "where the cleared form of b2 is regular; d = x - y sits in one "
+         "denominator under a positive numerator, so a box reaching the cut "
+         "x - y = eps has a finite lower bound)",
+         "the certified target is the plus-branch bound function; the "
+         "sometimes-reused label B1 for this claim is a misprint -- "
+         "b1 > 0.9 already follows from the b1 > 1 certificate"),
+        cites=("B2-diagonal-strip", "B2-diagonal-strip-corner")),
+    # the band in (x, d/x) for x <= 7/8 and in (s, d/s) for s <= 1/2
+    # (x > 7/8 forces s <= 2 - 2x + eps < 1/2)
+    "B2-diagonal-strip": Chart(
+        b2_strip_lower_expr, (0.0, _STRIP_X_CAP, 0.0, 1.0),
+        partial(clip_band, cap=_STRIP_X_CAP), B2_THRESHOLD, True,
+        ("band 0 < x - y <= {eps:g}, " f"x <= {_STRIP_X_CAP:g}, in "
+         "(x, (x-y)/x) coordinates; target is a proven lower bound "
+         "for b2 that tends to +inf on the diagonal",)),
+    "B2-diagonal-strip-corner": Chart(
+        b2_strip_corner_expr, (0.0, _STRIP_S_CAP, 0.0, 1.0),
+        partial(clip_band, cap=_STRIP_S_CAP), B2_THRESHOLD, True,
+        ("band 0 < x - y <= {eps:g} near (1, 1): s = 2-x-y <= "
+         f"{_STRIP_S_CAP:g}, in (s, (x-y)/s) coordinates",)),
+    "scalar-1": _scalar_chart(scalar_bound_1, SCALAR_X_MAX, _SCALAR_NOTE),
+    "scalar-2": _scalar_chart(scalar_bound_2, SCALAR_X_MAX, _SCALAR_NOTE),
+    # fl(1/100) > 1/100, so each tail overlaps [0, SCALAR_X_MAX]
+    "scalar-1-tail": _scalar_chart(scalar_tail_1, 1.0 / SCALAR_X_MAX, _TAIL_NOTE.format(
+        "(t + 9/49)/sqrt(t(t+1))")),
+    "scalar-2-tail": _scalar_chart(scalar_tail_2, 1.0 / SCALAR_X_MAX, _TAIL_NOTE.format(
+        "sqrt(8/7)(t + 1/4)/sqrt(t(t + 3/2))")),
+}
+
+# what each ``verify --target`` proves: together, every chart once
+CLAIMS = {
+    "B1": ("B1",),
+    "B2": ("B2", "B2-diagonal-strip", "B2-diagonal-strip-corner"),
+    "scalars": ("scalar-1", "scalar-2", "scalar-1-tail", "scalar-2-tail"),
+}
+
+
+def certify_charts(targets: Sequence[str], threshold: Optional[float] = None,
+                   eps: float = DEFAULT_EPS, max_depth: int = MAX_DEPTH,
+                   max_boxes: int = MAX_BOXES) -> List[Certificate]:
+    """Certify the charts named in ``targets``, in that order, each at
+    ``threshold`` (default: its own) and band width ``eps``.  A chart that
+    another one cites is certified once, before the chart citing it."""
+    @cache
+    def certify(target):
+        chart = CHARTS[target]
+        gap = eps if chart.banded else 0.0
+        notes = [note.format(eps=gap) for note in chart.notes]
+        for cited in map(certify, chart.cites):
+            notes.append(
+                f"diagonal band covered by companion certificate "
+                f"'{cited.target}': status {cited.status.value}, "
+                f"{cited.retained_count} boxes, digest {cited.box_digest()[:16]}")
+            if cited.status is not CertStatus.PROVED:
+                notes.append("WARNING: diagonal band certification incomplete")
+        return certify_lower_bound(
+            target, chart.expr, Box2.make(*chart.root),
+            chart.threshold if threshold is None else threshold,
+            clip=chart.clip(gap) if chart.clip else None, epsilon=gap,
+            max_depth=max_depth, max_boxes=max_boxes, notes=notes)
+
+    return [certify(target) for target in targets]
+
+
+def certify_lemma4() -> Certificate:
+    """b1 > 1 on the closed triangle."""
+    return certify_charts(CLAIMS["B1"])[0]
+
+
+def certify_lemma5() -> Certificate:
+    """b2 > 0.9 off the diagonal band, citing the band's certificates."""
+    return certify_charts(CLAIMS["B2"])[0]
+
+
+def lemma5_strip_certificates() -> List[Certificate]:
+    """b2 > 0.9 on the diagonal band: [strip chart, corner chart]."""
+    return certify_charts(CLAIMS["B2"][1:])
 
 
 @dataclass
 class ScalarBoundReport:
     certificates: List[Certificate]
-    tails: List[TailRecord]
-    threshold: float
 
     @property
     def all_proved(self) -> bool:
-        return (all(c.status is CertStatus.PROVED for c in self.certificates)
-                and all(t.holds for t in self.tails))
+        return all(c.status is CertStatus.PROVED for c in self.certificates)
 
 
-def _certify_scalar(label: str, expr: Callable, threshold: float,
-                    max_depth: int, max_boxes: int) -> Certificate:
-    # the root box is the domain: bisection never leaves it, so no clip
-    return certify_lower_bound(
-        label, lambda X, Y: expr(X), Box2.make(0.0, SCALAR_X_MAX, 0.0, 0.0),
-        threshold, max_depth=max_depth, max_boxes=max_boxes,
-        notes=[f"1D domain [0, {SCALAR_X_MAX:g}]; monotone tail certified separately"])
-
-
-def scalar_bound_checks(max_depth: int = MAX_DEPTH,
-                        max_boxes: int = MAX_BOXES) -> ScalarBoundReport:
-    """Certify both scalar comparison functions above 4/(3 sqrt(3)) on
-    (0, SCALAR_X_MAX] by interval subdivision, plus the monotone tails."""
-    thr = comparison_threshold().hi
-    certs = [_certify_scalar(label, expr, thr, max_depth, max_boxes)
-             for label, expr in (("scalar-1", scalar_bound_1),
-                                 ("scalar-2", scalar_bound_2))]
-    tails = [_tail_record_1(SCALAR_X_MAX), _tail_record_2(SCALAR_X_MAX)]
-    return ScalarBoundReport(certificates=certs, tails=tails, threshold=thr)
+def scalar_bound_checks() -> ScalarBoundReport:
+    """Both scalar comparison functions above 4/(3 sqrt(3)) on [0, 100]
+    and, in the chart t = 1/x, beyond: scalar-1, scalar-2, their tails."""
+    return ScalarBoundReport(certify_charts(CLAIMS["scalars"]))
 
 
 # ----------------------------------------------------------------------

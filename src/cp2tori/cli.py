@@ -21,8 +21,7 @@ from typing import List, Optional
 import numpy as np
 
 from . import __version__
-from .bounds import (DEFAULT_EPS, certify_lemma4, certify_lemma5,
-                     lemma5_strip_certificates, scalar_bound_checks)
+from .bounds import CHARTS, CLAIMS, DEFAULT_EPS, certify_charts
 from .errors import (Cp2ToriError, DegenerateParameters, InfeasibleParameters,
                      SingularIntegrand)
 from .family import (AlphaTriple, Branch, ModuliPoint, derive_constants,
@@ -235,20 +234,10 @@ def _sampled_energy_bounds(seed: int, samples: int):
 
 def cmd_verify(ns) -> int:
     os.makedirs(ns.out_dir, exist_ok=True)
-    certs = []
     # main() allows --threshold only with --target B1 or B2
-    thr = {} if ns.threshold is None else {"threshold": ns.threshold}
-    budget = {"max_depth": ns.max_depth, "max_boxes": ns.max_boxes}
-    if ns.target in ("all", "B1"):
-        certs.append(certify_lemma4(**thr, **budget))
-    if ns.target in ("all", "B2"):
-        strips = lemma5_strip_certificates(ns.eps, **thr, **budget)
-        certs.append(certify_lemma5(ns.eps, **thr, **budget, strips=strips))
-        certs.extend(strips)
-    scalar_report = None
-    if ns.target in ("all", "scalars"):
-        scalar_report = scalar_bound_checks(**budget)
-        certs.extend(scalar_report.certificates)
+    certs = [cert for claim in (CLAIMS if ns.target == "all" else [ns.target])
+             for cert in certify_charts(CLAIMS[claim], ns.threshold, ns.eps,
+                                        ns.max_depth, ns.max_boxes)]
     all_proved = True
     for cert in certs:
         path = os.path.join(ns.out_dir, f"{cert.target}.json")
@@ -259,13 +248,11 @@ def cmd_verify(ns) -> int:
               f"retained={cert.retained_count}  depth={cert.max_depth_reached}  -> {path}")
         if cert.witness is not None:
             print(f"  witness: {[_fmt(v) for v in cert.witness]}")
-        all_proved &= cert.status is CertStatus.PROVED
-    if scalar_report is not None:
-        for tail in scalar_report.tails:
-            print(f"tail {tail.label}: x >= {_fmt(tail.x_max)}: "
-                  f"D'' = {_fmt(tail.second_derivative)}, D' >= {_fmt(tail.dprime_lower)}, "
-                  f"D >= {_fmt(tail.d_lower)}  -> {'ok' if tail.holds else 'FAILED'}")
-            all_proved &= tail.holds
+        proved = cert.status is CertStatus.PROVED
+        if cert.target.endswith("-tail"):
+            print(f"tail {cert.target}: x = 1/t, t in (0, "
+                  f"{_fmt(CHARTS[cert.target].root[1])}]  -> {'ok' if proved else 'FAILED'}")
+        all_proved &= proved
     if ns.target == "all":
         checked, violations = _sampled_energy_bounds(ns.seed, ns.samples)
         print(f"energy bound spot checks: {checked} random feasible points "
@@ -373,7 +360,7 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("verify", help="run the certified lemma and bound checks")
     add_common(p)
-    p.add_argument("--target", choices=("all", "B1", "B2", "scalars"), default="all")
+    p.add_argument("--target", choices=("all", *CLAIMS), default="all")
     p.add_argument("--threshold", type=float, default=None,
                    help="prove this threshold instead of the default one "
                         "(with --target B1 or B2 only)")

@@ -9,10 +9,10 @@ results (TwoSum / Dekker product) and skips the nudge, so integer-valued
 computations stay tight; the vectorized path always nudges (slightly wider,
 never unsound).
 
-The scalar path rounds each endpoint product or quotient once to both
-sides (:func:`_mul_out`, :func:`_div_out`): a product moves one ulp out
-only on the side where Dekker's error term puts the exact value, a
-quotient on both sides unless it is exact.  Operands of one sign need two
+The scalar path rounds each endpoint product, quotient or square root
+once to both sides, RD and RU: it moves one ulp out only on the side where
+the exact value lies, which Dekker's error term shows for a product and
+the residual a - q*b for a quotient or root q.  Operands of one sign need two
 endpoint pairs, not four (Moore, Kearfott & Cloud, *Introduction to
 Interval Analysis*, SIAM 2009, §2.3): both factors >= 0 give
 [a*c, b*d] and a dividend >= 0 over a divisor > 0 gives [a/d, b/c]; any
@@ -126,26 +126,27 @@ def _mul_out(a, b):
     return p, p
 
 
-def _div_exact(q, b, a):
-    # q = fl(a / b) is exact iff q*b == a without rounding.
-    if math.isinf(q):
-        return False
+def _residual(a, q, b):
+    """a - q*b, with its exact sign, for q = fl(a / b) or q = b = fl(sqrt(a));
+    NaN outside Dekker's safe band.  q*b = p + e exactly (Dekker), and a - p
+    is exact by Sterbenz's lemma, so only the last subtraction rounds."""
     p = q * b
-    return (p == a and not _prod_maybe_inexact(q, b, p)
-            and _two_prod_err(q, b, p) == 0.0)
+    if _prod_maybe_inexact(q, b, p):
+        return math.nan
+    return (a - p) - _two_prod_err(q, b, p)
 
 
 def _div_out(a, b):
     """(down, up) enclosure of a / b for b != 0 from one rounded quotient:
-    kept where it is exact, else one ulp out on both sides."""
+    only the side on which the residual puts the exact quotient moves one
+    ulp out (both sides where the residual is NaN)."""
     q = a / b
     if q != q:  # inf / inf
         return -_INF, _INF
     if math.isinf(q):
         return (q, -_MAX) if q < 0 else (_MAX, q)
-    if _div_exact(q, b, a):
-        return q, q
-    return _down(q), _up(q)
+    r = _residual(a, q, b) if b > 0.0 else -_residual(a, q, b)  # ~ a/b - q
+    return (q if r >= 0.0 else _down(q)), (q if r <= 0.0 else _up(q))
 
 
 class Interval:
@@ -246,8 +247,8 @@ class Interval:
             raise IntervalDomainError(f"sqrt of {self!r} with negative lower endpoint")
         rl = math.sqrt(self.lo)
         rh = math.sqrt(self.hi)
-        lo = rl if _div_exact(rl, rl, self.lo) else _down(rl)
-        hi = rh if _div_exact(rh, rh, self.hi) else _up(rh)
+        lo = rl if _residual(self.lo, rl, rl) >= 0.0 else _down(rl)
+        hi = rh if _residual(self.hi, rh, rh) <= 0.0 else _up(rh)
         return Interval(max(lo, 0.0), hi)
 
     def nonneg(self) -> "Interval":

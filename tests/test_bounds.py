@@ -6,13 +6,15 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from cp2tori.bounds import (DEFAULT_EPS, b1_expr, b2_expr, b2_strip_corner_expr,
-                            b2_strip_lower_expr, case_chain_check,
-                            certify_lemma4, certify_lemma5, classify_case,
-                            clip_band, clip_triangle, comparison_threshold,
+from cp2tori.bounds import (CHARTS, CLAIMS, DEFAULT_EPS, b1_expr, b2_expr,
+                            b2_strip_corner_expr, b2_strip_lower_expr,
+                            case_chain_check, certify_charts, certify_lemma4,
+                            certify_lemma5, classify_case, clip_band,
+                            clip_triangle, comparison_threshold,
                             degenerate_c2_bounds_check, f_aux, g_aux,
                             lemma5_strip_certificates, scalar_bound_1,
-                            scalar_bound_2, scalar_bound_checks)
+                            scalar_bound_2, scalar_bound_checks,
+                            scalar_tail_1, scalar_tail_2)
 from cp2tori.family import AlphaTriple, Branch, ModuliPoint, derive_constants
 from cp2tori.functionals import feasible_grid
 from cp2tori.interval import (Box2, CertStatus, Interval, IntervalArray,
@@ -176,9 +178,40 @@ def test_scalar_bound_certification():
     report = scalar_bound_checks()
     assert report.all_proved
     assert all(c.status is CertStatus.PROVED for c in report.certificates)
-    assert all(t.holds for t in report.tails)
+    # the tails beyond x = 100 are certificates of their own
+    assert [c.target for c in report.certificates] == [
+        "scalar-1", "scalar-2", "scalar-1-tail", "scalar-2-tail"]
     # certified minima really clear the constant
-    assert report.threshold > 4.0 / (3.0 * math.sqrt(3.0)) - 1e-15
+    assert all(c.threshold > 4.0 / (3.0 * math.sqrt(3.0)) - 1e-15
+               for c in report.certificates)
+
+
+@pytest.mark.parametrize("tail, bound", [(scalar_tail_1, scalar_bound_1),
+                                         (scalar_tail_2, scalar_bound_2)])
+def test_scalar_tail_is_the_bound_at_one_over_t(tail, bound):
+    t = np.random.default_rng(100).uniform(0.0, 0.01, 10_000)
+    t = np.concatenate([t[t > 0.0], [1e-12, 1e-9, 0.01]])
+    assert np.abs(tail(t) / bound(1.0 / t) - 1.0).max() <= 1e-14
+
+
+def test_scalar_tails_overlap_the_subdivided_range_and_replay():
+    for target in ("scalar-1-tail", "scalar-2-tail"):
+        chart = CHARTS[target]
+        # t <= fl(1/100) reaches down to x = 1/fl(1/100) < 100
+        assert chart.root[:2] == (0.0, 1.0 / 100.0)
+        assert Fraction(chart.root[1]) >= Fraction(1, 100)
+        assert CHARTS[target.removesuffix("-tail")].root[:2] == (0.0, 100.0)
+        cert, = certify_charts([target])
+        assert cert.status is CertStatus.PROVED and cert.retained_count == 1
+        assert replay_certificate(cert, chart.expr)
+
+
+def test_claims_use_every_chart_once():
+    targets = [t for claim in CLAIMS.values() for t in claim]
+    assert sorted(targets) == sorted(CHARTS) and len(set(targets)) == len(targets)
+    # a chart is claimed with the charts its notes cite
+    for claim in CLAIMS.values():
+        assert all(set(CHARTS[t].cites) <= set(claim) for t in claim)
 
 
 def _covered(boxes, pts):
@@ -204,7 +237,7 @@ def test_lemma4_certificate_small_eps(rng):
 
 
 def test_lemma4_fails_at_higher_threshold():
-    cert = certify_lemma4(threshold=1.2)
+    cert, = certify_charts(CLAIMS["B1"], threshold=1.2)
     assert cert.status is CertStatus.FAILED
     assert cert.witness is not None
     x, y, val = cert.witness
@@ -214,14 +247,16 @@ def test_lemma4_fails_at_higher_threshold():
 
 
 def test_lemma5_certificate_small_eps():
-    cert = certify_lemma5(eps=1e-3)
+    cert, *strips = certify_charts(CLAIMS["B2"], eps=1e-3)
     assert cert.status is CertStatus.PROVED
     assert cert.retained_count == 866
     assert replay_certificate(cert, b2_expr)
-    strips = lemma5_strip_certificates(eps=1e-3)
     assert all(c.status is CertStatus.PROVED for c in strips)
-    # band certificates passed in are cited exactly as computed ones
-    assert certify_lemma5(eps=1e-3, strips=strips).notes == cert.notes
+    # the notes cite the band certificates of the same run, and a run
+    # that returns only B2 cites them alike
+    for strip in strips:
+        assert any(strip.box_digest()[:16] in n for n in cert.notes)
+    assert certify_charts(["B2"], eps=1e-3)[0].notes == cert.notes
 
 
 def test_lemma5_certificate_at_the_defaults():
@@ -230,10 +265,12 @@ def test_lemma5_certificate_at_the_defaults():
     assert cert.status is CertStatus.PROVED
     assert (cert.boxes_examined, cert.retained_count) == (1907, 954)
     assert replay_certificate(cert, b2_expr)
+    assert [c.target for c in lemma5_strip_certificates()] == [
+        "B2-diagonal-strip", "B2-diagonal-strip-corner"]
 
 
 def test_lemma5_fails_at_higher_threshold():
-    cert = certify_lemma5(threshold=1.0)
+    cert = certify_charts(CLAIMS["B2"], threshold=1.0)[0]
     assert cert.status is CertStatus.FAILED
     assert cert.witness is not None
     x, y, val = cert.witness
@@ -244,37 +281,36 @@ def test_lemma5_fails_at_higher_threshold():
 
 # SHA-256 of the scalar enclosures (lo, hi as little-endian doubles) of up
 # to 300 seeded retained boxes of each certificate, drawn in the order
-# listed below
+# listed below (the order of the claims)
 PINNED_REPLAY_DIGESTS = {
-    "B1": "950df47288b5f1dc1d95537f7bd6756819bb9dd7424104a6db1464518cd70d6b",
-    "B2": "23c337671795dd7044a584fb8ae3d32611339e3fb63ec78c5bd5009aad8d0cbe",
+    "B1": "5dfba1253d9760591fca313a72ed64258994548c6e999454006e65a29b8f2fe6",
+    "B2": "74b420f6ab6b084391e87901c84a42a55831948d465c7ed4177b2b648a3181a6",
     "B2-diagonal-strip":
-        "fea89fce7832293ba63382302eb69808763ee63fd6949259185421e8caf32320",
+        "d4f0e2206b7cadf35044a26d9504dd3c0c53a132617f28b042e4c8d23b08adec",
     "B2-diagonal-strip-corner":
-        "bcd361dfc7d7048c3dbb9ea7b839fa096c783c3b6810bc1eaa915c850146508e",
-    "scalar-1": "c5dec501609a439efc4ccda0249308b51b9ab4ece8a8f922b2f3f3a73495055a",
-    "scalar-2": "4f651701d5892bea71373c383c3d4645e22cca1e5c57d9b7992b688427d532f6",
+        "d3e13c7117ea94300a75d06c623b5025b0f71b8784512d338b8b322f5ac141f8",
+    "scalar-1": "c5b325a668aee8334b97f31d34a7a2b83a5973324c92384a7d0a0ed507dacce3",
+    "scalar-2": "e7cd34e360c25ffda9f5cbdd7206f274d6b75b3c1fcbd47fc707fc75111d2482",
+    "scalar-1-tail":
+        "28475f24076cb79d20399555dbab08290e8766b37c2c367d1d96ac7b57a9c434",
+    "scalar-2-tail":
+        "20cde1060706375af63e9c1b9b645609dc5f00ce7b7fbe6a985f5faffba1d719",
 }
 
 
 def test_replay_enclosures_are_pinned():
-    # every certificate `verify` makes, replayed on a sample of its boxes:
-    # the scalar path gives these enclosures bit for bit, not only the
-    # same verdict
-    strips = lemma5_strip_certificates()
-    scalars = scalar_bound_checks().certificates
-    certs = [(certify_lemma4(), b1_expr), (certify_lemma5(), b2_expr),
-             (strips[0], b2_strip_lower_expr), (strips[1], b2_strip_corner_expr),
-             (scalars[0], lambda x, y: scalar_bound_1(x)),
-             (scalars[1], lambda x, y: scalar_bound_2(x))]
+    # every certificate `verify` makes, replayed on a sample of its boxes
+    # with the expression of its chart: the scalar path gives these
+    # enclosures bit for bit, not only the same verdict
+    certs = certify_charts([t for claim in CLAIMS.values() for t in claim])
     rng = np.random.default_rng(1788)
     digests = {}
-    for cert, expr in certs:
+    for cert in certs:
         boxes = cert.retained_boxes
         pick = np.sort(rng.choice(len(boxes), size=min(300, len(boxes)), replace=False))
         digest = hashlib.sha256()
         for xlo, xhi, ylo, yhi in boxes[pick]:
-            enc = expr(Interval(xlo, xhi), Interval(ylo, yhi))
+            enc = CHARTS[cert.target].expr(Interval(xlo, xhi), Interval(ylo, yhi))
             digest.update(struct.pack("<2d", enc.lo, enc.hi))
         digests[cert.target] = digest.hexdigest()
     assert digests == PINNED_REPLAY_DIGESTS

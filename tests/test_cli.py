@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 
@@ -209,22 +210,54 @@ def test_verify_rejects_nonpositive_counts(tmp_path, capsys):
 
 
 def test_verify_computes_band_certificates_once(tmp_path, capsys, monkeypatch):
-    from cp2tori import bounds, cli
-    calls = []
-    real = bounds.lemma5_strip_certificates
+    from collections import Counter
+    from cp2tori import bounds
+    calls = Counter()
+    real = bounds.certify_lower_bound
 
-    def counted(*args, **kwargs):
-        calls.append(args)
-        return real(*args, **kwargs)
+    def counted(target, *args, **kwargs):
+        calls[target] += 1
+        return real(target, *args, **kwargs)
 
-    monkeypatch.setattr(cli, "lemma5_strip_certificates", counted)
-    monkeypatch.setattr(bounds, "lemma5_strip_certificates", counted)
+    monkeypatch.setattr(bounds, "certify_lower_bound", counted)
     code, out, _ = run(capsys, "verify", "--target", "B2", "--eps", "1e-3",
                        "--out-dir", str(tmp_path))
     assert code == EXIT_OK
-    assert len(calls) == 1
+    assert calls == {"B2": 1, "B2-diagonal-strip": 1, "B2-diagonal-strip-corner": 1}
     notes = json.loads((tmp_path / "B2.json").read_text())["notes"]
     assert sum("companion certificate" in n for n in notes) == 2
+
+
+CERTIFICATES = ("B1", "B2", "B2-diagonal-strip", "B2-diagonal-strip-corner",
+                "scalar-1", "scalar-2", "scalar-1-tail", "scalar-2-tail")
+
+
+def test_verify_stdout_at_the_defaults(tmp_path, capsys):
+    code, out, _ = run(capsys, "verify", "--out-dir", str(tmp_path))
+    assert code == EXIT_OK
+    for target in CERTIFICATES:
+        lines = [l for l in out.splitlines() if l.startswith(f"{target}: ")]
+        assert len(lines) == 1 and lines[0].startswith(f"{target}: proved  ")
+        assert json.loads((tmp_path / f"{target}.json").read_text())["status"] == "proved"
+    assert sorted(os.listdir(tmp_path)) == sorted(f"{t}.json" for t in CERTIFICATES)
+    assert len(re.findall(r"^tail .*-> ok$", out, re.M)) == 2
+    assert len(re.findall(r"^energy bound spot checks: 200 random feasible points "
+                          r"\(seed=20240801\): 0 violations$", out, re.M)) == 1
+
+
+def test_verify_reports_a_failed_tail(tmp_path, capsys, monkeypatch):
+    import dataclasses
+    from cp2tori import bounds
+    chart = bounds.CHARTS["scalar-1-tail"]
+    # (t + 9/49)/sqrt(t(t+1)) is about 1.83 at t = 0.01
+    monkeypatch.setitem(bounds.CHARTS, "scalar-1-tail",
+                        dataclasses.replace(chart, threshold=2.0))
+    code, out, _ = run(capsys, "verify", "--target", "scalars",
+                       "--out-dir", str(tmp_path))
+    assert code == EXIT_NOT_PROVED
+    assert "scalar-1-tail: failed" in out
+    assert re.search(r"^tail scalar-1-tail: .*-> FAILED$", out, re.M)
+    assert re.search(r"^tail scalar-2-tail: .*-> ok$", out, re.M)
 
 
 def test_periodicity_json(tmp_path, capsys):

@@ -179,14 +179,6 @@ def _directed(v, toward):
     return math.nextafter(f, toward) if beyond else f
 
 
-def _outward(v, toward):
-    # v to nearest, moved one ulp toward -inf or +inf unless exact
-    if math.isinf(v):
-        return v
-    f = float(v)
-    return f if Fraction(f) == v else math.nextafter(f, toward)
-
-
 def _product_ends(x, y):
     ps = [Fraction(a) * Fraction(b) for a in x for b in y]
     return ps, ps
@@ -210,7 +202,7 @@ def _quotient_ends(x, y):
 
 @pytest.mark.parametrize("op, ends, rounding", [
     (lambda x, y: x * y, _product_ends, _directed),
-    (lambda x, y: x / y, _quotient_ends, _outward),
+    (lambda x, y: x / y, _quotient_ends, _directed),
 ], ids=["mul", "div"])
 @given(x=signed_intervals(), y=signed_intervals())
 @settings(max_examples=300)
@@ -218,15 +210,27 @@ def _quotient_ends(x, y):
 @example(x=(1e100, 1e100), y=(1e-250, 1e-250))
 def test_mul_div_tight_on_every_sign_class(op, ends, rounding, x, y):
     # the result encloses the exact hull; in the band each end is the
-    # pairwise rounding of the endpoint products (directed, so RD(min)
-    # and RU(max)) or quotients (nearest, one ulp out unless exact), so
-    # choosing pairs by sign class never widens it
+    # directed rounding of the endpoint products or quotients, RD(min) and
+    # RU(max), so choosing pairs by sign class never widens it
     enc = op(Interval(*x), Interval(*y))
     los, his = ends(x, y)
     assert enc.lo <= min(los) and max(his) <= enc.hi
     if _in_band([*x, *y, *los, *his]):
         assert enc.lo == min(rounding(v, -INF) for v in los)
         assert enc.hi == max(rounding(v, INF) for v in his)
+
+
+@given(v=magnitude)
+@settings(max_examples=300)
+def test_sqrt_rounds_each_end_to_one_side(v):
+    # lo = RD(sqrt(v)) and hi = RU(sqrt(v)) in the band: lo^2 <= v <
+    # next(lo)^2 and prev(hi)^2 < v <= hi^2, so the width is at most one ulp
+    enc = Interval(v).sqrt()
+    x = Fraction(v)
+    assert Fraction(enc.lo) ** 2 <= x <= Fraction(enc.hi) ** 2
+    if _in_band([v, enc.lo ** 2]):
+        assert x < Fraction(math.nextafter(enc.lo, INF)) ** 2
+        assert Fraction(math.nextafter(enc.hi, -INF)) ** 2 < x
 
 
 def test_point_ops_enclose_random(rng):
