@@ -217,8 +217,9 @@ def scalar_bound_1(x):
 
 
 def scalar_bound_2(x):
-    """sqrt(8/7) (1 + x/4) / sqrt(1 + 3x/2); exceeds 4/(3 sqrt(3))."""
-    return sqrt(_nonneg((8.0 / 7.0) * _sq(1.0 + x / 4.0) / (1.0 + 1.5 * x)))
+    """sqrt(8/7) (1 + x/4) / sqrt(1 + 3x/2), written as (4 + x) / sqrt(14 +
+    21x) with exact constants; exceeds 4/(3 sqrt(3))."""
+    return sqrt(_nonneg(_sq(4.0 + x) / (14.0 + 21.0 * x)))
 
 
 def scalar_tail_1(t):

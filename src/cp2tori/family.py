@@ -150,8 +150,8 @@ class FeasibilityResult:
         return self.feasible
 
 
-def feasibility_check(alpha: AlphaTriple, a1: float, a2: float) -> FeasibilityResult:
-    """Evaluate P <= 0 and P^2 - (a1-a2)^2 R^2 >= 0 for the quartic in c2."""
+def _quartic_p_r(alpha: AlphaTriple, a1: float, a2: float) -> Tuple[float, float]:
+    """P and R of the even quartic (a1-a2)^2 x^4 + 2P x^2 + R^2 in c2."""
     if not (a1 > a2 > 0):
         raise ValueError(f"need a1 > a2 > 0, got a1={a1}, a2={a2}")
     b, c, c1 = alpha.b, alpha.c, alpha.c1
@@ -160,6 +160,12 @@ def feasibility_check(alpha: AlphaTriple, a1: float, a2: float) -> FeasibilityRe
          + (a1**2 + a2**2) * c1**2
          + 2 * a1**2 * a2**2 * c)
     R = (a1 + a2) * c1**2 - a1**2 * a2**2 + a1 * a2 * b * c1
+    return P, R
+
+
+def feasibility_check(alpha: AlphaTriple, a1: float, a2: float) -> FeasibilityResult:
+    """Evaluate P <= 0 and P^2 - (a1-a2)^2 R^2 >= 0 for the quartic in c2."""
+    P, R = _quartic_p_r(alpha, a1, a2)
     disc = P * P - (a1 - a2) ** 2 * R * R
     return FeasibilityResult(bool(P <= 0) and bool(disc >= 0), float(P), float(disc))
 
@@ -191,9 +197,8 @@ class C2Roots:
 
 def quartic_coefficients(alpha: AlphaTriple, a1: float, a2: float) -> Tuple[float, float, float]:
     """(q4, q2, q0) of the even quartic q4*x^4 + q2*x^2 + q0 solved by c2."""
-    res = feasibility_check(alpha, a1, a2)
-    R = (a1 + a2) * alpha.c1**2 - a1**2 * a2**2 + a1 * a2 * alpha.b * alpha.c1
-    return ((a1 - a2) ** 2, 2.0 * res.p_value, R * R)
+    P, R = _quartic_p_r(alpha, a1, a2)
+    return ((a1 - a2) ** 2, 2.0 * float(P), R * R)
 
 
 def solve_c2(alpha: AlphaTriple, point: ModuliPoint) -> C2Roots:
@@ -375,9 +380,9 @@ def g_phases(x, d: DerivedConstants) -> np.ndarray:
     return -0.5 * d.slope_x * x + coeff * (2.0 * q * pi_complete + pi_r)
 
 
-def lift(x: float, y: float, d: DerivedConstants) -> np.ndarray:
-    """Unit horizontal lift psi(x, y) in C^3."""
-    F = f_coefficients(x, d)
-    G = g_phases(x, d)
-    alphas = np.array(d.alpha.weights, dtype=float)
-    return F * np.exp(1j * (G + alphas * y))
+def lift(x, y, d: DerivedConstants) -> np.ndarray:
+    """Unit horizontal lift psi(x, y) in C^3; x and y broadcast, and the
+    result has shape (3,) + their broadcast shape."""
+    x, y = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(y, dtype=float))
+    alphas = np.array(d.alpha.weights, dtype=float).reshape((3,) + (1,) * x.ndim)
+    return f_coefficients(x, d) * np.exp(1j * (g_phases(x, d) + alphas * y))

@@ -1,10 +1,13 @@
 """Numerical witness that the family's lift is a conformal, horizontal,
 Lagrangian immersion with a linear Lagrangian angle, plus geometry export.
 
-All sesquilinear residuals are y-independent (the y-dependence cancels in
-the Hermitian products), so they are evaluated along the x-grid and hold
-uniformly in y; the Lagrangian angle itself genuinely lives on the 2D
-grid and is checked for linearity there.
+Each lift component is F_j(x) e^{i (G_j(x) + alpha_j y)}, so the unitary
+frame at (x, y) is the frame at (x, 0) times diag(e^{i alpha_j y}): it is
+built along x only, and y comes back as that phase.  The sesquilinear
+residuals are therefore y-independent and evaluated along the x-grid; the
+determinant is det R(x, 0) e^{i (alpha1+alpha2+alpha3) y}, so linearity of
+the Lagrangian angle in y is an identity of the construction, and its
+linearity in x is checked on the 2D grid.
 """
 
 from __future__ import annotations
@@ -45,8 +48,14 @@ class PropertyReport:
                    self.slope_x_error, self.slope_y_error)
 
 
-def _frame_arrays(d: DerivedConstants, xs: np.ndarray):
-    """F, F', G, G', cf at the grid x-values (vectorized over columns)."""
+def _unit_frame(d: DerivedConstants, xs: np.ndarray):
+    """The unitary frame (r, r_x/|r_x|, r_y/|r_y|) of the lift at (xs, 0),
+    as an array frame[row, component, ix], together with the F, F', G', cf
+    along xs that it was built from.  The frame at (x, y) is this one
+    times diag(e^{i alpha_j y}).
+
+    Raises ValueError where r_x or r_y (nearly) vanishes, since the frame
+    is undefined there."""
     cf = conformal_factor(xs, d)
     cfp = conformal_factor_prime(xs, d)
     F = f_from_conformal(cf, d.alpha)          # (3, nx)
@@ -55,27 +64,11 @@ def _frame_arrays(d: DerivedConstants, xs: np.ndarray):
         Fp = np.where(F > 1e-150, cfp[None, :] / (2.0 * den * F), 0.0)
     # G_i' = (c2 - a cf / 2) / (cf + alpha_j alpha_k)
     Gp = (d.c2 - 0.5 * d.slope_x * cf) / (cf + _f_offsets(d.alpha)[:, None])
-    G = g_phases(xs, d)
-    return F, Fp, G, Gp, cf
-
-
-def _unit_frame(d: DerivedConstants, xs: np.ndarray, ys: np.ndarray):
-    """The unitary frame (r, r_x/|r_x|, r_y/|r_y|) of the lift on the grid
-    xs x ys, as an array frame[row, component, ix, iy], together with the
-    F, F', G', cf along xs that it was built from.
-
-    Raises ValueError where r_x or r_y (nearly) vanishes, since the frame
-    is undefined there."""
-    F, Fp, G, Gp, cf = _frame_arrays(d, xs)
-    alphas = np.array(d.alpha.weights, dtype=float)[:, None, None]
-    phase = np.exp(1j * (G[:, :, None] + alphas * ys[None, None, :]))
-    frame = np.empty((3,) + phase.shape, dtype=complex)
-    r, rx, ry = frame
-    np.multiply(F[:, :, None], phase, out=r)
-    np.multiply((Fp + 1j * (F * Gp))[:, :, None], phase, out=rx)
-    del phase
-    np.multiply(1j * alphas, r, out=ry)
-    for row in (rx, ry):
+    alphas = np.array(d.alpha.weights, dtype=float)[:, None]
+    phase = np.exp(1j * g_phases(xs, d))
+    r = F * phase
+    frame = np.stack([r, (Fp + 1j * (F * Gp)) * phase, 1j * alphas * r])
+    for row in frame[1:]:
         norm = np.sqrt((np.abs(row) ** 2).sum(axis=0))
         if norm.min() < 1e-12:
             raise ValueError("degenerate derivative; cannot build the frame")
@@ -83,12 +76,15 @@ def _unit_frame(d: DerivedConstants, xs: np.ndarray, ys: np.ndarray):
     return frame, F, Fp, Gp, cf
 
 
-def _det3(rows: np.ndarray) -> np.ndarray:
-    """Determinant of stacked 3x3 matrices given as rows[3, 3, ...]."""
-    a, b, c = rows[0], rows[1], rows[2]
-    return (a[0] * (b[1] * c[2] - b[2] * c[1])
-            - a[1] * (b[0] * c[2] - b[2] * c[0])
-            + a[2] * (b[0] * c[1] - b[1] * c[0]))
+def _det_at(d: DerivedConstants, frame: np.ndarray, y) -> np.ndarray:
+    """det R(x, y) = det R(x, 0) e^{i sigma y} with sigma = alpha1 + alpha2
+    + alpha3, from the frame rows[3, 3, ...] at y = 0; y broadcasts against
+    the trailing axes."""
+    a, b, c = frame
+    det = (a[0] * (b[1] * c[2] - b[2] * c[1])
+           - a[1] * (b[0] * c[2] - b[2] * c[0])
+           + a[2] * (b[0] * c[1] - b[1] * c[0]))
+    return det * np.exp(1j * sum(d.alpha.weights) * y)
 
 
 def geometry_residuals(d: DerivedConstants,
@@ -98,7 +94,7 @@ def geometry_residuals(d: DerivedConstants,
     nx, ny = grid
     xs = np.linspace(0.0, d.period, nx, endpoint=False)
     ys = np.linspace(0.0, 2.0 * math.pi, ny, endpoint=False)
-    frame, F, Fp, Gp, cf = _unit_frame(d, xs, ys)
+    frame, F, Fp, Gp, cf = _unit_frame(d, xs)
     alphas = np.array(d.alpha.weights, dtype=float)[:, None]
 
     F2 = F * F
@@ -114,8 +110,7 @@ def geometry_residuals(d: DerivedConstants,
     pair_im = np.abs(pair.imag).max()
 
     # Lagrangian angle on the 2D grid
-    det = _det3(frame)
-    del frame
+    det = _det_at(d, frame[..., None], ys)
     # e^{i beta} = conj(det R) in these component conventions
     beta = -np.angle(det)
     target = d.slope_x * xs[:, None] + d.slope_y * ys[None, :]
@@ -141,22 +136,23 @@ def geometry_residuals(d: DerivedConstants,
         grid=(nx, ny))
 
 
-def _frame_at(d: DerivedConstants, x: float, y: float) -> np.ndarray:
-    """The 3 x 3 unitary frame at one point (x, y)."""
-    return _unit_frame(d, np.array([float(x)]), np.array([float(y)]))[0][:, :, 0, 0]
-
-
-def lagrangian_angle(d: DerivedConstants, x: float, y: float) -> float:
+def lagrangian_angle(d: DerivedConstants, x, y):
     """beta(x, y) in (-pi, pi] from the unitary frame (r, r_x/|r_x|,
     r_y/|r_y|); the determinant is conjugated so that beta = a x + b y
     holds with the derived slopes under the Hermitian conventions used
-    here."""
-    return float(-np.angle(_det3(_frame_at(d, x, y))))
+    here.  x and y broadcast; a float for scalars, else an array of their
+    broadcast shape."""
+    x, y = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(y, dtype=float))
+    frame = _unit_frame(d, x.ravel())[0]
+    beta = -np.angle(_det_at(d, frame, y.ravel())).reshape(x.shape)
+    return float(beta) if beta.ndim == 0 else beta
 
 
 def frame_unitarity_residual(d: DerivedConstants, x: float, y: float) -> float:
-    """Max entry of R R* - I for the frame at (x, y)."""
-    M = _frame_at(d, x, y)
+    """Max entry of R R* - I for the frame R(x, 0) diag(e^{i alpha y}) at
+    (x, y)."""
+    M = (_unit_frame(d, np.array([float(x)]))[0][:, :, 0]
+         * np.exp(1j * np.array(d.alpha.weights) * y))
     return float(np.abs(M @ M.conj().T - np.eye(3)).max())
 
 
@@ -167,27 +163,24 @@ def mean_curvature_check(d: DerivedConstants, samples: int = 100,
     gradient of the Lagrangian angle (Richardson-extrapolated central
     differences, wrap-safe)."""
     rng = np.random.default_rng(seed)
-    worst = 0.0
+    lo = np.array([0.1 * d.period, 0.0])
+    hi = np.array([0.9 * d.period, 2.0 * math.pi])
+    x, y = (lo + (hi - lo) * rng.random((samples, 2))).T
+    steps = np.array([[h], [h / 2]])
 
-    def beta_diff(x1, y1, x2, y2):
-        b1v = lagrangian_angle(d, x1, y1)
-        b2v = lagrangian_angle(d, x2, y2)
-        return math.remainder(b2v - b1v, 2.0 * math.pi)
+    def deriv(dx, dy):
+        # central differences at the steps h and h/2 (rows), extrapolated
+        diff = lagrangian_angle(d, x + dx, y + dy) - lagrangian_angle(d, x - dx, y - dy)
+        wrapped = diff - 2.0 * math.pi * np.round(diff / (2.0 * math.pi))
+        slope = wrapped / (2.0 * steps)
+        return (4.0 * slope[1] - slope[0]) / 3.0
 
-    for _ in range(samples):
-        x = rng.uniform(0.1 * d.period, 0.9 * d.period)
-        y = rng.uniform(0.0, 2.0 * math.pi)
-        def deriv(axis, step):
-            if axis == 0:
-                return beta_diff(x - step, y, x + step, y) / (2.0 * step)
-            return beta_diff(x, y - step, x, y + step) / (2.0 * step)
-        bx = (4.0 * deriv(0, h / 2) - deriv(0, h)) / 3.0
-        by = (4.0 * deriv(1, h / 2) - deriv(1, h)) / 3.0
-        cf = conformal_factor(x, d)
-        h2_grad = (bx * bx + by * by) / cf
-        h2_closed = (d.slope_x ** 2 + d.slope_y ** 2) / cf
-        worst = max(worst, abs(h2_grad - h2_closed))
-    return worst
+    bx = deriv(steps, 0.0)
+    by = deriv(0.0, steps)
+    cf = conformal_factor(x, d)
+    h2_grad = (bx * bx + by * by) / cf
+    h2_closed = (d.slope_x ** 2 + d.slope_y ** 2) / cf
+    return float(np.abs(h2_grad - h2_closed).max())
 
 
 # ----------------------------------------------------------------------
@@ -214,9 +207,10 @@ def export_samples(d: DerivedConstants, grid: Tuple[int, int],
     nx, ny = grid
     xs = np.linspace(0.0, d.period, nx, endpoint=False)
     ys = np.linspace(0.0, 2.0 * math.pi, ny, endpoint=False)
-    frame, _F, _Fp, _Gp, cf = _unit_frame(d, xs, ys)
-    r = frame[0]
-    beta = -np.angle(_det3(frame))
+    frame, _F, _Fp, _Gp, cf = _unit_frame(d, xs)
+    alphas = np.array(d.alpha.weights, dtype=float)[:, None, None]
+    r = frame[0][..., None] * np.exp(1j * alphas * ys)
+    beta = -np.angle(_det_at(d, frame[..., None], ys))
     pivot = r[chart]
     flagged = np.abs(pivot) < 1e-9
     others = [i for i in range(3) if i != chart]

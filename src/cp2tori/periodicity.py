@@ -127,10 +127,11 @@ def rational_fit(d: DerivedConstants, max_denominator: int = 10 ** 6,
         mu=mu, mu_fraction=best, approx_error=err)
 
 
-def projective_distance(u: np.ndarray, w: np.ndarray) -> float:
-    """1 - |<u, w>| for unit vectors; vanishes iff they define the same
-    projective point."""
-    return float(1.0 - abs(np.vdot(u, w)))
+def projective_distance(u: np.ndarray, w: np.ndarray):
+    """1 - |<u, w>| for unit vectors along axis 0; vanishes iff they define
+    the same projective point.  A float for single vectors."""
+    dist = 1.0 - np.abs((np.conj(u) * w).sum(axis=0))
+    return float(dist) if dist.ndim == 0 else dist
 
 
 def closure_residual(d: DerivedConstants, lattice: LatticeData,
@@ -139,11 +140,7 @@ def closure_residual(d: DerivedConstants, lattice: LatticeData,
     (x + N T, y + N tau); small iff e2 really closes the immersion."""
     rng = np.random.default_rng(seed)
     n, T, tau = lattice.n_period, d.period, lattice.tau
-    worst = 0.0
-    for _ in range(n_samples):
-        x = rng.uniform(0.0, T)
-        y = rng.uniform(0.0, 2.0 * math.pi)
-        u = lift(x, y, d)
-        w = lift(x + n * T, y + n * tau, d)
-        worst = max(worst, projective_distance(u, w))
-    return worst
+    x, y = (np.array([T, 2.0 * math.pi]) * rng.random((n_samples, 2))).T
+    u = lift(x, y, d)
+    w = lift(x + n * T, y + n * tau, d)
+    return float(projective_distance(u, w).max())

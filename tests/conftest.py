@@ -7,7 +7,7 @@ from scipy.special import ellipj
 
 from cp2tori.family import (AlphaTriple, Branch, ModuliPoint, conformal_factor,
                             derive_constants)
-from cp2tori.immersion import _det3, _unit_frame
+from cp2tori.immersion import _det_at, _unit_frame
 
 # triples used throughout the sweeps (all normalized, coprime differences)
 CANONICAL_TRIPLES = [(2, 1, -1), (3, 1, -1), (3, 2, -1), (1, 0, -1), (2, 0, -1)]
@@ -63,7 +63,7 @@ def angle_willmore(d):
     ny = 2 * int(abs(d.slope_y)) + 8
     xs = np.linspace(0.0, d.period, nx, endpoint=False)
     ys = np.linspace(0.0, 2.0 * math.pi, ny, endpoint=False)
-    det = _det3(_unit_frame(d, xs, ys)[0])
+    det = _det_at(d, _unit_frame(d, xs)[0][..., None], ys)
     beta_x = np.angle(det[:-1, :] * np.conj(det[1:, :])) / (xs[1] - xs[0])
     beta_y = np.angle(det[:, :-1] * np.conj(det[:, 1:])) / (ys[1] - ys[0])
     return d.period * 2.0 * math.pi * (np.mean(beta_x ** 2) + np.mean(beta_y ** 2))

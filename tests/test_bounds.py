@@ -290,7 +290,7 @@ PINNED_REPLAY_DIGESTS = {
     "B2-diagonal-strip-corner":
         "d3e13c7117ea94300a75d06c623b5025b0f71b8784512d338b8b322f5ac141f8",
     "scalar-1": "c5b325a668aee8334b97f31d34a7a2b83a5973324c92384a7d0a0ed507dacce3",
-    "scalar-2": "e7cd34e360c25ffda9f5cbdd7206f274d6b75b3c1fcbd47fc707fc75111d2482",
+    "scalar-2": "83ac8ea405c455755db249326edcd4791384be98b7d220f199e4d9b06415da02",
     "scalar-1-tail":
         "28475f24076cb79d20399555dbab08290e8766b37c2c367d1d96ac7b57a9c434",
     "scalar-2-tail":

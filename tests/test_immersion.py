@@ -6,7 +6,7 @@ import pytest
 
 from cp2tori.family import (AlphaTriple, Branch, ModuliPoint, conformal_factor,
                             derive_constants, lift)
-from cp2tori.immersion import (EXPORT_COLUMNS, default_chart,
+from cp2tori.immersion import (EXPORT_COLUMNS, _unit_frame, default_chart,
                                export_samples, frame_unitarity_residual,
                                geometry_residuals, lagrangian_angle,
                                mean_curvature_check, write_csv, write_obj)
@@ -53,6 +53,43 @@ def test_frame_unitarity(sample_derived, rng):
         x = rng.uniform(0.05, d.period * 0.95)
         y = rng.uniform(0, 2 * math.pi)
         assert frame_unitarity_residual(d, x, y) <= 1e-7
+
+
+def _lift_frame(d, x, y, h=1e-6):
+    """Oracle frame at (x, y) from the lift alone: r and its central
+    differences in x and y, normalized, without the x-only factorization."""
+    rx = (lift(x + h, y, d) - lift(x - h, y, d)) / (2 * h)
+    ry = (lift(x, y + h, d) - lift(x, y - h, d)) / (2 * h)
+    return np.array([lift(x, y, d), rx / np.linalg.norm(rx), ry / np.linalg.norm(ry)])
+
+
+def test_frame_matches_finite_differences_of_the_lift(sample_derived, sample_derived_plus,
+                                                      degenerate_derived):
+    rng = np.random.default_rng(12)
+    for d in (sample_derived, sample_derived_plus, degenerate_derived):
+        for x, y in zip(rng.uniform(0.05 * d.period, 0.95 * d.period, 5),
+                        rng.uniform(0.0, 2 * math.pi, 5)):
+            oracle = _lift_frame(d, x, y)
+            frame = (_unit_frame(d, np.array([x]))[0][:, :, 0]
+                     * np.exp(1j * np.array(d.alpha.weights) * y))
+            assert np.abs(frame - oracle).max() <= 1e-8
+            beta = -np.angle(np.linalg.det(oracle))
+            assert abs(math.remainder(lagrangian_angle(d, x, y) - beta, 2 * math.pi)) <= 1e-7
+
+
+def test_angle_and_lift_on_arrays_match_scalar_calls(sample_derived, degenerate_derived):
+    rng = np.random.default_rng(13)
+    for d in (sample_derived, degenerate_derived):
+        x = rng.uniform(0.0, 3 * d.period, (4, 1))
+        y = rng.uniform(0.0, 2 * math.pi, 5)
+        beta = lagrangian_angle(d, x, y)
+        psi = lift(x, y, d)
+        assert beta.shape == (4, 5) and psi.shape == (3, 4, 5)
+        for i, j in np.ndindex(beta.shape):
+            one = lagrangian_angle(d, x[i, 0], y[j])
+            assert isinstance(one, float)
+            assert abs(math.remainder(beta[i, j] - one, 2 * math.pi)) <= 1e-13
+            assert np.abs(psi[:, i, j] - lift(x[i, 0], y[j], d)).max() <= 1e-14
 
 
 def test_mean_curvature_closed_form(sample_derived):

@@ -149,3 +149,7 @@ def test_projective_distance_phase_invariance(rng):
     u = rng.normal(size=3) + 1j * rng.normal(size=3)
     u /= np.linalg.norm(u)
     assert projective_distance(v, u) > 1e-3
+    # along axis 0, one distance per column
+    both = projective_distance(np.stack([v, v], axis=1), np.stack([w, u], axis=1))
+    assert both.shape == (2,)
+    assert both.tolist() == [projective_distance(v, w), projective_distance(v, u)]
