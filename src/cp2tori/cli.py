@@ -4,9 +4,9 @@ Subcommands: energy, scan, verify, periodicity, export, mnk, feasibility.
 Exit codes: 0 success, 2 infeasible parameters, 3 a requested
 certification did not come back proved, 4 degenerate parameters (a
 vanishing root c2 or a phase denominator too close to zero), 64 usage
-error.  A JSON config file can pre-set any long option of the
-subcommand, checked as the same flag would be; an option given on the
-command line wins, whatever its value.
+error or an output path that cannot be written.  A JSON config file can
+pre-set any long option of the subcommand, checked as the same flag
+would be; an option given on the command line wins, whatever its value.
 """
 
 from __future__ import annotations
@@ -351,7 +351,7 @@ def build_parser() -> _Parser:
     add_common(p)
     p.add_argument("--alpha", nargs=3, type=int, action="append", required=True,
                    metavar=("A1", "A2", "A3"))
-    p.add_argument("--grid", type=int, default=20)
+    p.add_argument("--grid", type=_positive(int), default=20)
     p.add_argument("--branch", choices=("minus", "plus", "both"), default="both")
     p.add_argument("--margin", type=float, default=0.02)
     p.add_argument("--periods", type=int, default=1)
@@ -386,7 +386,8 @@ def build_parser() -> _Parser:
     p = sub.add_parser("export", help="sample the immersion into CSV/OBJ")
     add_common(p)
     add_moduli(p)
-    p.add_argument("--grid", nargs=2, type=int, default=(64, 64), metavar=("NX", "NY"))
+    p.add_argument("--grid", nargs=2, type=_positive(int), default=(64, 64),
+                   metavar=("NX", "NY"))
     p.add_argument("--chart", default="auto", help="affine chart component (0/1/2 or auto)")
     p.add_argument("--out", required=True)
     p.add_argument("--obj", help="also write an OBJ vertex cloud")
@@ -433,7 +434,8 @@ def main(argv: Optional[List[str]] = None) -> int:
     except Cp2ToriError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INFEASIBLE
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:
+        # OSError: an output path that cannot be written
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

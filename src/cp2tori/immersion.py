@@ -5,9 +5,9 @@ Each lift component is F_j(x) e^{i (G_j(x) + alpha_j y)}, so the unitary
 frame at (x, y) is the frame at (x, 0) times diag(e^{i alpha_j y}): it is
 built along x only, and y comes back as that phase.  The sesquilinear
 residuals are therefore y-independent and evaluated along the x-grid; the
-determinant is det R(x, 0) e^{i (alpha1+alpha2+alpha3) y}, so linearity of
-the Lagrangian angle in y is an identity of the construction, and its
-linearity in x is checked on the 2D grid.
+determinant is det R(x, 0) e^{i (alpha1+alpha2+alpha3) y}, so the Lagrangian
+angle is beta(x, 0) - (alpha1+alpha2+alpha3) y, and its linearity is checked
+from det R(x, 0) along x together with that constant slope in y.
 """
 
 from __future__ import annotations
@@ -90,8 +90,11 @@ def _det_at(d: DerivedConstants, frame: np.ndarray, y) -> np.ndarray:
 def geometry_residuals(d: DerivedConstants,
                        grid: Tuple[int, int] = (64, 64)) -> PropertyReport:
     """Evaluate every immersion property on an (nx, ny) grid over one
-    lattice cell [0, T) x [0, 2 pi)."""
+    lattice cell [0, T) x [0, 2 pi).  The wrap-safe slopes need steps of
+    beta below pi, |a| T / nx < pi and |b| 2 pi / ny < pi, or they alias."""
     nx, ny = grid
+    if nx < 2 or ny < 2:
+        raise ValueError(f"grid {tuple(grid)} needs at least 2 points along each axis")
     xs = np.linspace(0.0, d.period, nx, endpoint=False)
     ys = np.linspace(0.0, 2.0 * math.pi, ny, endpoint=False)
     frame, F, Fp, Gp, cf = _unit_frame(d, xs)
@@ -109,23 +112,23 @@ def geometry_residuals(d: DerivedConstants,
     pair_re = np.abs(pair.real).max()
     pair_im = np.abs(pair.imag).max()
 
-    # Lagrangian angle on the 2D grid
-    det = _det_at(d, frame[..., None], ys)
-    # e^{i beta} = conj(det R) in these component conventions
-    beta = -np.angle(det)
-    target = d.slope_x * xs[:, None] + d.slope_y * ys[None, :]
-    resid = beta - target
-    # compare modulo 2 pi against the constant offset
-    offset = np.angle(np.exp(1j * resid).mean())
-    lin = np.abs(np.angle(np.exp(1j * (resid - offset)))).max()
+    # e^{i beta} = conj(det R) in these conventions and det R(x, y) =
+    # det0(x) e^{i sigma y}, so beta - (a x + b y) = r(x) + delta y mod 2 pi,
+    # compared with its offset: the grid mean, a product of two 1-D means
+    det0 = _det_at(d, frame, 0.0)
+    sigma = sum(d.alpha.weights)
+    r = -np.angle(det0) - d.slope_x * xs
+    delta = -sigma - d.slope_y
+    offset = np.angle(np.exp(1j * r).mean() * np.exp(1j * delta * ys).mean())
+    resid = (r - offset)[:, None] + delta * ys
+    lin = np.abs(np.remainder(resid + math.pi, 2.0 * math.pi) - math.pi).max()
 
     # slopes from wrap-safe finite differences of beta along the grid
     dx = xs[1] - xs[0]
     dy = ys[1] - ys[0]
-    sx = np.angle(det[:-1, :] * np.conj(det[1:, :])) / dx
-    sy = np.angle(det[:, :-1] * np.conj(det[:, 1:])) / dy
+    sx = np.angle(det0[:-1] * np.conj(det0[1:])) / dx
     slope_x_err = np.abs(sx - d.slope_x).max()
-    slope_y_err = np.abs(sy - d.slope_y).max()
+    slope_y_err = abs(np.angle(np.exp(-1j * sigma * dy)) / dy - d.slope_y)
 
     return PropertyReport(
         unit_norm=float(unit), horizontality_x=float(horiz_x),
@@ -221,16 +224,11 @@ def export_samples(d: DerivedConstants, grid: Tuple[int, int],
 
 
 def write_csv(rows, fh: TextIO) -> None:
-    fh.write(",".join(EXPORT_COLUMNS) + "\n")
-    for row in rows:
-        fields = [f"{v:.12g}" if isinstance(v, float) else str(int(v))
-                  for v in row]
-        fh.write(",".join(fields) + "\n")
+    """Header, then each ``export_samples`` row: floats to 12 digits, flag 0/1."""
+    fmt = ",".join(["%.12g"] * (len(EXPORT_COLUMNS) - 1) + ["%d"]) + "\n"
+    fh.write(",".join(EXPORT_COLUMNS) + "\n" + "".join(fmt % r for r in rows))
 
 
 def write_obj(rows, fh: TextIO) -> None:
     """Vertex cloud of the affine image, first three real coordinates."""
-    for row in rows:
-        if row[-1]:
-            continue
-        fh.write(f"v {row[2]:.9g} {row[3]:.9g} {row[4]:.9g}\n")
+    fh.write("".join("v %.9g %.9g %.9g\n" % r[2:5] for r in rows if not r[-1]))

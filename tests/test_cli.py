@@ -285,6 +285,47 @@ def test_export_row_count(tmp_path, capsys):
     assert obj.read_text().startswith("v ")
 
 
+@pytest.mark.parametrize("command", ["export", "scan", "periodicity", "verify"])
+def test_unwritable_output_paths_are_usage_errors(tmp_path, capsys, command):
+    # verify creates a missing --out-dir, so its path lies under a file
+    missing = tmp_path / "missing"
+    (tmp_path / "file").write_text("")
+    moduli = ("--alpha", "2", "1", "-1", "--a1", "1.8", "--a2", "1.2")
+    export = ("export", *moduli, "--grid", "4", "4")
+    cases = {
+        "export": [(*export, "--out", str(missing / "e.csv")),
+                   (*export, "--out", str(tmp_path / "e.csv"), "--obj", str(missing / "e.obj"))],
+        "scan": [("scan", "--alpha", "2", "1", "-1", "--grid", "3",
+                  "--out", str(missing / "s.csv"))],
+        "periodicity": [("periodicity", *moduli, "--json-out", str(missing / "p.json"))],
+        "verify": [("verify", "--target", "B1", "--out-dir", str(tmp_path / "file" / "certs"))],
+    }
+    for argv in cases[command]:
+        code, _, err = run(capsys, *argv)
+        assert code == EXIT_USAGE, argv
+        assert err.startswith("error: ") and "Traceback" not in err
+    assert not missing.exists()
+
+
+def test_grid_sizes_below_one_are_usage_errors(tmp_path, capsys):
+    out = tmp_path / "e.csv"
+    export = ("export", "--alpha", "2", "1", "-1", "--a1", "1.8", "--a2", "1.2",
+              "--out", str(out))
+    scan = ("scan", "--alpha", "2", "1", "-1")
+    for argv in [(*export, "--grid", "4", "0"), (*export, "--grid", "0", "4"),
+                 (*export, "--grid", "-2", "4"), (*scan, "--grid", "0"),
+                 (*scan, "--grid", "-2")]:
+        assert _exit_code(*argv) == EXIT_USAGE, argv
+        captured = capsys.readouterr()
+        assert "--grid" in captured.err and captured.out == ""
+    cfg = tmp_path / "cfg.json"
+    for bad, argv in [({"grid": [4, 0]}, export), ({"grid": 0}, scan)]:
+        cfg.write_text(json.dumps(bad))
+        assert _exit_code(*argv, "--config", str(cfg)) == EXIT_USAGE, bad
+        assert "grid" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_mnk_classification(capsys):
     code, out, _ = run(capsys, "mnk", "--m", "2", "--n", "2", "--k", "-2")
     assert code == EXIT_OK and "torus" in out

@@ -1,12 +1,14 @@
+import dataclasses
 import io
 import math
+import re
 
 import numpy as np
 import pytest
 
 from cp2tori.family import (AlphaTriple, Branch, ModuliPoint, conformal_factor,
                             derive_constants, lift)
-from cp2tori.immersion import (EXPORT_COLUMNS, _unit_frame, default_chart,
+from cp2tori.immersion import (EXPORT_COLUMNS, _det_at, _unit_frame, default_chart,
                                export_samples, frame_unitarity_residual,
                                geometry_residuals, lagrangian_angle,
                                mean_curvature_check, write_csv, write_obj)
@@ -96,11 +98,47 @@ def test_mean_curvature_closed_form(sample_derived):
     assert mean_curvature_check(sample_derived, samples=20) <= 1e-6
 
 
-def test_mean_curvature_scaling(sample_derived):
-    # |H|^2 = (a^2 + b^2)/(2 e^v): doubling the slopes quadruples it
-    d = sample_derived
-    h2 = (d.slope_x ** 2 + d.slope_y ** 2)
-    assert (2 * d.slope_x) ** 2 + (2 * d.slope_y) ** 2 == pytest.approx(4 * h2)
+def test_residuals_catch_a_wrong_y_slope(sample_derived):
+    # the y-slope is compared with the derived constant b, not with the
+    # construction's own sum of weights; delta is not an integer, since there
+    # the y-mean of e^{i delta y} vanishes and the offset is noise
+    for delta in (0.5, 1e-3):
+        d = dataclasses.replace(sample_derived, slope_y=sample_derived.slope_y + delta)
+        rep = geometry_residuals(d, grid=(64, 64))
+        assert rep.slope_y_error == pytest.approx(delta, rel=1e-9)
+        assert rep.beta_linearity > 1e-6
+
+
+def test_residuals_need_two_points_along_each_axis(sample_derived):
+    for grid in ((1, 64), (64, 1), (0, 8)):
+        with pytest.raises(ValueError, match=re.escape(f"grid {grid}")):
+            geometry_residuals(sample_derived, grid=grid)
+
+
+def _beta_checks_on_the_grid(d, grid):
+    """Oracle for the Lagrangian-angle fields of geometry_residuals: beta =
+    -arg det R on the whole (nx, ny) grid against a x + b y modulo 2 pi, and
+    the slopes from wrap-safe differences along both axes of that grid."""
+    nx, ny = grid
+    xs = np.linspace(0.0, d.period, nx, endpoint=False)
+    ys = np.linspace(0.0, 2.0 * math.pi, ny, endpoint=False)
+    det = _det_at(d, _unit_frame(d, xs)[0][..., None], ys)
+    resid = -np.angle(det) - (d.slope_x * xs[:, None] + d.slope_y * ys[None, :])
+    offset = np.angle(np.exp(1j * resid).mean())
+    lin = np.abs(np.angle(np.exp(1j * (resid - offset)))).max()
+    sx = np.angle(det[:-1, :] * np.conj(det[1:, :])) / (xs[1] - xs[0])
+    sy = np.angle(det[:, :-1] * np.conj(det[:, 1:])) / (ys[1] - ys[0])
+    return lin, np.abs(sx - d.slope_x).max(), np.abs(sy - d.slope_y).max()
+
+
+@pytest.mark.parametrize("grid", [(64, 64), (33, 17)])
+def test_beta_checks_match_the_grid_oracle(grid, sample_derived, sample_derived_plus,
+                                           degenerate_derived):
+    for d in (sample_derived, sample_derived_plus, degenerate_derived,
+              dataclasses.replace(sample_derived, slope_y=sample_derived.slope_y + 0.5)):
+        rep = geometry_residuals(d, grid)
+        got = (rep.beta_linearity, rep.slope_x_error, rep.slope_y_error)
+        assert np.abs(np.subtract(got, _beta_checks_on_the_grid(d, grid))).max() <= 1e-12
 
 
 def test_export_row_count_and_roundtrip(sample_derived):
@@ -138,6 +176,32 @@ def test_export_values_match_the_lift(sample_derived, sample_derived_plus,
             shifts.append(beta - d.slope_x * x - d.slope_y * y)
         spread = np.angle(np.exp(1j * (np.array(shifts) - shifts[0])))
         assert np.abs(spread).max() <= 1e-9
+
+
+def _csv_by_field(rows):
+    """Oracle for write_csv: each field formatted on its own, a float at 12
+    significant digits and anything else as an int."""
+    lines = [",".join(EXPORT_COLUMNS)]
+    lines += [",".join(f"{v:.12g}" if isinstance(v, float) else str(int(v)) for v in row)
+              for row in rows]
+    return "\n".join(lines) + "\n"
+
+
+def _obj_by_field(rows):
+    """Oracle for write_obj: one vertex per unflagged row."""
+    return "".join(f"v {r[2]:.9g} {r[3]:.9g} {r[4]:.9g}\n" for r in rows if not r[-1])
+
+
+def test_writers_match_the_per_field_format(sample_derived):
+    odd = (math.nan, math.inf, -math.inf, -0.0, 1e-300, 2.0 / 3.0, -1.5e300, 7.0)
+    rows = [tuple(odd[(k + j) % len(odd)] for j in range(8)) + (k % 3 == 0,)
+            for k in range(len(odd))]
+    rows += export_samples(sample_derived, (4, 3))[0]
+    for write, oracle in ((write_csv, _csv_by_field), (write_obj, _obj_by_field)):
+        buf = io.StringIO()
+        write(rows, buf)
+        assert buf.getvalue() == oracle(rows)
+    assert "nan,inf,-inf,-0,1e-300" in _csv_by_field(rows)
 
 
 def test_export_obj_vertices(sample_derived):
