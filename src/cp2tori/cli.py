@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import operator
 import os
 import sys
 from typing import List, Optional
@@ -44,6 +45,12 @@ def _fmt(v: float) -> str:
     return f"{v:.12g}"
 
 
+# one scan CSV row: the weights as integers, the branch as its name and
+# every other column as _fmt writes it
+_SCAN_ROW = ",".join("%d" if c.startswith("alpha") else "%s" if c == "branch"
+                     else "%.12g" for c in SCAN_COLUMNS) + "\n"
+
+
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         self.print_usage(sys.stderr)
@@ -56,6 +63,17 @@ def _branch(value: str) -> Branch:
         return Branch(value)
     except ValueError:
         raise argparse.ArgumentTypeError(f"branch must be 'minus' or 'plus', got {value!r}")
+
+
+def _margin(value: str) -> float:
+    """argparse type for scan --margin: a finite float >= 0."""
+    try:
+        v = float(value)
+    except ValueError:
+        v = math.nan
+    if not (0 <= v < math.inf):
+        raise argparse.ArgumentTypeError(f"must be finite and >= 0, got {value!r}")
+    return v
 
 
 def _positive(kind):
@@ -183,12 +201,8 @@ def cmd_scan(ns) -> int:
     alphas = [AlphaTriple(*[int(v) for v in trip]) for trip in ns.alpha]
     branches = [Branch.MINUS, Branch.PLUS] if ns.branch == "both" else [Branch(ns.branch)]
     rows = energy_scan(alphas, ns.grid, branches, ns.periods, ns.margin)
-    lines = [",".join(SCAN_COLUMNS)]
-    for row in rows:
-        lines.append(",".join(
-            str(row[c]) if c in ("alpha1", "alpha2", "alpha3", "branch")
-            else _fmt(row[c]) for c in SCAN_COLUMNS))
-    text = "\n".join(lines) + "\n"
+    cells = operator.itemgetter(*SCAN_COLUMNS)
+    text = ",".join(SCAN_COLUMNS) + "\n" + "".join(_SCAN_ROW % cells(row) for row in rows)
     if ns.out:
         with open(ns.out, "w") as fh:
             fh.write(text)
@@ -353,7 +367,8 @@ def build_parser() -> _Parser:
                    metavar=("A1", "A2", "A3"))
     p.add_argument("--grid", type=_positive(int), default=20)
     p.add_argument("--branch", choices=("minus", "plus", "both"), default="both")
-    p.add_argument("--margin", type=float, default=0.02)
+    p.add_argument("--margin", type=_margin, default=0.02,
+                   help="trim of the feasibility box, as a fraction of its width")
     p.add_argument("--periods", type=int, default=1)
     p.add_argument("--out", help="CSV path (stdout when omitted)")
     p.set_defaults(func=cmd_scan)
@@ -388,7 +403,8 @@ def build_parser() -> _Parser:
     add_moduli(p)
     p.add_argument("--grid", nargs=2, type=_positive(int), default=(64, 64),
                    metavar=("NX", "NY"))
-    p.add_argument("--chart", default="auto", help="affine chart component (0/1/2 or auto)")
+    p.add_argument("--chart", choices=("auto", "0", "1", "2"), default="auto",
+                   help="affine chart component")
     p.add_argument("--out", required=True)
     p.add_argument("--obj", help="also write an OBJ vertex cloud")
     p.set_defaults(func=cmd_export)

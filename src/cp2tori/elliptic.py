@@ -8,9 +8,10 @@ modulus (not k^2) that the torus family passes around.
 Algorithms: the complete integral uses the arithmetic-geometric mean (which
 also gives D = (K - E)/k^2 without cancellation, see :func:`complete_kd`), the
 incomplete integral the Carlson symmetric form R_F, and sn, cn a descending
-Landen transformation.  R_F, R_J (which the family's third-kind phase
+Landen transformation.  K and D (over an array of moduli, which the
+energy scan needs), R_F, R_J (which the family's third-kind phase
 integrals need) and sn, cn work elementwise on numpy arrays; for scalar
-input R_F and sn return floats.  The test suite checks them against direct
+input K, D, R_F and sn return floats.  The test suite checks them against direct
 adaptive quadrature of the defining integral, scipy.special and mpmath.
 Relative accuracy is about 1e-13 for k <= 0.99; k >= 1 is rejected.
 """
@@ -125,15 +126,19 @@ def complete_k(k) -> float:
     return complete_kd(k)[0]
 
 
-def complete_kd(k) -> Tuple[float, float]:
+def complete_kd(k):
     """K(k) and D(k) = (K(k) - E(k)) / k^2 from one AGM run.
 
     D comes from K - E = K * sum_{n>=0} 2^(n-1) c_n^2 (DLMF 19.8.6) with
     c_0 = k and c_n = c_{n-1}^2 / (4 a_n), divided by k^2 term by term:
     D = K (1/2 + sum_{n>=1} 2^(n-1) (c_n/k)^2).  K and E are never
     subtracted, so D keeps full relative accuracy down to k = 0, where
-    D = pi/4.
+    D = pi/4.  Elementwise over a numpy array of k, with each element's
+    run stopped where the scalar run stops, so an element equals the
+    scalar call; a float for a scalar k, without numpy.
     """
+    if isinstance(k, np.ndarray) and k.ndim:
+        return _complete_kd_array(k.astype(float))
     kk = _as_k(k)
     if kk == 0.0:
         return 0.5 * math.pi, 0.25 * math.pi
@@ -148,6 +153,30 @@ def complete_kd(k) -> Tuple[float, float]:
         a, b = 0.5 * (a + b), math.sqrt(a * b)
         q = kk * q * q / (4.0 * a)
         s += w * q * q
+        w *= 2.0
+    K = math.pi / (a + b)
+    return K, K * s
+
+
+def _complete_kd_array(k: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """The AGM run of :func:`complete_kd` on an array of moduli: the
+    elements still running take the scalar step, the others keep their
+    values."""
+    valid = (k >= 0.0) & (k < 1.0)
+    if not valid.all():
+        EllipticModulus(float(k.flat[np.argmin(valid)]))  # raises, naming it
+    a = np.ones_like(k)
+    b = np.sqrt((1.0 - k) * (1.0 + k))
+    q = np.ones_like(k)
+    w = 1.0
+    s = np.full_like(k, 0.5)
+    for _ in range(40):
+        run = abs(a - b) > 4e-16 * a
+        if not run.any():
+            break
+        a, b = np.where(run, 0.5 * (a + b), a), np.where(run, np.sqrt(a * b), b)
+        q = np.where(run, k * q * q / (4.0 * a), q)
+        s = np.where(run, s + w * q * q, s)
         w *= 2.0
     K = math.pi / (a + b)
     return K, K * s

@@ -134,8 +134,12 @@ class ModuliPoint:
     branch: Branch = Branch.MINUS
 
     def __post_init__(self):
-        if not (self.a1 > self.a2 > 0):
-            raise ValueError(f"need a1 > a2 > 0, got a1={self.a1}, a2={self.a2}")
+        _require_ordered(self.a1, self.a2)
+
+
+def _require_ordered(a1: float, a2: float) -> None:
+    if not (a1 > a2 > 0):
+        raise ValueError(f"need a1 > a2 > 0, got a1={a1}, a2={a2}")
 
 
 @dataclass(frozen=True)
@@ -150,10 +154,9 @@ class FeasibilityResult:
         return self.feasible
 
 
-def _quartic_p_r(alpha: AlphaTriple, a1: float, a2: float) -> Tuple[float, float]:
-    """P and R of the even quartic (a1-a2)^2 x^4 + 2P x^2 + R^2 in c2."""
-    if not (a1 > a2 > 0):
-        raise ValueError(f"need a1 > a2 > 0, got a1={a1}, a2={a2}")
+def _quartic_p_r(alpha: AlphaTriple, a1, a2):
+    """P and R of the even quartic (a1-a2)^2 x^4 + 2P x^2 + R^2 in c2,
+    elementwise; a1 > a2 > 0 is the caller's to check."""
     b, c, c1 = alpha.b, alpha.c, alpha.c1
     P = (a1**3 * a2**2 + a1**2 * a2**3
          + (a1**2 * a2 + a1 * a2**2) * b * c1
@@ -163,10 +166,16 @@ def _quartic_p_r(alpha: AlphaTriple, a1: float, a2: float) -> Tuple[float, float
     return P, R
 
 
+def _p_discriminant(alpha: AlphaTriple, a1, a2):
+    """P and the discriminant P^2 - (a1-a2)^2 R^2, elementwise."""
+    P, R = _quartic_p_r(alpha, a1, a2)
+    return P, P * P - (a1 - a2) ** 2 * R * R
+
+
 def feasibility_check(alpha: AlphaTriple, a1: float, a2: float) -> FeasibilityResult:
     """Evaluate P <= 0 and P^2 - (a1-a2)^2 R^2 >= 0 for the quartic in c2."""
-    P, R = _quartic_p_r(alpha, a1, a2)
-    disc = P * P - (a1 - a2) ** 2 * R * R
+    _require_ordered(a1, a2)
+    P, disc = _p_discriminant(alpha, a1, a2)
     return FeasibilityResult(bool(P <= 0) and bool(disc >= 0), float(P), float(disc))
 
 
@@ -197,6 +206,7 @@ class C2Roots:
 
 def quartic_coefficients(alpha: AlphaTriple, a1: float, a2: float) -> Tuple[float, float, float]:
     """(q4, q2, q0) of the even quartic q4*x^4 + q2*x^2 + q0 solved by c2."""
+    _require_ordered(a1, a2)
     P, R = _quartic_p_r(alpha, a1, a2)
     return ((a1 - a2) ** 2, 2.0 * float(P), R * R)
 
@@ -209,19 +219,58 @@ def solve_c2(alpha: AlphaTriple, point: ModuliPoint) -> C2Roots:
     (only the slope's square is used).
     """
     a1, a2 = point.a1, point.a2
-    res = feasibility_check(alpha, a1, a2)
+    P, disc = _p_discriminant(alpha, a1, a2)
     Qa1 = q_cubic(a1, alpha)
     Qa2 = q_cubic(a2, alpha)
-    if Qa1 < 0 or Qa2 < 0 or not res:
+    if not _roots_real(Qa1, Qa2, P, disc):
         lo, hi = (lemma3_box(alpha) if alpha.is_ordered else (float("nan"),) * 2)
         raise InfeasibleParameters(
             f"(a1, a2)=({a1}, {a2}) infeasible for alpha={alpha.weights}: "
-            f"Q(a1)={Qa1:.6g}, Q(a2)={Qa2:.6g}, P={res.p_value:.6g}, "
-            f"discriminant={res.discriminant:.6g}",
-            p_value=res.p_value, discriminant=res.discriminant, box=(lo, hi))
-    s1 = a1 * math.sqrt(Qa2)
-    s2 = a2 * math.sqrt(Qa1)
-    return C2Roots(minus=abs(s1 - s2) / (a1 - a2), plus=(s1 + s2) / (a1 - a2))
+            f"Q(a1)={Qa1:.6g}, Q(a2)={Qa2:.6g}, P={P:.6g}, "
+            f"discriminant={disc:.6g}",
+            p_value=float(P), discriminant=float(disc), box=(lo, hi))
+    return C2Roots(*_c2_pair(a1, a2, Qa1, Qa2))
+
+
+# The formulas from the moduli to the derived constants, written once for
+# one point (floats, math.sqrt) and for a whole grid (arrays, np.sqrt).
+
+def _sqrt(x):
+    return np.sqrt(x) if isinstance(x, np.ndarray) else math.sqrt(x)
+
+
+def _roots_real(Qa1, Qa2, P, disc):
+    """Where both c2 roots are real and positive: Q(a1), Q(a2) >= 0,
+    P <= 0 and a nonnegative discriminant."""
+    return (Qa1 >= 0) & (Qa2 >= 0) & (P <= 0) & (disc >= 0)
+
+
+def _c2_pair(a1, a2, Qa1, Qa2):
+    """The minus and plus roots (a1 sqrt(Q(a2)) -+ a2 sqrt(Q(a1)))/(a1 - a2)."""
+    s1 = a1 * _sqrt(Qa2)
+    s2 = a2 * _sqrt(Qa1)
+    return abs(s1 - s2) / (a1 - a2), (s1 + s2) / (a1 - a2)
+
+
+def _c2_vanishes(c2, a1):
+    """c2 <= 1e-12 max(1, a1^2): the angle slope a = (...)/c2 is undefined."""
+    return (c2 <= 1e-12) | (c2 <= 1e-12 * (a1 * a1))
+
+
+def _moduli_constants(alpha: AlphaTriple, a1, a2, c2):
+    """a3, the x-slope a of the Lagrangian angle, the elliptic modulus k
+    and sqrt(a1 + a3)."""
+    a3 = (alpha.c1**2 + c2 * c2) / (a1 * a2)
+    slope_x = (alpha.b * alpha.c1 + a1 * a3 + a2 * a3 - a1 * a2) / c2
+    # (a1-a2)/(a1+a3) is the *parameter* m = k^2 of the sn in the conformal
+    # factor: only then does (d/dx 2e^v)^2 = 4(a1-2e^v)(2e^v-a2)(2e^v+a3)
+    # hold, which is what makes the immersion conformal.
+    return a3, slope_x, _sqrt((a1 - a2) / (a1 + a3)), _sqrt(a1 + a3)
+
+
+def _period(K, sqrt_a1_a3):
+    """T = 2K/sqrt(a1 + a3), the period of the conformal factor in x."""
+    return 2.0 * K / sqrt_a1_a3
 
 
 @dataclass(frozen=True)
@@ -248,17 +297,13 @@ def derive_constants(alpha: AlphaTriple, point: ModuliPoint) -> DerivedConstants
     roots = solve_c2(alpha, point)
     c2 = roots.pick(point.branch)
     a1, a2 = point.a1, point.a2
-    if c2 <= 1e-12 * max(1.0, a1 * a1):
+    if _c2_vanishes(c2, a1):
         raise DegenerateParameters(
             f"c2 ({point.branch.value} branch) vanishes at (a1, a2)=({a1}, {a2}); "
             "the angle slope a = (...)/c2 is undefined there")
-    a3 = (alpha.c1**2 + c2**2) / (a1 * a2)
-    slope_x = (alpha.b * alpha.c1 + a1 * a3 + a2 * a3 - a1 * a2) / c2
-    # (a1-a2)/(a1+a3) is the *parameter* m = k^2 of the sn in the conformal
-    # factor: only then does (d/dx 2e^v)^2 = 4(a1-2e^v)(2e^v-a2)(2e^v+a3)
-    # hold, which is what makes the immersion conformal.
-    modulus = EllipticModulus(math.sqrt((a1 - a2) / (a1 + a3)))
-    period = 2.0 * complete_k(modulus) / math.sqrt(a1 + a3)
+    a3, slope_x, k, root = _moduli_constants(alpha, a1, a2, c2)
+    modulus = EllipticModulus(k)
+    period = _period(complete_k(modulus), root)
     return DerivedConstants(
         alpha=alpha, a1=a1, a2=a2, branch=point.branch, c2=c2, a3=a3,
         slope_x=slope_x, slope_y=float(alpha.b), modulus=modulus, period=period)

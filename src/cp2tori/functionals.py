@@ -11,7 +11,8 @@ and loses digits; the D form, rewritten through (a1 + a3) k^2 = a1 - a2,
 subtracts nothing larger than a1 K.  W is 2 pi N T (a^2 + b^2) in the
 Lagrangian-angle slopes.  Everything scales linearly in the period count
 N, so the energy ratio is evaluated at N = 1 (where E/E_Cl > 1 is
-hardest).
+hardest).  :func:`energy_scan` applies the same formulas to a whole grid
+of moduli at once, as numpy arrays.
 """
 
 from __future__ import annotations
@@ -23,9 +24,9 @@ from typing import Iterable, List, Sequence
 import numpy as np
 
 from .elliptic import complete_kd
-from .errors import Cp2ToriError
-from .family import (AlphaTriple, Branch, DerivedConstants, ModuliPoint,
-                     derive_constants, lemma3_box)
+from .family import (AlphaTriple, Branch, DerivedConstants, _c2_pair,
+                     _c2_vanishes, _moduli_constants, _p_discriminant, _period,
+                     _require_ordered, _roots_real, lemma3_box, q_cubic)
 
 
 def clifford_energy() -> float:
@@ -65,33 +66,48 @@ class FunctionalValues:
     ratio: float  # energy / clifford_energy()
 
 
+def _period_integral(a1, a2, K, D, sqrt_a1_a3):
+    return 2.0 * (a1 * K - (a1 - a2) * D) / sqrt_a1_a3
+
+
+def _area(a1, a2, K, D, sqrt_a1_a3, n_periods: int):
+    if n_periods < 1:
+        raise ValueError("n_periods must be >= 1")
+    return 2.0 * math.pi * n_periods * _period_integral(a1, a2, K, D, sqrt_a1_a3)
+
+
+def _willmore(period, slope_x, slope_y, n_periods: int):
+    if n_periods < 1:
+        raise ValueError("n_periods must be >= 1")
+    return 2.0 * math.pi * n_periods * period * (slope_x * slope_x + slope_y * slope_y)
+
+
+def _functional_values(A, W) -> FunctionalValues:
+    """E = A + W/8 and its ratio to E_Cl, for one point or a grid of them."""
+    E = A + W / 8.0
+    return FunctionalValues(area=A, willmore=W, energy=E, ratio=E / clifford_energy())
+
+
 def period_integral(d: DerivedConstants) -> float:
     """Integral of the conformal factor over one period, in closed form:
     2 (a1 K - (a1 - a2) D) / sqrt(a1 + a3) with D = (K - E)/k^2."""
     K, D = complete_kd(d.modulus)
-    return 2.0 * (d.a1 * K - (d.a1 - d.a2) * D) / d.sqrt_a1_a3
+    return _period_integral(d.a1, d.a2, K, D, d.sqrt_a1_a3)
 
 
 def area_mironov(d: DerivedConstants, n_periods: int = 1) -> float:
     """A = 2 pi N * integral_0^T (2 e^v) dx."""
-    if n_periods < 1:
-        raise ValueError("n_periods must be >= 1")
-    return 2.0 * math.pi * n_periods * period_integral(d)
+    K, D = complete_kd(d.modulus)
+    return _area(d.a1, d.a2, K, D, d.sqrt_a1_a3, n_periods)
 
 
 def willmore_mironov(d: DerivedConstants, n_periods: int = 1) -> float:
     """W = 2 pi N T (a^2 + b^2), the closed form."""
-    if n_periods < 1:
-        raise ValueError("n_periods must be >= 1")
-    return (2.0 * math.pi * n_periods * d.period
-            * (d.slope_x ** 2 + d.slope_y ** 2))
+    return _willmore(d.period, d.slope_x, d.slope_y, n_periods)
 
 
 def energy_mironov(d: DerivedConstants, n_periods: int = 1) -> FunctionalValues:
-    A = area_mironov(d, n_periods)
-    W = willmore_mironov(d, n_periods)
-    E = A + W / 8.0
-    return FunctionalValues(area=A, willmore=W, energy=E, ratio=E / clifford_energy())
+    return _functional_values(area_mironov(d, n_periods), willmore_mironov(d, n_periods))
 
 
 # ----------------------------------------------------------------------
@@ -102,38 +118,68 @@ SCAN_COLUMNS = ("alpha1", "alpha2", "alpha3", "a1", "a2", "branch",
                 "c2", "a3", "a", "T", "A", "W", "E", "ratio")
 
 
+def _grid_arrays(alpha: AlphaTriple, n: int, margin: float):
+    """The (a1, a2) arrays of :func:`feasible_grid`, in its order."""
+    lo, hi = lemma3_box(alpha)
+    if hi <= lo:
+        return np.empty(0), np.empty(0)
+    pad = (hi - lo) * margin
+    vals = np.linspace(lo + pad, hi - pad, n)
+    sep = (hi - lo) * margin
+    a1, a2 = np.meshgrid(vals, vals, indexing="ij")
+    keep = a2 < a1 - sep
+    return a1[keep], a2[keep]
+
+
 def feasible_grid(alpha: AlphaTriple, n: int, margin: float = 0.02) -> List[tuple]:
-    """Interior (a1, a2) grid points of the feasibility box with a1 > a2.
+    """Interior (a1, a2) grid points of the feasibility box with a1 > a2,
+    ordered by a1, then a2.
 
     ``margin`` trims the box boundary (degenerate loci) as a fraction of
     the box width.
     """
-    lo, hi = lemma3_box(alpha)
-    if hi <= lo:
-        return []
-    pad = (hi - lo) * margin
-    vals = np.linspace(lo + pad, hi - pad, n)
-    sep = (hi - lo) * margin
-    return [(float(a1), float(a2)) for a1 in vals for a2 in vals if a2 < a1 - sep]
+    a1, a2 = _grid_arrays(alpha, n, margin)
+    return list(zip(a1.tolist(), a2.tolist()))
+
+
+def _scan_triple(alpha: AlphaTriple, n: int, branches: Sequence[Branch],
+                 n_periods: int, margin: float) -> List[dict]:
+    """The scan rows of one triple, each formula applied to the whole grid
+    at once: a1, then a2, then the branches in the given order."""
+    a1, a2 = _grid_arrays(alpha, n, margin)
+    ordered = (a1 > a2) & (a2 > 0)
+    if not ordered.all():
+        i = np.argmin(ordered)
+        _require_ordered(float(a1[i]), float(a2[i]))  # raises, naming the point
+    P, disc = _p_discriminant(alpha, a1, a2)
+    Qa1, Qa2 = q_cubic(a1, alpha), q_cubic(a2, alpha)
+    real = _roots_real(Qa1, Qa2, P, disc)
+    a1, a2 = a1[real], a2[real]
+    roots = dict(zip((Branch.MINUS, Branch.PLUS), _c2_pair(a1, a2, Qa1[real], Qa2[real])))
+    # one column per branch, so the rows come out point by point
+    c2 = np.empty((a1.size, len(branches)))
+    for j, b in enumerate(branches):
+        c2[:, j] = roots[b]
+    a1, a2 = (np.broadcast_to(v[:, None], c2.shape) for v in (a1, a2))
+    keep = ~_c2_vanishes(c2, a1)
+    branch = np.broadcast_to(np.array([b.value for b in branches]), c2.shape)[keep]
+    a1, a2, c2 = a1[keep], a2[keep], c2[keep]
+    a3, slope_x, k, root = _moduli_constants(alpha, a1, a2, c2)
+    K, D = complete_kd(k)
+    T = _period(K, root)
+    fv = _functional_values(_area(a1, a2, K, D, root, n_periods),
+                            _willmore(T, slope_x, float(alpha.b), n_periods))
+    columns = (a1, a2, branch, c2, a3, slope_x, T, fv.area, fv.willmore, fv.energy,
+               fv.ratio)
+    return [dict(zip(SCAN_COLUMNS, (*alpha.weights, *values)))
+            for values in zip(*(c.tolist() for c in columns))]
 
 
 def energy_scan(alphas: Iterable[AlphaTriple], n: int = 20,
                 branches: Sequence[Branch] = (Branch.MINUS, Branch.PLUS),
                 n_periods: int = 1, margin: float = 0.02) -> List[dict]:
-    """One CSV-ready row per feasible grid point and branch; a point that
-    gives no torus (any Cp2ToriError) is skipped."""
-    rows = []
-    for alpha in alphas:
-        for a1, a2 in feasible_grid(alpha, n, margin):
-            for branch in branches:
-                try:
-                    d = derive_constants(alpha, ModuliPoint(a1, a2, branch))
-                except Cp2ToriError:
-                    continue
-                fv = energy_mironov(d, n_periods)
-                rows.append({"alpha1": alpha.alpha1, "alpha2": alpha.alpha2,
-                             "alpha3": alpha.alpha3, "a1": a1, "a2": a2,
-                             "branch": branch.value, "c2": d.c2, "a3": d.a3,
-                             "a": d.slope_x, "T": d.period, "A": fv.area,
-                             "W": fv.willmore, "E": fv.energy, "ratio": fv.ratio})
-    return rows
+    """One CSV-ready row per feasible grid point and branch, with the
+    values :func:`energy_mironov` gives there; a point where c2 is not
+    real or vanishes gives no torus and is skipped."""
+    return [row for alpha in alphas
+            for row in _scan_triple(alpha, n, branches, n_periods, margin)]

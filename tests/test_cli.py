@@ -5,6 +5,7 @@ import re
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 import cp2tori
@@ -471,24 +472,77 @@ def test_config_values_meet_the_flag_checks(tmp_path, capsys):
 
 
 def test_scan_skips_degenerate_points_in_api_and_cli(tmp_path, capsys, monkeypatch):
+    # the scan takes both c2 roots of a whole grid from _c2_pair: a plus
+    # root below 1e-12 max(1, a1^2) at one point is a vanishing c2 there,
+    # on that branch only
     from cp2tori import functionals
-    from cp2tori.errors import DegenerateParameters
     from cp2tori.family import AlphaTriple
     al = AlphaTriple(2, 1, -1)
     a1, a2 = functionals.feasible_grid(al, 4)[0]
-    real = functionals.derive_constants
+    real = functionals._c2_pair
 
-    def derive(alpha, point):
-        if (point.a1, point.a2, point.branch.value) == (a1, a2, "plus"):
-            raise DegenerateParameters("c2 vanishes")
-        return real(alpha, point)
+    def c2_pair(g1, g2, q1, q2):
+        minus, plus = real(g1, g2, q1, q2)
+        return minus, np.where((g1 == a1) & (g2 == a2), 0.5e-12, plus)
 
     full = functionals.energy_scan([al], n=4)
-    monkeypatch.setattr(functionals, "derive_constants", derive)
+    keys = [(r["a1"], r["a2"], r["branch"]) for r in full]
+    assert (a1, a2, "minus") in keys and (a1, a2, "plus") in keys
+    monkeypatch.setattr(functionals, "_c2_pair", c2_pair)
     rows = functionals.energy_scan([al], n=4)
     assert len(rows) == len(full) - 1
-    assert not any((r["a1"], r["a2"], r["branch"]) == (a1, a2, "plus") for r in rows)
+    assert [r for r in full if (r["a1"], r["a2"], r["branch"]) != (a1, a2, "plus")] == rows
+    assert any((r["a1"], r["a2"], r["branch"]) == (a1, a2, "minus") for r in rows)
     code, _, err = run(capsys, "scan", "--alpha", "2", "1", "-1", "--grid", "4",
                        "--out", str(tmp_path / "s.csv"))
     assert code == EXIT_OK
-    assert f"rows = {len(rows)} " in err
+    assert f"rows = {len(full) - 1} " in err
+
+
+def test_export_chart_takes_auto_or_a_component(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    out = tmp_path / "e.csv"
+    export = ("export", "--alpha", "2", "1", "-1", "--a1", "1.8", "--a2", "1.2",
+              "--grid", "4", "4", "--out", str(out))
+    for bad in ("5", "-1", "x", "3", ""):
+        assert _exit_code(*export, "--chart", bad) == EXIT_USAGE, bad
+        assert "--chart" in capsys.readouterr().err
+    for bad in (5, -1, "x", 0.5, None):
+        cfg.write_text(json.dumps({"chart": bad}))
+        assert _exit_code(*export, "--config", str(cfg)) == EXIT_USAGE, bad
+        assert "chart" in capsys.readouterr().err
+    assert not out.exists()
+    for good in ("0", "1", "2"):
+        code, stdout, _ = run(capsys, *export, "--chart", good)
+        assert code == EXIT_OK and f"(chart component {good})" in stdout
+        cfg.write_text(json.dumps({"chart": int(good)}))
+        code, stdout, _ = run(capsys, *export, "--config", str(cfg))
+        assert code == EXIT_OK and f"(chart component {good})" in stdout
+    for argv in [(*export, "--chart", "auto"), (*export,)]:
+        code, stdout, _ = run(capsys, *argv)
+        assert code == EXIT_OK and re.search(r"\(chart component [012]\)", stdout)
+    cfg.write_text(json.dumps({"chart": "auto"}))
+    code, _, _ = run(capsys, *export, "--config", str(cfg))
+    assert code == EXIT_OK
+
+
+def test_scan_margin_is_finite_and_nonnegative(tmp_path, capsys):
+    out = tmp_path / "s.csv"
+    scan = ("scan", "--alpha", "2", "1", "-1", "--grid", "5", "--out", str(out))
+    for bad in ("nan", "inf", "-inf", "-0.1", "x"):
+        assert _exit_code(*scan, "--margin", bad) == EXIT_USAGE, bad
+        assert "argument --margin: " in capsys.readouterr().err
+    cfg = tmp_path / "cfg.json"
+    for bad in ("nan", -0.1, "inf"):
+        cfg.write_text(json.dumps({"margin": bad}))
+        assert _exit_code(*scan, "--config", str(cfg)) == EXIT_USAGE, bad
+        assert "config: argument --margin: " in capsys.readouterr().err
+    assert not out.exists()
+    # no margin: the box edge a2 = alpha2 alpha3 is on the grid, which is
+    # a2 = 0 when alpha2 = 0
+    code, _, err = run(capsys, "scan", "--alpha", "3", "2", "-1", "--grid", "5",
+                       "--margin", "0", "--out", str(out))
+    assert code == EXIT_OK and "rows = 18 " in err
+    code, _, err = run(capsys, "scan", "--alpha", "2", "0", "-1", "--grid", "5",
+                       "--margin", "0", "--out", str(tmp_path / "t.csv"))
+    assert code == EXIT_USAGE and "need a1 > a2 > 0" in err

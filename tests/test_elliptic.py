@@ -67,6 +67,23 @@ def test_complete_kd_small_modulus():
         assert complete_kd(k)[1] == pytest.approx(series, rel=1e-15)
 
 
+def test_complete_kd_is_elementwise():
+    # an array of moduli gives the scalar calls' K and D, bit for bit
+    ks = [0.0, 1e-8, 0.5, 0.99, 1.0 - 1e-12]
+    K, D = complete_kd(np.array(ks))
+    assert K.shape == D.shape == (len(ks),)
+    assert [(float(a), float(b)) for a, b in zip(K, D)] == [complete_kd(k) for k in ks]
+    K2, D2 = complete_kd(np.array(ks).reshape(5, 1))
+    assert K2.shape == (5, 1) and np.array_equal(K2.ravel(), K)
+    assert complete_kd(np.empty(0))[0].shape == (0,)
+    assert type(complete_kd(0.5)[0]) is float
+    for bad in (1.0, 1.5, -0.1, float("nan")):
+        with pytest.raises(ValueError, match="0 <= k < 1"):
+            complete_kd(np.array([0.5, bad, 0.2]))
+        with pytest.raises(ValueError, match="0 <= k < 1"):
+            complete_kd(bad)
+
+
 def test_complete_kd_against_mpmath():
     import mpmath
     with mpmath.workdps(40):

@@ -291,3 +291,14 @@ def test_degenerate_c2_error():
     assert solve_c2(al, ModuliPoint(a1, 1.2)).minus == pytest.approx(0.0, abs=1e-12)
     with pytest.raises(DegenerateParameters):
         derive_constants(al, ModuliPoint(a1, 1.2, Branch.MINUS))
+
+
+def test_c2_vanishes_below_a1_scaled_threshold():
+    # c2 <= 1e-12 max(1, a1^2), the same test for one point and, as
+    # arrays, for the scan's grid
+    from cp2tori.family import _c2_vanishes
+    cases = [(3e-12, 2.0, True), (4e-12, 2.0, True), (5e-12, 2.0, False),
+             (1e-12, 0.5, True), (1.1e-12, 0.5, False), (0.0, 0.5, True)]
+    assert [bool(_c2_vanishes(c2, a1)) for c2, a1, _ in cases] == [v for *_, v in cases]
+    c2, a1, expected = (np.array(v) for v in zip(*cases))
+    assert np.array_equal(_c2_vanishes(c2, a1), expected)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
+from cp2tori.errors import Cp2ToriError
 from cp2tori.family import (AlphaTriple, Branch, ModuliPoint, derive_constants,
                             lemma3_box)
 from cp2tori.functionals import (HomogeneousParams, area_mironov,
@@ -159,6 +160,49 @@ def test_energy_ratio_exceeds_one_on_grid():
     rows = energy_scan([al], n=8)
     assert rows, "feasible grid should not be empty"
     assert all(r["ratio"] > 1.0 for r in rows)
+
+
+def test_energy_scan_matches_the_per_point_path():
+    # the acceptance sweep, evaluated as arrays, against energy_mironov at
+    # each point: the same rows in the same order, the same values
+    alphas = [AlphaTriple(*t) for t in CANONICAL_TRIPLES]
+    rows = energy_scan(alphas, n=30)
+    expected = []
+    for al in alphas:
+        for a1, a2 in feasible_grid(al, 30):
+            for branch in (Branch.MINUS, Branch.PLUS):
+                try:
+                    d = derive_constants(al, ModuliPoint(a1, a2, branch))
+                except Cp2ToriError:
+                    continue
+                fv = energy_mironov(d)
+                expected.append(((*al.weights, a1, a2, branch.value),
+                                 (d.c2, d.a3, d.slope_x, d.period, fv.area,
+                                  fv.willmore, fv.energy, fv.ratio)))
+    assert len(rows) == len(expected) == 4350
+    keys = ("alpha1", "alpha2", "alpha3", "a1", "a2", "branch")
+    values = ("c2", "a3", "a", "T", "A", "W", "E", "ratio")
+    assert [tuple(r[c] for c in keys) for r in rows] == [k for k, _ in expected]
+    for row, (_, ref) in zip(rows, expected):
+        got = tuple(row[c] for c in values)
+        assert all(type(v) is float for v in got)
+        assert all(abs(g - r) <= 1e-13 * abs(r) for g, r in zip(got, ref)), (row, ref)
+
+
+def test_energy_scan_keeps_its_error_paths():
+    # a grid point with a2 = 0 (no margin on an alpha2 = 0 triple), fewer
+    # than one period and an unordered triple raise; branches come out in
+    # the order given
+    with pytest.raises(ValueError, match="need a1 > a2 > 0, got a1=0.5, a2=0.0"):
+        energy_scan([AlphaTriple(2, 0, -1)], n=5, margin=0.0)
+    with pytest.raises(ValueError, match="n_periods"):
+        energy_scan([AlphaTriple(2, 1, -1)], n=5, n_periods=0)
+    with pytest.raises(ValueError, match="normal form"):
+        energy_scan([AlphaTriple(1, 2, -1)], n=5)
+    al = AlphaTriple(2, 1, -1)
+    both = energy_scan([al], n=5, branches=(Branch.PLUS, Branch.MINUS))
+    assert [r["branch"] for r in both[:2]] == ["plus", "minus"]
+    assert energy_scan([al], n=5, branches=()) == []
 
 
 def test_energy_scan_empty_for_unfeasible_triple():
