@@ -394,7 +394,7 @@ def build_parser() -> _Parser:
     add_common(p)
     add_moduli(p)
     p.add_argument("--max-denominator", type=int, default=10 ** 6)
-    p.add_argument("--tol", type=float, default=1e-9)
+    p.add_argument("--tol", type=_positive(float), default=1e-9)
     p.add_argument("--json-out", help="also write the JSON result here")
     p.set_defaults(func=cmd_periodicity)
 

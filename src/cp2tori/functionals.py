@@ -43,7 +43,10 @@ class HomogeneousParams:
     r3: float
 
     def __post_init__(self):
-        if min(self.r1, self.r2, self.r3) <= 0:
+        r = (self.r1, self.r2, self.r3)
+        if not all(map(math.isfinite, r)):
+            raise ValueError(f"homogeneous radii must be finite, got {r!r}")
+        if min(r) <= 0:
             raise ValueError("homogeneous radii must be positive")
         n = self.r1**2 + self.r2**2 + self.r3**2
         if abs(n - 1.0) > 1e-12:

@@ -12,9 +12,13 @@ never unsound).
 The scalar path rounds each endpoint product, quotient or square root
 once to both sides, RD and RU: it moves one ulp out only on the side where
 the exact value lies, which Dekker's error term shows for a product and
-the residual a - q*b for a quotient or root q.  Operands of one sign need two
-endpoint pairs, not four (Moore, Kearfott & Cloud, *Introduction to
-Interval Analysis*, SIAM 2009, §2.3): both factors >= 0 give
+the residual a - q*b for a quotient or root q.  Both come from one
+helper, ``_prod_err``, which returns Dekker's exact error of a product,
+or NaN (nudge both sides) outside the band where its splits are exact.
+A number operand such as the ``8.0`` in ``8.0 * x`` is read as the
+endpoint pair (8.0, 8.0) and is not wrapped in an ``Interval``.  Operands
+of one sign need two endpoint pairs, not four (Moore, Kearfott & Cloud,
+*Introduction to Interval Analysis*, SIAM 2009, §2.3): both factors >= 0 give
 [a*c, b*d] and a dividend >= 0 over a divisor > 0 gives [a/d, b/c]; any
 other case rounds its four pairs once each.  On both engines an endpoint
 product of 0 and +-inf is 0 (IEEE Std 1788-2015).
@@ -53,6 +57,8 @@ from .errors import IntervalDomainError
 
 _INF = math.inf
 _MAX = sys.float_info.max
+_NAN = math.nan
+_new = object.__new__
 
 # Dekker splitting fails near overflow; outside this band we just nudge.
 _SPLIT_SAFE = 1e150
@@ -66,64 +72,62 @@ def _up(v: float) -> float:
     return math.nextafter(v, _INF)
 
 
-def _two_sum_err(a: float, b: float, s: float) -> float:
-    # TwoSum: exact rounding error of s = fl(a + b); valid in round-to-nearest.
-    bb = s - a
-    return (a - (s - bb)) + (b - bb)
-
-
-def _split(a: float):
-    c = 134217729.0 * a  # 2**27 + 1
-    hi = c - (c - a)
-    return hi, a - hi
-
-def _two_prod_err(a: float, b: float, p: float) -> float:
-    # Dekker: exact rounding error of p = fl(a * b) (no overflow in splits).
-    ah, al = _split(a)
-    bh, bl = _split(b)
-    return ((ah * bh - p) + ah * bl + al * bh) + al * bl
-
-
 def _add_down(a, b):
     s = a + b
     if math.isinf(s):
         return s if s < 0 else _MAX
-    return s if _two_sum_err(a, b, s) >= 0 else _down(s)
+    bb = s - a  # TwoSum: (a - (s - bb)) + (b - bb) is a + b - s exactly
+    return s if (a - (s - bb)) + (b - bb) >= 0 else _down(s)
 
 
 def _add_up(a, b):
     s = a + b
     if math.isinf(s):
         return s if s > 0 else -_MAX
-    return s if _two_sum_err(a, b, s) <= 0 else _up(s)
+    bb = s - a
+    return s if (a - (s - bb)) + (b - bb) <= 0 else _up(s)
 
 
-def _prod_maybe_inexact(a, b, p):
-    # Dekker splitting is unreliable near overflow and underflow
-    if abs(a) > _SPLIT_SAFE or abs(b) > _SPLIT_SAFE or abs(p) > _SPLIT_SAFE:
-        return True
+def _prod_err(a, b, p):
+    """Dekker's exact error a*b - p of p = fl(a * b), or NaN where the
+    Veltkamp splits are unreliable: a factor or p beyond 1e150 (near
+    overflow), 0 < |p| < 1e-290, or p == 0 from two nonzero factors (an
+    underflowed product)."""
+    m = abs(p)
+    if abs(a) > _SPLIT_SAFE or abs(b) > _SPLIT_SAFE or m > _SPLIT_SAFE:
+        return _NAN
     if p == 0.0:
-        return a != 0.0 and b != 0.0  # underflowed nonzero product
-    return abs(p) < 1e-290
+        if a != 0.0 and b != 0.0:
+            return _NAN
+    elif m < 1e-290:
+        return _NAN
+    c = 134217729.0 * a  # 2**27 + 1
+    ah = c - (c - a)
+    al = a - ah
+    c = 134217729.0 * b
+    bh = c - (c - b)
+    bl = b - bh
+    return ((ah * bh - p) + ah * bl + al * bh) + al * bl
 
 
 def _mul_out(a, b):
     """(down, up) enclosure of a * b from one rounded product: only the
     side on which Dekker's error term puts the exact product moves one
-    ulp out."""
+    ulp out (both sides where the error is NaN)."""
     p = a * b
-    if p != p:  # 0 * inf is 0 (IEEE Std 1788-2015)
-        return 0.0, 0.0
-    if math.isinf(p):
-        return (p, -_MAX) if p < 0 else (_MAX, p)
-    if _prod_maybe_inexact(a, b, p):
-        return _down(p), _up(p)
-    e = _two_prod_err(a, b, p)
+    e = _prod_err(a, b, p)
     if e > 0:
         return p, _up(p)
     if e < 0:
         return _down(p), p
-    return p, p
+    if e == 0:
+        return p, p
+    # e is NaN: p is out of the band, or inf, or NaN (from a factor inf)
+    if p != p:  # 0 * inf is 0 (IEEE Std 1788-2015)
+        return 0.0, 0.0
+    if math.isinf(p):
+        return (p, -_MAX) if p < 0 else (_MAX, p)
+    return _down(p), _up(p)
 
 
 def _residual(a, q, b):
@@ -131,9 +135,7 @@ def _residual(a, q, b):
     NaN outside Dekker's safe band.  q*b = p + e exactly (Dekker), and a - p
     is exact by Sterbenz's lemma, so only the last subtraction rounds."""
     p = q * b
-    if _prod_maybe_inexact(q, b, p):
-        return math.nan
-    return (a - p) - _two_prod_err(q, b, p)
+    return (a - p) - _prod_err(q, b, p)
 
 
 def _div_out(a, b):
@@ -147,6 +149,44 @@ def _div_out(a, b):
         return (q, -_MAX) if q < 0 else (_MAX, q)
     r = _residual(a, q, b) if b > 0.0 else -_residual(a, q, b)  # ~ a/b - q
     return (q if r >= 0.0 else _down(q)), (q if r <= 0.0 else _up(q))
+
+
+def _interval(lo, hi):
+    """An Interval from float endpoints: the constructor's check, without
+    its float() conversions."""
+    if not lo <= hi:  # also rejects NaN
+        raise IntervalDomainError(f"invalid interval bounds [{lo}, {hi}]")
+    iv = _new(Interval)
+    iv.lo = lo
+    iv.hi = hi
+    return iv
+
+
+def _ends(v):
+    """The endpoints of an operand: an Interval's, or (v, v) for a number,
+    which is read without building an Interval."""
+    if isinstance(v, Interval):
+        return v.lo, v.hi
+    v = float(v)
+    if v != v:
+        raise IntervalDomainError(f"invalid interval bounds [{v}, {v}]")
+    return v, v
+
+
+def _div(a, b, c, d):
+    """[a, b] / [c, d]; a divisor containing 0 as the module docstring says."""
+    if c > 0.0 and a >= 0.0:  # the pairs (a, d) and (b, c) bound it
+        return _interval(_div_out(a, d)[0], _div_out(b, c)[1])
+    if c == 0.0 < d:  # divisor in (0, d]
+        return _interval(_div_out(a, d)[0] if a >= 0.0 else -_INF,
+                         _div_out(b, d)[1] if b <= 0.0 else _INF)
+    if c < 0.0 == d:  # divisor in [c, 0)
+        return _interval(_div_out(b, c)[0] if b <= 0.0 else -_INF,
+                         _div_out(a, c)[1] if a >= 0.0 else _INF)
+    if c <= 0.0 <= d:
+        return _interval(-_INF, _INF)
+    e1, e2, e3, e4 = _div_out(a, c), _div_out(a, d), _div_out(b, c), _div_out(b, d)
+    return _interval(min(e1[0], e2[0], e3[0], e4[0]), max(e1[1], e2[1], e3[1], e4[1]))
 
 
 class Interval:
@@ -164,14 +204,6 @@ class Interval:
         self.lo = lo
         self.hi = hi
 
-    # -- helpers ---------------------------------------------------------
-
-    @staticmethod
-    def _coerce(other) -> "Interval":
-        if isinstance(other, Interval):
-            return other
-        return Interval(float(other))
-
     @property
     def width(self) -> float:
         return self.hi - self.lo
@@ -188,59 +220,49 @@ class Interval:
     def __hash__(self):
         return hash((self.lo, self.hi))
 
-    # -- arithmetic ------------------------------------------------------
+    # -- arithmetic: a number operand is the interval [v, v] -------------
 
     def __add__(self, other):
-        o = self._coerce(other)
-        return Interval(_add_down(self.lo, o.lo), _add_up(self.hi, o.hi))
+        c, d = _ends(other)
+        return _interval(_add_down(self.lo, c), _add_up(self.hi, d))
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Interval(-self.hi, -self.lo)
+        return _interval(-self.hi, -self.lo)
 
     def __sub__(self, other):
-        o = self._coerce(other)
-        return Interval(_add_down(self.lo, -o.hi), _add_up(self.hi, -o.lo))
+        c, d = _ends(other)
+        return _interval(_add_down(self.lo, -d), _add_up(self.hi, -c))
 
     def __rsub__(self, other):
-        return self._coerce(other) - self
+        a, b = _ends(other)
+        return _interval(_add_down(a, -self.hi), _add_up(b, -self.lo))
 
     def __mul__(self, other):
-        o = self._coerce(other)
-        a, b, c, d = self.lo, self.hi, o.lo, o.hi
+        a, b = self.lo, self.hi
+        c, d = _ends(other)
         if a >= 0.0 and c >= 0.0:  # the pairs (a, c) and (b, d) bound it
-            return Interval(_mul_out(a, c)[0], _mul_out(b, d)[1])
-        ends = (_mul_out(a, c), _mul_out(a, d), _mul_out(b, c), _mul_out(b, d))
-        return Interval(min(e[0] for e in ends), max(e[1] for e in ends))
+            return _interval(_mul_out(a, c)[0], _mul_out(b, d)[1])
+        e1, e2, e3, e4 = _mul_out(a, c), _mul_out(a, d), _mul_out(b, c), _mul_out(b, d)
+        return _interval(min(e1[0], e2[0], e3[0], e4[0]), max(e1[1], e2[1], e3[1], e4[1]))
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        o = self._coerce(other)
-        a, b, c, d = self.lo, self.hi, o.lo, o.hi
-        if c > 0.0 and a >= 0.0:  # the pairs (a, d) and (b, c) bound it
-            return Interval(_div_out(a, d)[0], _div_out(b, c)[1])
-        if c == 0.0 < d:  # divisor in (0, d]
-            return Interval(_div_out(a, d)[0] if a >= 0.0 else -_INF,
-                            _div_out(b, d)[1] if b <= 0.0 else _INF)
-        if c < 0.0 == d:  # divisor in [c, 0)
-            return Interval(_div_out(b, c)[0] if b <= 0.0 else -_INF,
-                            _div_out(a, c)[1] if a >= 0.0 else _INF)
-        if c <= 0.0 <= d:
-            return Interval(-_INF, _INF)
-        ends = (_div_out(a, c), _div_out(a, d), _div_out(b, c), _div_out(b, d))
-        return Interval(min(e[0] for e in ends), max(e[1] for e in ends))
+        c, d = _ends(other)
+        return _div(self.lo, self.hi, c, d)
 
     def __rtruediv__(self, other):
-        return self._coerce(other) / self
+        a, b = _ends(other)
+        return _div(a, b, self.lo, self.hi)
 
     def sq(self) -> "Interval":
         """Tight square: never dips below zero for sign-changing intervals."""
         a, b = abs(self.lo), abs(self.hi)
         lo_m, hi_m = (a, b) if a <= b else (b, a)
         lo = 0.0 if self.lo <= 0.0 <= self.hi else _mul_out(lo_m, lo_m)[0]
-        return Interval(lo, _mul_out(hi_m, hi_m)[1])
+        return _interval(lo, _mul_out(hi_m, hi_m)[1])
 
     def sqrt(self) -> "Interval":
         if self.lo < 0:
@@ -249,13 +271,14 @@ class Interval:
         rh = math.sqrt(self.hi)
         lo = rl if _residual(self.lo, rl, rl) >= 0.0 else _down(rl)
         hi = rh if _residual(self.hi, rh, rh) <= 0.0 else _up(rh)
-        return Interval(max(lo, 0.0), hi)
+        return _interval(max(lo, 0.0), hi)
 
     def nonneg(self) -> "Interval":
         """Intersection with [0, inf); use when the domain guarantees >= 0."""
         if self.hi < 0:
             raise IntervalDomainError(f"{self!r} entirely negative")
-        return Interval(max(self.lo, 0.0), self.hi)
+        return _interval(max(self.lo, 0.0), self.hi)
+
 
 
 PI = Interval(_down(math.pi), _up(math.pi))

@@ -316,6 +316,23 @@ def test_replay_enclosures_are_pinned():
     assert digests == PINNED_REPLAY_DIGESTS
 
 
+# SHA-256 of the scalar enclosures (lo, hi as little-endian doubles) of
+# every retained box of every certificate, certificates in the order of
+# the claims and boxes in their retained order
+PINNED_ALL_BOX_DIGEST = "32a6bd6eda64cfd1f634de58a368622f6f5ba892ecbf3d3f777bffdc0cfb7986"
+
+
+def test_replay_enclosures_of_every_box_are_pinned():
+    certs = certify_charts([t for claim in CLAIMS.values() for t in claim])
+    digest = hashlib.sha256()
+    for cert in certs:
+        for xlo, xhi, ylo, yhi in cert.retained_boxes:
+            enc = CHARTS[cert.target].expr(Interval(xlo, xhi), Interval(ylo, yhi))
+            digest.update(struct.pack("<2d", enc.lo, enc.hi))
+    assert sum(cert.retained_count for cert in certs) == 1980
+    assert digest.hexdigest() == PINNED_ALL_BOX_DIGEST
+
+
 def _b1_plain(x, y):
     # b1 as the paper displays it, with plain / and sqrt and no clamp
     u = x + y

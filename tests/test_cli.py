@@ -546,3 +546,26 @@ def test_scan_margin_is_finite_and_nonnegative(tmp_path, capsys):
     code, _, err = run(capsys, "scan", "--alpha", "2", "0", "-1", "--grid", "5",
                        "--margin", "0", "--out", str(tmp_path / "t.csv"))
     assert code == EXIT_USAGE and "need a1 > a2 > 0" in err
+
+
+def test_periodicity_tol_is_positive_and_finite(tmp_path, capsys):
+    # a NaN tolerance rejected no fit and reported "periodic" for any moduli
+    moduli = ("periodicity", "--alpha", "2", "1", "-1", "--a1", "1.8", "--a2", "1.2")
+    for bad in ("nan", "inf", "-1", "0", "x"):
+        assert _exit_code(*moduli, "--tol", bad) == EXIT_USAGE, bad
+        assert "argument --tol: " in capsys.readouterr().err
+    cfg = tmp_path / "cfg.json"
+    for bad in ("nan", -1e-9, "inf"):
+        cfg.write_text(json.dumps({"tol": bad}))
+        assert _exit_code(*moduli, "--config", str(cfg)) == EXIT_USAGE, bad
+        assert "config: argument --tol: " in capsys.readouterr().err
+    code, out, _ = run(capsys, *moduli, "--tol", "1e-3")
+    assert code == EXIT_OK and "periodic" in out
+
+
+def test_energy_homogeneous_rejects_non_finite_radii(capsys):
+    for bad in ("nan", "inf"):
+        code, out, err = run(capsys, "energy", "--family", "homogeneous",
+                             "--r", "0.5", "0.5", bad)
+        assert code == EXIT_USAGE, bad
+        assert out == "" and "radii must be finite" in err

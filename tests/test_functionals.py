@@ -33,6 +33,15 @@ def test_homogeneous_frozen_value():
     assert abs(homogeneous_energy(p) - 7.852) < 1e-3
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_homogeneous_params_reject_non_finite_radii(bad):
+    # a NaN radius passed both the sign and the unit-sphere test
+    with pytest.raises(ValueError, match="radii must be finite"):
+        HomogeneousParams(0.5, 0.5, bad)
+    with pytest.raises(ValueError, match="radii must be finite"):
+        HomogeneousParams(bad, SQ3, SQ3)
+
+
 def test_homogeneous_boundary_behavior():
     # a single radius collapsing to 0 blows the energy up ...
     vals = []

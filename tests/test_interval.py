@@ -1,4 +1,6 @@
 import math
+import operator
+import struct
 import sys
 from fractions import Fraction
 
@@ -220,6 +222,23 @@ def test_mul_div_tight_on_every_sign_class(op, ends, rounding, x, y):
         assert enc.hi == max(rounding(v, INF) for v in his)
 
 
+@pytest.mark.parametrize("op, ends", [
+    (operator.add, lambda x, y: (Fraction(x[0]) + Fraction(y[0]),
+                                 Fraction(x[1]) + Fraction(y[1]))),
+    (operator.sub, lambda x, y: (Fraction(x[0]) - Fraction(y[1]),
+                                 Fraction(x[1]) - Fraction(y[0]))),
+], ids=["add", "sub"])
+@given(x=signed_intervals(), y=signed_intervals())
+@settings(max_examples=300)
+def test_add_sub_tight_on_every_sign_class(op, ends, x, y):
+    # TwoSum finds every exact sum, so each end is the directed rounding
+    # of its exact endpoint sum, RD(lo) and RU(hi); endpoints below 1e200
+    # keep every sum clear of overflow
+    enc = op(Interval(*x), Interval(*y))
+    lo, hi = ends(x, y)
+    assert enc.lo == _directed(lo, -INF) and enc.hi == _directed(hi, INF)
+
+
 @given(v=magnitude)
 @settings(max_examples=300)
 def test_sqrt_rounds_each_end_to_one_side(v):
@@ -231,6 +250,112 @@ def test_sqrt_rounds_each_end_to_one_side(v):
     if _in_band([v, enc.lo ** 2]):
         assert x < Fraction(math.nextafter(enc.lo, INF)) ** 2
         assert Fraction(math.nextafter(enc.hi, -INF)) ** 2 < x
+
+
+TINY = 5e-324
+
+# results at the edges of Dekker's band, where the scalar path nudges both
+# sides instead of trusting the error term, or is exact at the band's
+# edge: (operation, x, y, (lo, hi))
+EDGE_CASES = [
+    pytest.param("mul", (1e200, 1e200), (0.0, 0.0), (-TINY, TINY), id="huge-times-0"),
+    pytest.param("mul", (0.0, 0.0), (-1e200, -1e200), (-TINY, TINY), id="0-times-huge"),
+    pytest.param("mul", (-1e200, 1e200), (0.0, 0.0), (-TINY, TINY), id="huge-span-times-0"),
+    pytest.param("mul", (1e-200, 1e-200), (1e-200, 1e-200), (-TINY, TINY), id="underflow"),
+    pytest.param("mul", (-1e-200, -1e-200), (1e-200, 1e-200), (-TINY, TINY),
+                 id="negative-underflow"),
+    pytest.param("mul", (-1e-200, 1e-200), (1e-200, 2e-200), (-TINY, TINY),
+                 id="span-underflow"),
+    pytest.param("mul", (1e-145, 1e-145), (9.9e-146, 9.9e-146),
+                 (9.899999999999998e-291, 9.900000000000001e-291), id="below-1e-290"),
+    pytest.param("mul", (-3e-146, -3e-146), (3e-145, 3e-145),
+                 (-9.000000000000002e-291, -9e-291), id="negative-below-1e-290"),
+    pytest.param("mul", (1e-145, 1e-145), (1.01e-145, 1.01e-145),
+                 (1.0099999999999998e-290, 1.0099999999999999e-290), id="above-1e-290"),
+    pytest.param("mul", (1e150, 1e150), (1.0, 1.0), (1e150, 1e150), id="factor-at-1e150"),
+    pytest.param("mul", (1.0000000000000002e150, 1.0000000000000002e150), (1.0, 1.0),
+                 (1e150, 1.0000000000000003e150), id="factor-above-1e150"),
+    pytest.param("mul", (1e75, 1e75), (1e75, 1e75), (9.999999999999998e149, 1e150),
+                 id="product-near-1e150"),
+    pytest.param("mul", (3e75, 3e75), (3.333333333333333e74, 3.333333333333333e74),
+                 (9.999999999999998e149, 1e150), id="product-below-1e150"),
+    pytest.param("mul", (0.1, 0.1), (1e151, 1e151), (1e150, 1.0000000000000003e150),
+                 id="factor-1e151"),
+    pytest.param("div", (1.0, 1.0), (1e-150, 1e-150), (1e150, 1.0000000000000002e150),
+                 id="quotient-1e150"),
+    pytest.param("div", (3.0, 3.0), (3e-150, 3e-150), (9.999999999999998e149, 1e150),
+                 id="quotient-near-1e150"),
+    pytest.param("div", (1e151, 1e151), (10.0, 10.0),
+                 (9.999999999999998e149, 1.0000000000000002e150), id="dividend-1e151"),
+    pytest.param("div", (1e150, 1e150), (3.0, 3.0),
+                 (3.333333333333333e149, 3.3333333333333336e149), id="dividend-1e150"),
+    pytest.param("div", (1.0, 1.0), (3e150, 3e150),
+                 (3.333333333333333e-151, 3.333333333333334e-151), id="divisor-3e150"),
+    pytest.param("mul", (0.0, 0.0), (INF, INF), (0.0, 0.0), id="0-times-inf"),
+    pytest.param("mul", (0.0, 0.0), (-INF, -INF), (0.0, 0.0), id="0-times-minus-inf"),
+    pytest.param("mul", (-INF, -INF), (0.0, 0.0), (0.0, 0.0), id="minus-inf-times-0"),
+    pytest.param("mul", (-1.0, 0.0), (-INF, 1.0), (-1.0, INF), id="span-0-times-inf"),
+    pytest.param("mul", (0.0, 1.0), (-INF, -1.0), (-INF, 0.0), id="0-span-times-minus-inf"),
+    pytest.param("mul", (-1.0, 0.0), (0.0, 0.0), (-0.0, -0.0), id="signed-zero-products"),
+    pytest.param("mul", (0.0, 0.0), (-1.0, 0.0), (-0.0, -0.0), id="zero-times-signed-zeros"),
+    pytest.param("div", (-0.0, 0.0), (-2.0, -1.0), (0.0, 0.0), id="signed-zeros-over-negative"),
+    pytest.param("sqrt", (TINY, TINY), None,
+                 (2.2227587494850772e-162, 2.222758749485078e-162), id="sqrt-smallest"),
+    pytest.param("sqrt", (1e-310, 2e-310), None,
+                 (9.999999999999984e-156, 1.4142135623730932e-155), id="sqrt-subnormal"),
+    pytest.param("sqrt", (0.0, 4e-320), None, (0.0, 1.9999888671516983e-160),
+                 id="sqrt-0-to-subnormal"),
+]
+
+
+def _bits(lo, hi):
+    return struct.pack("<2d", lo, hi)
+
+
+@pytest.mark.parametrize("op, x, y, expected", EDGE_CASES)
+def test_edge_of_dekker_band_results_are_pinned(op, x, y, expected):
+    # bit for bit, signs of zero included
+    if op == "sqrt":
+        enc = Interval(*x).sqrt()
+    elif op == "mul":
+        enc = Interval(*x) * Interval(*y)
+    else:
+        enc = Interval(*x) / Interval(*y)
+    assert _bits(enc.lo, enc.hi) == _bits(*expected)
+
+
+ARITHMETIC = [operator.add, operator.sub, operator.mul, operator.truediv]
+ARITHMETIC_IDS = ["add", "sub", "mul", "div"]
+
+
+@pytest.mark.parametrize("op", ARITHMETIC, ids=ARITHMETIC_IDS)
+@given(x=signed_intervals(), v=st.floats(allow_nan=False, allow_infinity=False))
+@settings(max_examples=200)
+@example(x=(-1.0, 2.0), v=3)
+@example(x=(0.5, 2.0), v=np.float64(0.1))
+@example(x=(-2.0, 0.0), v=-0.0)
+def test_a_number_operand_is_its_degenerate_interval(op, x, v):
+    # a number on either side gives exactly the result of Interval(v)
+    iv = Interval(*x)
+    for got, want in ((op(iv, v), op(iv, Interval(v))), (op(v, iv), op(Interval(v), iv))):
+        assert type(got) is Interval
+        assert _bits(got.lo, got.hi) == _bits(want.lo, want.hi)
+
+
+@pytest.mark.parametrize("op", ARITHMETIC, ids=ARITHMETIC_IDS)
+def test_a_nan_operand_is_rejected(op):
+    with pytest.raises(IntervalDomainError):
+        op(Interval(1.0, 2.0), math.nan)
+    with pytest.raises(IntervalDomainError):
+        op(math.nan, Interval(1.0, 2.0))
+
+
+@pytest.mark.parametrize("make", [lambda: Interval(INF) + Interval(-INF),
+                                  lambda: Interval(INF) - INF,
+                                  lambda: INF - Interval(INF)], ids=["add", "sub", "rsub"])
+def test_a_nan_result_is_rejected(make):
+    with pytest.raises(IntervalDomainError):
+        make()
 
 
 def test_point_ops_enclose_random(rng):
