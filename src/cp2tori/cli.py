@@ -16,7 +16,9 @@ import json
 import math
 import operator
 import os
+import re
 import sys
+from functools import cache
 from typing import List, Optional
 
 import numpy as np
@@ -52,6 +54,14 @@ _SCAN_ROW = ",".join("%d" if c.startswith("alpha") else "%s" if c == "branch"
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # argparse takes "-inf", "-nan" and "-1e5" for option names, since
+        # they do not look like negative numbers to it; read every negative
+        # float literal as a value, so that the option's own check names it
+        self._negative_number_matcher = re.compile(
+            r"^-((\d+\.?\d*|\.\d+)(e[+-]?\d+)?|inf|infinity|nan)$", re.IGNORECASE)
+
     def error(self, message):
         self.print_usage(sys.stderr)
         print(f"{self.prog}: error: {message}", file=sys.stderr)
@@ -425,8 +435,13 @@ def build_parser() -> _Parser:
     return parser
 
 
+# one parser per process: building it costs about as much as a small
+# subcommand; _given_in builds its own, because it rewrites the defaults
+_main_parser = cache(build_parser)
+
+
 def main(argv: Optional[List[str]] = None) -> int:
-    parser = build_parser()
+    parser = _main_parser()
     ns = parser.parse_args(argv)
     ns = _apply_config(ns, _subcommands(parser).choices[ns.command], argv)
     needs_moduli = ns.command in ("periodicity", "export") or (

@@ -28,6 +28,14 @@ Two arithmetic engines share one operator API:
 * :class:`Interval` -- scalar, used by public code and certificate replay;
 * :class:`IntervalArray` -- numpy-backed, used by the subdivision engine.
 
+An ``IntervalArray`` keeps its endpoints in one float64 array of shape
+(2, n), row 0 the lower ends and row 1 the upper ends, so that an
+operation costs a few numpy calls whatever n is: ``+`` and ``-`` are one
+operation on both rows, ``*`` and ``/`` form their four endpoint products
+or quotients in one broadcast (two for a number operand), and one helper
+nudges both rows, ``np.nextafter`` towards -inf for row 0 and +inf for
+row 1, keeping an exact +0.0 lower end and -0.0 upper end at 0.0.
+
 Both divide by one rule (IEEE Std 1788-2015): a divisor that touches zero
 at one end gives an enclosure of n/d over its nonzero part -- one-sided
 for a dividend of one sign, about 0 for a zero dividend, the whole line
@@ -298,108 +306,153 @@ def sqrt(v):
 # ----------------------------------------------------------------------
 
 
-def _nudge_down(a):
-    """Outward nudge of a lower endpoint; exact +0.0 stays 0 so that
-    sign-definite products keep their sign (an exactly-zero endpoint can
-    only come from an exact zero or a positive underflow, both >= 0)."""
-    out = np.nextafter(a, -_INF)
-    return np.where((a == 0.0) & ~np.signbit(a), 0.0, out)
+_OUT = np.array([[-_INF], [_INF]])  # outward: row 0 down, row 1 up
+# the bits of +0.0 (row 0) and -0.0 (row 1): such an end stays 0.0 when nudged
+_ZERO_STAYS = np.array([[0], [np.iinfo(np.int64).min]], dtype=np.int64)
+_FLOOR = np.array([[0.0], [-_INF]])  # np.maximum with it clamps row 0 at 0
+_SIGNS = np.array([[1.0], [-1.0]])
 
 
-def _nudge_up(a):
-    """Outward nudge of an upper endpoint; exact -0.0 stays 0."""
-    out = np.nextafter(a, _INF)
-    return np.where((a == 0.0) & np.signbit(a), 0.0, out)
+def _nudge(e):
+    """Endpoint rows e moved one ulp outward, row 0 down and row 1 up.  An
+    exact +0.0 lower end or -0.0 upper end stays 0.0, so that sign-definite
+    products keep their sign (such a zero comes from an exact zero or from
+    an underflow on its own side of 0)."""
+    out = np.nextafter(e, _OUT)
+    np.copyto(out, 0.0, where=e.view(np.int64) == _ZERO_STAYS)
+    return out
+
+
+def _hull(p):
+    """Endpoint rows [min, max] of endpoint products or quotients p: four
+    of shape (2, 2, n), p[j, i] from row i of the left operand and row j
+    of the right one, paired as min(min(p[0, 0], p[1, 0]), min(p[0, 1],
+    p[1, 1])), which fixes how signed zeros and NaNs come out; or two of
+    shape (2, n), from a number or 1-D array operand."""
+    if p.ndim == 3:
+        lo_p, hi_p = np.minimum(p[0], p[1]), np.maximum(p[0], p[1])
+    else:
+        lo_p = hi_p = p
+    return np.array([np.minimum(lo_p[0], lo_p[1]), np.maximum(hi_p[0], hi_p[1])])
+
+
+def _div_rows(n, d):
+    """Endpoint rows of n / d, for endpoint rows n and a divisor d given as
+    endpoint rows or as a number or 1-D array; a divisor containing 0 as
+    the module docstring says."""
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        e = _nudge(_hull(n / d[:, None] if d.ndim == 2 else n / d))
+        dlo, dhi = (d[0], d[1]) if d.ndim == 2 else (d, d)
+        whole = False
+        if not (dlo * dhi > 0.0).all():  # some divisor not strictly signed
+            pos = (dlo == 0.0) & (dhi > 0.0)  # d in (0, dhi]
+            neg = (dlo < 0.0) & (dhi == 0.0)  # d in [dlo, 0)
+            whole = (dlo <= 0.0) & (dhi >= 0.0) & ~pos & ~neg
+            # [a/dhi, b/dhi] on (0, dhi] and [b/dlo, a/dlo] on [dlo, 0),
+            # each end kept where the dividend's sign bounds it (a >= 0 for
+            # the first, b <= 0 for the second) and infinite elsewhere
+            keep = n * _SIGNS >= 0.0
+            e = np.where(pos, np.where(keep, _nudge(n / dhi), _OUT), e)
+            e = np.where(neg, np.where(keep[::-1], _nudge(n[::-1] / dlo), _OUT), e)
+    np.copyto(e, _OUT, where=whole | np.isnan(e))
+    return e
+
+
+def _array(e):
+    """An IntervalArray on endpoint rows e, which it does not copy."""
+    a = _new(IntervalArray)
+    a.e = e
+    return a
 
 
 class IntervalArray:
-    """Array of intervals (parallel lo/hi arrays), always outward-nudged."""
+    """Array of intervals, always outward-nudged.  The endpoints are one
+    float64 array ``e`` of shape (2, n), row 0 the lower ends and row 1 the
+    upper ends, so that each operation handles both rows in a few numpy
+    calls.  An operand is an IntervalArray of length n (or 1), or a number
+    or 1-D array v, which is the intervals [v, v]."""
 
-    __slots__ = ("lo", "hi")
+    __slots__ = ("e",)
 
     def __init__(self, lo, hi):
-        self.lo = np.asarray(lo, dtype=np.float64)
-        self.hi = np.asarray(hi, dtype=np.float64)
+        e = np.array(np.broadcast_arrays(lo, hi), dtype=np.float64)
+        if e.ndim != 2:
+            raise ValueError(f"IntervalArray takes 1-D endpoint arrays, got shape {e.shape[1:]}")
+        self.e = e
+
+    @property
+    def lo(self):
+        return self.e[0]
+
+    @property
+    def hi(self):
+        return self.e[1]
 
     @staticmethod
-    def _coerce(other):
+    def _operand(other):
+        """The endpoint rows of an IntervalArray, or a number or 1-D array
+        as itself: broadcast against rows, it is both ends."""
         if isinstance(other, IntervalArray):
-            return other.lo, other.hi
+            return other.e
         v = np.asarray(other, dtype=np.float64)
-        return v, v
+        if v.ndim > 1:
+            raise ValueError(f"an IntervalArray operand has at most one dimension, "
+                             f"got shape {v.shape}")
+        return v
 
     def __add__(self, other):
-        olo, ohi = self._coerce(other)
-        return IntervalArray(_nudge_down(self.lo + olo), _nudge_up(self.hi + ohi))
+        return _array(_nudge(self.e + self._operand(other)))
 
     __radd__ = __add__
 
     def __neg__(self):
-        return IntervalArray(-self.hi, -self.lo)
+        return _array(-self.e[::-1])
 
     def __sub__(self, other):
-        olo, ohi = self._coerce(other)
-        return IntervalArray(_nudge_down(self.lo - ohi), _nudge_up(self.hi - olo))
+        o = self._operand(other)
+        return _array(_nudge(self.e - (o[::-1] if o.ndim == 2 else o)))
 
     def __rsub__(self, other):
-        olo, ohi = self._coerce(other)
-        return IntervalArray(_nudge_down(olo - self.hi), _nudge_up(ohi - self.lo))
+        return _array(_nudge(self._operand(other) - self.e[::-1]))
 
     def __mul__(self, other):
-        olo, ohi = self._coerce(other)
+        o = self._operand(other)
         with np.errstate(invalid="ignore"):
-            p1, p2 = self.lo * olo, self.lo * ohi
-            p3, p4 = self.hi * olo, self.hi * ohi
-        lo = np.minimum(np.minimum(p1, p2), np.minimum(p3, p4))
-        hi = np.maximum(np.maximum(p1, p2), np.maximum(p3, p4))
-        nan = np.isnan(lo)
+            p = self.e * o[:, None] if o.ndim == 2 else self.e * o
+        e = _hull(p)
+        nan = np.isnan(e[0])
         if nan.any():  # 0 * inf: that endpoint product is 0 (IEEE Std 1788-2015)
-            lo = np.where(nan, np.fmin(np.fmin(np.fmin(p1, p2), np.fmin(p3, p4)), 0.0), lo)
-            hi = np.where(nan, np.fmax(np.fmax(np.fmax(p1, p2), np.fmax(p3, p4)), 0.0), hi)
-        return IntervalArray(_nudge_down(lo), _nudge_up(hi))
+            # on rows of length n: np.fmin and np.fmax pick the sign of a
+            # zero by the length of their operands (numpy's SIMD loops)
+            (p1, p3), (p2, p4) = p if p.ndim == 3 else (p, p)
+            lo = np.fmin(np.fmin(np.fmin(p1, p2), np.fmin(p3, p4)), 0.0)
+            hi = np.fmax(np.fmax(np.fmax(p1, p2), np.fmax(p3, p4)), 0.0)
+            e = np.where(nan, [lo, hi], e)
+        return _array(_nudge(e))
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        olo, ohi = self._coerce(other)
-        pos = (olo == 0.0) & (ohi > 0.0)  # d in (0, ohi]
-        neg = (olo < 0.0) & (ohi == 0.0)  # d in [olo, 0)
-        whole = (olo <= 0.0) & (ohi >= 0.0) & ~pos & ~neg
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            q1, q2 = self.lo / olo, self.lo / ohi
-            q3, q4 = self.hi / olo, self.hi / ohi
-            lo = _nudge_down(np.minimum(np.minimum(q1, q2), np.minimum(q3, q4)))
-            hi = _nudge_up(np.maximum(np.maximum(q1, q2), np.maximum(q3, q4)))
-            lo = np.where(pos, np.where(self.lo >= 0.0, _nudge_down(self.lo / ohi), -_INF), lo)
-            hi = np.where(pos, np.where(self.hi <= 0.0, _nudge_up(self.hi / ohi), _INF), hi)
-            lo = np.where(neg, np.where(self.hi <= 0.0, _nudge_down(self.hi / olo), -_INF), lo)
-            hi = np.where(neg, np.where(self.lo >= 0.0, _nudge_up(self.lo / olo), _INF), hi)
-        lo = np.where(whole | np.isnan(lo), -_INF, lo)
-        hi = np.where(whole | np.isnan(hi), _INF, hi)
-        return IntervalArray(lo, hi)
+        return _array(_div_rows(self.e, self._operand(other)))
 
     def __rtruediv__(self, other):
-        olo, ohi = self._coerce(other)
-        shape = np.broadcast_shapes(np.shape(olo), self.lo.shape)
-        num = IntervalArray(np.broadcast_to(olo, shape).copy(), np.broadcast_to(ohi, shape).copy())
-        return num / self
+        return _array(_div_rows(np.broadcast_to(self._operand(other), self.e.shape), self.e))
 
     def sq(self):
-        a, b = np.abs(self.lo), np.abs(self.hi)
-        lo_m, hi_m = np.minimum(a, b), np.maximum(a, b)
-        lo = _nudge_down(lo_m * lo_m)
-        lo = np.where((self.lo <= 0.0) & (self.hi >= 0.0), 0.0, lo)
-        return IntervalArray(np.maximum(lo, 0.0), _nudge_up(hi_m * hi_m))
+        m = _hull(np.abs(self.e))  # [min, max] of |lo|, |hi|
+        e = _nudge(m * m)
+        np.copyto(e[0], 0.0, where=(self.e[0] <= 0.0) & (self.e[1] >= 0.0))
+        return _array(e)
 
     def sqrt(self):
         with np.errstate(invalid="ignore"):
-            lo = _nudge_down(np.sqrt(np.maximum(self.lo, 0.0)))
-            hi = _nudge_up(np.sqrt(self.hi))
-        hi = np.where(np.isnan(hi), _INF, hi)
-        return IntervalArray(np.maximum(lo, 0.0), hi)
+            e = _nudge(np.sqrt(np.maximum(self.e, _FLOOR)))
+        np.maximum(e[0], 0.0, out=e[0])
+        np.copyto(e[1], _INF, where=np.isnan(e[1]))
+        return _array(e)
 
     def nonneg(self):
-        return IntervalArray(np.maximum(self.lo, 0.0), self.hi)
+        return _array(np.maximum(self.e, _FLOOR))
 
 
 # ----------------------------------------------------------------------
@@ -529,10 +582,8 @@ def certify_lower_bound(
         boxes = np.column_stack([xlo, xhi, ylo, yhi])[keep]
         if not boxes.shape[0]:
             break
-        enc = evaluator(
-            IntervalArray(boxes[:, 0], boxes[:, 1]),
-            IntervalArray(boxes[:, 2], boxes[:, 3]),
-        )
+        ends = boxes.T  # views: rows xlo, xhi, ylo, yhi
+        enc = evaluator(_array(ends[:2]), _array(ends[2:]))
         proved = enc.lo > threshold
         disproved = np.isfinite(enc.hi) & (enc.hi < threshold)
         if proved.any():

@@ -106,6 +106,8 @@ def rational_fit(d: DerivedConstants, max_denominator: int = 10 ** 6,
     denominator q as well (this uses the coprimality of the difference
     weights), so N | q.
     """
+    if not 0.0 < tol < math.inf:  # a NaN tol would accept any fit
+        raise ValueError(f"tol must be positive and finite, got {tol!r}")
     m1 = d.alpha.alpha1 - d.alpha.alpha3
     m2 = d.alpha.alpha2 - d.alpha.alpha3
     if math.gcd(m1, m2) != 1:

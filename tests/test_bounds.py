@@ -1,6 +1,8 @@
 import hashlib
+import json
 import math
 import struct
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -15,6 +17,7 @@ from cp2tori.bounds import (CHARTS, CLAIMS, DEFAULT_EPS, b1_expr, b2_expr,
                             lemma5_strip_certificates, scalar_bound_1,
                             scalar_bound_2, scalar_bound_checks,
                             scalar_tail_1, scalar_tail_2)
+from cp2tori.cli import EXIT_NOT_PROVED, EXIT_OK, main
 from cp2tori.family import AlphaTriple, Branch, ModuliPoint, derive_constants
 from cp2tori.functionals import feasible_grid
 from cp2tori.interval import (Box2, CertStatus, Interval, IntervalArray,
@@ -331,6 +334,53 @@ def test_replay_enclosures_of_every_box_are_pinned():
             digest.update(struct.pack("<2d", enc.lo, enc.hi))
     assert sum(cert.retained_count for cert in certs) == 1980
     assert digest.hexdigest() == PINNED_ALL_BOX_DIGEST
+
+
+# what the array engine decided for each certificate `verify` makes (its
+# retained boxes' digest, boxes examined, depth reached, status), and the
+# bits of the witness that disproves B1 > 1.2
+PINNED_ENGINE_DECISIONS = {
+    "B1": ("4a9fb04cd3fc484e5444eed9bdc12c726fb9484309064aa08dda8cfcc92ad407",
+           1805, 14, "proved"),
+    "B2": ("0ba6d011798e68b230fe2406cad596d87d9de9f164bd3b6cd1b85cb811e37d1b",
+           1907, 32, "proved"),
+    "B2-diagonal-strip":
+        ("d9939dcde59c1b08efe37f4fb2e0022dfe8b83398aaae027ecd45759f6473d77",
+         43, 8, "proved"),
+    "B2-diagonal-strip-corner":
+        ("3efa6dc538d475cd683086adaa287accba598d63c07bede80c2a4a60ed6c481d",
+         13, 6, "proved"),
+    "scalar-1": ("a7a52b409fb6a767a88521f10567fe82bdd7bad8e2e83bf0b5f26f9b0cd3ec83",
+                 149, 11, "proved"),
+    "scalar-2": ("91f7a65637ba6aaba352989ffae830e10c2c0a032d239b398219a8180931310e",
+                 61, 9, "proved"),
+    "scalar-1-tail":
+        ("4842b550a68e8e9931d82db2606c27d372f04096bec79789765f2e4d09d307db",
+         1, 0, "proved"),
+    "scalar-2-tail":
+        ("4842b550a68e8e9931d82db2606c27d372f04096bec79789765f2e4d09d307db",
+         1, 0, "proved"),
+}
+PINNED_B1_WITNESS_AT_1_2 = ["0x1.9000000000000p-1", "0x1.0000000000000p-5",
+                            "0x1.30b3dc8c1b34cp+0"]
+
+
+def test_array_engine_decisions_are_pinned(tmp_path, capsys):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(["verify", "--out-dir", str(tmp_path / "all")]) == EXIT_OK
+        assert main(["verify", "--target", "B1", "--threshold", "1.2",
+                     "--out-dir", str(tmp_path / "b1")]) == EXIT_NOT_PROVED
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+    decisions = {}
+    for target in PINNED_ENGINE_DECISIONS:
+        data = json.loads((tmp_path / "all" / f"{target}.json").read_text())
+        decisions[target] = (data["box_digest"], data["boxes_examined"],
+                             data["max_depth_reached"], data["status"])
+    assert decisions == PINNED_ENGINE_DECISIONS
+    data = json.loads((tmp_path / "b1" / "B1.json").read_text())
+    assert data["status"] == "failed"
+    assert [float(v).hex() for v in data["witness"]] == PINNED_B1_WITNESS_AT_1_2
 
 
 def _b1_plain(x, y):

@@ -413,6 +413,18 @@ def test_config_sets_subcommand_defaults(tmp_path, capsys):
     assert len(text.splitlines()) == 7  # header + 3 points x 2 branches
 
 
+def test_a_config_file_leaves_later_calls_at_the_defaults(tmp_path, capsys):
+    # main parses with one parser per process: the values a --config file
+    # fills in stay with that call
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"periods": 2, "branch": "plus"}))
+    moduli = ("energy", "--alpha", "2", "1", "-1", "--a1", "1.8", "--a2", "1.2")
+    code, out, _ = run(capsys, *moduli, "--config", str(cfg))
+    assert code == EXIT_OK and "branch = plus  N = 2" in out
+    code, out, _ = run(capsys, *moduli)
+    assert code == EXIT_OK and "branch = minus  N = 1" in out
+
+
 def test_config_values_are_parsed_like_flags(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"threshold": "1.2"}))
@@ -564,7 +576,8 @@ def test_periodicity_tol_is_positive_and_finite(tmp_path, capsys):
 
 
 def test_energy_homogeneous_rejects_non_finite_radii(capsys):
-    for bad in ("nan", "inf"):
+    # "-inf" is read as a value, not as an option name
+    for bad in ("nan", "inf", "-inf"):
         code, out, err = run(capsys, "energy", "--family", "homogeneous",
                              "--r", "0.5", "0.5", bad)
         assert code == EXIT_USAGE, bad

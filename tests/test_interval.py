@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from cp2tori.errors import IntervalDomainError
 from cp2tori.interval import (PI, Box2, CertStatus, Interval, IntervalArray,
                               certify_lower_bound, replay_certificate)
+from two_array_engine import TwoArrayIntervals
 
 finite = st.floats(min_value=-1e12, max_value=1e12, allow_nan=False,
                    allow_subnormal=False)
@@ -402,6 +403,104 @@ def test_scalar_and_array_engines_agree(rng):
                          IntervalArray(np.array([lo2]), np.array([lo2 + w2])))
         # scalar rounding is exactness-aware, hence never wider
         assert arr.lo[0] <= s.lo and s.hi <= arr.hi[0]
+
+
+# endpoints where rounding and the IEEE special cases meet: signed zeros,
+# infinities (0 * inf products), subnormals, the normal range's edges
+_TINY = 5e-324
+SPECIAL_ENDS = [0.0, -0.0, INF, -INF, _TINY, -_TINY, 1e-310, -1e-310,
+                sys.float_info.min, -sys.float_info.min, 1e-300, 1.0, -1.0,
+                0.5, -3.0, 1e300, sys.float_info.max, -sys.float_info.max]
+_zero = st.sampled_from([0.0, -0.0])
+# one end in three a signed zero, so that many divisors touch or contain 0
+array_ends = st.one_of(_zero, st.sampled_from(SPECIAL_ENDS), st.floats(allow_nan=False))
+
+
+@st.composite
+def _interval_arrays(draw, n):
+    """n intervals as (lo, hi), from endpoints drawn in pairs and put in
+    order; equal ends, such as -0.0 and 0.0, keep the order drawn."""
+    a, b = np.array(draw(st.lists(array_ends, min_size=2 * n, max_size=2 * n))).reshape(2, n)
+    first = a <= b
+    return np.where(first, a, b), np.where(first, b, a)
+
+
+@st.composite
+def _operands(draw, n):
+    """An operand of each kind: intervals (as endpoint arrays), a number,
+    or a 1-D array."""
+    kind = draw(st.sampled_from(["intervals", "number", "array"]))
+    if kind == "intervals":
+        return kind, draw(_interval_arrays(n))
+    if kind == "number":
+        return kind, draw(array_ends)
+    return kind, np.array(draw(st.lists(array_ends, min_size=n, max_size=n)))
+
+
+def _same_bits(new, old):
+    return (new.lo.shape == old.lo.shape == new.hi.shape == old.hi.shape
+            and new.lo.tobytes() == old.lo.tobytes()
+            and new.hi.tobytes() == old.hi.tobytes())
+
+
+BINARY_OPS = ["__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__",
+              "__truediv__", "__rtruediv__"]
+UNARY_OPS = ["__neg__", "sq", "sqrt", "nonneg"]
+
+
+def _both_engines(op, x, other=None):
+    """op on the intervals x = (lo, hi) and ``other``, a pair (kind, value)
+    from ``_operands``, in IntervalArray and in the oracle."""
+    with np.errstate(all="ignore"):
+        if other is None:
+            return getattr(IntervalArray(*x), op)(), getattr(TwoArrayIntervals(*x), op)()
+        kind, value = other
+        if kind == "intervals":
+            return (getattr(IntervalArray(*x), op)(IntervalArray(*value)),
+                    getattr(TwoArrayIntervals(*x), op)(TwoArrayIntervals(*value)))
+        return getattr(IntervalArray(*x), op)(value), getattr(TwoArrayIntervals(*x), op)(value)
+
+
+@pytest.mark.parametrize("op", BINARY_OPS)
+@given(data=st.data())
+@settings(max_examples=100, deadline=None)
+def test_array_engine_matches_two_array_oracle(op, data):
+    # every operation, on every kind of operand, gives the bits of the
+    # engine with separate lo and hi arrays and two nudges
+    n = data.draw(st.integers(1, 12))
+    x = data.draw(_interval_arrays(n))
+    assert _same_bits(*_both_engines(op, x, data.draw(_operands(n))))
+
+
+@pytest.mark.parametrize("op", UNARY_OPS)
+@given(data=st.data())
+@settings(max_examples=100, deadline=None)
+def test_array_engine_matches_two_array_oracle_unary(op, data):
+    x = data.draw(_interval_arrays(data.draw(st.integers(1, 12))))
+    assert _same_bits(*_both_engines(op, x))
+
+
+@pytest.mark.parametrize("n", range(1, 17))
+def test_array_engine_matches_two_array_oracle_at_every_length(n):
+    # numpy's vector loops leave the last elements of an array to a scalar
+    # loop, and np.fmin and np.fmax give a zero's sign by the loop: special
+    # endpoints at every position of every length up to 16
+    rng = np.random.default_rng(n)
+    ends = np.array(SPECIAL_ENDS)
+
+    def intervals():
+        a, b = rng.choice(ends, (2, n))
+        first = a <= b
+        return np.where(first, a, b), np.where(first, b, a)
+
+    for _ in range(40):
+        x = intervals()
+        for other in (("intervals", intervals()), ("number", float(rng.choice(ends))),
+                      ("array", rng.choice(ends, n))):
+            for op in BINARY_OPS:
+                assert _same_bits(*_both_engines(op, x, other)), (op, x, other)
+        for op in UNARY_OPS:
+            assert _same_bits(*_both_engines(op, x)), (op, x)
 
 
 def test_certify_constant_function():

@@ -65,6 +65,15 @@ def test_rational_fit_reports_not_periodic(sample_derived):
     assert res.to_json_dict()["status"] == "not_periodic"
 
 
+@pytest.mark.parametrize("tol", [math.nan, 0.0, -1e-9, math.inf])
+def test_rational_fit_rejects_a_tol_that_is_not_positive_and_finite(tol):
+    # with tol = nan, err > tol was false and any moduli came back periodic
+    d = derive_constants(AlphaTriple(2, 1, -1), ModuliPoint(1.8, 1.2, Branch.MINUS))
+    assert isinstance(rational_fit(d, 10, 1e-300), NotPeriodic)
+    with pytest.raises(ValueError, match="tol"):
+        rational_fit(d, 10, tol)
+
+
 def test_rational_fit_invariants(sample_derived):
     res = rational_fit(sample_derived, max_denominator=10 ** 6, tol=1e-4)
     assert isinstance(res, LatticeData)
