@@ -11,7 +11,7 @@ from .family import (AlphaTriple, Branch, DerivedConstants, ModuliPoint,
                      solve_c2)
 from .functionals import (FunctionalValues, HomogeneousParams, clifford_energy,
                           energy_mironov, homogeneous_energy)
-from .interval import Box2, Certificate, CertStatus, Interval
+from .interval import Certificate, CertStatus, Interval
 
 __all__ = [
     "__version__",
@@ -22,5 +22,5 @@ __all__ = [
     "solve_c2",
     "FunctionalValues", "HomogeneousParams", "clifford_energy",
     "energy_mironov", "homogeneous_energy",
-    "Box2", "Certificate", "CertStatus", "Interval",
+    "Certificate", "CertStatus", "Interval",
 ]

@@ -45,7 +45,7 @@ import numpy as np
 from .family import (AlphaTriple, Branch, DerivedConstants, ModuliPoint,
                      derive_constants)
 from .functionals import clifford_energy, energy_mironov
-from .interval import (MAX_BOXES, MAX_DEPTH, Box2, Certificate, CertStatus,
+from .interval import (MAX_BOXES, MAX_DEPTH, Certificate, CertStatus,
                        Interval, certify_lower_bound, sqrt)
 
 DEFAULT_EPS = 1e-4     # width of the diagonal band that B2 certifies apart
@@ -335,7 +335,7 @@ def certify_charts(targets: Sequence[str], threshold: Optional[float] = None,
             if cited.status is not CertStatus.PROVED:
                 notes.append("WARNING: diagonal band certification incomplete")
         return certify_lower_bound(
-            target, chart.expr, Box2.make(*chart.root),
+            target, chart.expr, chart.root,
             chart.threshold if threshold is None else threshold,
             clip=chart.clip(gap) if chart.clip else None, epsilon=gap,
             max_depth=max_depth, max_boxes=max_boxes, notes=notes)

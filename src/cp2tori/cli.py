@@ -368,7 +368,7 @@ def build_parser() -> _Parser:
                    default="mironov")
     add_moduli(p)
     p.add_argument("--r", nargs=3, type=float, metavar=("R1", "R2", "R3"))
-    p.add_argument("--periods", type=int, default=1)
+    p.add_argument("--periods", type=_positive(int), default=1)
     p.set_defaults(func=cmd_energy)
 
     p = sub.add_parser("scan", help="sweep feasible grids, CSV output")
@@ -379,7 +379,7 @@ def build_parser() -> _Parser:
     p.add_argument("--branch", choices=("minus", "plus", "both"), default="both")
     p.add_argument("--margin", type=_margin, default=0.02,
                    help="trim of the feasibility box, as a fraction of its width")
-    p.add_argument("--periods", type=int, default=1)
+    p.add_argument("--periods", type=_positive(int), default=1)
     p.add_argument("--out", help="CSV path (stdout when omitted)")
     p.set_defaults(func=cmd_scan)
 
@@ -403,7 +403,7 @@ def build_parser() -> _Parser:
     p = sub.add_parser("periodicity", help="rational winding fit and lattice data")
     add_common(p)
     add_moduli(p)
-    p.add_argument("--max-denominator", type=int, default=10 ** 6)
+    p.add_argument("--max-denominator", type=_positive(int), default=10 ** 6)
     p.add_argument("--tol", type=_positive(float), default=1e-9)
     p.add_argument("--json-out", help="also write the JSON result here")
     p.set_defaults(func=cmd_periodicity)

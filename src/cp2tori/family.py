@@ -167,9 +167,13 @@ def _quartic_p_r(alpha: AlphaTriple, a1, a2):
 
 
 def _p_discriminant(alpha: AlphaTriple, a1, a2):
-    """P and the discriminant P^2 - (a1-a2)^2 R^2, elementwise."""
-    P, R = _quartic_p_r(alpha, a1, a2)
-    return P, P * P - (a1 - a2) ** 2 * R * R
+    """P and the discriminant P^2 - (a1-a2)^2 R^2, elementwise; both NaN,
+    which no feasibility test passes, where a float power overflows."""
+    try:
+        P, R = _quartic_p_r(alpha, a1, a2)
+        return P, P * P - (a1 - a2) ** 2 * R * R
+    except OverflowError:  # Python float ** raises where numpy gives inf
+        return math.nan, math.nan
 
 
 def feasibility_check(alpha: AlphaTriple, a1: float, a2: float) -> FeasibilityResult:

@@ -21,7 +21,7 @@ of one sign need two endpoint pairs, not four (Moore, Kearfott & Cloud,
 *Introduction to Interval Analysis*, SIAM 2009, §2.3): both factors >= 0 give
 [a*c, b*d] and a dividend >= 0 over a divisor > 0 gives [a/d, b/c]; any
 other case rounds its four pairs once each.  On both engines an endpoint
-product of 0 and +-inf is 0 (IEEE Std 1788-2015).
+product of 0 and +-inf is +0.0 (IEEE Std 1788-2015).
 
 Two arithmetic engines share one operator API:
 
@@ -32,9 +32,11 @@ An ``IntervalArray`` keeps its endpoints in one float64 array of shape
 (2, n), row 0 the lower ends and row 1 the upper ends, so that an
 operation costs a few numpy calls whatever n is: ``+`` and ``-`` are one
 operation on both rows, ``*`` and ``/`` form their four endpoint products
-or quotients in one broadcast (two for a number operand), and one helper
-nudges both rows, ``np.nextafter`` towards -inf for row 0 and +inf for
-row 1, keeping an exact +0.0 lower end and -0.0 upper end at 0.0.
+or quotients in one broadcast (two for a number operand) and reduce them
+in fixed pairs, and one helper nudges both rows, ``np.nextafter`` towards
+-inf for row 0 and +inf for row 1, keeping an exact +0.0 lower end and
+-0.0 upper end at 0.0.  So an element's enclosure depends only on its own
+operands, not on how many others share the call.
 
 Both divide by one rule (IEEE Std 1788-2015): a divisor that touches zero
 at one end gives an enclosure of n/d over its nonzero part -- one-sided
@@ -373,6 +375,7 @@ class IntervalArray:
     or 1-D array v, which is the intervals [v, v]."""
 
     __slots__ = ("e",)
+    __array_ufunc__ = None  # ndarray <op> IntervalArray: numpy defers to __rop__
 
     def __init__(self, lo, hi):
         e = np.array(np.broadcast_arrays(lo, hi), dtype=np.float64)
@@ -419,16 +422,8 @@ class IntervalArray:
         o = self._operand(other)
         with np.errstate(invalid="ignore"):
             p = self.e * o[:, None] if o.ndim == 2 else self.e * o
-        e = _hull(p)
-        nan = np.isnan(e[0])
-        if nan.any():  # 0 * inf: that endpoint product is 0 (IEEE Std 1788-2015)
-            # on rows of length n: np.fmin and np.fmax pick the sign of a
-            # zero by the length of their operands (numpy's SIMD loops)
-            (p1, p3), (p2, p4) = p if p.ndim == 3 else (p, p)
-            lo = np.fmin(np.fmin(np.fmin(p1, p2), np.fmin(p3, p4)), 0.0)
-            hi = np.fmax(np.fmax(np.fmax(p1, p2), np.fmax(p3, p4)), 0.0)
-            e = np.where(nan, [lo, hi], e)
-        return _array(_nudge(e))
+        np.copyto(p, 0.0, where=np.isnan(p))  # 0 * inf is +0.0 (IEEE Std 1788-2015)
+        return _array(_nudge(_hull(p)))
 
     __rmul__ = __mul__
 
@@ -458,18 +453,6 @@ class IntervalArray:
 # ----------------------------------------------------------------------
 # Boxes, certificates, subdivision
 # ----------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class Box2:
-    """Axis-aligned rectangle in the plane."""
-
-    x: Interval
-    y: Interval
-
-    @classmethod
-    def make(cls, xlo, xhi, ylo, yhi) -> "Box2":
-        return cls(Interval(xlo, xhi), Interval(ylo, yhi))
 
 
 class CertStatus(Enum):
@@ -543,7 +526,7 @@ def _clip_arrays_noop(xlo, xhi, ylo, yhi):
 def certify_lower_bound(
     target: str,
     evaluator: Callable[[IntervalArray, IntervalArray], IntervalArray],
-    root: Box2,
+    root: Sequence[float],
     threshold: float,
     *,
     clip: Optional[Callable] = None,
@@ -552,8 +535,8 @@ def certify_lower_bound(
     max_boxes: int = MAX_BOXES,
     notes: Sequence[str] = (),
 ) -> Certificate:
-    """Prove ``f > threshold`` on ``root`` (clipped to the domain) by
-    adaptive bisection with interval enclosures.
+    """Prove ``f > threshold`` on the box ``root = (xlo, xhi, ylo, yhi)``
+    (clipped to the domain) by adaptive bisection with interval enclosures.
 
     ``clip(xlo, xhi, ylo, yhi) -> (xlo, xhi, ylo, yhi, keep)`` is the
     domain: it shrinks each box to a bounding box of its intersection with
@@ -564,7 +547,10 @@ def certify_lower_bound(
     """
     t0 = time.perf_counter()
     clip = clip or _clip_arrays_noop
-    boxes = np.array([[root.x.lo, root.x.hi, root.y.lo, root.y.hi]], dtype=np.float64)
+    boxes = np.array([root], dtype=np.float64)  # columns xlo, xhi, ylo, yhi
+    xlo, xhi, ylo, yhi = boxes[0]
+    if not (xlo <= xhi and ylo <= yhi):  # also rejects NaN
+        raise IntervalDomainError(f"invalid root box {tuple(root)}")
     depth = 0
     examined = 0
     retained = []
@@ -606,17 +592,14 @@ def certify_lower_bound(
             worst = todo[0]
             deepest_note = f"max depth {max_depth} reached; undecided box {worst.tolist()}"
             break
-        # split each undecided box along its wider dimension
-        wx = todo[:, 1] - todo[:, 0]
-        wy = todo[:, 3] - todo[:, 2]
-        split_x = wx >= wy
-        mids = np.where(split_x, 0.5 * (todo[:, 0] + todo[:, 1]), 0.5 * (todo[:, 2] + todo[:, 3]))
-        left = todo.copy()
-        right = todo.copy()
-        left[split_x, 1] = mids[split_x]
-        right[split_x, 0] = mids[split_x]
-        left[~split_x, 3] = mids[~split_x]
-        right[~split_x, 2] = mids[~split_x]
+        # split each undecided box at the middle of its wider side (x on a
+        # tie): columns lo, lo + 1 hold that side's ends
+        rows = np.arange(todo.shape[0])
+        lo = np.where(todo[:, 1] - todo[:, 0] >= todo[:, 3] - todo[:, 2], 0, 2)
+        mids = 0.5 * (todo[rows, lo] + todo[rows, lo + 1])
+        left, right = todo.copy(), todo.copy()
+        left[rows, lo + 1] = mids
+        right[rows, lo] = mids
         boxes = np.vstack([left, right])
         depth += 1
 

@@ -20,7 +20,7 @@ from cp2tori.bounds import (CHARTS, CLAIMS, DEFAULT_EPS, b1_expr, b2_expr,
 from cp2tori.cli import EXIT_NOT_PROVED, EXIT_OK, main
 from cp2tori.family import AlphaTriple, Branch, ModuliPoint, derive_constants
 from cp2tori.functionals import feasible_grid
-from cp2tori.interval import (Box2, CertStatus, Interval, IntervalArray,
+from cp2tori.interval import (CertStatus, Interval, IntervalArray,
                               certify_lower_bound, replay_certificate, sqrt)
 from conftest import SIGN_SLIP_STEPS
 
@@ -393,7 +393,7 @@ def test_b1_with_plain_division_proves_and_replays():
     # its denominator vanishes on x = 0 and at (1, 1): the scalar replay
     # divides there by the same rule as the proof, so it neither raises
     # nor fails
-    cert = certify_lower_bound("B1", _b1_plain, Box2.make(0.0, 1.0, 0.0, 1.0),
+    cert = certify_lower_bound("B1", _b1_plain, (0.0, 1.0, 0.0, 1.0),
                                1.0, clip=clip_triangle(0.0))
     assert cert.status is CertStatus.PROVED
     assert replay_certificate(cert, _b1_plain)

@@ -582,3 +582,34 @@ def test_energy_homogeneous_rejects_non_finite_radii(capsys):
                              "--r", "0.5", "0.5", bad)
         assert code == EXIT_USAGE, bad
         assert out == "" and "radii must be finite" in err
+
+
+@pytest.mark.parametrize("command", ["energy", "feasibility", "periodicity", "export"])
+def test_moduli_beyond_the_float_range_are_infeasible(tmp_path, capsys, command):
+    # a1 above about 5.6e102 overflowed a float power in P: a traceback
+    argv = [command, "--alpha", "2", "1", "-1", "--a1", "1e300", "--a2", "1.2"]
+    if command == "export":
+        argv += ["--out", str(tmp_path / "samples.csv")]
+    code, out, err = run(capsys, *argv)
+    if command == "feasibility":
+        assert code == EXIT_OK and "feasible: False" in out
+    else:
+        assert code == EXIT_INFEASIBLE and "infeasible parameters" in err
+
+
+def test_periods_and_max_denominator_are_positive(tmp_path, capsys):
+    # the usage error names the option, from a flag and from --config
+    energy = ("energy", "--alpha", "2", "1", "-1", "--a1", "1.8", "--a2", "1.2")
+    periodicity = ("periodicity", *energy[1:])
+    scan = ("scan", "--alpha", "2", "1", "-1", "--out", str(tmp_path / "scan.csv"))
+    cfg = tmp_path / "cfg.json"
+    for argv, flag in ((energy, "--periods"), (scan, "--periods"),
+                       (periodicity, "--max-denominator")):
+        for bad in ("0", "-1", "x"):
+            assert _exit_code(*argv, flag, bad) == EXIT_USAGE, (flag, bad)
+            assert f"argument {flag}: " in capsys.readouterr().err
+        for bad in (0, -3):
+            cfg.write_text(json.dumps({flag[2:]: bad}))
+            assert _exit_code(*argv, "--config", str(cfg)) == EXIT_USAGE, (flag, bad)
+            assert f"config: argument {flag}: " in capsys.readouterr().err
+        assert run(capsys, *argv, flag, "2")[0] == EXIT_OK

@@ -11,7 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cp2tori.errors import IntervalDomainError
-from cp2tori.interval import (PI, Box2, CertStatus, Interval, IntervalArray,
+from cp2tori.interval import (PI, CertStatus, Interval, IntervalArray,
                               certify_lower_bound, replay_certificate)
 from two_array_engine import TwoArrayIntervals
 
@@ -386,10 +386,10 @@ def _poly_expr(x, y):
 
 def test_monotone_refinement():
     # splitting never widens the union enclosure (inclusion isotonicity)
-    box = Box2.make(0.0, 1.0, 0.0, 1.0)
-    parent = _poly_expr(box.x, box.y)
-    e1 = _poly_expr(Interval(0.0, 0.5), box.y)
-    e2 = _poly_expr(Interval(0.5, 1.0), box.y)
+    x, y = Interval(0.0, 1.0), Interval(0.0, 1.0)
+    parent = _poly_expr(x, y)
+    e1 = _poly_expr(Interval(0.0, 0.5), y)
+    e2 = _poly_expr(Interval(0.5, 1.0), y)
     assert parent.lo <= min(e1.lo, e2.lo)
     assert parent.hi >= max(e1.hi, e2.hi)
 
@@ -483,8 +483,7 @@ def test_array_engine_matches_two_array_oracle_unary(op, data):
 @pytest.mark.parametrize("n", range(1, 17))
 def test_array_engine_matches_two_array_oracle_at_every_length(n):
     # numpy's vector loops leave the last elements of an array to a scalar
-    # loop, and np.fmin and np.fmax give a zero's sign by the loop: special
-    # endpoints at every position of every length up to 16
+    # loop: special endpoints at every position of every length up to 16
     rng = np.random.default_rng(n)
     ends = np.array(SPECIAL_ENDS)
 
@@ -503,9 +502,65 @@ def test_array_engine_matches_two_array_oracle_at_every_length(n):
             assert _same_bits(*_both_engines(op, x)), (op, x)
 
 
+# every interval with ends among these, the two zeros in either order
+_BATCH_ENDS = [0.0, -0.0, _TINY, -_TINY, 1.0, -1.0, INF, -INF, 1e308]
+_BATCH_INTERVALS = np.array([(a, b) for a in _BATCH_ENDS for b in _BATCH_ENDS if a <= b]).T
+
+
+def _in_batches(op, x, other, n):
+    """The endpoint rows of op on the elements of the endpoint rows x (and
+    of ``other``: endpoint rows, a 1-D array or None), evaluated n at a
+    time."""
+    out = []
+    with np.errstate(all="ignore"):
+        for i in range(0, x.shape[1], n):
+            args = [] if other is None else [
+                IntervalArray(*other[:, i:i + n]) if other.ndim == 2 else other[i:i + n]]
+            out.append(getattr(IntervalArray(*x[:, i:i + n]), op)(*args).e)
+    return np.concatenate(out, axis=1)
+
+
+@pytest.mark.parametrize("op", ["__add__", "__sub__", "__mul__", "__truediv__", "__rsub__",
+                                "__rtruediv__", *UNARY_OPS])
+def test_an_element_does_not_depend_on_its_batch(op):
+    # a box's enclosure depends on its own operands alone, however many
+    # boxes share the evaluator call: each element evaluated alone and in
+    # batches of 2 to 17, with interval and with 1-D array operands
+    m = _BATCH_INTERVALS.shape[1]
+    if op in UNARY_OPS:
+        cases = [(_BATCH_INTERVALS, None)]
+    else:  # every interval with every interval, and with every end as a number
+        cases = [(np.repeat(_BATCH_INTERVALS, m, axis=1), np.tile(_BATCH_INTERVALS, m)),
+                 (np.repeat(_BATCH_INTERVALS, len(_BATCH_ENDS), axis=1),
+                  np.tile(_BATCH_ENDS, m))]
+    for x, other in cases:
+        alone = _in_batches(op, x, other, 1).view(np.int64)
+        for n in range(2, 18):
+            moved = np.flatnonzero((_in_batches(op, x, other, n).view(np.int64) != alone).any(0))
+            assert moved.size == 0, (n, x[:, moved[:3]].T.tolist())
+
+
+def test_ndarray_on_the_left_defers_to_the_reflected_operation():
+    # numpy hands ``ndarray <op> IntervalArray`` to the IntervalArray's
+    # reflected method instead of building an object array
+    x = IntervalArray([1.0, 2.0], [1.5, 3.0])
+    v = np.array([1.0, 2.0])
+    for op, reflected in ((operator.add, "__radd__"), (operator.sub, "__rsub__"),
+                          (operator.mul, "__rmul__"), (operator.truediv, "__rtruediv__")):
+        result = op(v, x)
+        assert isinstance(result, IntervalArray), op
+        assert _same_bits(result, getattr(x, reflected)(v)), op
+
+
+def test_certify_rejects_an_unordered_root():
+    for root in ((1.0, 0.0, 0.0, 1.0), (0.0, 1.0, 1.0, 0.0), (0.0, math.nan, 0.0, 1.0)):
+        with pytest.raises(IntervalDomainError):
+            certify_lower_bound("const", lambda X, Y: X * 0.0 + 2.0, root, 1.0)
+
+
 def test_certify_constant_function():
     cert = certify_lower_bound("const", lambda X, Y: X * 0.0 + 2.0,
-                               Box2.make(0.0, 1.0, 0.0, 1.0), 1.0)
+                               (0.0, 1.0, 0.0, 1.0), 1.0)
     assert cert.status is CertStatus.PROVED
     assert cert.retained_count >= 1
     assert replay_certificate(cert, lambda x, y: x * 0.0 + 2.0)
@@ -514,7 +569,7 @@ def test_certify_constant_function():
 def test_certify_detects_failure_with_witness():
     # f(x, y) = x dips below 0.5 on the unit square
     cert = certify_lower_bound("identity", lambda X, Y: X + Y * 0.0,
-                               Box2.make(0.0, 1.0, 0.0, 1.0), 0.5)
+                               (0.0, 1.0, 0.0, 1.0), 0.5)
     assert cert.status is CertStatus.FAILED
     x, y, val = cert.witness
     assert 0.0 <= x <= 1.0 and 0.0 <= y <= 1.0
@@ -524,7 +579,7 @@ def test_certify_detects_failure_with_witness():
 
 def test_certificate_json_roundtrip(tmp_path):
     cert = certify_lower_bound("const", lambda X, Y: X * 0.0 + 2.0,
-                               Box2.make(0.0, 1.0, 0.0, 1.0), 1.0)
+                               (0.0, 1.0, 0.0, 1.0), 1.0)
     path = tmp_path / "const.json"
     cert.save_json(path)
     import json

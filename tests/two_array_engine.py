@@ -1,4 +1,4 @@
-"""The array interval engine as it was with separate lo and hi arrays and
+"""The array interval engine written with separate lo and hi arrays and
 one nudge per endpoint: the oracle that ``IntervalArray`` must match bit
 for bit, operation by operation."""
 
@@ -59,12 +59,10 @@ class TwoArrayIntervals:
         with np.errstate(invalid="ignore"):
             p1, p2 = self.lo * olo, self.lo * ohi
             p3, p4 = self.hi * olo, self.hi * ohi
+        # 0 * inf: that endpoint product is +0.0 (IEEE Std 1788-2015)
+        p1, p2, p3, p4 = (np.where(np.isnan(p), 0.0, p) for p in (p1, p2, p3, p4))
         lo = np.minimum(np.minimum(p1, p2), np.minimum(p3, p4))
         hi = np.maximum(np.maximum(p1, p2), np.maximum(p3, p4))
-        nan = np.isnan(lo)
-        if nan.any():  # 0 * inf: that endpoint product is 0 (IEEE Std 1788-2015)
-            lo = np.where(nan, np.fmin(np.fmin(np.fmin(p1, p2), np.fmin(p3, p4)), 0.0), lo)
-            hi = np.where(nan, np.fmax(np.fmax(np.fmax(p1, p2), np.fmax(p3, p4)), 0.0), hi)
         return TwoArrayIntervals(_nudge_down(lo), _nudge_up(hi))
 
     __rmul__ = __mul__
