@@ -4,7 +4,8 @@ Subcommands: energy, scan, verify, periodicity, export, mnk, feasibility.
 Exit codes: 0 success, 2 infeasible parameters, 3 a requested
 certification did not come back proved, 4 degenerate parameters (a
 vanishing root c2 or a phase denominator too close to zero), 64 usage
-error or an output path that cannot be written.  A JSON config file can
+error, an output path that cannot be written or a grid too large to
+allocate.  A JSON config file can
 pre-set any long option of the subcommand, checked as the same flag
 would be; an option given on the command line wins, whatever its value.
 """
@@ -465,8 +466,9 @@ def main(argv: Optional[List[str]] = None) -> int:
     except Cp2ToriError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INFEASIBLE
-    except (ValueError, OSError) as exc:
-        # OSError: an output path that cannot be written
+    except (ValueError, OSError, MemoryError) as exc:
+        # OSError: an output path that cannot be written; MemoryError: a
+        # grid too large to allocate
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

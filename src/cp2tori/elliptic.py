@@ -8,10 +8,11 @@ modulus (not k^2) that the torus family passes around.
 Algorithms: the complete integral uses the arithmetic-geometric mean (which
 also gives D = (K - E)/k^2 without cancellation, see :func:`complete_kd`), the
 incomplete integral the Carlson symmetric form R_F, and sn, cn a descending
-Landen transformation.  K and D (over an array of moduli, which the
-energy scan needs), R_F, R_J (which the family's third-kind phase
-integrals need) and sn, cn work elementwise on numpy arrays; for scalar
-input K, D, R_F and sn return floats.  The test suite checks them against direct
+Landen transformation.  K and D (one AGM loop for a float modulus or,
+elementwise, for an array of moduli, which the energy scan needs), R_F,
+R_J (which the family's third-kind phase integrals need) and sn, cn work
+elementwise on numpy arrays; for scalar input K, D, R_F and sn return
+floats.  The test suite checks them against direct
 adaptive quadrature of the defining integral, scipy.special and mpmath.
 Relative accuracy is about 1e-13 for k <= 0.99; k >= 1 is rejected.
 """
@@ -20,30 +21,52 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Tuple
 
 import numpy as np
 
 
 @dataclass(frozen=True)
 class EllipticModulus:
-    """Modulus k with 0 <= k < 1."""
+    """Modulus k with 0 <= k < 1: a float for one point, or a numpy array
+    of moduli for a grid of points, every element checked."""
 
     k: float
 
     def __post_init__(self):
-        if not (0.0 <= self.k < 1.0) or math.isnan(self.k):
-            raise ValueError(f"elliptic modulus must satisfy 0 <= k < 1, got {self.k}")
+        k = self.k
+        if isinstance(k, np.ndarray):
+            valid = (k >= 0.0) & (k < 1.0)
+            if valid.all():
+                return
+            k = float(k.flat[np.argmin(valid)])  # named in the error below
+        if not 0.0 <= k < 1.0:  # false for NaN too
+            raise ValueError(f"elliptic modulus must satisfy 0 <= k < 1, got {k}")
 
     @property
     def k2(self) -> float:
         return self.k * self.k
 
 
-def _as_k(k) -> float:
+def _as_k(k):
+    """k as a checked float, or as a checked float array for an array
+    with at least one dimension."""
     if isinstance(k, EllipticModulus):
         return k.k
+    if isinstance(k, np.ndarray) and k.ndim:
+        return EllipticModulus(k.astype(float)).k
     return EllipticModulus(float(k)).k
+
+
+# One formula serves a float (math) and an array (numpy) argument.
+
+def _sqrt(x):
+    return np.sqrt(x) if isinstance(x, np.ndarray) else math.sqrt(x)
+
+
+def _where(run, new, old):
+    """np.where for an array run; a float run that steps at all takes the
+    new value."""
+    return np.where(run, new, old) if isinstance(run, np.ndarray) else new
 
 
 def _carlson_rf(x, y, z):
@@ -133,50 +156,24 @@ def complete_kd(k):
     c_0 = k and c_n = c_{n-1}^2 / (4 a_n), divided by k^2 term by term:
     D = K (1/2 + sum_{n>=1} 2^(n-1) (c_n/k)^2).  K and E are never
     subtracted, so D keeps full relative accuracy down to k = 0, where
-    D = pi/4.  Elementwise over a numpy array of k, with each element's
-    run stopped where the scalar run stops, so an element equals the
-    scalar call; a float for a scalar k, without numpy.
+    D = pi/4.  A float for a scalar k (or an EllipticModulus holding one),
+    without numpy; elementwise over an array of k, where an element stops
+    its run at the step a float run would stop, so it equals the float
+    call bit for bit.
     """
-    if isinstance(k, np.ndarray) and k.ndim:
-        return _complete_kd_array(k.astype(float))
-    kk = _as_k(k)
-    if kk == 0.0:
-        return 0.5 * math.pi, 0.25 * math.pi
+    k = _as_k(k)
     a = 1.0
-    b = math.sqrt((1.0 - kk) * (1.0 + kk))
+    b = _sqrt((1.0 - k) * (1.0 + k))
     q = 1.0    # c_n / k
     w = 1.0    # 2^(n-1)
     s = 0.5
     for _ in range(40):  # quadratic convergence; 8 steps suffice for k <= 1 - 1e-12
-        if abs(a - b) <= 4e-16 * a:
-            break
-        a, b = 0.5 * (a + b), math.sqrt(a * b)
-        q = kk * q * q / (4.0 * a)
-        s += w * q * q
-        w *= 2.0
-    K = math.pi / (a + b)
-    return K, K * s
-
-
-def _complete_kd_array(k: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """The AGM run of :func:`complete_kd` on an array of moduli: the
-    elements still running take the scalar step, the others keep their
-    values."""
-    valid = (k >= 0.0) & (k < 1.0)
-    if not valid.all():
-        EllipticModulus(float(k.flat[np.argmin(valid)]))  # raises, naming it
-    a = np.ones_like(k)
-    b = np.sqrt((1.0 - k) * (1.0 + k))
-    q = np.ones_like(k)
-    w = 1.0
-    s = np.full_like(k, 0.5)
-    for _ in range(40):
         run = abs(a - b) > 4e-16 * a
-        if not run.any():
+        if not (run.any() if isinstance(run, np.ndarray) else run):
             break
-        a, b = np.where(run, 0.5 * (a + b), a), np.where(run, np.sqrt(a * b), b)
-        q = np.where(run, k * q * q / (4.0 * a), q)
-        s = np.where(run, s + w * q * q, s)
+        a, b = _where(run, 0.5 * (a + b), a), _where(run, _sqrt(a * b), b)
+        q = _where(run, k * q * q / (4.0 * a), q)
+        s = _where(run, s + w * q * q, s)
         w *= 2.0
     K = math.pi / (a + b)
     return K, K * s

@@ -20,8 +20,8 @@ from typing import Iterable, Tuple
 
 import numpy as np
 
-from .elliptic import (EllipticModulus, _carlson_rf, _carlson_rj, _sn_cn,
-                       complete_k, jacobi_sn)
+from .elliptic import (EllipticModulus, _carlson_rf, _carlson_rj, _sn_cn, _sqrt,
+                       complete_kd, jacobi_sn)
 from .errors import DegenerateParameters, InfeasibleParameters, SingularIntegrand
 
 
@@ -156,24 +156,24 @@ class FeasibilityResult:
 
 def _quartic_p_r(alpha: AlphaTriple, a1, a2):
     """P and R of the even quartic (a1-a2)^2 x^4 + 2P x^2 + R^2 in c2,
-    elementwise; a1 > a2 > 0 is the caller's to check."""
+    elementwise; both NaN, which no feasibility test passes, where a float
+    power overflows.  a1 > a2 > 0 is the caller's to check."""
     b, c, c1 = alpha.b, alpha.c, alpha.c1
-    P = (a1**3 * a2**2 + a1**2 * a2**3
-         + (a1**2 * a2 + a1 * a2**2) * b * c1
-         + (a1**2 + a2**2) * c1**2
-         + 2 * a1**2 * a2**2 * c)
-    R = (a1 + a2) * c1**2 - a1**2 * a2**2 + a1 * a2 * b * c1
+    try:
+        P = (a1**3 * a2**2 + a1**2 * a2**3
+             + (a1**2 * a2 + a1 * a2**2) * b * c1
+             + (a1**2 + a2**2) * c1**2
+             + 2 * a1**2 * a2**2 * c)
+        R = (a1 + a2) * c1**2 - a1**2 * a2**2 + a1 * a2 * b * c1
+    except OverflowError:  # Python float ** raises where numpy gives inf
+        return math.nan, math.nan
     return P, R
 
 
 def _p_discriminant(alpha: AlphaTriple, a1, a2):
-    """P and the discriminant P^2 - (a1-a2)^2 R^2, elementwise; both NaN,
-    which no feasibility test passes, where a float power overflows."""
-    try:
-        P, R = _quartic_p_r(alpha, a1, a2)
-        return P, P * P - (a1 - a2) ** 2 * R * R
-    except OverflowError:  # Python float ** raises where numpy gives inf
-        return math.nan, math.nan
+    """P and the discriminant P^2 - (a1-a2)^2 R^2, elementwise."""
+    P, R = _quartic_p_r(alpha, a1, a2)
+    return P, P * P - (a1 - a2) * (a1 - a2) * R * R
 
 
 def feasibility_check(alpha: AlphaTriple, a1: float, a2: float) -> FeasibilityResult:
@@ -212,7 +212,7 @@ def quartic_coefficients(alpha: AlphaTriple, a1: float, a2: float) -> Tuple[floa
     """(q4, q2, q0) of the even quartic q4*x^4 + q2*x^2 + q0 solved by c2."""
     _require_ordered(a1, a2)
     P, R = _quartic_p_r(alpha, a1, a2)
-    return ((a1 - a2) ** 2, 2.0 * float(P), R * R)
+    return ((a1 - a2) * (a1 - a2), 2.0 * float(P), R * R)
 
 
 def solve_c2(alpha: AlphaTriple, point: ModuliPoint) -> C2Roots:
@@ -237,11 +237,7 @@ def solve_c2(alpha: AlphaTriple, point: ModuliPoint) -> C2Roots:
 
 
 # The formulas from the moduli to the derived constants, written once for
-# one point (floats, math.sqrt) and for a whole grid (arrays, np.sqrt).
-
-def _sqrt(x):
-    return np.sqrt(x) if isinstance(x, np.ndarray) else math.sqrt(x)
-
+# one point (floats) and for a whole grid (arrays, elementwise).
 
 def _roots_real(Qa1, Qa2, P, disc):
     """Where both c2 roots are real and positive: Q(a1), Q(a2) >= 0,
@@ -261,25 +257,11 @@ def _c2_vanishes(c2, a1):
     return (c2 <= 1e-12) | (c2 <= 1e-12 * (a1 * a1))
 
 
-def _moduli_constants(alpha: AlphaTriple, a1, a2, c2):
-    """a3, the x-slope a of the Lagrangian angle, the elliptic modulus k
-    and sqrt(a1 + a3)."""
-    a3 = (alpha.c1**2 + c2 * c2) / (a1 * a2)
-    slope_x = (alpha.b * alpha.c1 + a1 * a3 + a2 * a3 - a1 * a2) / c2
-    # (a1-a2)/(a1+a3) is the *parameter* m = k^2 of the sn in the conformal
-    # factor: only then does (d/dx 2e^v)^2 = 4(a1-2e^v)(2e^v-a2)(2e^v+a3)
-    # hold, which is what makes the immersion conformal.
-    return a3, slope_x, _sqrt((a1 - a2) / (a1 + a3)), _sqrt(a1 + a3)
-
-
-def _period(K, sqrt_a1_a3):
-    """T = 2K/sqrt(a1 + a3), the period of the conformal factor in x."""
-    return 2.0 * K / sqrt_a1_a3
-
-
 @dataclass(frozen=True)
 class DerivedConstants:
-    """Everything downstream of (alpha, a1, a2, branch)."""
+    """Everything downstream of (alpha, a1, a2, branch): floats for one
+    point, or (for a grid of points) numpy arrays taken elementwise, with
+    slope_y a float and branch an array of branch names."""
 
     alpha: AlphaTriple
     a1: float
@@ -290,11 +272,27 @@ class DerivedConstants:
     slope_x: float  # x-slope of the Lagrangian angle, (b c1 + (a1+a2) a3 - a1 a2)/c2
     slope_y: float  # y-slope, equal to the integer b
     modulus: EllipticModulus
-    period: float
+    period: float  # T = 2K/sqrt(a1 + a3), the period of the conformal factor in x
+    K: float  # K(k) and D(k) = (K - E)/k^2, from one AGM run
+    D: float
+    sqrt_a1_a3: float
 
-    @property
-    def sqrt_a1_a3(self) -> float:
-        return math.sqrt(self.a1 + self.a3)
+
+def _derived(alpha: AlphaTriple, a1, a2, branch, c2) -> DerivedConstants:
+    """The derived constants at the moduli (a1, a2) and root c2: of one
+    point for floats, of a grid for arrays."""
+    a3 = (alpha.c1**2 + c2 * c2) / (a1 * a2)
+    slope_x = (alpha.b * alpha.c1 + a1 * a3 + a2 * a3 - a1 * a2) / c2
+    # (a1-a2)/(a1+a3) is the *parameter* m = k^2 of the sn in the conformal
+    # factor: only then does (d/dx 2e^v)^2 = 4(a1-2e^v)(2e^v-a2)(2e^v+a3)
+    # hold, which is what makes the immersion conformal.
+    modulus = EllipticModulus(_sqrt((a1 - a2) / (a1 + a3)))
+    K, D = complete_kd(modulus)
+    root = _sqrt(a1 + a3)
+    return DerivedConstants(
+        alpha=alpha, a1=a1, a2=a2, branch=branch, c2=c2, a3=a3, slope_x=slope_x,
+        slope_y=float(alpha.b), modulus=modulus, period=2.0 * K / root, K=K, D=D,
+        sqrt_a1_a3=root)
 
 
 def derive_constants(alpha: AlphaTriple, point: ModuliPoint) -> DerivedConstants:
@@ -305,12 +303,7 @@ def derive_constants(alpha: AlphaTriple, point: ModuliPoint) -> DerivedConstants
         raise DegenerateParameters(
             f"c2 ({point.branch.value} branch) vanishes at (a1, a2)=({a1}, {a2}); "
             "the angle slope a = (...)/c2 is undefined there")
-    a3, slope_x, k, root = _moduli_constants(alpha, a1, a2, c2)
-    modulus = EllipticModulus(k)
-    period = _period(complete_k(modulus), root)
-    return DerivedConstants(
-        alpha=alpha, a1=a1, a2=a2, branch=point.branch, c2=c2, a3=a3,
-        slope_x=slope_x, slope_y=float(alpha.b), modulus=modulus, period=period)
+    return _derived(alpha, a1, a2, point.branch, c2)
 
 
 # ----------------------------------------------------------------------
@@ -413,8 +406,7 @@ def g_phases(x, d: DerivedConstants) -> np.ndarray:
     for i in range(3):
         _check_phase_denominator(d, i)
     x = np.asarray(x, dtype=float)
-    k = d.modulus.k
-    K = complete_k(k)
+    k, K = d.modulus.k, d.K
     off = _f_offsets(d.alpha).reshape((3,) + (1,) * x.ndim)
     n = (d.a1 - d.a2) / (d.a1 + off)
     u = x * d.sqrt_a1_a3

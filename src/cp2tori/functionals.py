@@ -11,8 +11,9 @@ and loses digits; the D form, rewritten through (a1 + a3) k^2 = a1 - a2,
 subtracts nothing larger than a1 K.  W is 2 pi N T (a^2 + b^2) in the
 Lagrangian-angle slopes.  Everything scales linearly in the period count
 N, so the energy ratio is evaluated at N = 1 (where E/E_Cl > 1 is
-hardest).  :func:`energy_scan` applies the same formulas to a whole grid
-of moduli at once, as numpy arrays.
+hardest).  The functionals read K and D from the DerivedConstants, which
+holds one point or a whole grid of them as numpy arrays; :func:`energy_scan`
+passes each triple's grid through these same functions at once.
 """
 
 from __future__ import annotations
@@ -23,10 +24,9 @@ from typing import Iterable, List, Sequence
 
 import numpy as np
 
-from .elliptic import complete_kd
 from .family import (AlphaTriple, Branch, DerivedConstants, _c2_pair,
-                     _c2_vanishes, _moduli_constants, _p_discriminant, _period,
-                     _require_ordered, _roots_real, lemma3_box, q_cubic)
+                     _c2_vanishes, _derived, _p_discriminant, _require_ordered,
+                     _roots_real, lemma3_box, q_cubic)
 
 
 def clifford_energy() -> float:
@@ -69,48 +69,32 @@ class FunctionalValues:
     ratio: float  # energy / clifford_energy()
 
 
-def _period_integral(a1, a2, K, D, sqrt_a1_a3):
-    return 2.0 * (a1 * K - (a1 - a2) * D) / sqrt_a1_a3
-
-
-def _area(a1, a2, K, D, sqrt_a1_a3, n_periods: int):
-    if n_periods < 1:
-        raise ValueError("n_periods must be >= 1")
-    return 2.0 * math.pi * n_periods * _period_integral(a1, a2, K, D, sqrt_a1_a3)
-
-
-def _willmore(period, slope_x, slope_y, n_periods: int):
-    if n_periods < 1:
-        raise ValueError("n_periods must be >= 1")
-    return 2.0 * math.pi * n_periods * period * (slope_x * slope_x + slope_y * slope_y)
-
-
-def _functional_values(A, W) -> FunctionalValues:
-    """E = A + W/8 and its ratio to E_Cl, for one point or a grid of them."""
-    E = A + W / 8.0
-    return FunctionalValues(area=A, willmore=W, energy=E, ratio=E / clifford_energy())
-
-
 def period_integral(d: DerivedConstants) -> float:
     """Integral of the conformal factor over one period, in closed form:
     2 (a1 K - (a1 - a2) D) / sqrt(a1 + a3) with D = (K - E)/k^2."""
-    K, D = complete_kd(d.modulus)
-    return _period_integral(d.a1, d.a2, K, D, d.sqrt_a1_a3)
+    return 2.0 * (d.a1 * d.K - (d.a1 - d.a2) * d.D) / d.sqrt_a1_a3
 
 
 def area_mironov(d: DerivedConstants, n_periods: int = 1) -> float:
     """A = 2 pi N * integral_0^T (2 e^v) dx."""
-    K, D = complete_kd(d.modulus)
-    return _area(d.a1, d.a2, K, D, d.sqrt_a1_a3, n_periods)
+    if n_periods < 1:
+        raise ValueError("n_periods must be >= 1")
+    return 2.0 * math.pi * n_periods * period_integral(d)
 
 
 def willmore_mironov(d: DerivedConstants, n_periods: int = 1) -> float:
     """W = 2 pi N T (a^2 + b^2), the closed form."""
-    return _willmore(d.period, d.slope_x, d.slope_y, n_periods)
+    if n_periods < 1:
+        raise ValueError("n_periods must be >= 1")
+    a, b = d.slope_x, d.slope_y
+    return 2.0 * math.pi * n_periods * d.period * (a * a + b * b)
 
 
 def energy_mironov(d: DerivedConstants, n_periods: int = 1) -> FunctionalValues:
-    return _functional_values(area_mironov(d, n_periods), willmore_mironov(d, n_periods))
+    """E = A + W/8 and its ratio to E_Cl."""
+    A, W = area_mironov(d, n_periods), willmore_mironov(d, n_periods)
+    E = A + W / 8.0
+    return FunctionalValues(area=A, willmore=W, energy=E, ratio=E / clifford_energy())
 
 
 # ----------------------------------------------------------------------
@@ -166,14 +150,10 @@ def _scan_triple(alpha: AlphaTriple, n: int, branches: Sequence[Branch],
     a1, a2 = (np.broadcast_to(v[:, None], c2.shape) for v in (a1, a2))
     keep = ~_c2_vanishes(c2, a1)
     branch = np.broadcast_to(np.array([b.value for b in branches]), c2.shape)[keep]
-    a1, a2, c2 = a1[keep], a2[keep], c2[keep]
-    a3, slope_x, k, root = _moduli_constants(alpha, a1, a2, c2)
-    K, D = complete_kd(k)
-    T = _period(K, root)
-    fv = _functional_values(_area(a1, a2, K, D, root, n_periods),
-                            _willmore(T, slope_x, float(alpha.b), n_periods))
-    columns = (a1, a2, branch, c2, a3, slope_x, T, fv.area, fv.willmore, fv.energy,
-               fv.ratio)
+    d = _derived(alpha, a1[keep], a2[keep], branch, c2[keep])
+    fv = energy_mironov(d, n_periods)
+    columns = (d.a1, d.a2, d.branch, d.c2, d.a3, d.slope_x, d.period, fv.area,
+               fv.willmore, fv.energy, fv.ratio)
     return [dict(zip(SCAN_COLUMNS, (*alpha.weights, *values)))
             for values in zip(*(c.tolist() for c in columns))]
 

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import os
@@ -148,6 +149,30 @@ def test_scan_csv_and_determinism(tmp_path, capsys):
     assert rows
     ratio_col = header.split(",").index("ratio")
     assert all(float(r.split(",")[ratio_col]) > 1.0 for r in rows)
+
+
+def test_scan_acceptance_sweep_csv_is_pinned(tmp_path, capsys):
+    # the acceptance sweep (five canonical triples, grid 30, both
+    # branches), byte for byte as the CLI writes it
+    out = tmp_path / "sweep.csv"
+    alphas = [v for t in ("2 1 -1", "3 1 -1", "3 2 -1", "1 0 -1", "2 0 -1")
+              for v in ("--alpha", *t.split())]
+    code, _, err = run(capsys, "scan", *alphas, "--grid", "30", "--branch", "both",
+                       "--out", str(out))
+    assert code == EXIT_OK and "rows = 4350 " in err
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+        "58bc9ba6e6e6d6407fcc7e935a06cb946f59141fd90bc39ae0d32f6b01b61389")
+
+
+def test_scan_grid_too_large_to_allocate_is_an_error(tmp_path, capsys):
+    # a grid whose very first array (n floats: 711 PiB at n = 1e17) lies
+    # beyond any 64-bit address space is refused at once, as an error line
+    # and the usage exit code, not a traceback
+    code, out, err = run(capsys, "scan", "--alpha", "2", "1", "-1",
+                         "--grid", str(10 ** 17), "--out", str(tmp_path / "s.csv"))
+    assert code == EXIT_USAGE and out == ""
+    assert err.startswith("error: Unable to allocate")
+    assert not (tmp_path / "s.csv").exists()
 
 
 def test_scan_empty_feasible_set_warns(tmp_path, capsys):

@@ -108,6 +108,22 @@ def test_solve_c2_infeasible_raises():
         solve_c2(AlphaTriple(2, 1, -1), ModuliPoint(3.0, 2.5))
 
 
+def test_quartic_beyond_the_float_range_is_nan():
+    # a float power in P overflows above a1 of about 5.6e102: P and R, and
+    # so the discriminant and the quartic's q2 and q0, are NaN there, which
+    # no feasibility test passes, and nothing raises
+    al = AlphaTriple(2, 1, -1)
+    q4, q2, q0 = quartic_coefficients(al, 1e300, 1.2)
+    assert q4 == math.inf and math.isnan(q2) and math.isnan(q0)
+    res = feasibility_check(al, 1e300, 1.2)
+    assert not res and math.isnan(res.p_value) and math.isnan(res.discriminant)
+    # q4 is (a1 - a2)^2 rounded once, as a grid squares it; a float ** 2
+    # may round it differently (libm pow, off by one ulp here)
+    a1, a2 = 1.567948, 0.957085
+    assert quartic_coefficients(al, a1, a2)[0] == ((np.array([a1]) - a2) ** 2)[0]
+    assert quartic_coefficients(al, a1, a2)[0] == (a1 - a2) * (a1 - a2)
+
+
 def test_quartic_residual_and_companion_oracle(rng):
     triples = [AlphaTriple(*t) for t in CANONICAL_TRIPLES]
     for _ in range(300):

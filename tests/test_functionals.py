@@ -173,7 +173,8 @@ def test_energy_ratio_exceeds_one_on_grid():
 
 def test_energy_scan_matches_the_per_point_path():
     # the acceptance sweep, evaluated as arrays, against energy_mironov at
-    # each point: the same rows in the same order, the same values
+    # each point: the same rows in the same order, the same values bit for
+    # bit
     alphas = [AlphaTriple(*t) for t in CANONICAL_TRIPLES]
     rows = energy_scan(alphas, n=30)
     expected = []
@@ -195,7 +196,28 @@ def test_energy_scan_matches_the_per_point_path():
     for row, (_, ref) in zip(rows, expected):
         got = tuple(row[c] for c in values)
         assert all(type(v) is float for v in got)
-        assert all(abs(g - r) <= 1e-13 * abs(r) for g, r in zip(got, ref)), (row, ref)
+        assert got == ref, (row, ref)
+
+
+def test_a_moduli_point_runs_the_agm_once(monkeypatch):
+    # derive_constants keeps K and D from its one AGM run, and the
+    # functionals and the phase integrals read them from there
+    from cp2tori import family
+    calls = []
+    real = family.complete_kd
+
+    def counted(k):
+        calls.append(k)
+        return real(k)
+
+    monkeypatch.setattr(family, "complete_kd", counted)
+    d = derive_constants(AlphaTriple(2, 1, -1), ModuliPoint(1.8, 1.2))
+    energy_mironov(d, 2)
+    period_integral(d)
+    family.g_phases(0.5 * d.period, d)
+    assert len(calls) == 1
+    assert (d.K, d.D) == real(d.modulus.k)
+    assert d.sqrt_a1_a3 == math.sqrt(d.a1 + d.a3)
 
 
 def test_energy_scan_keeps_its_error_paths():
