@@ -15,11 +15,12 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import operator
 import os
 import re
 import sys
+import time
 from functools import cache
+from itertools import chain
 from typing import List, Optional
 
 import numpy as np
@@ -31,7 +32,7 @@ from .errors import (Cp2ToriError, DegenerateParameters, InfeasibleParameters,
 from .family import (AlphaTriple, Branch, ModuliPoint, derive_constants,
                      feasibility_check, lemma3_box)
 from .functionals import (SCAN_COLUMNS, HomogeneousParams, clifford_energy,
-                          energy_mironov, energy_scan, homogeneous_energy)
+                          energy_mironov, homogeneous_energy, scan_columns)
 from .immersion import export_samples, write_csv, write_obj
 from .interval import MAX_BOXES, MAX_DEPTH, CertStatus
 from .mnk import ORIENTATION_CONVENTION, MnkParams, is_torus
@@ -48,10 +49,10 @@ def _fmt(v: float) -> str:
     return f"{v:.12g}"
 
 
-# one scan CSV row: the weights as integers, the branch as its name and
-# every other column as _fmt writes it
-_SCAN_ROW = ",".join("%d" if c.startswith("alpha") else "%s" if c == "branch"
-                     else "%.12g" for c in SCAN_COLUMNS) + "\n"
+def _throughput(rows: int, seconds: float) -> str:
+    """Elapsed time and rows per second, for the scan and export summaries."""
+    rate = rows / seconds if seconds > 0 else math.inf
+    return f"in {seconds:.3f} s ({rate:.0f} rows/s)"
 
 
 class _Parser(argparse.ArgumentParser):
@@ -208,22 +209,36 @@ def cmd_energy(ns) -> int:
     return EXIT_OK
 
 
+def _scan_block(alpha: AlphaTriple, columns) -> str:
+    """The CSV rows of one triple from its scan columns, in one format
+    call: the weights go into the row format once, the branch is written
+    as its name and every other cell as _fmt writes it."""
+    row = "%d,%d,%d," % alpha.weights + ",".join(
+        "%s" if c == "branch" else "%.12g" for c in SCAN_COLUMNS[3:]) + "\n"
+    cells = zip(*(c.tolist() for c in columns))
+    return (row * columns[0].size) % tuple(chain.from_iterable(cells))
+
+
 def cmd_scan(ns) -> int:
+    start = time.perf_counter()
     alphas = [AlphaTriple(*[int(v) for v in trip]) for trip in ns.alpha]
     branches = [Branch.MINUS, Branch.PLUS] if ns.branch == "both" else [Branch(ns.branch)]
-    rows = energy_scan(alphas, ns.grid, branches, ns.periods, ns.margin)
-    cells = operator.itemgetter(*SCAN_COLUMNS)
-    text = ",".join(SCAN_COLUMNS) + "\n" + "".join(_SCAN_ROW % cells(row) for row in rows)
+    scans = [(alpha, scan_columns(alpha, ns.grid, branches, ns.periods, ns.margin))
+             for alpha in alphas]
+    text = ",".join(SCAN_COLUMNS) + "\n" + "".join(_scan_block(*s) for s in scans)
     if ns.out:
         with open(ns.out, "w") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
-    if not rows:
+    ratios = [columns[-1] for _, columns in scans if columns[-1].size]
+    if not ratios:
         print("warning: empty feasible set, zero rows", file=sys.stderr)
         return EXIT_OK
-    min_ratio = min(r["ratio"] for r in rows)
-    print(f"rows = {len(rows)}  min ratio = {_fmt(min_ratio)}", file=sys.stderr)
+    n_rows = sum(r.size for r in ratios)
+    min_ratio = min(float(r.min()) for r in ratios)
+    print(f"rows = {n_rows}  min ratio = {_fmt(min_ratio)}  "
+          f"{_throughput(n_rows, time.perf_counter() - start)}", file=sys.stderr)
     return EXIT_OK
 
 
@@ -303,13 +318,15 @@ def cmd_periodicity(ns) -> int:
 
 
 def cmd_export(ns) -> int:
+    start = time.perf_counter()
     alpha = _alpha_from(ns)
     d = derive_constants(alpha, _moduli_from(ns))
     chart = None if ns.chart == "auto" else int(ns.chart)
     rows, chart_used = export_samples(d, tuple(ns.grid), chart)
     with open(ns.out, "w") as fh:
         write_csv(rows, fh)
-    print(f"wrote {len(rows)} rows to {ns.out} (chart component {chart_used})")
+    print(f"wrote {len(rows)} rows to {ns.out} (chart component {chart_used}) "
+          f"{_throughput(len(rows), time.perf_counter() - start)}")
     if ns.obj:
         with open(ns.obj, "w") as fh:
             write_obj(rows, fh)

@@ -201,15 +201,15 @@ def incomplete_f(theta: float, k) -> float:
     return base + s * _carlson_rf(c * c, (1.0 - kk * s) * (1.0 + kk * s), 1.0)
 
 
-def _sn_cn(u, k: float):
+def _sn_cn(u, k: float, K: float):
     """sn(u, k) and cn(u, k) elementwise by descending Landen (DLMF 22.7.1,
-    22.7.2).  cn is carried as a product from cos at the bottom of the
-    ladder, not taken as sqrt(1 - sn^2), so it keeps its relative accuracy
-    where it vanishes (u near an odd multiple of K)."""
+    22.7.2), with K = K(k) from the caller's AGM run.  cn is carried as a
+    product from cos at the bottom of the ladder, not taken as
+    sqrt(1 - sn^2), so it keeps its relative accuracy where it vanishes
+    (u near an odd multiple of K)."""
     u = np.asarray(u, dtype=float)
     if k == 0.0:
         return np.sin(u), np.cos(u)
-    K = complete_k(k)
     # sn and cn have period 4K; reduce u into [-2K, 2K]
     u = u - 4.0 * K * np.floor(u / (4.0 * K) + 0.5)
     ladder, kl = [], k  # descending moduli k -> k1 -> ... until negligible
@@ -232,5 +232,6 @@ def jacobi_sn(u, k):
     """Jacobi sn(u, k), the inverse of incomplete_f: sn(F(theta,k),k) =
     sin(theta).  Elementwise over a numpy array of u; a float for a
     scalar u."""
-    s = _sn_cn(u, _as_k(k))[0]
+    k = _as_k(k)
+    s = _sn_cn(u, k, complete_k(k))[0]
     return float(s) if s.ndim == 0 else s

@@ -21,7 +21,7 @@ from typing import Iterable, Tuple
 import numpy as np
 
 from .elliptic import (EllipticModulus, _carlson_rf, _carlson_rj, _sn_cn, _sqrt,
-                       complete_kd, jacobi_sn)
+                       complete_kd)
 from .errors import DegenerateParameters, InfeasibleParameters, SingularIntegrand
 
 
@@ -314,15 +314,16 @@ def derive_constants(alpha: AlphaTriple, point: ModuliPoint) -> DerivedConstants
 def conformal_factor(x, d: DerivedConstants):
     """2 e^{v(x)} = a1 - (a1 - a2) sn^2(x sqrt(a1+a3), k); accepts scalars
     or numpy arrays, oscillates between a1 (at x=0) and a2 (at x=T/2)."""
-    s = jacobi_sn(np.asarray(x, dtype=float) * d.sqrt_a1_a3, d.modulus)
-    return d.a1 - (d.a1 - d.a2) * s * s
+    s = _sn_cn(np.asarray(x, dtype=float) * d.sqrt_a1_a3, d.modulus.k, d.K)[0]
+    out = d.a1 - (d.a1 - d.a2) * s * s
+    return float(out) if out.ndim == 0 else out
 
 
 def conformal_factor_prime(x, d: DerivedConstants):
     """d/dx of the conformal factor, -(a1 - a2) sqrt(a1+a3) d(sn^2)/du
     with d(sn^2)/du = 2 sn cn dn; accepts scalars or numpy arrays."""
     k = d.modulus.k
-    s, c = _sn_cn(np.asarray(x, dtype=float) * d.sqrt_a1_a3, k)
+    s, c = _sn_cn(np.asarray(x, dtype=float) * d.sqrt_a1_a3, k, d.K)
     dn = np.sqrt((1.0 - k * s) * (1.0 + k * s))
     out = -2.0 * (d.a1 - d.a2) * d.sqrt_a1_a3 * s * c * dn
     return float(out) if out.ndim == 0 else out
@@ -411,7 +412,7 @@ def g_phases(x, d: DerivedConstants) -> np.ndarray:
     n = (d.a1 - d.a2) / (d.a1 + off)
     u = x * d.sqrt_a1_a3
     q = np.round(u / (2.0 * K))
-    s, c = _sn_cn(u - 2.0 * K * q, k)
+    s, c = _sn_cn(u - 2.0 * K * q, k, K)
     s2, c2 = s * s, c * c
     dn2 = (1.0 - k * s) * (1.0 + k * s)
     pi_r = (s * _carlson_rf(c2, dn2, 1.0)

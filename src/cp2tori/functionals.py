@@ -12,7 +12,7 @@ subtracts nothing larger than a1 K.  W is 2 pi N T (a^2 + b^2) in the
 Lagrangian-angle slopes.  Everything scales linearly in the period count
 N, so the energy ratio is evaluated at N = 1 (where E/E_Cl > 1 is
 hardest).  The functionals read K and D from the DerivedConstants, which
-holds one point or a whole grid of them as numpy arrays; :func:`energy_scan`
+holds one point or a whole grid of them as numpy arrays; :func:`scan_columns`
 passes each triple's grid through these same functions at once.
 """
 
@@ -106,16 +106,26 @@ SCAN_COLUMNS = ("alpha1", "alpha2", "alpha3", "a1", "a2", "branch",
 
 
 def _grid_arrays(alpha: AlphaTriple, n: int, margin: float):
-    """The (a1, a2) arrays of :func:`feasible_grid`, in its order."""
+    """The (a1, a2) arrays of :func:`feasible_grid`, in its order: the
+    points a2 < a1 - sep of the n x n grid on ``vals``, built from the
+    kept triangle alone."""
     lo, hi = lemma3_box(alpha)
     if hi <= lo:
         return np.empty(0), np.empty(0)
     pad = (hi - lo) * margin
     vals = np.linspace(lo + pad, hi - pad, n)
+    if not np.isfinite(vals).all():  # a margin that trims past the float range
+        return np.empty(0), np.empty(0)
     sep = (hi - lo) * margin
-    a1, a2 = np.meshgrid(vals, vals, indexing="ij")
-    keep = a2 < a1 - sep
-    return a1[keep], a2[keep]
+    # vals is monotone (it falls for a margin above 1/2), so the a2 < a1 - sep
+    # of each a1 are a run of counts[i] entries of vals: its first ones when
+    # vals rises, its last ones when it falls
+    rising = vals.size < 2 or vals[0] <= vals[-1]
+    counts = np.searchsorted(vals if rising else vals[::-1], vals - sep)
+    first = 0 if rising else n - counts  # index in vals of each run's first a2
+    starts = np.cumsum(counts) - counts  # index in the output of each run
+    j = np.arange(counts.sum()) + np.repeat(first - starts, counts)
+    return np.repeat(vals, counts), vals[j]
 
 
 def feasible_grid(alpha: AlphaTriple, n: int, margin: float = 0.02) -> List[tuple]:
@@ -129,10 +139,14 @@ def feasible_grid(alpha: AlphaTriple, n: int, margin: float = 0.02) -> List[tupl
     return list(zip(a1.tolist(), a2.tolist()))
 
 
-def _scan_triple(alpha: AlphaTriple, n: int, branches: Sequence[Branch],
-                 n_periods: int, margin: float) -> List[dict]:
-    """The scan rows of one triple, each formula applied to the whole grid
-    at once: a1, then a2, then the branches in the given order."""
+def scan_columns(alpha: AlphaTriple, n: int, branches: Sequence[Branch],
+                 n_periods: int, margin: float) -> tuple:
+    """The scan of one triple as the columns a1, a2, branch, c2, a3, a, T,
+    A, W, E, ratio of :data:`SCAN_COLUMNS` (every column but the weights),
+    each formula applied to the whole grid at once.  Row i is the i-th
+    feasible grid point and branch: a1, then a2, then the branches in the
+    given order; a point where c2 is not real or vanishes gives no torus
+    and no row."""
     a1, a2 = _grid_arrays(alpha, n, margin)
     ordered = (a1 > a2) & (a2 > 0)
     if not ordered.all():
@@ -152,17 +166,20 @@ def _scan_triple(alpha: AlphaTriple, n: int, branches: Sequence[Branch],
     branch = np.broadcast_to(np.array([b.value for b in branches]), c2.shape)[keep]
     d = _derived(alpha, a1[keep], a2[keep], branch, c2[keep])
     fv = energy_mironov(d, n_periods)
-    columns = (d.a1, d.a2, d.branch, d.c2, d.a3, d.slope_x, d.period, fv.area,
-               fv.willmore, fv.energy, fv.ratio)
-    return [dict(zip(SCAN_COLUMNS, (*alpha.weights, *values)))
-            for values in zip(*(c.tolist() for c in columns))]
+    return (d.a1, d.a2, d.branch, d.c2, d.a3, d.slope_x, d.period, fv.area,
+            fv.willmore, fv.energy, fv.ratio)
 
 
 def energy_scan(alphas: Iterable[AlphaTriple], n: int = 20,
                 branches: Sequence[Branch] = (Branch.MINUS, Branch.PLUS),
                 n_periods: int = 1, margin: float = 0.02) -> List[dict]:
     """One CSV-ready row per feasible grid point and branch, with the
-    values :func:`energy_mironov` gives there; a point where c2 is not
-    real or vanishes gives no torus and is skipped."""
-    return [row for alpha in alphas
-            for row in _scan_triple(alpha, n, branches, n_periods, margin)]
+    values :func:`energy_mironov` gives there: the rows of
+    :func:`scan_columns`, triple by triple, as dicts keyed by
+    :data:`SCAN_COLUMNS`."""
+    rows = []
+    for alpha in alphas:
+        columns = scan_columns(alpha, n, branches, n_periods, margin)
+        rows += [dict(zip(SCAN_COLUMNS, (*alpha.weights, *values)))
+                 for values in zip(*(c.tolist() for c in columns))]
+    return rows

@@ -164,6 +164,64 @@ def test_scan_acceptance_sweep_csv_is_pinned(tmp_path, capsys):
         "58bc9ba6e6e6d6407fcc7e935a06cb946f59141fd90bc39ae0d32f6b01b61389")
 
 
+CANONICAL_ALPHAS = [v for t in ("2 1 -1", "3 1 -1", "3 2 -1", "1 0 -1", "2 0 -1")
+                    for v in ("--alpha", *t.split())]
+# the canonical triples reversed, with the infeasible (1, 1, -1) among them
+MIXED_ALPHAS = [v for t in ("2 0 -1", "1 1 -1", "1 0 -1", "3 2 -1", "3 1 -1",
+                            "1 1 -1", "2 1 -1") for v in ("--alpha", *t.split())]
+
+
+@pytest.mark.parametrize("alphas, options, rows, digest", [
+    (CANONICAL_ALPHAS, ["--grid", "30", "--branch", "plus"], 2175,
+     "1d24cce0f89075e412f53dfe2a9f0ee0a9bc0b72cde3b7c3db29b0e37a405dd6"),
+    (CANONICAL_ALPHAS, ["--grid", "30", "--branch", "minus"], 2175,
+     "034f7cc5e83090b10c6f306ad3f1850d4ba7261d43f64efb09556815f5e95013"),
+    (CANONICAL_ALPHAS, ["--grid", "30", "--periods", "3"], 4350,
+     "3b1ea3da1be7b9f29f7d43bc552a5f7b7e249ad5be7430cac3d2064288838360"),
+    (CANONICAL_ALPHAS, ["--grid", "41", "--margin", "0.001"], 8200,
+     "026e76ee671228bf22f4d4cd4dc265551bbeeb5ca5aaea13ada65e402eab26dc"),
+    (MIXED_ALPHAS, ["--grid", "30"], 4350,
+     "bf344e305fef168d05630553f0a75ff1260e1fb4ebd3208d3b9351adb8b9df72"),
+])
+def test_scan_csv_variants_are_pinned(tmp_path, capsys, alphas, options, rows, digest):
+    # one branch, several periods, a finer grid with a thinner margin and
+    # triples in another order with an empty one among them, byte for byte
+    out = tmp_path / "scan.csv"
+    code, _, err = run(capsys, "scan", *alphas, *options, "--out", str(out))
+    assert code == EXIT_OK and f"rows = {rows} " in err
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("branch, csv_digest, obj_digest", [
+    ("minus", "f5002468a2d7281d7012cd3eae4abf7b95feae4be214205bd48cf851a20813c3",
+     "3853d7860190790937723c2a976f686740ea43971c42c10ba0d93395223c418e"),
+    ("plus", "952bffb9f1ec5ef7541cbf98fe2aaeb9cf59cc68c05c1c4f49e7fcaaa23f4013",
+     "2f25effbcea5e736ca0402bb09574f4bc5701f554178a5b728408a8bc00168b8"),
+])
+def test_export_files_are_pinned(tmp_path, capsys, branch, csv_digest, obj_digest):
+    out, obj = tmp_path / "samples.csv", tmp_path / "cloud.obj"
+    code, _, _ = run(capsys, "export", "--alpha", "2", "1", "-1", "--a1", "1.8",
+                     "--a2", "1.2", "--branch", branch, "--grid", "16", "256",
+                     "--out", str(out), "--obj", str(obj))
+    assert code == EXIT_OK
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == csv_digest
+    assert hashlib.sha256(obj.read_bytes()).hexdigest() == obj_digest
+
+
+def test_scan_and_export_report_their_throughput(tmp_path, capsys):
+    throughput = r"in \d+\.\d{3} s \((\d+|inf) rows/s\)"
+    code, _, err = run(capsys, "scan", "--alpha", "2", "1", "-1", "--grid", "5",
+                       "--out", str(tmp_path / "s.csv"))
+    assert code == EXIT_OK
+    assert re.fullmatch(rf"rows = 20  min ratio = \S+  {throughput}\n", err), err
+    out = tmp_path / "e.csv"
+    code, stdout, _ = run(capsys, "export", "--alpha", "2", "1", "-1", "--a1", "1.8",
+                          "--a2", "1.2", "--grid", "8", "8", "--out", str(out))
+    assert code == EXIT_OK
+    assert re.fullmatch(rf"wrote 64 rows to {re.escape(str(out))} "
+                        rf"\(chart component \d\) {throughput}\n", stdout), stdout
+
+
 def test_scan_grid_too_large_to_allocate_is_an_error(tmp_path, capsys):
     # a grid whose very first array (n floats: 711 PiB at n = 1e17) lies
     # beyond any 64-bit address space is refused at once, as an error line

@@ -7,7 +7,7 @@ from scipy.integrate import quad
 from cp2tori.errors import Cp2ToriError
 from cp2tori.family import (AlphaTriple, Branch, ModuliPoint, derive_constants,
                             lemma3_box)
-from cp2tori.functionals import (HomogeneousParams, area_mironov,
+from cp2tori.functionals import (HomogeneousParams, _grid_arrays, area_mironov,
                                  clifford_energy, energy_mironov, energy_scan,
                                  feasible_grid, homogeneous_energy,
                                  period_integral, willmore_mironov)
@@ -201,8 +201,10 @@ def test_energy_scan_matches_the_per_point_path():
 
 def test_a_moduli_point_runs_the_agm_once(monkeypatch):
     # derive_constants keeps K and D from its one AGM run, and the
-    # functionals and the phase integrals read them from there
-    from cp2tori import family
+    # functionals, the conformal factor, its derivative, the phase
+    # integrals and the immersion read them from there; complete_kd is
+    # counted where family and elliptic (complete_k, jacobi_sn) call it
+    from cp2tori import elliptic, family, immersion
     calls = []
     real = family.complete_kd
 
@@ -211,10 +213,18 @@ def test_a_moduli_point_runs_the_agm_once(monkeypatch):
         return real(k)
 
     monkeypatch.setattr(family, "complete_kd", counted)
+    monkeypatch.setattr(elliptic, "complete_kd", counted)
     d = derive_constants(AlphaTriple(2, 1, -1), ModuliPoint(1.8, 1.2))
     energy_mironov(d, 2)
     period_integral(d)
     family.g_phases(0.5 * d.period, d)
+    xs = np.linspace(0.0, 2.0 * d.period, 9)
+    family.conformal_factor(xs, d)
+    family.conformal_factor(0.3, d)
+    family.conformal_factor_prime(xs, d)
+    family.conformal_factor_prime(0.3, d)
+    immersion.geometry_residuals(d, (8, 8))
+    immersion.export_samples(d, (4, 4))
     assert len(calls) == 1
     assert (d.K, d.D) == real(d.modulus.k)
     assert d.sqrt_a1_a3 == math.sqrt(d.a1 + d.a3)
@@ -238,6 +248,35 @@ def test_energy_scan_keeps_its_error_paths():
 
 def test_energy_scan_empty_for_unfeasible_triple():
     assert energy_scan([AlphaTriple(1, 1, -1)], n=8) == []
+
+
+def _meshgrid_oracle(alpha, n, margin):
+    """The feasible grid as the n x n meshgrid and mask it was first built
+    from: every (a1, a2) on the grid with a2 < a1 - sep, row-major."""
+    lo, hi = lemma3_box(alpha)
+    if hi <= lo:
+        return np.empty(0), np.empty(0)
+    pad = (hi - lo) * margin
+    vals = np.linspace(lo + pad, hi - pad, n)
+    sep = (hi - lo) * margin
+    a1, a2 = np.meshgrid(vals, vals, indexing="ij")
+    keep = a2 < a1 - sep
+    return a1[keep], a2[keep]
+
+
+@pytest.mark.parametrize("weights", [*CANONICAL_TRIPLES, (1, 1, -1), (5, 0, -2)])
+def test_grid_arrays_match_the_meshgrid_oracle(weights):
+    # the kept triangle alone, bit for bit and in order, also where the
+    # margin exceeds 1/2 (the grid runs downwards) and where it trims past
+    # the float range (no finite grid, so no point)
+    al = AlphaTriple(*weights)
+    for n in (1, 2, 5, 30, 101):
+        for margin in (0.0, 0.001, 0.02, 0.3, 0.75, 1.5, 3.0, 1e308):
+            with np.errstate(all="ignore"):  # linspace past the float range
+                got = _grid_arrays(al, n, margin)
+                ref = _meshgrid_oracle(al, n, margin)
+            assert all(g.dtype == r.dtype and g.shape == r.shape and
+                       g.tobytes() == r.tobytes() for g, r in zip(got, ref)), (n, margin)
 
 
 def test_feasible_grid_stays_inside_box():
