@@ -4,10 +4,10 @@ Subcommands: energy, scan, verify, periodicity, export, mnk, feasibility.
 Exit codes: 0 success, 2 infeasible parameters, 3 a requested
 certification did not come back proved, 4 degenerate parameters (a
 vanishing root c2 or a phase denominator too close to zero), 64 usage
-error, an output path that cannot be written or a grid too large to
-allocate.  A JSON config file can
-pre-set any long option of the subcommand, checked as the same flag
-would be; an option given on the command line wins, whatever its value.
+error, an integer too large for a float, an output path that cannot be
+written or a grid too large to allocate.  A JSON config file can pre-set
+any long option of the subcommand, checked as the same flag would be; an
+option given on the command line wins, whatever its value.
 """
 
 from __future__ import annotations
@@ -20,7 +20,6 @@ import re
 import sys
 import time
 from functools import cache
-from itertools import chain
 from typing import List, Optional
 
 import numpy as np
@@ -33,7 +32,7 @@ from .family import (AlphaTriple, Branch, ModuliPoint, derive_constants,
                      feasibility_check, lemma3_box)
 from .functionals import (SCAN_COLUMNS, HomogeneousParams, clifford_energy,
                           energy_mironov, homogeneous_energy, scan_columns)
-from .immersion import export_samples, write_csv, write_obj
+from .immersion import export_samples, format_rows, write_csv, write_obj
 from .interval import MAX_BOXES, MAX_DEPTH, CertStatus
 from .mnk import ORIENTATION_CONVENTION, MnkParams, is_torus
 from .periodicity import rational_fit
@@ -78,13 +77,14 @@ def _branch(value: str) -> Branch:
 
 
 def _margin(value: str) -> float:
-    """argparse type for scan --margin: a finite float >= 0."""
+    """argparse type for scan --margin: a float in [0, 1/2); from 1/2 on,
+    the trim would leave no box."""
     try:
         v = float(value)
     except ValueError:
         v = math.nan
-    if not (0 <= v < math.inf):
-        raise argparse.ArgumentTypeError(f"must be finite and >= 0, got {value!r}")
+    if not (0 <= v < 0.5):
+        raise argparse.ArgumentTypeError(f"must be in [0, 1/2), got {value!r}")
     return v
 
 
@@ -210,13 +210,12 @@ def cmd_energy(ns) -> int:
 
 
 def _scan_block(alpha: AlphaTriple, columns) -> str:
-    """The CSV rows of one triple from its scan columns, in one format
-    call: the weights go into the row format once, the branch is written
-    as its name and every other cell as _fmt writes it."""
+    """The CSV rows of one triple from its scan columns: the weights go
+    into the row format once, the branch is written as its name and every
+    other cell as _fmt writes it."""
     row = "%d,%d,%d," % alpha.weights + ",".join(
         "%s" if c == "branch" else "%.12g" for c in SCAN_COLUMNS[3:]) + "\n"
-    cells = zip(*(c.tolist() for c in columns))
-    return (row * columns[0].size) % tuple(chain.from_iterable(cells))
+    return format_rows(row, columns)
 
 
 def cmd_scan(ns) -> int:
@@ -322,14 +321,15 @@ def cmd_export(ns) -> int:
     alpha = _alpha_from(ns)
     d = derive_constants(alpha, _moduli_from(ns))
     chart = None if ns.chart == "auto" else int(ns.chart)
-    rows, chart_used = export_samples(d, tuple(ns.grid), chart)
+    columns, chart_used = export_samples(d, tuple(ns.grid), chart)
     with open(ns.out, "w") as fh:
-        write_csv(rows, fh)
-    print(f"wrote {len(rows)} rows to {ns.out} (chart component {chart_used}) "
-          f"{_throughput(len(rows), time.perf_counter() - start)}")
+        write_csv(columns, fh)
+    n_rows = columns[0].size
+    print(f"wrote {n_rows} rows to {ns.out} (chart component {chart_used}) "
+          f"{_throughput(n_rows, time.perf_counter() - start)}")
     if ns.obj:
         with open(ns.obj, "w") as fh:
-            write_obj(rows, fh)
+            write_obj(columns, fh)
         print(f"wrote OBJ vertex cloud to {ns.obj}")
     return EXIT_OK
 
@@ -387,7 +387,6 @@ def build_parser() -> _Parser:
     add_moduli(p)
     p.add_argument("--r", nargs=3, type=float, metavar=("R1", "R2", "R3"))
     p.add_argument("--periods", type=_positive(int), default=1)
-    p.set_defaults(func=cmd_energy)
 
     p = sub.add_parser("scan", help="sweep feasible grids, CSV output")
     add_common(p)
@@ -399,7 +398,6 @@ def build_parser() -> _Parser:
                    help="trim of the feasibility box, as a fraction of its width")
     p.add_argument("--periods", type=_positive(int), default=1)
     p.add_argument("--out", help="CSV path (stdout when omitted)")
-    p.set_defaults(func=cmd_scan)
 
     p = sub.add_parser("verify", help="run the certified lemma and bound checks")
     add_common(p)
@@ -416,7 +414,6 @@ def build_parser() -> _Parser:
                    help="random feasible points for the energy spot checks")
     p.add_argument("--seed", type=int, default=20240801)
     p.add_argument("--out-dir", default="certificates")
-    p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("periodicity", help="rational winding fit and lattice data")
     add_common(p)
@@ -424,7 +421,6 @@ def build_parser() -> _Parser:
     p.add_argument("--max-denominator", type=_positive(int), default=10 ** 6)
     p.add_argument("--tol", type=_positive(float), default=1e-9)
     p.add_argument("--json-out", help="also write the JSON result here")
-    p.set_defaults(func=cmd_periodicity)
 
     p = sub.add_parser("export", help="sample the immersion into CSV/OBJ")
     add_common(p)
@@ -435,20 +431,17 @@ def build_parser() -> _Parser:
                    help="affine chart component")
     p.add_argument("--out", required=True)
     p.add_argument("--obj", help="also write an OBJ vertex cloud")
-    p.set_defaults(func=cmd_export)
 
     p = sub.add_parser("mnk", help="torus / Klein bottle classification")
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--k", type=int, required=True)
-    p.set_defaults(func=cmd_mnk)
 
     p = sub.add_parser("feasibility", help="feasibility diagnostics for (alpha, a1, a2)")
     add_common(p)
     p.add_argument("--alpha", nargs=3, type=int, required=True, metavar=("A1", "A2", "A3"))
     p.add_argument("--a1", type=float, required=True)
     p.add_argument("--a2", type=float, required=True)
-    p.set_defaults(func=cmd_feasibility)
 
     return parser
 
@@ -473,7 +466,8 @@ def main(argv: Optional[List[str]] = None) -> int:
             ns.target not in ("B1", "B2") or not math.isfinite(ns.threshold)):
         parser.error("verify: --threshold takes a finite number, with --target B1 or B2")
     try:
-        return ns.func(ns)
+        # looked up at each call, so that a replaced cmd_* is the one run
+        return globals()[f"cmd_{ns.command}"](ns)
     except InfeasibleParameters as exc:
         print(f"infeasible parameters: {exc}", file=sys.stderr)
         return EXIT_INFEASIBLE
@@ -483,9 +477,10 @@ def main(argv: Optional[List[str]] = None) -> int:
     except Cp2ToriError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INFEASIBLE
-    except (ValueError, OSError, MemoryError) as exc:
-        # OSError: an output path that cannot be written; MemoryError: a
-        # grid too large to allocate
+    except (ValueError, OverflowError, OSError, MemoryError) as exc:
+        # OverflowError: an integer input too large for a float; OSError:
+        # an output path that cannot be written; MemoryError: a grid too
+        # large to allocate
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -156,18 +156,20 @@ class FeasibilityResult:
 
 def _quartic_p_r(alpha: AlphaTriple, a1, a2):
     """P and R of the even quartic (a1-a2)^2 x^4 + 2P x^2 + R^2 in c2,
-    elementwise; both NaN, which no feasibility test passes, where a float
-    power overflows.  a1 > a2 > 0 is the caller's to check."""
+    elementwise, in products alone, so that a point and a grid round
+    alike; both NaN, which no feasibility test passes, where either is
+    not finite (moduli beyond the float range).  a1 > a2 > 0 is the
+    caller's to check."""
     b, c, c1 = alpha.b, alpha.c, alpha.c1
-    try:
-        P = (a1**3 * a2**2 + a1**2 * a2**3
-             + (a1**2 * a2 + a1 * a2**2) * b * c1
-             + (a1**2 + a2**2) * c1**2
-             + 2 * a1**2 * a2**2 * c)
-        R = (a1 + a2) * c1**2 - a1**2 * a2**2 + a1 * a2 * b * c1
-    except OverflowError:  # Python float ** raises where numpy gives inf
-        return math.nan, math.nan
-    return P, R
+    a1_2, a2_2 = a1 * a1, a2 * a2
+    P = (a1_2 * a1 * a2_2 + a1_2 * (a2_2 * a2)
+         + (a1_2 * a2 + a1 * a2_2) * b * c1
+         + (a1_2 + a2_2) * (c1 * c1)
+         + 2 * a1_2 * a2_2 * c)
+    R = (a1 + a2) * (c1 * c1) - a1_2 * a2_2 + a1 * a2 * b * c1
+    finite = np.isfinite(P) & np.isfinite(R)
+    # [()] gives a scalar for a point and the array itself for a grid
+    return np.where(finite, P, math.nan)[()], np.where(finite, R, math.nan)[()]
 
 
 def _p_discriminant(alpha: AlphaTriple, a1, a2):

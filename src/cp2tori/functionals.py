@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, List, Sequence
+from typing import List, Sequence
 
 import numpy as np
 
@@ -109,22 +109,18 @@ def _grid_arrays(alpha: AlphaTriple, n: int, margin: float):
     """The (a1, a2) arrays of :func:`feasible_grid`, in its order: the
     points a2 < a1 - sep of the n x n grid on ``vals``, built from the
     kept triangle alone."""
+    if not 0 <= margin < 0.5:
+        raise ValueError(f"margin must be in [0, 1/2), got {margin!r}")
     lo, hi = lemma3_box(alpha)
     if hi <= lo:
         return np.empty(0), np.empty(0)
-    pad = (hi - lo) * margin
-    vals = np.linspace(lo + pad, hi - pad, n)
-    if not np.isfinite(vals).all():  # a margin that trims past the float range
-        return np.empty(0), np.empty(0)
     sep = (hi - lo) * margin
-    # vals is monotone (it falls for a margin above 1/2), so the a2 < a1 - sep
-    # of each a1 are a run of counts[i] entries of vals: its first ones when
-    # vals rises, its last ones when it falls
-    rising = vals.size < 2 or vals[0] <= vals[-1]
-    counts = np.searchsorted(vals if rising else vals[::-1], vals - sep)
-    first = 0 if rising else n - counts  # index in vals of each run's first a2
+    vals = np.linspace(lo + sep, hi - sep, n)
+    # vals rises, so the a2 < a1 - sep of each a1 are the first counts[i]
+    # entries of vals
+    counts = np.searchsorted(vals, vals - sep)
     starts = np.cumsum(counts) - counts  # index in the output of each run
-    j = np.arange(counts.sum()) + np.repeat(first - starts, counts)
+    j = np.arange(counts.sum()) - np.repeat(starts, counts)
     return np.repeat(vals, counts), vals[j]
 
 
@@ -132,8 +128,8 @@ def feasible_grid(alpha: AlphaTriple, n: int, margin: float = 0.02) -> List[tupl
     """Interior (a1, a2) grid points of the feasibility box with a1 > a2,
     ordered by a1, then a2.
 
-    ``margin`` trims the box boundary (degenerate loci) as a fraction of
-    the box width.
+    ``margin``, in [0, 1/2), trims the box boundary (degenerate loci) as
+    a fraction of the box width.
     """
     a1, a2 = _grid_arrays(alpha, n, margin)
     return list(zip(a1.tolist(), a2.tolist()))
@@ -168,18 +164,3 @@ def scan_columns(alpha: AlphaTriple, n: int, branches: Sequence[Branch],
     fv = energy_mironov(d, n_periods)
     return (d.a1, d.a2, d.branch, d.c2, d.a3, d.slope_x, d.period, fv.area,
             fv.willmore, fv.energy, fv.ratio)
-
-
-def energy_scan(alphas: Iterable[AlphaTriple], n: int = 20,
-                branches: Sequence[Branch] = (Branch.MINUS, Branch.PLUS),
-                n_periods: int = 1, margin: float = 0.02) -> List[dict]:
-    """One CSV-ready row per feasible grid point and branch, with the
-    values :func:`energy_mironov` gives there: the rows of
-    :func:`scan_columns`, triple by triple, as dicts keyed by
-    :data:`SCAN_COLUMNS`."""
-    rows = []
-    for alpha in alphas:
-        columns = scan_columns(alpha, n, branches, n_periods, margin)
-        rows += [dict(zip(SCAN_COLUMNS, (*alpha.weights, *values)))
-                 for values in zip(*(c.tolist() for c in columns))]
-    return rows

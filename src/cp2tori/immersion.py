@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import chain
 from typing import Optional, TextIO, Tuple
 
 import numpy as np
@@ -202,9 +203,11 @@ def default_chart(d: DerivedConstants) -> int:
 
 def export_samples(d: DerivedConstants, grid: Tuple[int, int],
                    chart: Optional[int] = None):
-    """Sample rows (x, y, affine chart coordinates in C^2, conformal
-    factor, Lagrangian angle); rows where the chart component is tiny are
-    flagged rather than dropped."""
+    """The columns of :data:`EXPORT_COLUMNS` (x, y, affine chart
+    coordinates in C^2, conformal factor, Lagrangian angle, flag) as 1-D
+    arrays, one row per grid point with y running fastest, and the chart
+    used; rows where the chart component is tiny are flagged rather than
+    dropped."""
     if chart is None:
         chart = default_chart(d)
     nx, ny = grid
@@ -220,15 +223,26 @@ def export_samples(d: DerivedConstants, grid: Tuple[int, int],
     w1, w2 = r[others] / np.where(flagged, complex(math.nan, math.nan), pivot)
     columns = (np.repeat(xs, ny), np.tile(ys, nx), w1.real, w1.imag,
                w2.real, w2.imag, np.repeat(cf, ny), beta, flagged)
-    return list(zip(*(c.ravel().tolist() for c in columns))), chart
+    return tuple(c.ravel() for c in columns), chart
 
 
-def write_csv(rows, fh: TextIO) -> None:
-    """Header, then each ``export_samples`` row: floats to 12 digits, flag 0/1."""
-    fmt = ",".join(["%.12g"] * (len(EXPORT_COLUMNS) - 1) + ["%d"]) + "\n"
-    fh.write(",".join(EXPORT_COLUMNS) + "\n" + "".join(fmt % r for r in rows))
+def format_rows(row_format: str, columns) -> str:
+    """The rows of ``columns`` (1-D arrays of one length), each written by
+    ``row_format``, in one ``%`` call: row i formats the i-th entry of
+    every column, as the Python number or string ``tolist`` gives."""
+    cells = zip(*(c.tolist() for c in columns))
+    return (row_format * len(columns[0])) % tuple(chain.from_iterable(cells))
 
 
-def write_obj(rows, fh: TextIO) -> None:
-    """Vertex cloud of the affine image, first three real coordinates."""
-    fh.write("".join("v %.9g %.9g %.9g\n" % r[2:5] for r in rows if not r[-1]))
+def write_csv(columns, fh: TextIO) -> None:
+    """Header, then the rows of the ``export_samples`` columns: floats to
+    12 digits, flag 0/1."""
+    row = ",".join(["%.12g"] * (len(EXPORT_COLUMNS) - 1) + ["%d"]) + "\n"
+    fh.write(",".join(EXPORT_COLUMNS) + "\n" + format_rows(row, columns))
+
+
+def write_obj(columns, fh: TextIO) -> None:
+    """Vertex cloud of the affine image, first three real coordinates of
+    the unflagged rows."""
+    keep = ~columns[-1]
+    fh.write(format_rows("v %.9g %.9g %.9g\n", [c[keep] for c in columns[2:5]]))

@@ -571,7 +571,7 @@ def test_scan_skips_degenerate_points_in_api_and_cli(tmp_path, capsys, monkeypat
     # root below 1e-12 max(1, a1^2) at one point is a vanishing c2 there,
     # on that branch only
     from cp2tori import functionals
-    from cp2tori.family import AlphaTriple
+    from cp2tori.family import AlphaTriple, Branch
     al = AlphaTriple(2, 1, -1)
     a1, a2 = functionals.feasible_grid(al, 4)[0]
     real = functionals._c2_pair
@@ -580,14 +580,19 @@ def test_scan_skips_degenerate_points_in_api_and_cli(tmp_path, capsys, monkeypat
         minus, plus = real(g1, g2, q1, q2)
         return minus, np.where((g1 == a1) & (g2 == a2), 0.5e-12, plus)
 
-    full = functionals.energy_scan([al], n=4)
-    keys = [(r["a1"], r["a2"], r["branch"]) for r in full]
+    def scan_rows():
+        # (a1, a2, branch, c2, ...) per row, as the CLI scans at --grid 4
+        columns = functionals.scan_columns(al, 4, (Branch.MINUS, Branch.PLUS), 1, 0.02)
+        return list(zip(*(c.tolist() for c in columns)))
+
+    full = scan_rows()
+    keys = [r[:3] for r in full]
     assert (a1, a2, "minus") in keys and (a1, a2, "plus") in keys
     monkeypatch.setattr(functionals, "_c2_pair", c2_pair)
-    rows = functionals.energy_scan([al], n=4)
+    rows = scan_rows()
     assert len(rows) == len(full) - 1
-    assert [r for r in full if (r["a1"], r["a2"], r["branch"]) != (a1, a2, "plus")] == rows
-    assert any((r["a1"], r["a2"], r["branch"]) == (a1, a2, "minus") for r in rows)
+    assert [r for r in full if r[:3] != (a1, a2, "plus")] == rows
+    assert any(r[:3] == (a1, a2, "minus") for r in rows)
     code, _, err = run(capsys, "scan", "--alpha", "2", "1", "-1", "--grid", "4",
                        "--out", str(tmp_path / "s.csv"))
     assert code == EXIT_OK
@@ -624,11 +629,11 @@ def test_export_chart_takes_auto_or_a_component(tmp_path, capsys):
 def test_scan_margin_is_finite_and_nonnegative(tmp_path, capsys):
     out = tmp_path / "s.csv"
     scan = ("scan", "--alpha", "2", "1", "-1", "--grid", "5", "--out", str(out))
-    for bad in ("nan", "inf", "-inf", "-0.1", "x"):
+    for bad in ("nan", "inf", "-inf", "-0.1", "x", "0.5", "0.75", "2", "5e307"):
         assert _exit_code(*scan, "--margin", bad) == EXIT_USAGE, bad
         assert "argument --margin: " in capsys.readouterr().err
     cfg = tmp_path / "cfg.json"
-    for bad in ("nan", -0.1, "inf"):
+    for bad in ("nan", -0.1, "inf", 0.5, 0.75, 2, 5e307):
         cfg.write_text(json.dumps({"margin": bad}))
         assert _exit_code(*scan, "--config", str(cfg)) == EXIT_USAGE, bad
         assert "config: argument --margin: " in capsys.readouterr().err
@@ -641,6 +646,42 @@ def test_scan_margin_is_finite_and_nonnegative(tmp_path, capsys):
     code, _, err = run(capsys, "scan", "--alpha", "2", "0", "-1", "--grid", "5",
                        "--margin", "0", "--out", str(tmp_path / "t.csv"))
     assert code == EXIT_USAGE and "need a1 > a2 > 0" in err
+
+
+def test_main_runs_the_command_function_named_at_call_time(tmp_path, capsys, monkeypatch):
+    # the parser is built once per process; a cmd_* replaced after that,
+    # as a tracer replaces it, is still the one that runs
+    from cp2tori import cli
+    out = tmp_path / "s.csv"
+    scan = ["scan", "--alpha", "2", "1", "-1", "--grid", "3", "--out", str(out)]
+    assert main(scan) == EXIT_OK and out.exists()
+    out.unlink()
+    calls = []
+    monkeypatch.setattr(cli, "cmd_scan", lambda ns: calls.append(ns.grid) or EXIT_OK)
+    assert main(scan) == EXIT_OK
+    assert calls == [3] and not out.exists()
+
+
+_HUGE = "1" + "0" * 399  # an integer too large for a float
+
+
+@pytest.mark.parametrize("argv", [
+    ["scan", "--alpha", _HUGE, "1", "-1"],
+    ["energy", "--alpha", _HUGE, "1", "-1", "--a1", "1.8", "--a2", "1.2"],
+    ["feasibility", "--alpha", _HUGE, "1", "-1", "--a1", "1.8", "--a2", "1.2"],
+    ["periodicity", "--alpha", _HUGE, "1", "-1", "--a1", "1.8", "--a2", "1.2"],
+    ["export", "--alpha", _HUGE, "1", "-1", "--a1", "1.8", "--a2", "1.2"],
+    ["energy", "--alpha", "2", "1", "-1", "--a1", "1.8", "--a2", "1.2", "--periods", _HUGE],
+    ["scan", "--alpha", "2", "1", "-1", "--periods", _HUGE],
+], ids=["scan-alpha", "energy-alpha", "feasibility-alpha", "periodicity-alpha",
+        "export-alpha", "energy-periods", "scan-periods"])
+def test_an_integer_too_large_for_a_float_is_a_usage_error(tmp_path, capsys, argv):
+    # it ended in an OverflowError traceback, exit 1
+    if argv[0] in ("scan", "export"):
+        argv = argv + ["--out", str(tmp_path / "out.csv")]
+    code, _, err = run(capsys, *argv)
+    assert code == EXIT_USAGE
+    assert "error: int too large to convert to float" in err
 
 
 def test_periodicity_tol_is_positive_and_finite(tmp_path, capsys):

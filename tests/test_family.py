@@ -7,11 +7,11 @@ from scipy.integrate import quad
 
 from cp2tori.errors import (DegenerateParameters, InfeasibleParameters,
                             SingularIntegrand)
-from cp2tori.family import (AlphaTriple, Branch, ModuliPoint, conformal_factor,
-                            conformal_factor_prime, derive_constants,
-                            f_coefficients, feasibility_check, g_phases,
-                            lemma3_box, lift, q_cubic, quartic_coefficients,
-                            solve_c2)
+from cp2tori.family import (AlphaTriple, Branch, ModuliPoint, _p_discriminant,
+                            conformal_factor, conformal_factor_prime,
+                            derive_constants, f_coefficients, feasibility_check,
+                            g_phases, lemma3_box, lift, q_cubic,
+                            quartic_coefficients, solve_c2)
 from cp2tori.functionals import feasible_grid
 from conftest import CANONICAL_TRIPLES, quad_g_phases
 
@@ -109,7 +109,7 @@ def test_solve_c2_infeasible_raises():
 
 
 def test_quartic_beyond_the_float_range_is_nan():
-    # a float power in P overflows above a1 of about 5.6e102: P and R, and
+    # a float product in P overflows above a1 of about 5e102: P and R, and
     # so the discriminant and the quartic's q2 and q0, are NaN there, which
     # no feasibility test passes, and nothing raises
     al = AlphaTriple(2, 1, -1)
@@ -122,6 +122,22 @@ def test_quartic_beyond_the_float_range_is_nan():
     a1, a2 = 1.567948, 0.957085
     assert quartic_coefficients(al, a1, a2)[0] == ((np.array([a1]) - a2) ** 2)[0]
     assert quartic_coefficients(al, a1, a2)[0] == (a1 - a2) * (a1 - a2)
+
+
+def test_a_point_and_a_grid_give_the_same_p_and_discriminant(rng):
+    # P and the discriminant are written in products, which round alike on
+    # floats and on numpy arrays, so feasibility_check at a point and the
+    # scan's mask on a grid cannot disagree there
+    for weights in CANONICAL_TRIPLES:
+        al = AlphaTriple(*weights)
+        hi = lemma3_box(al)[1]
+        a2, a1 = np.sort(rng.uniform(0.0, 1.5 * hi, (2, 2000)), axis=0)
+        keep = (a1 > a2) & (a2 > 0)
+        a1, a2 = a1[keep], a2[keep]
+        P, disc = _p_discriminant(al, a1, a2)
+        for i in range(a1.size):
+            res = feasibility_check(al, float(a1[i]), float(a2[i]))
+            assert (res.p_value, res.discriminant) == (P[i], disc[i]), (weights, a1[i], a2[i])
 
 
 def test_quartic_residual_and_companion_oracle(rng):

@@ -8,12 +8,13 @@ from cp2tori.errors import Cp2ToriError
 from cp2tori.family import (AlphaTriple, Branch, ModuliPoint, derive_constants,
                             lemma3_box)
 from cp2tori.functionals import (HomogeneousParams, _grid_arrays, area_mironov,
-                                 clifford_energy, energy_mironov, energy_scan,
-                                 feasible_grid, homogeneous_energy,
-                                 period_integral, willmore_mironov)
+                                 clifford_energy, energy_mironov, feasible_grid,
+                                 homogeneous_energy, period_integral,
+                                 scan_columns, willmore_mironov)
 from conftest import CANONICAL_TRIPLES, angle_willmore, quad_period_integral
 
 SQ3 = 1.0 / math.sqrt(3.0)
+BOTH = (Branch.MINUS, Branch.PLUS)
 
 
 def test_clifford_value():
@@ -165,10 +166,9 @@ def test_energy_decomposition_and_potential(sample_derived):
 
 
 def test_energy_ratio_exceeds_one_on_grid():
-    al = AlphaTriple(2, 1, -1)
-    rows = energy_scan([al], n=8)
-    assert rows, "feasible grid should not be empty"
-    assert all(r["ratio"] > 1.0 for r in rows)
+    ratio = scan_columns(AlphaTriple(2, 1, -1), 8, BOTH, 1, 0.02)[-1]
+    assert ratio.size, "feasible grid should not be empty"
+    assert (ratio > 1.0).all()
 
 
 def test_energy_scan_matches_the_per_point_path():
@@ -176,7 +176,8 @@ def test_energy_scan_matches_the_per_point_path():
     # each point: the same rows in the same order, the same values bit for
     # bit
     alphas = [AlphaTriple(*t) for t in CANONICAL_TRIPLES]
-    rows = energy_scan(alphas, n=30)
+    rows = [(*al.weights, *row) for al in alphas
+            for row in zip(*(c.tolist() for c in scan_columns(al, 30, BOTH, 1, 0.02)))]
     expected = []
     for al in alphas:
         for a1, a2 in feasible_grid(al, 30):
@@ -190,11 +191,10 @@ def test_energy_scan_matches_the_per_point_path():
                                  (d.c2, d.a3, d.slope_x, d.period, fv.area,
                                   fv.willmore, fv.energy, fv.ratio)))
     assert len(rows) == len(expected) == 4350
-    keys = ("alpha1", "alpha2", "alpha3", "a1", "a2", "branch")
-    values = ("c2", "a3", "a", "T", "A", "W", "E", "ratio")
-    assert [tuple(r[c] for c in keys) for r in rows] == [k for k, _ in expected]
+    # alpha1, alpha2, alpha3, a1, a2, branch; then c2, a3, a, T, A, W, E, ratio
+    assert [r[:6] for r in rows] == [k for k, _ in expected]
     for row, (_, ref) in zip(rows, expected):
-        got = tuple(row[c] for c in values)
+        got = row[6:]
         assert all(type(v) is float for v in got)
         assert got == ref, (row, ref)
 
@@ -235,19 +235,19 @@ def test_energy_scan_keeps_its_error_paths():
     # than one period and an unordered triple raise; branches come out in
     # the order given
     with pytest.raises(ValueError, match="need a1 > a2 > 0, got a1=0.5, a2=0.0"):
-        energy_scan([AlphaTriple(2, 0, -1)], n=5, margin=0.0)
+        scan_columns(AlphaTriple(2, 0, -1), 5, BOTH, 1, 0.0)
     with pytest.raises(ValueError, match="n_periods"):
-        energy_scan([AlphaTriple(2, 1, -1)], n=5, n_periods=0)
+        scan_columns(AlphaTriple(2, 1, -1), 5, BOTH, 0, 0.02)
     with pytest.raises(ValueError, match="normal form"):
-        energy_scan([AlphaTriple(1, 2, -1)], n=5)
+        scan_columns(AlphaTriple(1, 2, -1), 5, BOTH, 1, 0.02)
     al = AlphaTriple(2, 1, -1)
-    both = energy_scan([al], n=5, branches=(Branch.PLUS, Branch.MINUS))
-    assert [r["branch"] for r in both[:2]] == ["plus", "minus"]
-    assert energy_scan([al], n=5, branches=()) == []
+    branch = scan_columns(al, 5, (Branch.PLUS, Branch.MINUS), 1, 0.02)[2]
+    assert branch[:2].tolist() == ["plus", "minus"]
+    assert all(c.size == 0 for c in scan_columns(al, 5, (), 1, 0.02))
 
 
 def test_energy_scan_empty_for_unfeasible_triple():
-    assert energy_scan([AlphaTriple(1, 1, -1)], n=8) == []
+    assert all(c.size == 0 for c in scan_columns(AlphaTriple(1, 1, -1), 8, BOTH, 1, 0.02))
 
 
 def _meshgrid_oracle(alpha, n, margin):
@@ -266,17 +266,19 @@ def _meshgrid_oracle(alpha, n, margin):
 
 @pytest.mark.parametrize("weights", [*CANONICAL_TRIPLES, (1, 1, -1), (5, 0, -2)])
 def test_grid_arrays_match_the_meshgrid_oracle(weights):
-    # the kept triangle alone, bit for bit and in order, also where the
-    # margin exceeds 1/2 (the grid runs downwards) and where it trims past
-    # the float range (no finite grid, so no point)
+    # the kept triangle alone, bit for bit and in order, for every margin
+    # in [0, 1/2); from 1/2 on the trim would leave no box, so the margin
+    # is refused
     al = AlphaTriple(*weights)
     for n in (1, 2, 5, 30, 101):
-        for margin in (0.0, 0.001, 0.02, 0.3, 0.75, 1.5, 3.0, 1e308):
-            with np.errstate(all="ignore"):  # linspace past the float range
-                got = _grid_arrays(al, n, margin)
-                ref = _meshgrid_oracle(al, n, margin)
+        for margin in (0.0, 0.001, 0.02, 0.3, 0.49, 0.5 - 2.0 ** -54):
+            got = _grid_arrays(al, n, margin)
+            ref = _meshgrid_oracle(al, n, margin)
             assert all(g.dtype == r.dtype and g.shape == r.shape and
                        g.tobytes() == r.tobytes() for g, r in zip(got, ref)), (n, margin)
+        for margin in (0.5, 0.75, 1.5, 3.0, 1e308, -0.1, math.nan):
+            with pytest.raises(ValueError, match=r"margin must be in \[0, 1/2\)"):
+                _grid_arrays(al, n, margin)
 
 
 def test_feasible_grid_stays_inside_box():

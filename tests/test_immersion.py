@@ -142,17 +142,18 @@ def test_beta_checks_match_the_grid_oracle(grid, sample_derived, sample_derived_
 
 
 def test_export_row_count_and_roundtrip(sample_derived):
-    rows, chart = export_samples(sample_derived, (6, 7))
-    assert len(rows) == 42
+    columns, chart = export_samples(sample_derived, (6, 7))
+    assert len(columns) == len(EXPORT_COLUMNS)
+    assert all(c.shape == (42,) for c in columns) and columns[-1].dtype == bool
     assert chart == default_chart(sample_derived)
     buf = io.StringIO()
-    write_csv(rows, buf)
+    write_csv(columns, buf)
     lines = buf.getvalue().strip().split("\n")
     assert lines[0] == ",".join(EXPORT_COLUMNS)
     assert len(lines) == 43
     # round trip at output precision
     reread = [float(v) for v in lines[1].split(",")[:-1]]
-    for orig, back in zip(rows[0][:-1], reread):
+    for orig, back in zip(_rows(columns)[0][:-1], reread):
         assert back == pytest.approx(orig, rel=1e-11, abs=1e-11)
 
 
@@ -163,7 +164,8 @@ def test_export_values_match_the_lift(sample_derived, sample_derived_plus,
     # beta - (a x + b y) is one constant mod 2 pi
     rng = np.random.default_rng(5)
     for d in (sample_derived, sample_derived_plus, degenerate_derived):
-        rows, chart = export_samples(d, (12, 10))
+        columns, chart = export_samples(d, (12, 10))
+        rows = _rows(columns)
         others = [i for i in range(3) if i != chart]
         shifts = []
         for k in rng.choice(len(rows), 15, replace=False):
@@ -176,6 +178,11 @@ def test_export_values_match_the_lift(sample_derived, sample_derived_plus,
             shifts.append(beta - d.slope_x * x - d.slope_y * y)
         spread = np.angle(np.exp(1j * (np.array(shifts) - shifts[0])))
         assert np.abs(spread).max() <= 1e-9
+
+
+def _rows(columns):
+    """The rows of export columns, as tuples of Python values."""
+    return list(zip(*(c.tolist() for c in columns)))
 
 
 def _csv_by_field(rows):
@@ -196,21 +203,21 @@ def test_writers_match_the_per_field_format(sample_derived):
     odd = (math.nan, math.inf, -math.inf, -0.0, 1e-300, 2.0 / 3.0, -1.5e300, 7.0)
     rows = [tuple(odd[(k + j) % len(odd)] for j in range(8)) + (k % 3 == 0,)
             for k in range(len(odd))]
-    rows += export_samples(sample_derived, (4, 3))[0]
+    rows += _rows(export_samples(sample_derived, (4, 3))[0])
+    columns = tuple(np.array(c) for c in zip(*rows))
     for write, oracle in ((write_csv, _csv_by_field), (write_obj, _obj_by_field)):
         buf = io.StringIO()
-        write(rows, buf)
+        write(columns, buf)
         assert buf.getvalue() == oracle(rows)
     assert "nan,inf,-inf,-0,1e-300" in _csv_by_field(rows)
 
 
 def test_export_obj_vertices(sample_derived):
-    rows, _ = export_samples(sample_derived, (5, 5))
+    columns, _ = export_samples(sample_derived, (5, 5))
     buf = io.StringIO()
-    write_obj(rows, buf)
+    write_obj(columns, buf)
     lines = [ln for ln in buf.getvalue().strip().split("\n") if ln]
-    flagged = sum(1 for r in rows if r[-1])
-    assert len(lines) == len(rows) - flagged
+    assert len(lines) == 25 - columns[-1].sum()
     assert all(ln.startswith("v ") and len(ln.split()) == 4 for ln in lines)
 
 
@@ -219,6 +226,5 @@ def test_export_nearly_homogeneous_constant_factor():
     # becomes constant (flat induced metric)
     al = AlphaTriple(2, 1, -1)
     d = derive_constants(al, ModuliPoint(1.5 + 5e-7, 1.5 - 5e-7, Branch.MINUS))
-    rows, _ = export_samples(d, (16, 4))
-    cfs = [r[6] for r in rows]
-    assert max(cfs) - min(cfs) <= (d.a1 - d.a2) + 1e-12
+    cfs = export_samples(d, (16, 4))[0][6]
+    assert cfs.max() - cfs.min() <= (d.a1 - d.a2) + 1e-12

@@ -203,24 +203,33 @@ def _quotient_ends(x, y):
     return [-INF], [INF]
 
 
-@pytest.mark.parametrize("op, ends, rounding", [
-    (lambda x, y: x * y, _product_ends, _directed),
-    (lambda x, y: x / y, _quotient_ends, _directed),
+def _check_products(x, y):
+    """The products q*d by which division checks each rounded quotient
+    q = fl(n/d): a product below the band makes the check unreliable, and
+    the quotient then moves out on both sides."""
+    return [n / d * d for n in x for d in y if d != 0]
+
+
+@pytest.mark.parametrize("op, ends, checks", [
+    (lambda x, y: x * y, _product_ends, lambda x, y: []),
+    (lambda x, y: x / y, _quotient_ends, _check_products),
 ], ids=["mul", "div"])
 @given(x=signed_intervals(), y=signed_intervals())
 @settings(max_examples=300)
 # an in-band dividend over an in-band divisor whose quotient overflows
 @example(x=(1e100, 1e100), y=(1e-250, 1e-250))
-def test_mul_div_tight_on_every_sign_class(op, ends, rounding, x, y):
+# a quotient whose check product q*d falls just below the band
+@example(x=(1e-290, 2.4605781924881047e-164), y=(1e-290, 2.4605781924881047e-164))
+def test_mul_div_tight_on_every_sign_class(op, ends, checks, x, y):
     # the result encloses the exact hull; in the band each end is the
     # directed rounding of the endpoint products or quotients, RD(min) and
     # RU(max), so choosing pairs by sign class never widens it
     enc = op(Interval(*x), Interval(*y))
     los, his = ends(x, y)
     assert enc.lo <= min(los) and max(his) <= enc.hi
-    if _in_band([*x, *y, *los, *his]):
-        assert enc.lo == min(rounding(v, -INF) for v in los)
-        assert enc.hi == max(rounding(v, INF) for v in his)
+    if _in_band([*x, *y, *los, *his, *checks(x, y)]):
+        assert enc.lo == min(_directed(v, -INF) for v in los)
+        assert enc.hi == max(_directed(v, INF) for v in his)
 
 
 @pytest.mark.parametrize("op, ends", [
@@ -300,6 +309,10 @@ EDGE_CASES = [
     pytest.param("mul", (-1.0, 0.0), (0.0, 0.0), (-0.0, -0.0), id="signed-zero-products"),
     pytest.param("mul", (0.0, 0.0), (-1.0, 0.0), (-0.0, -0.0), id="zero-times-signed-zeros"),
     pytest.param("div", (-0.0, 0.0), (-2.0, -1.0), (0.0, 0.0), id="signed-zeros-over-negative"),
+    # the check product q*d of the lower end falls just below 1e-290, so
+    # that end moves one ulp out instead of rounding down
+    pytest.param("div", (1e-290, 2.4605781924881047e-164), (1e-290, 2.4605781924881047e-164),
+                 (4.064085437532114e-127, 2.4605781924881048e+126), id="check-product-below-1e-290"),
     pytest.param("sqrt", (TINY, TINY), None,
                  (2.2227587494850772e-162, 2.222758749485078e-162), id="sqrt-smallest"),
     pytest.param("sqrt", (1e-310, 2e-310), None,
