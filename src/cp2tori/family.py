@@ -144,7 +144,8 @@ def _require_ordered(a1: float, a2: float) -> None:
 
 @dataclass(frozen=True)
 class FeasibilityResult:
-    """Outcome of the two feasibility inequalities with diagnostics."""
+    """Outcome of the two feasibility inequalities Q(a1) >= 0 and
+    Q(a2) >= 0, with the quartic's P and discriminant as diagnostics."""
 
     feasible: bool
     p_value: float
@@ -179,10 +180,12 @@ def _p_discriminant(alpha: AlphaTriple, a1, a2):
 
 
 def feasibility_check(alpha: AlphaTriple, a1: float, a2: float) -> FeasibilityResult:
-    """Evaluate P <= 0 and P^2 - (a1-a2)^2 R^2 >= 0 for the quartic in c2."""
+    """Whether the quartic in c2 has real positive roots, decided exactly
+    by Q(a1) >= 0 and Q(a2) >= 0 (see :func:`_roots_real`), with P and
+    the discriminant P^2 - (a1-a2)^2 R^2 reported as numbers."""
     _require_ordered(a1, a2)
     P, disc = _p_discriminant(alpha, a1, a2)
-    return FeasibilityResult(bool(P <= 0) and bool(disc >= 0), float(P), float(disc))
+    return FeasibilityResult(bool(_roots_real(alpha, a1, a2)), float(P), float(disc))
 
 
 def lemma3_box(alpha: AlphaTriple) -> Tuple[float, float]:
@@ -225,10 +228,10 @@ def solve_c2(alpha: AlphaTriple, point: ModuliPoint) -> C2Roots:
     (only the slope's square is used).
     """
     a1, a2 = point.a1, point.a2
-    P, disc = _p_discriminant(alpha, a1, a2)
     Qa1 = q_cubic(a1, alpha)
     Qa2 = q_cubic(a2, alpha)
-    if not _roots_real(Qa1, Qa2, P, disc):
+    if not _roots_real(alpha, a1, a2):
+        P, disc = _p_discriminant(alpha, a1, a2)
         lo, hi = (lemma3_box(alpha) if alpha.is_ordered else (float("nan"),) * 2)
         raise InfeasibleParameters(
             f"(a1, a2)=({a1}, {a2}) infeasible for alpha={alpha.weights}: "
@@ -241,10 +244,21 @@ def solve_c2(alpha: AlphaTriple, point: ModuliPoint) -> C2Roots:
 # The formulas from the moduli to the derived constants, written once for
 # one point (floats) and for a whole grid (arrays, elementwise).
 
-def _roots_real(Qa1, Qa2, P, disc):
-    """Where both c2 roots are real and positive: Q(a1), Q(a2) >= 0,
-    P <= 0 and a nonnegative discriminant."""
-    return (Qa1 >= 0) & (Qa2 >= 0) & (P <= 0) & (disc >= 0)
+def _roots_real(alpha: AlphaTriple, a1, a2):
+    """Where both c2 roots are real and positive: Q(a1) >= 0 and
+    Q(a2) >= 0.  By Vieta, P = -(a1^2 Q(a2) + a2^2 Q(a1)) and
+    P^2 - (a1-a2)^2 R^2 = 4 a1^2 a2^2 Q(a1) Q(a2), so the quartic's tests
+    P <= 0 and disc >= 0 follow; testing them in floats would let the
+    rounding decide the box edges, where Q vanishes and disc = 0."""
+    return _q_nonnegative(a1, alpha) & _q_nonnegative(a2, alpha)
+
+
+def _q_nonnegative(x, alpha: AlphaTriple):
+    """Q(x) >= 0, elementwise and exact: the sign of each linear factor
+    x + alpha_i alpha_j is that of its float sum, while their float
+    product may underflow to a zero of either sign."""
+    a1, a2, a3 = alpha.weights
+    return np.sign(x + a1 * a2) * np.sign(x + a1 * a3) * np.sign(x + a2 * a3) <= 0
 
 
 def _c2_pair(a1, a2, Qa1, Qa2):

@@ -25,7 +25,7 @@ from typing import List, Sequence
 import numpy as np
 
 from .family import (AlphaTriple, Branch, DerivedConstants, _c2_pair,
-                     _c2_vanishes, _derived, _p_discriminant, _require_ordered,
+                     _c2_vanishes, _derived, _require_ordered,
                      _roots_real, lemma3_box, q_cubic)
 
 
@@ -148,9 +148,8 @@ def scan_columns(alpha: AlphaTriple, n: int, branches: Sequence[Branch],
     if not ordered.all():
         i = np.argmin(ordered)
         _require_ordered(float(a1[i]), float(a2[i]))  # raises, naming the point
-    P, disc = _p_discriminant(alpha, a1, a2)
     Qa1, Qa2 = q_cubic(a1, alpha), q_cubic(a2, alpha)
-    real = _roots_real(Qa1, Qa2, P, disc)
+    real = _roots_real(alpha, a1, a2)
     a1, a2 = a1[real], a2[real]
     roots = dict(zip((Branch.MINUS, Branch.PLUS), _c2_pair(a1, a2, Qa1[real], Qa2[real])))
     # one column per branch, so the rows come out point by point

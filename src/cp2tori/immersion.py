@@ -7,7 +7,9 @@ built along x only, and y comes back as that phase.  The sesquilinear
 residuals are therefore y-independent and evaluated along the x-grid; the
 determinant is det R(x, 0) e^{i (alpha1+alpha2+alpha3) y}, so the Lagrangian
 angle is beta(x, 0) - (alpha1+alpha2+alpha3) y, and its linearity is checked
-from det R(x, 0) along x together with that constant slope in y.
+from det R(x, 0) along x together with that constant slope in y, once per
+distinct value of the y-term (one column when the slope b is right).  The
+export CSV formats each distinct x, y and conformal-factor value once.
 """
 
 from __future__ import annotations
@@ -92,7 +94,10 @@ def geometry_residuals(d: DerivedConstants,
                        grid: Tuple[int, int] = (64, 64)) -> PropertyReport:
     """Evaluate every immersion property on an (nx, ny) grid over one
     lattice cell [0, T) x [0, 2 pi).  The wrap-safe slopes need steps of
-    beta below pi, |a| T / nx < pi and |b| 2 pi / ny < pi, or they alias."""
+    beta below pi, |a| T / nx < pi and |b| 2 pi / ny < pi, or they alias.
+    beta_linearity is the max over the grid, taken over x and the
+    distinct values of (b_construction - b) y: one column when b is the
+    derived constant, all ny when it is not."""
     nx, ny = grid
     if nx < 2 or ny < 2:
         raise ValueError(f"grid {tuple(grid)} needs at least 2 points along each axis")
@@ -115,13 +120,15 @@ def geometry_residuals(d: DerivedConstants,
 
     # e^{i beta} = conj(det R) in these conventions and det R(x, y) =
     # det0(x) e^{i sigma y}, so beta - (a x + b y) = r(x) + delta y mod 2 pi,
-    # compared with its offset: the grid mean, a product of two 1-D means
+    # compared with its offset: the grid mean, a product of two 1-D means.
+    # b = -sigma in integers, so for the derived b delta is 0.0 exactly and
+    # the distinct values of delta y are one column
     det0 = _det_at(d, frame, 0.0)
     sigma = sum(d.alpha.weights)
     r = -np.angle(det0) - d.slope_x * xs
     delta = -sigma - d.slope_y
     offset = np.angle(np.exp(1j * r).mean() * np.exp(1j * delta * ys).mean())
-    resid = (r - offset)[:, None] + delta * ys
+    resid = (r - offset)[:, None] + np.unique(delta * ys)
     lin = np.abs(np.remainder(resid + math.pi, 2.0 * math.pi) - math.pi).max()
 
     # slopes from wrap-safe finite differences of beta along the grid
@@ -234,11 +241,26 @@ def format_rows(row_format: str, columns) -> str:
     return (row_format * len(columns[0])) % tuple(chain.from_iterable(cells))
 
 
+def _distinct_cells(column) -> np.ndarray:
+    """``"%.12g" % v`` for every entry v of a float column, as an object
+    array of strings, formatting each distinct bit pattern once: 0.0 and
+    -0.0 compare equal but print 0 and -0."""
+    bits, where = np.unique(np.asarray(column, dtype=np.float64).view(np.int64),
+                            return_inverse=True)
+    return np.array(["%.12g" % v for v in bits.view(np.float64).tolist()],
+                    dtype=object)[where]
+
+
 def write_csv(columns, fh: TextIO) -> None:
     """Header, then the rows of the ``export_samples`` columns: floats to
-    12 digits, flag 0/1."""
-    row = ",".join(["%.12g"] * (len(EXPORT_COLUMNS) - 1) + ["%d"]) + "\n"
-    fh.write(",".join(EXPORT_COLUMNS) + "\n" + format_rows(row, columns))
+    12 digits, flag 0/1.  On a grid, x and the conformal factor take nx
+    values and y takes ny, so each distinct value of those three columns
+    is formatted once and enters its rows as text; no layout is assumed."""
+    x, y, re1, im1, re2, im2, cf, beta, flagged = columns
+    row = "%s,%s,%.12g,%.12g,%.12g,%.12g,%s,%.12g,%d\n"
+    cells = (_distinct_cells(x), _distinct_cells(y), re1, im1, re2, im2,
+             _distinct_cells(cf), beta, flagged)
+    fh.write(",".join(EXPORT_COLUMNS) + "\n" + format_rows(row, cells))
 
 
 def write_obj(columns, fh: TextIO) -> None:

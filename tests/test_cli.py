@@ -50,6 +50,17 @@ def test_energy_infeasible_exit_code(capsys):
     assert "infeasible" in err.lower()
 
 
+def test_energy_on_the_box_edge_is_feasible(capsys):
+    # a2 = -alpha2 alpha3, where Q(a2) = 0 and the float discriminant is
+    # -2.6e-16: a double root, not an infeasible point
+    moduli = ("--alpha", "2", "1", "-1", "--a1", "1.0344827586206897", "--a2", "1.0")
+    code, out, err = run(capsys, "energy", *moduli)
+    assert code == EXIT_OK and err == ""
+    assert float(out.split("ratio =")[1]) > 1.0
+    code, out, _ = run(capsys, "feasibility", *moduli)
+    assert code == EXIT_OK and "feasible: True" in out
+
+
 def test_usage_error_exit_code(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["energy", "--family", "mironov", "--alpha", "2", "1"])  # wrong arity

@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from scipy.integrate import quad
 from cp2tori.errors import (DegenerateParameters, InfeasibleParameters,
                             SingularIntegrand)
 from cp2tori.family import (AlphaTriple, Branch, ModuliPoint, _p_discriminant,
+                            _quartic_p_r,
                             conformal_factor, conformal_factor_prime,
                             derive_constants, f_coefficients, feasibility_check,
                             g_phases, lemma3_box, lift, q_cubic,
@@ -67,6 +69,45 @@ def test_feasibility_equivalent_to_box(rng):
             continue
         expected = lo <= a2 and a1 <= hi
         assert feasibility_check(al, a1, a2).feasible == expected
+
+
+def test_feasibility_is_decided_exactly_on_the_box_edges():
+    # on the edges a2 = -alpha2 alpha3 and a1 = -alpha1 alpha3 one Q is 0,
+    # so the exact discriminant is 0 (a double root); the float one is a
+    # rounding error of either sign (-2.6e-16 at the first point below)
+    al = AlphaTriple(2, 1, -1)
+    assert feasibility_check(al, 1.0344827586206897, 1.0)
+    for weights in CANONICAL_TRIPLES:
+        al = AlphaTriple(*weights)
+        lo, hi = lemma3_box(al)
+        inner = np.linspace(lo, hi, 30)[1:-1].tolist()
+        edges = [(hi, a2) for a2 in inner] + [(a1, lo) for a1 in inner if lo > 0]
+        for a1, a2 in edges:
+            assert feasibility_check(al, a1, a2), (weights, a1, a2)
+            roots = solve_c2(al, ModuliPoint(a1, a2))
+            assert roots.minus == roots.plus > 0, (weights, a1, a2)
+        # one ulp outside the box
+        above = math.nextafter(hi, math.inf)
+        below = math.nextafter(lo, 0.0)
+        outside = [(above, a2) for a2 in inner] + [(a1, below) for a1 in inner if lo > 0]
+        for a1, a2 in outside:
+            assert not feasibility_check(al, a1, a2), (weights, a1, a2)
+
+
+def test_quartic_p_r_satisfy_the_vieta_identities(rng):
+    # P = -(a1^2 Q(a2) + a2^2 Q(a1)) and P^2 - (a1-a2)^2 R^2 =
+    # 4 a1^2 a2^2 Q(a1) Q(a2) exactly, so Q(a1), Q(a2) >= 0 imply the
+    # quartic's P <= 0 and disc >= 0.  At moduli k/16 below 22 every float
+    # operation of P and R is exact, so the code's P and R are the exact ones
+    for weights in CANONICAL_TRIPLES + [(7, 1, -3), (5, 3, -2), (5, 0, -2)]:
+        al = AlphaTriple(*weights)
+        for _ in range(16):
+            k2, k1 = sorted(rng.choice(np.arange(1, 16 * 22), 2, replace=False).tolist())
+            a1, a2 = Fraction(k1, 16), Fraction(k2, 16)
+            P, R = (Fraction(v) for v in _quartic_p_r(al, float(a1), float(a2)))
+            Q1, Q2 = q_cubic(a1, al), q_cubic(a2, al)
+            assert P == -(a1 * a1 * Q2 + a2 * a2 * Q1), (weights, a1, a2)
+            assert P * P - (a1 - a2) ** 2 * R * R == 4 * a1 * a1 * a2 * a2 * Q1 * Q2
 
 
 def test_degenerate_triples_have_empty_feasible_set(rng):

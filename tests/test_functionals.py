@@ -171,6 +171,17 @@ def test_energy_ratio_exceeds_one_on_grid():
     assert (ratio > 1.0).all()
 
 
+def test_margin_zero_keeps_every_box_edge_point():
+    # at margin 0 the box edges are grid points where Q(a1) or Q(a2) is 0;
+    # feasibility is exact there, so every point of the n(n-1)/2 triangle
+    # but the corner (where c2 = 0) gives both rows, and every row is finite
+    for weights in ((2, 1, -1), (3, 1, -1), (3, 2, -1), (7, 1, -3), (5, 3, -2)):
+        for n in (7, 30):
+            columns = scan_columns(AlphaTriple(*weights), n, BOTH, 1, 0.0)
+            assert columns[0].size == 2 * (n * (n - 1) // 2 - 1), (weights, n)
+            assert all(np.isfinite(c).all() for i, c in enumerate(columns) if i != 2)
+
+
 def test_energy_scan_matches_the_per_point_path():
     # the acceptance sweep, evaluated as arrays, against energy_mironov at
     # each point: the same rows in the same order, the same values bit for

@@ -2,6 +2,7 @@ import dataclasses
 import io
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -109,6 +110,20 @@ def test_residuals_catch_a_wrong_y_slope(sample_derived):
         assert rep.beta_linearity > 1e-6
 
 
+def test_residuals_allocate_no_grid_when_the_y_slope_is_right(sample_derived):
+    # with b the derived constant, delta y is 0.0 on every column, so the
+    # beta check needs one column, not an nx x ny array (33.6 MB of floats
+    # at 2048^2)
+    tracemalloc.start()
+    try:
+        rep = geometry_residuals(sample_derived, grid=(2048, 2048))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rep.max_residual <= 1e-6
+    assert peak < 8e6
+
+
 def test_residuals_need_two_points_along_each_axis(sample_derived):
     for grid in ((1, 64), (64, 1), (0, 8)):
         with pytest.raises(ValueError, match=re.escape(f"grid {grid}")):
@@ -203,6 +218,11 @@ def test_writers_match_the_per_field_format(sample_derived):
     odd = (math.nan, math.inf, -math.inf, -0.0, 1e-300, 2.0 / 3.0, -1.5e300, 7.0)
     rows = [tuple(odd[(k + j) % len(odd)] for j in range(8)) + (k % 3 == 0,)
             for k in range(len(odd))]
+    # x, y and the conformal factor formatted once per distinct value must
+    # keep 0.0 and -0.0 apart (they compare equal), and nan and inf repeat
+    rep = (0.0, -0.0, math.nan, math.inf, -0.0, 0.0, math.inf, math.nan, 0.0, -0.0)
+    rows += [(rep[k], rep[(3 * k + 1) % 10], 1.0, -0.0, 0.0, 2.5, rep[(7 * k + 2) % 10],
+              -0.0, k % 2 == 0) for k in range(10)]
     rows += _rows(export_samples(sample_derived, (4, 3))[0])
     columns = tuple(np.array(c) for c in zip(*rows))
     for write, oracle in ((write_csv, _csv_by_field), (write_obj, _obj_by_field)):
