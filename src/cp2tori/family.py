@@ -174,15 +174,22 @@ def _quartic_p_r(alpha: AlphaTriple, a1, a2):
 
 
 def _p_discriminant(alpha: AlphaTriple, a1, a2):
-    """P and the discriminant P^2 - (a1-a2)^2 R^2, elementwise."""
-    P, R = _quartic_p_r(alpha, a1, a2)
-    return P, P * P - (a1 - a2) * (a1 - a2) * R * R
+    """P and the discriminant P^2 - (a1-a2)^2 R^2, elementwise; the
+    discriminant is written as 4 a1^2 a2^2 Q(a1) Q(a2) (see
+    :func:`_roots_real`) with the exact sign of Q(a1) Q(a2), so that it is
+    +0.0 on the box edges, where a Q vanishes, and negative only where
+    :func:`_roots_real` is false; NaN where P is."""
+    P, _ = _quartic_p_r(alpha, a1, a2)
+    sign = _q_sign(a1, alpha) * _q_sign(a2, alpha)
+    size = abs(4.0 * (a1 * a1) * (a2 * a2) * q_cubic(a1, alpha) * q_cubic(a2, alpha))
+    disc = np.where(sign == 0.0, 0.0, np.copysign(size, sign))
+    return P, np.where(np.isnan(P), math.nan, disc)[()]
 
 
 def feasibility_check(alpha: AlphaTriple, a1: float, a2: float) -> FeasibilityResult:
     """Whether the quartic in c2 has real positive roots, decided exactly
     by Q(a1) >= 0 and Q(a2) >= 0 (see :func:`_roots_real`), with P and
-    the discriminant P^2 - (a1-a2)^2 R^2 reported as numbers."""
+    the discriminant (see :func:`_p_discriminant`) reported as numbers."""
     _require_ordered(a1, a2)
     P, disc = _p_discriminant(alpha, a1, a2)
     return FeasibilityResult(bool(_roots_real(alpha, a1, a2)), float(P), float(disc))
@@ -250,15 +257,16 @@ def _roots_real(alpha: AlphaTriple, a1, a2):
     P^2 - (a1-a2)^2 R^2 = 4 a1^2 a2^2 Q(a1) Q(a2), so the quartic's tests
     P <= 0 and disc >= 0 follow; testing them in floats would let the
     rounding decide the box edges, where Q vanishes and disc = 0."""
-    return _q_nonnegative(a1, alpha) & _q_nonnegative(a2, alpha)
+    return (_q_sign(a1, alpha) >= 0) & (_q_sign(a2, alpha) >= 0)
 
 
-def _q_nonnegative(x, alpha: AlphaTriple):
-    """Q(x) >= 0, elementwise and exact: the sign of each linear factor
-    x + alpha_i alpha_j is that of its float sum, while their float
-    product may underflow to a zero of either sign."""
+def _q_sign(x, alpha: AlphaTriple):
+    """The exact sign of Q(x) (-1, 0 or 1, a zero of either sign),
+    elementwise: the sign of each linear factor x + alpha_i alpha_j is
+    that of its float sum, while their float product may underflow to a
+    zero of either sign."""
     a1, a2, a3 = alpha.weights
-    return np.sign(x + a1 * a2) * np.sign(x + a1 * a3) * np.sign(x + a2 * a3) <= 0
+    return -(np.sign(x + a1 * a2) * np.sign(x + a1 * a3) * np.sign(x + a2 * a3))
 
 
 def _c2_pair(a1, a2, Qa1, Qa2):

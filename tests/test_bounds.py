@@ -23,6 +23,7 @@ from cp2tori.functionals import feasible_grid
 from cp2tori.interval import (CertStatus, Interval, IntervalArray,
                               certify_lower_bound, replay_certificate, sqrt)
 from conftest import SIGN_SLIP_STEPS
+from level_by_level import certify_level_by_level
 
 
 def b2_composed(x, y):
@@ -397,6 +398,36 @@ def test_b1_with_plain_division_proves_and_replays():
                                1.0, clip=clip_triangle(0.0))
     assert cert.status is CertStatus.PROVED
     assert replay_certificate(cert, _b1_plain)
+
+
+def _certificate_fields(cert):
+    """Every field but ``elapsed_s`` as JSON, which also rejects a numpy
+    count, and the retained boxes' bytes."""
+    fields = cert.to_json_dict()
+    del fields["elapsed_s"]
+    return json.dumps(fields), cert.retained_boxes.tobytes()
+
+
+def test_windowed_bisection_matches_the_level_by_level_oracle():
+    # one evaluator call covers a window of levels, and each box's clip and
+    # enclosure depend on that box alone, so every certificate is the one
+    # that one call per level gives: at each chart's threshold, at a raised
+    # one, and under a depth cap and a box cap
+    kinds = set()
+    for target, chart in CHARTS.items():
+        gap = DEFAULT_EPS if chart.banded else 0.0
+        clip = chart.clip(gap) if chart.clip else None
+        for threshold, caps in [(chart.threshold, {}), (3.0, {}),
+                                (chart.threshold, {"max_depth": 4}),
+                                (chart.threshold, {"max_boxes": 20})]:
+            args = (target, chart.expr, chart.root, threshold)
+            kwargs = dict(clip=clip, epsilon=gap, notes=("a chart note",), **caps)
+            want = certify_level_by_level(*args, **kwargs)
+            assert (_certificate_fields(certify_lower_bound(*args, **kwargs))
+                    == _certificate_fields(want)), (target, threshold, caps)
+            kinds.add(want.notes[-1][:10] if want.status is CertStatus.INCONCLUSIVE
+                      else want.status.value)
+    assert kinds == {"proved", "failed", "max depth ", "box budget"}
 
 
 def _edge_boxes(rng, n, fixed):

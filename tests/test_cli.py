@@ -51,14 +51,20 @@ def test_energy_infeasible_exit_code(capsys):
 
 
 def test_energy_on_the_box_edge_is_feasible(capsys):
-    # a2 = -alpha2 alpha3, where Q(a2) = 0 and the float discriminant is
-    # -2.6e-16: a double root, not an infeasible point
+    # a2 = -alpha2 alpha3, where Q(a2) = 0 and the discriminant written as
+    # P^2 - (a1-a2)^2 R^2 is -2.6e-16 in floats: a double root, not an
+    # infeasible point
     moduli = ("--alpha", "2", "1", "-1", "--a1", "1.0344827586206897", "--a2", "1.0")
     code, out, err = run(capsys, "energy", *moduli)
     assert code == EXIT_OK and err == ""
     assert float(out.split("ratio =")[1]) > 1.0
-    code, out, _ = run(capsys, "feasibility", *moduli)
-    assert code == EXIT_OK and "feasible: True" in out
+    # the printed discriminant is 0 there and on the edge a1 = -alpha1 alpha3,
+    # where Q(a1) is -0.0 in floats; "-0" would read as negative
+    for a1, a2 in [("1.0344827586206897", "1.0"), ("2.0", "1.2")]:
+        code, out, _ = run(capsys, "feasibility", "--alpha", "2", "1", "-1",
+                           "--a1", a1, "--a2", a2)
+        assert code == EXIT_OK and "feasible: True" in out
+        assert re.search(r"discriminant = (\S+)", out).group(1) == "0", out
 
 
 def test_usage_error_exit_code(capsys):
@@ -325,6 +331,40 @@ def test_verify_computes_band_certificates_once(tmp_path, capsys, monkeypatch):
 
 CERTIFICATES = ("B1", "B2", "B2-diagonal-strip", "B2-diagonal-strip-corner",
                 "scalar-1", "scalar-2", "scalar-1-tail", "scalar-2-tail")
+
+
+def test_verify_encloses_a_window_of_levels_per_call(tmp_path, capsys, monkeypatch):
+    # one evaluator call per depth level made 88 calls for the 3,980 boxes
+    # of the eight certificates; a window of levels per call makes at most
+    # 30, and no call holds more boxes than the larger of the window budget
+    # and the frontier the window started from
+    from cp2tori import bounds, interval
+    sizes = []  # (boxes in the call, the frontier its window started from)
+    real = bounds.certify_lower_bound
+
+    def counted(target, evaluator, *args, clip=None, **kwargs):
+        clip = clip or interval._clip_arrays_noop
+        frontier = []
+
+        def seen_clip(xlo, xhi, ylo, yhi):
+            if xlo is not xhi and not frontier:  # not a midpoint's clip
+                frontier.append(xlo.size)
+            return clip(xlo, xhi, ylo, yhi)
+
+        def seen_evaluator(x, y):
+            sizes.append((x.lo.size, frontier.pop()))
+            return evaluator(x, y)
+
+        return real(target, seen_evaluator, *args, clip=seen_clip, **kwargs)
+
+    monkeypatch.setattr(bounds, "certify_lower_bound", counted)
+    code, _, _ = run(capsys, "verify", "--target", "all", "--out-dir", str(tmp_path))
+    assert code == EXIT_OK
+    assert len(sizes) <= 30
+    assert all(n <= max(interval._WINDOW, start) for n, start in sizes), sizes
+    examined = [json.loads((tmp_path / f"{name}.json").read_text())["boxes_examined"]
+                for name in CERTIFICATES]
+    assert sum(examined) == 3980
 
 
 def test_verify_stdout_at_the_defaults(tmp_path, capsys):
