@@ -10,18 +10,20 @@ computations stay tight; the vectorized path always nudges (slightly wider,
 never unsound).
 
 The scalar path rounds each endpoint product, quotient or square root
-once to both sides, RD and RU: it moves one ulp out only on the side where
-the exact value lies, which Dekker's error term shows for a product and
-the residual a - q*b for a quotient or root q.  Both come from one
-helper, ``_prod_err``, which returns Dekker's exact error of a product,
-or NaN (nudge both sides) outside the band where its splits are exact.
-A number operand such as the ``8.0`` in ``8.0 * x`` is read as the
-endpoint pair (8.0, 8.0) and is not wrapped in an ``Interval``.  Operands
-of one sign need two endpoint pairs, not four (Moore, Kearfott & Cloud,
-*Introduction to Interval Analysis*, SIAM 2009, §2.3): both factors >= 0 give
-[a*c, b*d] and a dividend >= 0 over a divisor > 0 gives [a/d, b/c]; any
-other case rounds its four pairs once each.  On both engines an endpoint
-product of 0 and +-inf is +0.0 (IEEE Std 1788-2015).
+once, on the side it bounds: RD for a lower end, RU for an upper one.  It
+keeps the float result where the exact value lies on the bounded side of
+it and moves one ulp out otherwise, which Dekker's error term shows for a
+product and the residual a - q*b for a quotient or root q (TwoSum's error
+does the same for a sum).  Outside the band where Dekker's splits are
+exact, the end moves one ulp out.  An Interval operand's ends are read
+directly; a number operand such as the ``8.0`` in ``8.0 * x`` is read as
+the endpoint pair (8.0, 8.0) and is not wrapped in an ``Interval``.
+Operands of one sign need two endpoint pairs, not four (Moore, Kearfott &
+Cloud, *Introduction to Interval Analysis*, SIAM 2009, §2.3): both
+factors >= 0 give [a*c, b*d] and a dividend >= 0 over a divisor > 0 gives
+[a/d, b/c]; any other case rounds its four pairs down for the lower end
+and up for the upper one.  On both engines an endpoint product of 0 and
++-inf is +0.0 (IEEE Std 1788-2015).
 
 Two arithmetic engines share one operator API:
 
@@ -66,7 +68,6 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-import sys
 import time
 from dataclasses import dataclass, field
 from enum import Enum
@@ -77,99 +78,117 @@ import numpy as np
 from .errors import IntervalDomainError
 
 _INF = math.inf
-_MAX = sys.float_info.max
 _NAN = math.nan
 _new = object.__new__
+_nextafter = math.nextafter  # _nextafter(v, -_INF) is v one ulp down
 
 # Dekker splitting fails near overflow; outside this band we just nudge.
 _SPLIT_SAFE = 1e150
 
 
-def _down(v: float) -> float:
-    return math.nextafter(v, -_INF)
-
-
-def _up(v: float) -> float:
-    return math.nextafter(v, _INF)
+# Each endpoint sum, product, quotient or square root is rounded once, on
+# the side it bounds: RD for a lower end, RU for an upper one.  Where the
+# exact value's side of the float result is unknown, the end moves one ulp
+# out; nextafter moves +inf down to the largest float and -inf up to its
+# negative, so an overflow keeps a finite bound on the side away from it.
 
 
 def _add_down(a, b):
+    """RD(a + b): TwoSum's error (a - (s - bb)) + (b - bb) is a + b - s
+    exactly, and NaN where s is +-inf or NaN, which then moves out."""
     s = a + b
-    if math.isinf(s):
-        return s if s < 0 else _MAX
-    bb = s - a  # TwoSum: (a - (s - bb)) + (b - bb) is a + b - s exactly
-    return s if (a - (s - bb)) + (b - bb) >= 0 else _down(s)
+    bb = s - a
+    return s if (a - (s - bb)) + (b - bb) >= 0 else _nextafter(s, -_INF)
 
 
 def _add_up(a, b):
+    """RU(a + b), as ``_add_down``."""
     s = a + b
-    if math.isinf(s):
-        return s if s > 0 else -_MAX
     bb = s - a
-    return s if (a - (s - bb)) + (b - bb) <= 0 else _up(s)
+    return s if (a - (s - bb)) + (b - bb) <= 0 else _nextafter(s, _INF)
 
 
-def _prod_err(a, b, p):
-    """Dekker's exact error a*b - p of p = fl(a * b), or NaN where the
-    Veltkamp splits are unreliable: a factor or p beyond 1e150 (near
-    overflow), 0 < |p| < 1e-290, or p == 0 from two nonzero factors (an
-    underflowed product)."""
-    m = abs(p)
-    if abs(a) > _SPLIT_SAFE or abs(b) > _SPLIT_SAFE or m > _SPLIT_SAFE:
-        return _NAN
-    if p == 0.0:
-        if a != 0.0 and b != 0.0:
-            return _NAN
-    elif m < 1e-290:
-        return _NAN
-    c = 134217729.0 * a  # 2**27 + 1
-    ah = c - (c - a)
-    al = a - ah
-    c = 134217729.0 * b
-    bh = c - (c - b)
-    bl = b - bh
-    return ((ah * bh - p) + ah * bl + al * bh) + al * bl
+# Dekker's exact error a*b - p of p = fl(a * b), from Veltkamp splits,
+# shows on which side of p the exact product lies.  The splits are exact
+# only in a band: both factors and p within 1e150 of 0 (away from
+# overflow), and p at least 1e-290 in magnitude or 0 from a zero factor;
+# outside it, an underflowed product among them, the end moves one ulp
+# out.  The band test and the error are written out in _mul_down, _mul_up
+# and _residual, the innermost steps of every product, quotient and root.
 
 
-def _mul_out(a, b):
-    """(down, up) enclosure of a * b from one rounded product: only the
-    side on which Dekker's error term puts the exact product moves one
-    ulp out (both sides where the error is NaN)."""
+def _mul_down(a, b):
+    """RD(a * b) in the band, fl(a * b) one ulp down outside it; a product
+    of 0 and +-inf is +0.0 (IEEE Std 1788-2015)."""
     p = a * b
-    e = _prod_err(a, b, p)
-    if e > 0:
-        return p, _up(p)
-    if e < 0:
-        return _down(p), p
-    if e == 0:
-        return p, p
-    # e is NaN: p is out of the band, or inf, or NaN (from a factor inf)
-    if p != p:  # 0 * inf is 0 (IEEE Std 1788-2015)
-        return 0.0, 0.0
-    if math.isinf(p):
-        return (p, -_MAX) if p < 0 else (_MAX, p)
-    return _down(p), _up(p)
+    if (-_SPLIT_SAFE <= a <= _SPLIT_SAFE and -_SPLIT_SAFE <= b <= _SPLIT_SAFE
+            and (1e-290 <= p <= _SPLIT_SAFE or -_SPLIT_SAFE <= p <= -1e-290
+                 or (p == 0.0 and (a == 0.0 or b == 0.0)))):
+        c = 134217729.0 * a  # 2**27 + 1
+        ah = c - (c - a)
+        al = a - ah
+        c = 134217729.0 * b
+        bh = c - (c - b)
+        bl = b - bh
+        e = ((ah * bh - p) + ah * bl + al * bh) + al * bl
+        return p if e >= 0.0 else _nextafter(p, -_INF)
+    return 0.0 if p != p else _nextafter(p, -_INF)
+
+
+def _mul_up(a, b):
+    """RU(a * b), as ``_mul_down``."""
+    p = a * b
+    if (-_SPLIT_SAFE <= a <= _SPLIT_SAFE and -_SPLIT_SAFE <= b <= _SPLIT_SAFE
+            and (1e-290 <= p <= _SPLIT_SAFE or -_SPLIT_SAFE <= p <= -1e-290
+                 or (p == 0.0 and (a == 0.0 or b == 0.0)))):
+        c = 134217729.0 * a  # 2**27 + 1
+        ah = c - (c - a)
+        al = a - ah
+        c = 134217729.0 * b
+        bh = c - (c - b)
+        bl = b - bh
+        e = ((ah * bh - p) + ah * bl + al * bh) + al * bl
+        return p if e <= 0.0 else _nextafter(p, _INF)
+    return 0.0 if p != p else _nextafter(p, _INF)
 
 
 def _residual(a, q, b):
-    """a - q*b, with its exact sign, for q = fl(a / b) or q = b = fl(sqrt(a));
-    NaN outside Dekker's safe band.  q*b = p + e exactly (Dekker), and a - p
-    is exact by Sterbenz's lemma, so only the last subtraction rounds."""
+    """a - q*b, with its exact sign, for q = fl(a / b) or q = b = fl(sqrt(a)),
+    as a - p - e with p = fl(q*b) and e its Dekker error; NaN outside the
+    band, an infinite q included.  a - p is exact by Sterbenz's lemma, so
+    only the last subtraction rounds."""
     p = q * b
-    return (a - p) - _prod_err(q, b, p)
+    if (-_SPLIT_SAFE <= q <= _SPLIT_SAFE and -_SPLIT_SAFE <= b <= _SPLIT_SAFE
+            and (1e-290 <= p <= _SPLIT_SAFE or -_SPLIT_SAFE <= p <= -1e-290
+                 or (p == 0.0 and (q == 0.0 or b == 0.0)))):
+        c = 134217729.0 * q  # 2**27 + 1
+        qh = c - (c - q)
+        ql = q - qh
+        c = 134217729.0 * b
+        bh = c - (c - b)
+        bl = b - bh
+        return (a - p) - (((qh * bh - p) + qh * bl + ql * bh) + ql * bl)
+    return _NAN
 
 
-def _div_out(a, b):
-    """(down, up) enclosure of a / b for b != 0 from one rounded quotient:
-    only the side on which the residual puts the exact quotient moves one
-    ulp out (both sides where the residual is NaN)."""
+def _div_down(a, b):
+    """RD(a / b) for b != 0: q = fl(a / b) moves one ulp down unless the
+    residual, of the sign of a/b - q times that of b, shows it below the
+    exact quotient; inf / inf is unbounded."""
     q = a / b
-    if q != q:  # inf / inf
-        return -_INF, _INF
-    if math.isinf(q):
-        return (q, -_MAX) if q < 0 else (_MAX, q)
-    r = _residual(a, q, b) if b > 0.0 else -_residual(a, q, b)  # ~ a/b - q
-    return (q if r >= 0.0 else _down(q)), (q if r <= 0.0 else _up(q))
+    if q != q:
+        return -_INF
+    r = _residual(a, q, b)
+    return q if (r >= 0.0 if b > 0.0 else r <= 0.0) else _nextafter(q, -_INF)
+
+
+def _div_up(a, b):
+    """RU(a / b), as ``_div_down``."""
+    q = a / b
+    if q != q:
+        return _INF
+    r = _residual(a, q, b)
+    return q if (r <= 0.0 if b > 0.0 else r >= 0.0) else _nextafter(q, _INF)
 
 
 def _interval(lo, hi):
@@ -197,17 +216,17 @@ def _ends(v):
 def _div(a, b, c, d):
     """[a, b] / [c, d]; a divisor containing 0 as the module docstring says."""
     if c > 0.0 and a >= 0.0:  # the pairs (a, d) and (b, c) bound it
-        return _interval(_div_out(a, d)[0], _div_out(b, c)[1])
+        return _interval(_div_down(a, d), _div_up(b, c))
     if c == 0.0 < d:  # divisor in (0, d]
-        return _interval(_div_out(a, d)[0] if a >= 0.0 else -_INF,
-                         _div_out(b, d)[1] if b <= 0.0 else _INF)
+        return _interval(_div_down(a, d) if a >= 0.0 else -_INF,
+                         _div_up(b, d) if b <= 0.0 else _INF)
     if c < 0.0 == d:  # divisor in [c, 0)
-        return _interval(_div_out(b, c)[0] if b <= 0.0 else -_INF,
-                         _div_out(a, c)[1] if a >= 0.0 else _INF)
+        return _interval(_div_down(b, c) if b <= 0.0 else -_INF,
+                         _div_up(a, c) if a >= 0.0 else _INF)
     if c <= 0.0 <= d:
         return _interval(-_INF, _INF)
-    e1, e2, e3, e4 = _div_out(a, c), _div_out(a, d), _div_out(b, c), _div_out(b, d)
-    return _interval(min(e1[0], e2[0], e3[0], e4[0]), max(e1[1], e2[1], e3[1], e4[1]))
+    return _interval(min(_div_down(a, c), _div_down(a, d), _div_down(b, c), _div_down(b, d)),
+                     max(_div_up(a, c), _div_up(a, d), _div_up(b, c), _div_up(b, d)))
 
 
 class Interval:
@@ -242,10 +261,25 @@ class Interval:
         return hash((self.lo, self.hi))
 
     # -- arithmetic: a number operand is the interval [v, v] -------------
+    # The hot operators read an Interval or float operand's ends directly
+    # and build their result in place: they run for every operation of
+    # every box that a certificate replay re-verifies.  Any other operand
+    # goes through _ends.
 
     def __add__(self, other):
-        c, d = _ends(other)
-        return _interval(_add_down(self.lo, c), _add_up(self.hi, d))
+        if type(other) is Interval:
+            c, d = other.lo, other.hi
+        elif type(other) is float and other == other:
+            c = d = other
+        else:
+            c, d = _ends(other)
+        lo, hi = _add_down(self.lo, c), _add_up(self.hi, d)
+        if not lo <= hi:  # also rejects NaN
+            raise IntervalDomainError(f"invalid interval bounds [{lo}, {hi}]")
+        iv = _new(Interval)
+        iv.lo = lo
+        iv.hi = hi
+        return iv
 
     __radd__ = __add__
 
@@ -253,24 +287,52 @@ class Interval:
         return _interval(-self.hi, -self.lo)
 
     def __sub__(self, other):
-        c, d = _ends(other)
-        return _interval(_add_down(self.lo, -d), _add_up(self.hi, -c))
+        if type(other) is Interval:
+            c, d = other.lo, other.hi
+        elif type(other) is float and other == other:
+            c = d = other
+        else:
+            c, d = _ends(other)
+        lo, hi = _add_down(self.lo, -d), _add_up(self.hi, -c)
+        if not lo <= hi:
+            raise IntervalDomainError(f"invalid interval bounds [{lo}, {hi}]")
+        iv = _new(Interval)
+        iv.lo = lo
+        iv.hi = hi
+        return iv
 
     def __rsub__(self, other):
-        a, b = _ends(other)
+        if type(other) is float and other == other:
+            a = b = other
+        else:
+            a, b = _ends(other)
         return _interval(_add_down(a, -self.hi), _add_up(b, -self.lo))
 
     def __mul__(self, other):
         a, b = self.lo, self.hi
-        c, d = _ends(other)
+        if type(other) is Interval:
+            c, d = other.lo, other.hi
+        elif type(other) is float and other == other:
+            c = d = other
+        else:
+            c, d = _ends(other)
         if a >= 0.0 and c >= 0.0:  # the pairs (a, c) and (b, d) bound it
-            return _interval(_mul_out(a, c)[0], _mul_out(b, d)[1])
-        e1, e2, e3, e4 = _mul_out(a, c), _mul_out(a, d), _mul_out(b, c), _mul_out(b, d)
-        return _interval(min(e1[0], e2[0], e3[0], e4[0]), max(e1[1], e2[1], e3[1], e4[1]))
+            lo, hi = _mul_down(a, c), _mul_up(b, d)
+        else:
+            lo = min(_mul_down(a, c), _mul_down(a, d), _mul_down(b, c), _mul_down(b, d))
+            hi = max(_mul_up(a, c), _mul_up(a, d), _mul_up(b, c), _mul_up(b, d))
+        if not lo <= hi:
+            raise IntervalDomainError(f"invalid interval bounds [{lo}, {hi}]")
+        iv = _new(Interval)
+        iv.lo = lo
+        iv.hi = hi
+        return iv
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
+        if type(other) is Interval:
+            return _div(self.lo, self.hi, other.lo, other.hi)
         c, d = _ends(other)
         return _div(self.lo, self.hi, c, d)
 
@@ -280,18 +342,27 @@ class Interval:
 
     def sq(self) -> "Interval":
         """Tight square: never dips below zero for sign-changing intervals."""
-        a, b = abs(self.lo), abs(self.hi)
-        lo_m, hi_m = (a, b) if a <= b else (b, a)
-        lo = 0.0 if self.lo <= 0.0 <= self.hi else _mul_out(lo_m, lo_m)[0]
-        return _interval(lo, _mul_out(hi_m, hi_m)[1])
+        lo, hi = self.lo, self.hi
+        if lo > 0.0:
+            lo, hi = _mul_down(lo, lo), _mul_up(hi, hi)
+        elif hi < 0.0:
+            lo, hi = _mul_down(-hi, -hi), _mul_up(-lo, -lo)
+        else:  # the larger |end| squared, and 0
+            lo, hi = 0.0, _mul_up(hi, hi) if -lo <= hi else _mul_up(-lo, -lo)
+        if not lo <= hi:
+            raise IntervalDomainError(f"invalid interval bounds [{lo}, {hi}]")
+        iv = _new(Interval)
+        iv.lo = lo
+        iv.hi = hi
+        return iv
 
     def sqrt(self) -> "Interval":
         if self.lo < 0:
             raise IntervalDomainError(f"sqrt of {self!r} with negative lower endpoint")
         rl = math.sqrt(self.lo)
         rh = math.sqrt(self.hi)
-        lo = rl if _residual(self.lo, rl, rl) >= 0.0 else _down(rl)
-        hi = rh if _residual(self.hi, rh, rh) <= 0.0 else _up(rh)
+        lo = rl if _residual(self.lo, rl, rl) >= 0.0 else _nextafter(rl, -_INF)
+        hi = rh if _residual(self.hi, rh, rh) <= 0.0 else _nextafter(rh, _INF)
         return _interval(max(lo, 0.0), hi)
 
     def nonneg(self) -> "Interval":
@@ -302,7 +373,7 @@ class Interval:
 
 
 
-PI = Interval(_down(math.pi), _up(math.pi))
+PI = Interval(_nextafter(math.pi, -_INF), _nextafter(math.pi, _INF))
 
 
 def sqrt(v):
@@ -582,13 +653,15 @@ def certify_lower_bound(
     call.  That lets one evaluator call serve a window of levels.  From the
     frontier, every kept box is split, whatever its enclosure will be, and
     the children are clipped, for as long as the window's kept boxes fit
-    ``_WINDOW`` and the depth stays within ``max_depth``; one call then
-    encloses them all.  The window is resolved level by level, on the boxes
-    the bisection reaches (the children of kept row i of m are rows i and
-    m + i of the next level), and the undecided boxes of its last level
-    split into the next frontier.  So every box gets the clip and the
-    enclosure that one call per level gives it, and the certificate is the
-    same; the boxes below a decided box are enclosed and dropped.
+    ``_WINDOW`` and the boxes left in ``max_boxes``, and the depth stays
+    within ``max_depth``; one call then encloses them all (none when the
+    frontier alone passes the boxes left, which ends the run).  The window
+    is resolved level by level, on the boxes the bisection reaches (the
+    children of kept row i of m are rows i and m + i of the next level),
+    and the undecided boxes of its last level split into the next
+    frontier.  So every box gets the clip and the enclosure that one call
+    per level gives it, and the certificate is the same; the boxes below a
+    decided box are enclosed and dropped.
     """
     t0 = time.perf_counter()
     clip = clip or _clip_arrays_noop
@@ -606,16 +679,18 @@ def certify_lower_bound(
     while frontier.shape[0]:
         levels = []  # each level's kept boxes and which of its boxes it kept
         boxes, size = frontier, 0
+        left = max_boxes - examined  # boxes the budget still allows
         while True:
             xlo, xhi, ylo, yhi, keep = clip(boxes[:, 0], boxes[:, 1], boxes[:, 2], boxes[:, 3])
             kept = np.column_stack([xlo, xhi, ylo, yhi])[keep]
             levels.append((kept, keep))
             m = kept.shape[0]
             size += m
-            if not m or size + 2 * m > _WINDOW or depth + len(levels) > max_depth:
+            if not m or size + 2 * m > min(_WINDOW, left) or depth + len(levels) > max_depth:
                 break
             boxes = _split(kept)
-        if size:
+        # a frontier past the boxes left ends the run before its enclosure is read
+        if size and frontier.shape[0] <= left:
             ends = np.vstack([kept for kept, _ in levels]).T  # rows xlo, xhi, ylo, yhi
             enc = evaluator(_array(ends[:2]), _array(ends[2:])).e  # rows lo, hi
         # resolve the window: ``reached`` marks the level's boxes that the
@@ -688,12 +763,18 @@ def replay_certificate(
 
     The scalar path (exactness-aware rounding) is independent of and never
     wider than the array path, so every retained box must re-verify; a
-    box whose enclosure is unbounded below does not.
+    box whose enclosure is unbounded below does not, and neither does an
+    unordered or NaN box or one on which the evaluator raises
+    ``IntervalDomainError``.  A valid box calls the evaluator once.
     """
     if cert.status is not CertStatus.PROVED:
         return False
-    for xlo, xhi, ylo, yhi in cert.retained_boxes:
-        enc = evaluator_scalar(Interval(xlo, xhi), Interval(ylo, yhi))
-        if not enc.lo > cert.threshold:
+    threshold = cert.threshold
+    for xlo, xhi, ylo, yhi in np.asarray(cert.retained_boxes, dtype=np.float64).tolist():
+        try:
+            enc = evaluator_scalar(_interval(xlo, xhi), _interval(ylo, yhi))
+        except IntervalDomainError:
+            return False
+        if not enc.lo > threshold:
             return False
     return True

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 import math
@@ -240,6 +241,29 @@ def test_lemma4_certificate_small_eps(rng):
     assert replay_certificate(cert, b1_expr)
 
 
+@pytest.mark.parametrize("box", [(1.5, 1.6, 0.9, 1.0), (0.6, 0.5, 0.2, 0.3),
+                                 (math.nan, 0.5, 0.2, 0.3)],
+                         ids=["evaluator-raises", "unordered", "nan"])
+def test_replay_of_a_bad_box_is_false(box):
+    # B1's certificate with one more box: off the domain, where the scalar
+    # evaluator raises IntervalDomainError, unordered, or NaN; the replay
+    # says False instead of raising, and each valid box before it called
+    # the evaluator once
+    cert = certify_lemma4()
+    calls = []
+
+    def counted(x, y):
+        calls.append(1)
+        return b1_expr(x, y)
+
+    assert replay_certificate(cert, counted) is True
+    assert len(calls) == cert.retained_count
+    calls.clear()
+    bad = dataclasses.replace(cert, retained_boxes=np.vstack([cert.retained_boxes, box]))
+    assert replay_certificate(bad, counted) is False
+    assert len(calls) == cert.retained_count + (box[0] <= box[1])
+
+
 def test_lemma4_fails_at_higher_threshold():
     cert, = certify_charts(CLAIMS["B1"], threshold=1.2)
     assert cert.status is CertStatus.FAILED
@@ -428,6 +452,28 @@ def test_windowed_bisection_matches_the_level_by_level_oracle():
             kinds.add(want.notes[-1][:10] if want.status is CertStatus.INCONCLUSIVE
                       else want.status.value)
     assert kinds == {"proved", "failed", "max depth ", "box budget"}
+
+
+def test_a_window_stops_at_the_box_budget():
+    # a window grows only while its boxes fit the boxes left in the
+    # budget, so at max_boxes=20 B1 and B2 enclose a few dozen boxes
+    # between them, not a 511-box window each
+    enclosed = 0
+    for target in ("B1", "B2"):
+        chart = CHARTS[target]
+
+        def counted(x, y, expr=chart.expr):
+            nonlocal enclosed
+            enclosed += x.lo.shape[0]
+            return expr(x, y)
+
+        gap = DEFAULT_EPS if chart.banded else 0.0
+        cert = certify_lower_bound(target, counted, chart.root, chart.threshold,
+                                   clip=chart.clip(gap) if chart.clip else None,
+                                   epsilon=gap, max_boxes=20)
+        assert cert.status is CertStatus.INCONCLUSIVE
+        assert cert.notes[-1].startswith("box budget 20 exhausted")
+    assert enclosed < 64
 
 
 def _edge_boxes(rng, n, fixed):

@@ -14,6 +14,7 @@ from cp2tori.errors import IntervalDomainError
 from cp2tori.interval import (PI, CertStatus, Interval, IntervalArray,
                               certify_lower_bound, replay_certificate)
 from two_array_engine import TwoArrayIntervals
+from two_sided_scalar import TwoSidedInterval
 
 finite = st.floats(min_value=-1e12, max_value=1e12, allow_nan=False,
                    allow_subnormal=False)
@@ -563,6 +564,83 @@ def test_ndarray_on_the_left_defers_to_the_reflected_operation():
         result = op(v, x)
         assert isinstance(result, IntervalArray), op
         assert _same_bits(result, getattr(x, reflected)(v)), op
+
+
+@st.composite
+def _scalar_ends(draw):
+    """(lo, hi) of a sign class from ``signed_intervals()``, or from ends
+    drawn among the ``SPECIAL_ENDS``, signed zeros and any float, put in
+    order; equal ends, such as -0.0 and 0.0, keep the order drawn."""
+    if draw(st.booleans()):
+        return draw(signed_intervals())
+    a, b = draw(array_ends), draw(array_ends)
+    return (a, b) if a <= b else (b, a)
+
+
+# a number operand of each kind the operators read: int, float, np.float64,
+# and NaN, which both reject
+scalar_numbers = st.one_of(st.integers(-2 ** 60, 2 ** 60), array_ends,
+                           array_ends.map(np.float64), st.just(math.nan))
+
+
+def _outcome(make):
+    """The bits of an operation's result, or "raises" where it rejects
+    its operands or its result."""
+    try:
+        enc = make()
+    except IntervalDomainError:
+        return "raises"
+    return _bits(enc.lo, enc.hi)
+
+
+@pytest.mark.parametrize("op", ARITHMETIC, ids=ARITHMETIC_IDS)
+@given(x=_scalar_ends(), y=_scalar_ends(), v=scalar_numbers)
+@settings(max_examples=300)
+def test_scalar_engine_matches_two_sided_oracle(op, x, y, v):
+    # each endpoint rounded once on its own side gives the bits of the
+    # operators that round it to both sides and keep one: two intervals,
+    # and a number on either side (the reflected forms)
+    X, Y, OX, OY = Interval(*x), Interval(*y), TwoSidedInterval(*x), TwoSidedInterval(*y)
+    assert _outcome(lambda: op(X, Y)) == _outcome(lambda: op(OX, OY))
+    assert _outcome(lambda: op(X, v)) == _outcome(lambda: op(OX, v))
+    assert _outcome(lambda: op(v, X)) == _outcome(lambda: op(v, OX))
+
+
+@pytest.mark.parametrize("op", ["sq", "sqrt", "nonneg", "__neg__"])
+@given(x=_scalar_ends())
+@settings(max_examples=300)
+def test_scalar_engine_matches_two_sided_oracle_unary(op, x):
+    assert (_outcome(lambda: getattr(Interval(*x), op)())
+            == _outcome(lambda: getattr(TwoSidedInterval(*x), op)()))
+
+
+# fixed operands for the oracle: every interval with ends among the
+# SPECIAL_ENDS, and the operands of EDGE_CASES at the edges of Dekker's
+# band, each with the ends that it uses as numbers
+_EDGE_OPERANDS = sorted({iv for case in EDGE_CASES for iv in case.values[1:3] if iv})
+FIXED_OPERANDS = [
+    pytest.param([(a, b) for a in SPECIAL_ENDS for b in SPECIAL_ENDS if a <= b],
+                 SPECIAL_ENDS, id="special-ends"),
+    pytest.param(_EDGE_OPERANDS, sorted({v for iv in _EDGE_OPERANDS for v in iv}),
+                 id="band-edges"),
+]
+
+
+@pytest.mark.parametrize("ends, numbers", FIXED_OPERANDS)
+def test_scalar_engine_matches_two_sided_oracle_on_fixed_operands(ends, numbers):
+    # every interval with every other, and with each number on either side
+    for x in ends:
+        X, OX = Interval(*x), TwoSidedInterval(*x)
+        for op in ("sq", "sqrt", "nonneg", "__neg__"):
+            assert (_outcome(lambda: getattr(X, op)())
+                    == _outcome(lambda: getattr(OX, op)())), (op, x)
+        for op in ARITHMETIC:
+            for y in ends:
+                assert (_outcome(lambda: op(X, Interval(*y)))
+                        == _outcome(lambda: op(OX, TwoSidedInterval(*y)))), (op, x, y)
+            for v in numbers:
+                assert _outcome(lambda: op(X, v)) == _outcome(lambda: op(OX, v)), (op, x, v)
+                assert _outcome(lambda: op(v, X)) == _outcome(lambda: op(v, OX)), (op, v, x)
 
 
 def test_certify_rejects_an_unordered_root():
