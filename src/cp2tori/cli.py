@@ -5,9 +5,10 @@ Exit codes: 0 success, 2 infeasible parameters, 3 a requested
 certification did not come back proved, 4 degenerate parameters (a
 vanishing root c2 or a phase denominator too close to zero), 64 usage
 error, an integer too large for a float, an output path that cannot be
-written or a grid too large to allocate.  A JSON config file can pre-set
-any long option of the subcommand, checked as the same flag would be; an
-option given on the command line wins, whatever its value.
+written or a grid too large to allocate.  A --config JSON file can preset
+each option of the subcommand that is not required, checked as the same
+flag would be; an option given on the command line wins, whatever its
+value.  feasibility and mnk, whose options are all required, take none.
 """
 
 from __future__ import annotations
@@ -107,79 +108,50 @@ def _moduli_from(ns) -> ModuliPoint:
     return ModuliPoint(float(ns.a1), float(ns.a2), ns.branch)
 
 
-def _config_value(sub, what, action, value):
+def _config_value(sub, action, value):
     """A value from a JSON file read as the same option on the command
     line would be: each item through the option's type and choices, so a
     bad value is a usage error (exit 64)."""
     count = action.nargs if isinstance(action.nargs, int) else None
     items = value if count else [value]
     if not isinstance(items, list) or len(items) != (count or 1):
-        sub.error(f"{what}: {action.dest} takes {count} values, got {value!r}")
+        sub.error(f"config: {action.dest} takes {count} values, got {value!r}")
     try:
         parsed = [sub._get_value(action, str(v)) for v in items]
         for v in parsed:
             sub._check_value(action, v)
     except argparse.ArgumentError as exc:
-        sub.error(f"{what}: {exc}")
+        sub.error(f"config: {exc}")
     return parsed if count else parsed[0]
 
 
-def _fill_from_file(ns, sub, what, path, actions, given):
-    """Set the options in ``actions`` that the JSON object in ``path``
-    names, except the dests in ``given``, and add them to ``given``.  A
-    file that cannot be read, invalid JSON, a top level that is not an
-    object, a key that names no option in ``actions`` and a bad value
-    (even one a flag overrides) are usage errors."""
+def _config_namespace(sub, ns):
+    """The namespace that subcommand parser ``sub`` starts from: the
+    command of ``ns`` and the options that its --config JSON file sets.
+    The file may set any option but a required one.  A file that cannot
+    be read, invalid JSON, a top level that is not an object, a key that
+    names no such option and a bad value (even one a flag overrides) are
+    usage errors."""
     try:
-        with open(path) as fh:
+        with open(ns.config) as fh:
             data = json.load(fh)
     except OSError as exc:
-        sub.error(f"{what}: cannot read {path!r}: {exc.strerror}")
+        sub.error(f"config: cannot read {ns.config!r}: {exc.strerror}")
     except ValueError as exc:
-        sub.error(f"{what}: {path!r} is not valid JSON: {exc}")
+        sub.error(f"config: {ns.config!r} is not valid JSON: {exc}")
     if not isinstance(data, dict):
-        sub.error(f"{what}: {path!r} must hold a JSON object, "
+        sub.error(f"config: {ns.config!r} must hold a JSON object, "
                   f"not {type(data).__name__}")
+    actions = {a.dest: a for a in sub._actions
+               if not a.required and a.dest not in ("help", "config")}
+    preset = argparse.Namespace(command=ns.command)
     for key, val in data.items():
         action = actions.get(key.replace("-", "_"))
         if action is None:
-            sub.error(f"{what}: {key!r} is not an option here "
-                      f"(choose from {', '.join(sorted(actions))})")
-        value = _config_value(sub, what, action, val)
-        if action.dest not in given:
-            setattr(ns, action.dest, value)
-            given.add(action.dest)
-
-
-def _subcommands(parser) -> argparse._SubParsersAction:
-    return next(a for a in parser._actions
-                if isinstance(a, argparse._SubParsersAction))
-
-
-def _given_in(argv, command) -> set:
-    """The dests that ``argv`` itself sets, whatever their values: argv
-    parsed again with every default of the subcommand suppressed."""
-    parser = build_parser()
-    for action in _subcommands(parser).choices[command]._actions:
-        action.default = argparse.SUPPRESS
-    return set(vars(parser.parse_args(argv)))
-
-
-def _apply_config(ns, sub, argv):
-    """Fill the options of subcommand parser ``sub`` that ``argv`` does
-    not give from the --config JSON file, then the moduli that neither
-    gives from the --params file: flags win over both, --config over
-    --params."""
-    if not (getattr(ns, "config", None) or getattr(ns, "params", None)):
-        return ns
-    actions = {a.dest: a for a in sub._actions if a.dest not in ("help", "config")}
-    given = _given_in(argv, ns.command)
-    if getattr(ns, "config", None):
-        _fill_from_file(ns, sub, "config", ns.config, actions, given)
-    if getattr(ns, "params", None):
-        moduli = {k: actions[k] for k in ("alpha", "a1", "a2", "branch")}
-        _fill_from_file(ns, sub, "params", ns.params, moduli, given)
-    return ns
+            sub.error(f"config: {key!r} is not an option a config file can set "
+                      f"here (choose from {', '.join(sorted(actions))})")
+        setattr(preset, action.dest, _config_value(sub, action, val))
+    return preset
 
 
 # ----------------------------------------------------------------------
@@ -232,7 +204,8 @@ def cmd_scan(ns) -> int:
         sys.stdout.write(text)
     ratios = [columns[-1] for _, columns in scans if columns[-1].size]
     if not ratios:
-        print("warning: empty feasible set, zero rows", file=sys.stderr)
+        print("warning: zero rows: no grid point is feasible with a nonvanishing c2",
+              file=sys.stderr)
         return EXIT_OK
     n_rows = sum(r.size for r in ratios)
     min_ratio = min(float(r.min()) for r in ratios)
@@ -369,7 +342,8 @@ def build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_common(p):
-        p.add_argument("--config", help="JSON file of option defaults (flags win)")
+        p.add_argument("--config", help="JSON file presetting the options that "
+                                        "are not required (flags win)")
 
     def add_moduli(p):
         p.add_argument("--alpha", nargs=3, type=int, metavar=("A1", "A2", "A3"))
@@ -377,8 +351,6 @@ def build_parser() -> _Parser:
         p.add_argument("--a2", type=float)
         p.add_argument("--branch", type=_branch, default=Branch.MINUS,
                        help="'minus' or 'plus' root branch (default minus)")
-        p.add_argument("--params", help="JSON parameter file "
-                                        '{"alpha": [..], "a1": .., "a2": .., "branch": ..}')
 
     p = sub.add_parser("energy", help="evaluate A, W, E and the energy ratio")
     add_common(p)
@@ -438,7 +410,6 @@ def build_parser() -> _Parser:
     p.add_argument("--k", type=int, required=True)
 
     p = sub.add_parser("feasibility", help="feasibility diagnostics for (alpha, a1, a2)")
-    add_common(p)
     p.add_argument("--alpha", nargs=3, type=int, required=True, metavar=("A1", "A2", "A3"))
     p.add_argument("--a1", type=float, required=True)
     p.add_argument("--a2", type=float, required=True)
@@ -447,19 +418,25 @@ def build_parser() -> _Parser:
 
 
 # one parser per process: building it costs about as much as a small
-# subcommand; _given_in builds its own, because it rewrites the defaults
+# subcommand
 _main_parser = cache(build_parser)
 
 
 def main(argv: Optional[List[str]] = None) -> int:
+    argv = sys.argv[1:] if argv is None else argv
     parser = _main_parser()
     ns = parser.parse_args(argv)
-    ns = _apply_config(ns, _subcommands(parser).choices[ns.command], argv)
+    if getattr(ns, "config", None):
+        # the subcommand's arguments parsed again, over the file's values:
+        # argparse sets a default only where neither gives a value, so a
+        # flag wins, even at its default value
+        sub = next(a for a in parser._actions
+                   if isinstance(a, argparse._SubParsersAction)).choices[ns.command]
+        ns = sub.parse_args(argv[1:], _config_namespace(sub, ns))
     needs_moduli = ns.command in ("periodicity", "export") or (
         ns.command == "energy" and ns.family == "mironov")
-    if needs_moduli and (getattr(ns, "alpha", None) is None
-                         or ns.a1 is None or ns.a2 is None):
-        parser.error(f"{ns.command}: --alpha/--a1/--a2 (or --params) required")
+    if needs_moduli and (ns.alpha is None or ns.a1 is None or ns.a2 is None):
+        parser.error(f"{ns.command}: --alpha/--a1/--a2 required")
     if ns.command == "energy" and ns.family == "homogeneous" and ns.r is None:
         parser.error("energy: --r R1 R2 R3 required for the homogeneous family")
     if ns.command == "verify" and ns.threshold is not None and (

@@ -158,9 +158,9 @@ class FeasibilityResult:
 def _quartic_p_r(alpha: AlphaTriple, a1, a2):
     """P and R of the even quartic (a1-a2)^2 x^4 + 2P x^2 + R^2 in c2,
     elementwise, in products alone, so that a point and a grid round
-    alike; both NaN, which no feasibility test passes, where either is
-    not finite (moduli beyond the float range).  a1 > a2 > 0 is the
-    caller's to check."""
+    alike; both NaN where either is not finite (moduli beyond the float
+    range), which is what `feasibility` and InfeasibleParameters report
+    there.  a1 > a2 > 0 is the caller's to check."""
     b, c, c1 = alpha.b, alpha.c, alpha.c1
     a1_2, a2_2 = a1 * a1, a2 * a2
     P = (a1_2 * a1 * a2_2 + a1_2 * (a2_2 * a2)

@@ -3,8 +3,10 @@ import json
 import math
 import os
 import re
+import shlex
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -259,6 +261,28 @@ def test_scan_empty_feasible_set_warns(tmp_path, capsys):
     assert len(out.read_text().strip().splitlines()) == 1  # header only
 
 
+def test_scan_zero_rows_warning_covers_a_vanishing_c2(tmp_path, capsys):
+    # at --grid 2 --margin 0 the one grid point is the box corner
+    # (a1, a2) = (2, 1), where Q(2) = Q(1) = 0: it is feasible, but c2 = 0
+    # on both branches, so it gives no row; the warning must not call the
+    # feasible set empty
+    from cp2tori.family import AlphaTriple, feasibility_check
+    from cp2tori.functionals import feasible_grid
+    al = AlphaTriple(2, 1, -1)
+    assert feasible_grid(al, 2, 0.0) == [(2.0, 1.0)]
+    assert feasibility_check(al, 2.0, 1.0).feasible
+    out = tmp_path / "s.csv"
+    code, _, err = run(capsys, "scan", "--alpha", "2", "1", "-1", "--grid", "2",
+                       "--margin", "0", "--out", str(out))
+    assert code == EXIT_OK
+    assert err == "warning: zero rows: no grid point is feasible with a nonvanishing c2\n"
+    assert len(out.read_text().splitlines()) == 1  # header only
+    for branch in ("minus", "plus"):
+        code, _, err = run(capsys, "energy", "--alpha", "2", "1", "-1", "--a1", "2",
+                           "--a2", "1", "--branch", branch)
+        assert code == EXIT_DEGENERATE and f"c2 ({branch} branch) vanishes" in err
+
+
 def test_verify_single_target_and_threshold(tmp_path, capsys):
     code, out, _ = run(capsys, "verify", "--target", "B1", "--out-dir", str(tmp_path))
     assert code == EXIT_OK
@@ -479,11 +503,12 @@ def test_feasibility_output(capsys):
 
 
 def test_params_file(tmp_path, capsys):
+    # a --config file of moduli parameters
     params = tmp_path / "p.json"
     params.write_text(json.dumps(
         {"alpha": [2, 1, -1], "a1": 1.8, "a2": 1.2, "branch": "minus"}))
     code, out, _ = run(capsys, "energy", "--family", "mironov",
-                       "--params", str(params))
+                       "--config", str(params))
     assert code == EXIT_OK
     assert float(out.split("ratio =")[1]) > 1.0
 
@@ -492,18 +517,69 @@ def test_params_file_sets_the_branch(tmp_path, capsys):
     params = tmp_path / "p.json"
     params.write_text(json.dumps(
         {"alpha": [2, 1, -1], "a1": 1.8, "a2": 1.2, "branch": "plus"}))
-    code, out, _ = run(capsys, "energy", "--params", str(params))
+    code, out, _ = run(capsys, "energy", "--config", str(params))
     assert code == EXIT_OK and "branch = plus" in out
     _, flags, _ = run(capsys, "energy", "--alpha", "2", "1", "-1", "--a1", "1.8",
                       "--a2", "1.2", "--branch", "plus")
     assert out == flags
 
 
-@pytest.mark.parametrize("option", ["--config", "--params"])
+def test_params_option_is_gone(tmp_path, capsys):
+    # --config presets the moduli; the second file option that did only
+    # that is an unrecognized argument
+    params = tmp_path / "p.json"
+    params.write_text(json.dumps({"alpha": [2, 1, -1], "a1": 1.8, "a2": 1.2}))
+    for argv in [("energy", "--params", str(params)),
+                 ("periodicity", "--params", str(params)),
+                 ("export", "--params", str(params), "--out", str(tmp_path / "e.csv"))]:
+        assert _exit_code(*argv) == EXIT_USAGE, argv
+        assert "unrecognized arguments: --params" in capsys.readouterr().err
+    assert not (tmp_path / "e.csv").exists()
+
+
+def test_a_config_cannot_set_a_required_option(tmp_path, capsys):
+    # scan's --alpha and export's --out must come from the command line: a
+    # config key for either was checked and then dropped; now it is a usage
+    # error that names the key, and nothing is written
+    cfg = tmp_path / "cfg.json"
+    scan = ("scan", "--alpha", "2", "1", "-1", "--grid", "3",
+            "--out", str(tmp_path / "s.csv"))
+    export = ("export", "--alpha", "2", "1", "-1", "--a1", "1.8", "--a2", "1.2",
+              "--grid", "4", "4", "--out", str(tmp_path / "e.csv"))
+    for bad, argv in [({"alpha": [3, 1, -1]}, scan),
+                      ({"out": str(tmp_path / "x.csv")}, export)]:
+        cfg.write_text(json.dumps(bad))
+        assert _exit_code(*argv, "--config", str(cfg)) == EXIT_USAGE, bad
+        err = capsys.readouterr().err
+        assert f"config: {next(iter(bad))!r} is not an option" in err, err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]
+
+
+def test_feasibility_takes_no_config(tmp_path, capsys):
+    # every feasibility option is required, so a file could preset none
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({}))
+    argv = ("feasibility", "--alpha", "2", "1", "-1", "--a1", "1.8", "--a2", "1.2")
+    assert _exit_code(*argv, "--config", str(cfg)) == EXIT_USAGE
+    assert "unrecognized arguments: --config" in capsys.readouterr().err
+    assert run(capsys, *argv)[0] == EXIT_OK
+
+
+def test_main_reads_sys_argv_and_its_config(tmp_path, capsys, monkeypatch):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"a1": 1.8, "a2": 1.2, "branch": "plus"}))
+    monkeypatch.setattr(sys, "argv", ["cp2tori", "energy", "--alpha", "2", "1", "-1",
+                                      "--config", str(cfg)])
+    assert main() == EXIT_OK
+    out = capsys.readouterr().out
+    assert "a1 = 1.8  a2 = 1.2  branch = plus" in out
+
+
+@pytest.mark.parametrize("option", ["--config"])
 def test_unusable_option_files_are_usage_errors(tmp_path, capsys, option):
     # a missing file, invalid JSON, a top level that is not an object, an
     # unknown key (a leftover quad_tol included) and a bad value each exit
-    # 64 with a message naming the file's role, not with a traceback
+    # 64 with a message naming the config file, not with a traceback
     argv = ("export", "--alpha", "2", "1", "-1", "--a1", "1.8", "--a2", "1.2",
             "--out", str(tmp_path / "e.csv"))
     bad = tmp_path / "bad.json"
@@ -517,7 +593,7 @@ def test_unusable_option_files_are_usage_errors(tmp_path, capsys, option):
             bad.write_text(text)
         assert _exit_code(*argv, option, str(path)) == EXIT_USAGE, text
         err = capsys.readouterr().err
-        assert f"{option[2:]}: " in err and message in err, (text, err)
+        assert "config: " in err and message in err, (text, err)
     assert not (tmp_path / "e.csv").exists()
 
 
@@ -584,7 +660,7 @@ def test_branch_flag_at_its_default_beats_the_params_file(tmp_path, capsys):
     params = tmp_path / "p.json"
     params.write_text(json.dumps({"branch": "plus"}))
     moduli = ("energy", "--alpha", "2", "1", "-1", "--a1", "1.8", "--a2", "1.2",
-              "--params", str(params))
+              "--config", str(params))
     code, out, _ = run(capsys, *moduli, "--branch", "minus")
     assert code == EXIT_OK and "branch = minus" in out
     code, out, _ = run(capsys, *moduli)
@@ -788,3 +864,20 @@ def test_periods_and_max_denominator_are_positive(tmp_path, capsys):
             assert _exit_code(*argv, "--config", str(cfg)) == EXIT_USAGE, (flag, bad)
             assert f"config: argument {flag}: " in capsys.readouterr().err
         assert run(capsys, *argv, flag, "2")[0] == EXIT_OK
+
+
+def test_readme_cli_commands_run(tmp_path, monkeypatch):
+    # every command of the README's fenced CLI block runs as shown, so the
+    # README cannot show an option that the parser no longer has; the B1
+    # threshold of 1.2 is the one the README says fails on purpose
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = re.search(r"## CLI\n.*?```sh\n(.*?)```", readme, re.DOTALL).group(1)
+    lines = [shlex.split(line, comments=True) for line in block.splitlines()]
+    commands = [c for c in lines if c]
+    failing = ["verify", "--target", "B1", "--threshold", "1.2"]
+    assert len(commands) == 10 and ["cp2tori", *failing] in commands
+    monkeypatch.chdir(tmp_path)
+    for program, *argv in commands:
+        assert program == "cp2tori"
+        assert main(argv) == (EXIT_NOT_PROVED if argv == failing else EXIT_OK), argv
+    assert {"scan.csv", "samples.csv", "cloud.obj", "certificates"} <= set(os.listdir())
