@@ -9,6 +9,8 @@ written or a grid too large to allocate.  A --config JSON file can preset
 each option of the subcommand that is not required, checked as the same
 flag would be; an option given on the command line wins, whatever its
 value.  feasibility and mnk, whose options are all required, take none.
+An energy family reads its options alone (clifford none, homogeneous
+--r, mironov all but --r); another one, given anyhow, is a usage error.
 """
 
 from __future__ import annotations
@@ -27,8 +29,7 @@ import numpy as np
 
 from . import __version__
 from .bounds import CHARTS, CLAIMS, DEFAULT_EPS, certify_charts
-from .errors import (Cp2ToriError, DegenerateParameters, InfeasibleParameters,
-                     SingularIntegrand)
+from .errors import Cp2ToriError, DegenerateParameters, InfeasibleParameters
 from .family import (AlphaTriple, Branch, ModuliPoint, derive_constants,
                      feasibility_check, lemma3_box)
 from .functionals import (SCAN_COLUMNS, HomogeneousParams, clifford_energy,
@@ -100,12 +101,8 @@ def _positive(kind):
     return parse
 
 
-def _alpha_from(ns) -> AlphaTriple:
-    return AlphaTriple(*[int(v) for v in ns.alpha])
-
-
 def _moduli_from(ns) -> ModuliPoint:
-    return ModuliPoint(float(ns.a1), float(ns.a2), ns.branch)
+    return ModuliPoint(ns.a1, ns.a2, ns.branch or Branch.MINUS)
 
 
 def _config_value(sub, action, value):
@@ -164,16 +161,17 @@ def cmd_energy(ns) -> int:
         print(f"E = {_fmt(clifford_energy())}  ratio = 1")
         return EXIT_OK
     if ns.family == "homogeneous":
-        params = HomogeneousParams(*[float(v) for v in ns.r])
+        params = HomogeneousParams(*ns.r)
         e = homogeneous_energy(params)
         print(f"E = {_fmt(e)}  ratio = {_fmt(e / clifford_energy())}")
         return EXIT_OK
-    alpha = _alpha_from(ns)
+    alpha = AlphaTriple(*ns.alpha)
     point = _moduli_from(ns)
     d = derive_constants(alpha, point)
-    fv = energy_mironov(d, ns.periods)
+    periods = ns.periods or 1
+    fv = energy_mironov(d, periods)
     print(f"alpha = {alpha.weights}  a1 = {_fmt(point.a1)}  a2 = {_fmt(point.a2)}"
-          f"  branch = {point.branch.value}  N = {ns.periods}")
+          f"  branch = {point.branch.value}  N = {periods}")
     print(f"c2 = {_fmt(d.c2)}  a3 = {_fmt(d.a3)}  a = {_fmt(d.slope_x)}"
           f"  b = {_fmt(d.slope_y)}  T = {_fmt(d.period)}")
     print(f"A = {_fmt(fv.area)}  W = {_fmt(fv.willmore)}  E = {_fmt(fv.energy)}"
@@ -192,7 +190,7 @@ def _scan_block(alpha: AlphaTriple, columns) -> str:
 
 def cmd_scan(ns) -> int:
     start = time.perf_counter()
-    alphas = [AlphaTriple(*[int(v) for v in trip]) for trip in ns.alpha]
+    alphas = [AlphaTriple(*trip) for trip in ns.alpha]
     branches = [Branch.MINUS, Branch.PLUS] if ns.branch == "both" else [Branch(ns.branch)]
     scans = [(alpha, scan_columns(alpha, ns.grid, branches, ns.periods, ns.margin))
              for alpha in alphas]
@@ -274,7 +272,7 @@ def cmd_verify(ns) -> int:
 
 
 def cmd_periodicity(ns) -> int:
-    alpha = _alpha_from(ns)
+    alpha = AlphaTriple(*ns.alpha)
     d = derive_constants(alpha, _moduli_from(ns))
     result = rational_fit(d, ns.max_denominator, ns.tol)
     payload = result.to_json_dict()
@@ -291,7 +289,7 @@ def cmd_periodicity(ns) -> int:
 
 def cmd_export(ns) -> int:
     start = time.perf_counter()
-    alpha = _alpha_from(ns)
+    alpha = AlphaTriple(*ns.alpha)
     d = derive_constants(alpha, _moduli_from(ns))
     chart = None if ns.chart == "auto" else int(ns.chart)
     columns, chart_used = export_samples(d, tuple(ns.grid), chart)
@@ -318,8 +316,8 @@ def cmd_mnk(ns) -> int:
 
 
 def cmd_feasibility(ns) -> int:
-    alpha = _alpha_from(ns)
-    res = feasibility_check(alpha, float(ns.a1), float(ns.a2))
+    alpha = AlphaTriple(*ns.alpha)
+    res = feasibility_check(alpha, ns.a1, ns.a2)
     print(f"alpha = {alpha.weights}  a1 = {_fmt(ns.a1)}  a2 = {_fmt(ns.a2)}")
     print(f"P = {_fmt(res.p_value)}  discriminant = {_fmt(res.discriminant)}")
     if alpha.is_ordered:
@@ -349,7 +347,8 @@ def build_parser() -> _Parser:
         p.add_argument("--alpha", nargs=3, type=int, metavar=("A1", "A2", "A3"))
         p.add_argument("--a1", type=float)
         p.add_argument("--a2", type=float)
-        p.add_argument("--branch", type=_branch, default=Branch.MINUS,
+        # default None, so that a flag at the default value is seen as given
+        p.add_argument("--branch", type=_branch,
                        help="'minus' or 'plus' root branch (default minus)")
 
     p = sub.add_parser("energy", help="evaluate A, W, E and the energy ratio")
@@ -358,7 +357,7 @@ def build_parser() -> _Parser:
                    default="mironov")
     add_moduli(p)
     p.add_argument("--r", nargs=3, type=float, metavar=("R1", "R2", "R3"))
-    p.add_argument("--periods", type=_positive(int), default=1)
+    p.add_argument("--periods", type=_positive(int))  # default 1, where it is read
 
     p = sub.add_parser("scan", help="sweep feasible grids, CSV output")
     add_common(p)
@@ -433,6 +432,13 @@ def main(argv: Optional[List[str]] = None) -> int:
         sub = next(a for a in parser._actions
                    if isinstance(a, argparse._SubParsersAction)).choices[ns.command]
         ns = sub.parse_args(argv[1:], _config_namespace(sub, ns))
+    if ns.command == "energy":
+        reads = {"clifford": (), "homogeneous": ("r",)}.get(
+            ns.family, ("alpha", "a1", "a2", "branch", "periods"))
+        unread = [f"--{o}" for o in ("alpha", "a1", "a2", "branch", "periods", "r")
+                  if o not in reads and getattr(ns, o) is not None]
+        if unread:
+            parser.error(f"energy: the {ns.family} family reads no {', '.join(unread)}")
     needs_moduli = ns.command in ("periodicity", "export") or (
         ns.command == "energy" and ns.family == "mironov")
     if needs_moduli and (ns.alpha is None or ns.a1 is None or ns.a2 is None):
@@ -448,7 +454,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     except InfeasibleParameters as exc:
         print(f"infeasible parameters: {exc}", file=sys.stderr)
         return EXIT_INFEASIBLE
-    except (DegenerateParameters, SingularIntegrand) as exc:
+    except DegenerateParameters as exc:  # SingularIntegrand included
         print(f"degenerate parameters: {exc}", file=sys.stderr)
         return EXIT_DEGENERATE
     except Cp2ToriError as exc:

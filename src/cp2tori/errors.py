@@ -27,7 +27,7 @@ class DegenerateParameters(Cp2ToriError):
     """Parameters are on a degenerate locus (e.g. a vanishing root c2)."""
 
 
-class SingularIntegrand(Cp2ToriError):
+class SingularIntegrand(DegenerateParameters):
     """A phase-integral denominator gets too close to zero on the path."""
 
 

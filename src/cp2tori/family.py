@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Tuple
+from typing import Iterable, Sequence, Tuple
 
 import numpy as np
 
@@ -83,35 +83,24 @@ class AlphaTriple:
 
     @classmethod
     def normalized(cls, weights: Iterable[int]) -> Tuple["AlphaTriple", dict]:
-        """Reduce a triple by sign flip and permutation to the strict
-        normal form; returns the triple and a record of the transform.
-
-        Raises ValueError when no equivalent normal form exists (all
-        weights of one sign, a repeated leading weight, a zero trailing
-        weight) or when the difference weights are not coprime.
-        """
+        """The strict normal form of a triple and a record of the transform:
+        the descending sort of the triple or of its negation, whichever is
+        in that form.  Both are only when alpha2 = 0; then the one with
+        alpha1 + alpha3 >= 0 wins, and a tie keeps the triple unflipped.
+        Raises ValueError when neither is (all weights of one sign, a
+        repeated leading weight, a zero trailing weight) or when the
+        difference weights are not coprime."""
         w = [int(v) for v in weights]
         if len(w) != 3:
             raise ValueError("expected three integer weights")
-        flipped = False
-        if sum(1 for v in w if v > 0) < sum(1 for v in w if v < 0) or (
-            sum(v for v in w) < 0 and sum(1 for v in w if v > 0) == sum(1 for v in w if v < 0)
-        ):
-            w = [-v for v in w]
-            flipped = True
-        order = sorted(range(3), key=lambda i: -w[i])
-        w_sorted = [w[i] for i in order]
-        cand = cls(*w_sorted)
-        if not cand.is_normalized:
-            # a sign flip of the sorted triple may still work (e.g. two negatives)
-            w2 = sorted((-v for v in w), reverse=True)
-            cand2 = cls(*w2)
-            if cand2.is_normalized:
-                cand, flipped = cand2, not flipped
-            else:
-                raise ValueError(
-                    f"weights {tuple(weights)} have no normal form "
-                    "alpha1 > alpha2 >= 0 > alpha3")
+        forms = [(cls(*sorted((-v if flip else v for v in w), reverse=True)), flip)
+                 for flip in (False, True)]
+        forms = [f for f in forms if f[0].is_normalized]
+        if not forms:
+            raise ValueError(f"weights {tuple(w)} have no normal form "
+                             "alpha1 > alpha2 >= 0 > alpha3")
+        # max keeps the first of equal keys: the unflipped triple on a tie
+        cand, flipped = max(forms, key=lambda f: f[0].alpha1 + f[0].alpha3 >= 0)
         if not cand.weights_coprime:
             raise ValueError(
                 f"difference weights of {cand.weights} are not coprime")
@@ -330,6 +319,29 @@ def derive_constants(alpha: AlphaTriple, point: ModuliPoint) -> DerivedConstants
     return _derived(alpha, a1, a2, point.branch, c2)
 
 
+def derive_grid(alpha: AlphaTriple, a1: np.ndarray, a2: np.ndarray,
+                branches: Sequence[Branch]) -> DerivedConstants:
+    """:func:`derive_constants` of the points (a1, a2) on each branch, as
+    arrays, point by point and then in the order of ``branches``; a point
+    whose c2 roots are not real, or a branch whose c2 vanishes, gives no
+    row.  A point that is not a1 > a2 > 0 raises ValueError naming it."""
+    unordered = np.flatnonzero(~((a1 > a2) & (a2 > 0)))
+    if unordered.size:
+        i = unordered[0]
+        _require_ordered(float(a1[i]), float(a2[i]))  # raises, naming the point
+    real = _roots_real(alpha, a1, a2)
+    a1, a2 = a1[real], a2[real]
+    roots = C2Roots(*_c2_pair(a1, a2, q_cubic(a1, alpha), q_cubic(a2, alpha)))
+    # one column per branch, so the rows come out point by point
+    c2 = np.empty((a1.size, len(branches)))
+    for j, b in enumerate(branches):
+        c2[:, j] = roots.pick(b)
+    a1, a2 = (np.broadcast_to(v[:, None], c2.shape) for v in (a1, a2))
+    keep = ~_c2_vanishes(c2, a1)
+    branch = np.broadcast_to(np.array([b.value for b in branches]), c2.shape)[keep]
+    return _derived(alpha, a1[keep], a2[keep], branch, c2[keep])
+
+
 # ----------------------------------------------------------------------
 # Immersion data
 # ----------------------------------------------------------------------
@@ -389,27 +401,6 @@ def f_coefficients(x: float, d: DerivedConstants) -> np.ndarray:
     return f_from_conformal(conformal_factor(x, d), d.alpha)
 
 
-def phase_denominator_range(d: DerivedConstants, i: int) -> Tuple[float, float]:
-    """Range of 2 e^v + alpha_j alpha_k over one period (monotone in e^v).
-
-    Since c1 = -alpha_i alpha_j alpha_k, the weight alpha_i cancels out of
-    the phase integrand denominator 2 alpha_i e^v - c1 = alpha_i (2 e^v +
-    alpha_j alpha_k); this reduced form also covers alpha_i = 0 (where the
-    raw quotient would be 0/0 but the family limit is regular).
-    """
-    off = _f_offsets(d.alpha)[i]
-    return d.a2 + off, d.a1 + off
-
-
-def _check_phase_denominator(d: DerivedConstants, i: int) -> None:
-    lo, hi = phase_denominator_range(d, i)
-    scale = d.a1 + abs(_f_offsets(d.alpha)[i]) + 1.0
-    if lo <= 0.0 <= hi or min(abs(lo), abs(hi)) < 1e-8 * scale:
-        raise SingularIntegrand(
-            f"phase denominator 2 e^v + alpha_j alpha_k (i = {i + 1}) ranges "
-            f"over [{lo:.3g}, {hi:.3g}]; too close to zero for the phase integral")
-
-
 def g_phases(x, d: DerivedConstants) -> np.ndarray:
     """The phase integrals G_i(x) = int_0^x G_i' in closed form, shape (3,)
     for a scalar x and (3,) + x.shape for an array, in any order.
@@ -426,13 +417,22 @@ def g_phases(x, d: DerivedConstants) -> np.ndarray:
         Pi(n; am r) = s R_F(c^2, dn^2, 1) + (n/3) s^3 R_J(c^2, dn^2, 1, 1 - n s^2),
         Pi(n) = K + (n/3) R_J(0, 1 - k^2, 1, 1 - n).
 
-    _check_phase_denominator keeps 1 - n s^2 > 0 on the whole path.
+    The denominator 2 alpha_i e^v - c1 = alpha_i (2 e^v + o) of G_i' loses
+    alpha_i (alpha_i = 0 included); 2 e^v + o spans [a2 + o, a1 + o], kept
+    off zero (else SingularIntegrand) so that 1 - n s^2 > 0 on the path.
     """
-    for i in range(3):
-        _check_phase_denominator(d, i)
+    off = _f_offsets(d.alpha)
+    lo, hi = d.a2 + off, d.a1 + off
+    bad = ((lo <= 0.0) & (0.0 <= hi)
+           | (np.minimum(abs(lo), abs(hi)) < 1e-8 * (d.a1 + abs(off) + 1.0)))
+    if bad.any():
+        i = int(np.argmax(bad))
+        raise SingularIntegrand(
+            f"phase denominator 2 e^v + alpha_j alpha_k (i = {i + 1}) ranges "
+            f"over [{lo[i]:.3g}, {hi[i]:.3g}]; too close to zero for the phase integral")
     x = np.asarray(x, dtype=float)
     k, K = d.modulus.k, d.K
-    off = _f_offsets(d.alpha).reshape((3,) + (1,) * x.ndim)
+    off = off.reshape((3,) + (1,) * x.ndim)
     n = (d.a1 - d.a2) / (d.a1 + off)
     u = x * d.sqrt_a1_a3
     q = np.round(u / (2.0 * K))

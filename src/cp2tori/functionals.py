@@ -24,9 +24,8 @@ from typing import List, Sequence
 
 import numpy as np
 
-from .family import (AlphaTriple, Branch, DerivedConstants, _c2_pair,
-                     _c2_vanishes, _derived, _require_ordered,
-                     _roots_real, lemma3_box, q_cubic)
+from .family import (AlphaTriple, Branch, DerivedConstants, derive_grid,
+                     lemma3_box)
 
 
 def clifford_energy() -> float:
@@ -139,27 +138,10 @@ def scan_columns(alpha: AlphaTriple, n: int, branches: Sequence[Branch],
                  n_periods: int, margin: float) -> tuple:
     """The scan of one triple as the columns a1, a2, branch, c2, a3, a, T,
     A, W, E, ratio of :data:`SCAN_COLUMNS` (every column but the weights),
-    each formula applied to the whole grid at once.  Row i is the i-th
-    feasible grid point and branch: a1, then a2, then the branches in the
-    given order; a point where c2 is not real or vanishes gives no torus
-    and no row."""
-    a1, a2 = _grid_arrays(alpha, n, margin)
-    ordered = (a1 > a2) & (a2 > 0)
-    if not ordered.all():
-        i = np.argmin(ordered)
-        _require_ordered(float(a1[i]), float(a2[i]))  # raises, naming the point
-    Qa1, Qa2 = q_cubic(a1, alpha), q_cubic(a2, alpha)
-    real = _roots_real(alpha, a1, a2)
-    a1, a2 = a1[real], a2[real]
-    roots = dict(zip((Branch.MINUS, Branch.PLUS), _c2_pair(a1, a2, Qa1[real], Qa2[real])))
-    # one column per branch, so the rows come out point by point
-    c2 = np.empty((a1.size, len(branches)))
-    for j, b in enumerate(branches):
-        c2[:, j] = roots[b]
-    a1, a2 = (np.broadcast_to(v[:, None], c2.shape) for v in (a1, a2))
-    keep = ~_c2_vanishes(c2, a1)
-    branch = np.broadcast_to(np.array([b.value for b in branches]), c2.shape)[keep]
-    d = _derived(alpha, a1[keep], a2[keep], branch, c2[keep])
+    each formula applied to the whole grid at once.  The rows are the tori
+    that :func:`derive_grid` takes from the grid of :func:`feasible_grid`,
+    in its order: a1, then a2, then the branches in the given order."""
+    d = derive_grid(alpha, *_grid_arrays(alpha, n, margin), branches)
     fv = energy_mironov(d, n_periods)
     return (d.a1, d.a2, d.branch, d.c2, d.a3, d.slope_x, d.period, fv.area,
             fv.willmore, fv.energy, fv.ratio)

@@ -45,6 +45,53 @@ def test_energy_mironov_ratio_above_one(capsys):
     assert float(out.split("ratio =")[1]) > 1.0
 
 
+R = f"{1.0 / math.sqrt(3.0):.15f}"
+
+
+@pytest.mark.parametrize("family, options, unread", [
+    ("clifford", {"alpha": [2, 1, -1], "a1": 9, "a2": 1, "periods": 5, "branch": "plus"},
+     "--alpha, --a1, --a2, --branch, --periods"),
+    # at their default values
+    ("clifford", {"branch": "minus"}, "--branch"),
+    ("clifford", {"periods": 1}, "--periods"),
+    ("clifford", {"r": [R, R, R]}, "--r"),
+    ("homogeneous", {"r": [R, R, R], "alpha": [2, 1, -1], "periods": 1}, "--alpha, --periods"),
+    ("homogeneous", {"r": [R, R, R], "branch": "minus"}, "--branch"),
+    ("mironov", {"alpha": [2, 1, -1], "a1": 1.8, "a2": 1.2, "r": [R, R, R]}, "--r"),
+])
+def test_energy_options_the_family_does_not_read_are_usage_errors(tmp_path, capsys, family,
+                                                                   options, unread):
+    # clifford reads no option, homogeneous --r alone and mironov every
+    # option but --r; any other is an error, from a flag or a config file
+    flags = [item for key, value in options.items()
+             for item in (f"--{key}", *map(str, value if isinstance(value, list) else [value]))]
+    message = f"energy: the {family} family reads no {unread}"
+    assert _exit_code("energy", "--family", family, *flags) == EXIT_USAGE
+    out, err = capsys.readouterr()
+    assert out == "" and message in err
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(options))
+    assert _exit_code("energy", "--family", family, "--config", str(cfg)) == EXIT_USAGE
+    out, err = capsys.readouterr()
+    assert out == "" and message in err
+
+
+def test_energy_families_read_their_own_options(tmp_path, capsys):
+    # the options a family reads still work at their default values, from
+    # flags and from a config file, and print what they printed alone
+    moduli = ["--alpha", "2", "1", "-1", "--a1", "1.8", "--a2", "1.2"]
+    plain = run(capsys, "energy", *moduli)
+    assert plain[0] == EXIT_OK and "branch = minus  N = 1" in plain[1]
+    assert run(capsys, "energy", *moduli, "--branch", "minus", "--periods", "1") == plain
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"family": "mironov", "branch": "minus", "periods": 1}))
+    assert run(capsys, "energy", *moduli, "--config", str(cfg)) == plain
+    cfg.write_text(json.dumps({"family": "homogeneous", "r": [R, R, R]}))
+    code, out, _ = run(capsys, "energy", "--config", str(cfg))
+    assert code == EXIT_OK and out.startswith("E = ")
+    assert run(capsys, "energy", "--family", "clifford")[0] == EXIT_OK
+
+
 def test_energy_infeasible_exit_code(capsys):
     code, _, err = run(capsys, "energy", "--family", "mironov",
                        "--alpha", "2", "1", "-1", "--a1", "3.0", "--a2", "2.5")
@@ -419,6 +466,27 @@ def test_verify_reports_a_failed_tail(tmp_path, capsys, monkeypatch):
     assert re.search(r"^tail scalar-2-tail: .*-> ok$", out, re.M)
 
 
+def test_verify_reports_failed_energy_spot_checks(tmp_path, capsys, monkeypatch):
+    # the spot checks see half of each energy: some points then fall below
+    # the energy bound or the Clifford ratio, while every certificate,
+    # which takes its energies elsewhere, is still proved
+    import dataclasses
+    from cp2tori import cli
+    real = cli.energy_mironov
+
+    def halved(d, n_periods=1):
+        fv = real(d, n_periods)
+        return dataclasses.replace(fv, energy=fv.energy / 2, ratio=fv.ratio / 2)
+
+    monkeypatch.setattr(cli, "energy_mironov", halved)
+    code, out, _ = run(capsys, "verify", "--seed", "7", "--out-dir", str(tmp_path))
+    assert code == EXIT_NOT_PROVED
+    assert all(re.search(rf"^{t}: proved  ", out, re.M) for t in CERTIFICATES)
+    found = re.findall(r"^energy bound spot checks: 200 random feasible points "
+                       r"\(seed=7\): (\d+) violations$", out, re.M)
+    assert len(found) == 1 and int(found[0]) > 0
+
+
 def test_periodicity_json(tmp_path, capsys):
     out = tmp_path / "lattice.json"
     code, stdout, _ = run(capsys, "periodicity", "--alpha", "2", "1", "-1",
@@ -694,14 +762,14 @@ def test_config_values_meet_the_flag_checks(tmp_path, capsys):
 
 
 def test_scan_skips_degenerate_points_in_api_and_cli(tmp_path, capsys, monkeypatch):
-    # the scan takes both c2 roots of a whole grid from _c2_pair: a plus
-    # root below 1e-12 max(1, a1^2) at one point is a vanishing c2 there,
-    # on that branch only
-    from cp2tori import functionals
+    # the scan takes both c2 roots of a whole grid from family._c2_pair
+    # (through derive_grid): a plus root below 1e-12 max(1, a1^2) at one
+    # point is a vanishing c2 there, on that branch only
+    from cp2tori import family, functionals
     from cp2tori.family import AlphaTriple, Branch
     al = AlphaTriple(2, 1, -1)
     a1, a2 = functionals.feasible_grid(al, 4)[0]
-    real = functionals._c2_pair
+    real = family._c2_pair
 
     def c2_pair(g1, g2, q1, q2):
         minus, plus = real(g1, g2, q1, q2)
@@ -715,7 +783,7 @@ def test_scan_skips_degenerate_points_in_api_and_cli(tmp_path, capsys, monkeypat
     full = scan_rows()
     keys = [r[:3] for r in full]
     assert (a1, a2, "minus") in keys and (a1, a2, "plus") in keys
-    monkeypatch.setattr(functionals, "_c2_pair", c2_pair)
+    monkeypatch.setattr(family, "_c2_pair", c2_pair)
     rows = scan_rows()
     assert len(rows) == len(full) - 1
     assert [r for r in full if r[:3] != (a1, a2, "plus")] == rows

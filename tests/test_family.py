@@ -1,3 +1,4 @@
+import itertools
 import math
 from fractions import Fraction
 
@@ -11,7 +12,8 @@ from cp2tori.errors import (DegenerateParameters, InfeasibleParameters,
 from cp2tori.family import (AlphaTriple, Branch, ModuliPoint, _p_discriminant,
                             _quartic_p_r,
                             conformal_factor, conformal_factor_prime,
-                            derive_constants, f_coefficients, feasibility_check,
+                            derive_constants, derive_grid, f_coefficients,
+                            feasibility_check,
                             g_phases, lemma3_box, lift, q_cubic,
                             quartic_coefficients, solve_c2)
 from cp2tori.functionals import feasible_grid
@@ -33,6 +35,53 @@ def test_alpha_normalized_constructor():
         AlphaTriple.normalized((1, 2, 3))  # all one sign
     with pytest.raises(ValueError):
         AlphaTriple.normalized((2, 0, -2))  # gcd(4, 2) != 1
+
+
+def test_normalized_rule_on_every_small_triple():
+    # every triple of [-7, 7]^3: the result is the descending sort of the
+    # triple or of its negation, whichever is in strict normal form; both
+    # are only when alpha2 = 0, and then alpha1 + alpha3 >= 0 decides
+    counts = {"normal": 0, "both": 0, "no normal form": 0, "not coprime": 0}
+    for w in itertools.product(range(-7, 8), repeat=3):
+        kept = AlphaTriple(*sorted(w, reverse=True))
+        flipped = AlphaTriple(*sorted((-v for v in w), reverse=True))
+        forms = [f for f in (kept, flipped) if f.is_normalized]
+        if not forms or not forms[0].weights_coprime:
+            # the difference weights of the two forms have the same gcd
+            error = "not coprime" if forms else "no normal form"
+            with pytest.raises(ValueError, match=error):
+                AlphaTriple.normalized(w)
+            counts[error] += 1
+            continue
+        al, rec = AlphaTriple.normalized(w)
+        assert al.is_normalized and al.weights_coprime
+        assert rec == {"flipped_sign": al != kept, "sorted_descending": True}
+        assert al == (flipped if rec["flipped_sign"] else kept)
+        if len(forms) == 2:
+            assert al.alpha2 == 0 and al.alpha1 + al.alpha3 >= 0
+            counts["both"] += 1
+        counts["normal"] += 1
+    assert sum(counts.values()) - counts["both"] == 15 ** 3
+    assert min(counts.values()) > 0
+    # a tie keeps the triple unflipped
+    assert AlphaTriple.normalized((-1, 0, 1)) == (AlphaTriple(1, 0, -1), {
+        "flipped_sign": False, "sorted_descending": True})
+
+
+@pytest.mark.parametrize("weights, expected, flipped", [
+    ((-1, 2, 0), (2, 0, -1), False),
+    ((1, -2, 0), (2, 0, -1), True),
+    ((-3, -1, 2), (3, 1, -2), True),
+    ((-3, 1, 1), None, None),  # (1, 1, -3) repeats its lead, (3, -1, -1) has alpha2 < 0
+    ((1, 1, -2), None, None),  # (1, 1, -2) and (2, -1, -1) likewise
+])
+def test_normalized_examples(weights, expected, flipped):
+    if expected is None:
+        with pytest.raises(ValueError, match="no normal form"):
+            AlphaTriple.normalized(weights)
+        return
+    al, rec = AlphaTriple.normalized(weights)
+    assert al.weights == expected and rec["flipped_sign"] is flipped
 
 
 def test_lemma3_box_values():
@@ -331,6 +380,41 @@ def test_g_phase_singular_guard():
     d = derive_constants(al, ModuliPoint(1.8, 1.0 + 1e-12, Branch.MINUS))
     with pytest.raises(SingularIntegrand):
         g_phases(0.5, d)
+
+
+@pytest.mark.parametrize("a1, a2, message", [
+    (1.8, 1.0 + 1e-12, "(i = 1) ranges over [1e-12, 0.8]"),
+    (2.0 - 1e-12, 1.5, "(i = 2) ranges over [-0.5, -1e-12]"),
+    (2.0 - 1e-9, 1.0 + 1e-9, "(i = 1) ranges over [1e-09, 1]"),  # i = 2 too
+])
+def test_g_phase_singular_guard_names_the_first_singular_offset(a1, a2, message):
+    # (2, 1, -1) has the offsets alpha_j alpha_k = (-1, -2, 2), so
+    # 2 e^v + o nears zero at the a2 = 1 edge for i = 1 and at the a1 = 2
+    # edge for i = 2 (near the corner, both: the first is named); a
+    # SingularIntegrand is a DegenerateParameters (exit 4)
+    d = derive_constants(AlphaTriple(2, 1, -1), ModuliPoint(a1, a2, Branch.MINUS))
+    with pytest.raises(DegenerateParameters) as info:
+        g_phases(np.linspace(0.0, d.period, 5), d)
+    assert type(info.value) is SingularIntegrand
+    assert str(info.value) == (f"phase denominator 2 e^v + alpha_j alpha_k {message}; "
+                               "too close to zero for the phase integral")
+
+
+def test_derive_grid_checks_its_points_and_keeps_the_branch_order():
+    al = AlphaTriple(2, 1, -1)
+    with pytest.raises(ValueError, match=r"^need a1 > a2 > 0, got a1=1\.2, a2=1\.5$"):
+        derive_grid(al, np.array([1.8, 1.2, 1.0]), np.array([1.2, 1.5, 1.1]), [Branch.MINUS])
+    d = derive_grid(al, np.array([1.8]), np.array([1.2]), [])
+    assert d.c2.shape == d.branch.shape == d.period.shape == (0,)
+    # (3, 2.5) is outside the box [1, 2]: its c2 roots are not real, no row
+    d = derive_grid(al, np.array([1.8, 3.0, 1.5]), np.array([1.2, 2.5, 1.1]),
+                    [Branch.PLUS, Branch.MINUS])
+    assert d.branch.tolist() == ["plus", "minus", "plus", "minus"]
+    assert d.a1.tolist() == [1.8, 1.8, 1.5, 1.5]
+    for i in range(4):
+        ref = derive_constants(al, ModuliPoint(d.a1[i], d.a2[i], Branch(d.branch[i])))
+        assert (d.c2[i], d.a3[i], d.slope_x[i], d.period[i], d.K[i], d.D[i]) == (
+            ref.c2, ref.a3, ref.slope_x, ref.period, ref.K, ref.D)
 
 
 def test_lift_unit_norm(sample_derived, rng):
