@@ -6,9 +6,8 @@ __version__ = "0.1.0"
 
 from .elliptic import EllipticModulus, complete_k, incomplete_f, jacobi_sn
 from .family import (AlphaTriple, Branch, DerivedConstants, ModuliPoint,
-                     conformal_factor, derive_constants, f_coefficients,
-                     feasibility_check, g_phases, lemma3_box, lift, q_cubic,
-                     solve_c2)
+                     conformal_factor, derive_constants, feasibility_check,
+                     g_phases, lemma3_box, lift, lift_data, q_cubic, solve_c2)
 from .functionals import (FunctionalValues, HomogeneousParams, clifford_energy,
                           energy_mironov, homogeneous_energy)
 from .interval import Certificate, CertStatus, Interval
@@ -17,9 +16,8 @@ __all__ = [
     "__version__",
     "EllipticModulus", "complete_k", "incomplete_f", "jacobi_sn",
     "AlphaTriple", "Branch", "DerivedConstants", "ModuliPoint",
-    "conformal_factor", "derive_constants", "f_coefficients",
-    "feasibility_check", "g_phases", "lemma3_box", "lift", "q_cubic",
-    "solve_c2",
+    "conformal_factor", "derive_constants", "feasibility_check",
+    "g_phases", "lemma3_box", "lift", "lift_data", "q_cubic", "solve_c2",
     "FunctionalValues", "HomogeneousParams", "clifford_energy",
     "energy_mironov", "homogeneous_energy",
     "Certificate", "CertStatus", "Interval",

@@ -265,8 +265,9 @@ def _scalar_chart(f, x_max: float, note: str) -> Chart:
                  comparison_threshold().hi, False, (note,))
 
 
-_STRIP_X_CAP = 0.875  # chart overlap: x <= 7/8 here, s <= 1/2 in the corner
-_STRIP_S_CAP = 0.5    # chart; any band point has x <= 7/8 or s <= 0.2501
+_STRIP_X_CAP = 0.875  # the strip chart's x <= 7/8 and the corner chart's
+_STRIP_S_CAP = 0.5    # s <= 1/2 cover the band when eps <= 1/4, since a band
+MAX_BAND_EPS = 0.25   # point with x > 7/8 has s = 2 - x - y < 1/4 + eps
 _SCALAR_NOTE = f"1D domain [0, {SCALAR_X_MAX:g}]; monotone tail certified separately"
 _TAIL_NOTE = (f"x >= {SCALAR_X_MAX:g} in the chart t = 1/x, t in [0, fl(1/100)]: "
               "{}; the box on the pole t = 0 has a one-sided enclosure")
@@ -287,7 +288,6 @@ CHARTS = {
          "b1 > 0.9 already follows from the b1 > 1 certificate"),
         cites=("B2-diagonal-strip", "B2-diagonal-strip-corner")),
     # the band in (x, d/x) for x <= 7/8 and in (s, d/s) for s <= 1/2
-    # (x > 7/8 forces s <= 2 - 2x + eps < 1/2)
     "B2-diagonal-strip": Chart(
         b2_strip_lower_expr, (0.0, _STRIP_X_CAP, 0.0, 1.0),
         partial(clip_band, cap=_STRIP_X_CAP), B2_THRESHOLD, True,
@@ -321,7 +321,11 @@ def certify_charts(targets: Sequence[str], threshold: Optional[float] = None,
                    max_boxes: int = MAX_BOXES) -> List[Certificate]:
     """Certify the charts named in ``targets``, in that order, each at
     ``threshold`` (default: its own) and band width ``eps``.  A chart that
-    another one cites is certified once, before the chart citing it."""
+    another one cites is certified once, before the chart citing it.
+    Raises ValueError for a banded chart unless 0 < eps <= MAX_BAND_EPS,
+    where its two band charts cover the band."""
+    if not 0 < eps <= MAX_BAND_EPS and any(CHARTS[t].banded for t in targets):
+        raise ValueError(f"band width eps must be in (0, {MAX_BAND_EPS:g}], got {eps!r}")
     @cache
     def certify(target):
         chart = CHARTS[target]

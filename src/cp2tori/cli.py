@@ -28,7 +28,7 @@ from typing import List, Optional
 import numpy as np
 
 from . import __version__
-from .bounds import CHARTS, CLAIMS, DEFAULT_EPS, certify_charts
+from .bounds import CHARTS, CLAIMS, DEFAULT_EPS, MAX_BAND_EPS, certify_charts
 from .errors import Cp2ToriError, DegenerateParameters, InfeasibleParameters
 from .family import (AlphaTriple, Branch, ModuliPoint, derive_constants,
                      feasibility_check, lemma3_box)
@@ -78,16 +78,18 @@ def _branch(value: str) -> Branch:
         raise argparse.ArgumentTypeError(f"branch must be 'minus' or 'plus', got {value!r}")
 
 
-def _margin(value: str) -> float:
-    """argparse type for scan --margin: a float in [0, 1/2); from 1/2 on,
-    the trim would leave no box."""
-    try:
-        v = float(value)
-    except ValueError:
-        v = math.nan
-    if not (0 <= v < 0.5):
-        raise argparse.ArgumentTypeError(f"must be in [0, 1/2), got {value!r}")
-    return v
+def _float_in(interval: str, inside):
+    """argparse type: a float for which ``inside`` holds, ``interval``
+    naming that range in the error."""
+    def parse(value: str) -> float:
+        try:
+            v = float(value)
+        except ValueError:
+            v = math.nan
+        if not inside(v):
+            raise argparse.ArgumentTypeError(f"must be in {interval}, got {value!r}")
+        return v
+    return parse
 
 
 def _positive(kind):
@@ -365,7 +367,8 @@ def build_parser() -> _Parser:
                    metavar=("A1", "A2", "A3"))
     p.add_argument("--grid", type=_positive(int), default=20)
     p.add_argument("--branch", choices=("minus", "plus", "both"), default="both")
-    p.add_argument("--margin", type=_margin, default=0.02,
+    # from 1/2 on, the trim would leave no box
+    p.add_argument("--margin", type=_float_in("[0, 1/2)", lambda v: 0 <= v < 0.5), default=0.02,
                    help="trim of the feasibility box, as a fraction of its width")
     p.add_argument("--periods", type=_positive(int), default=1)
     p.add_argument("--out", help="CSV path (stdout when omitted)")
@@ -376,9 +379,10 @@ def build_parser() -> _Parser:
     p.add_argument("--threshold", type=float, default=None,
                    help="prove this threshold instead of the default one "
                         "(with --target B1 or B2 only)")
-    p.add_argument("--eps", type=_positive(float), default=DEFAULT_EPS,
+    p.add_argument("--eps", type=_float_in("(0, 1/4]", lambda v: 0 < v <= MAX_BAND_EPS),
+                   default=DEFAULT_EPS,
                    help="width of the diagonal band x - y <= eps that B2 "
-                        "certifies in its own charts")
+                        "certifies in its own charts, which cover it up to 1/4")
     p.add_argument("--max-depth", type=_positive(int), default=MAX_DEPTH)
     p.add_argument("--max-boxes", type=_positive(int), default=MAX_BOXES)
     p.add_argument("--samples", type=_positive(int), default=200,

@@ -8,7 +8,8 @@ phase integrals G_i whose combination
 
     psi(x, y) = (F_i(x) * exp(i (G_i(x) + alpha_i * y)))_i
 
-is a unit horizontal lift of the surface.
+is a unit horizontal lift of the surface; :func:`lift_data` is the one
+place that writes them with their x-derivatives.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Sequence, Tuple
+from typing import Iterable, NamedTuple, Sequence, Tuple
 
 import numpy as np
 
@@ -90,9 +91,10 @@ class AlphaTriple:
         Raises ValueError when neither is (all weights of one sign, a
         repeated leading weight, a zero trailing weight) or when the
         difference weights are not coprime."""
-        w = [int(v) for v in weights]
+        w = list(weights)
         if len(w) != 3:
             raise ValueError("expected three integer weights")
+        w = [int(v) for v in cls(*w).weights]  # the constructor's integer check
         forms = [(cls(*sorted((-v if flip else v for v in w), reverse=True)), flip)
                  for flip in (False, True)]
         forms = [f for f in forms if f[0].is_normalized]
@@ -347,31 +349,17 @@ def derive_grid(alpha: AlphaTriple, a1: np.ndarray, a2: np.ndarray,
 # ----------------------------------------------------------------------
 
 
+def _conformal(s, d: DerivedConstants):
+    """2 e^v = a1 - (a1 - a2) s^2 from s = sn(x sqrt(a1+a3), k)."""
+    return d.a1 - (d.a1 - d.a2) * s * s
+
+
 def conformal_factor(x, d: DerivedConstants):
     """2 e^{v(x)} = a1 - (a1 - a2) sn^2(x sqrt(a1+a3), k); accepts scalars
     or numpy arrays, oscillates between a1 (at x=0) and a2 (at x=T/2)."""
     s = _sn_cn(np.asarray(x, dtype=float) * d.sqrt_a1_a3, d.modulus.k, d.K)[0]
-    out = d.a1 - (d.a1 - d.a2) * s * s
+    out = _conformal(s, d)
     return float(out) if out.ndim == 0 else out
-
-
-def conformal_factor_prime(x, d: DerivedConstants):
-    """d/dx of the conformal factor, -(a1 - a2) sqrt(a1+a3) d(sn^2)/du
-    with d(sn^2)/du = 2 sn cn dn; accepts scalars or numpy arrays."""
-    k = d.modulus.k
-    s, c = _sn_cn(np.asarray(x, dtype=float) * d.sqrt_a1_a3, k, d.K)
-    dn = np.sqrt((1.0 - k * s) * (1.0 + k * s))
-    out = -2.0 * (d.a1 - d.a2) * d.sqrt_a1_a3 * s * c * dn
-    return float(out) if out.ndim == 0 else out
-
-
-def _f_denominators(alpha: AlphaTriple) -> np.ndarray:
-    a = alpha.weights
-    return np.array([
-        (a[0] - a[1]) * (a[0] - a[2]),
-        (a[1] - a[0]) * (a[1] - a[2]),
-        (a[2] - a[0]) * (a[2] - a[1]),
-    ], dtype=float)
 
 
 def _f_offsets(alpha: AlphaTriple) -> np.ndarray:
@@ -379,26 +367,50 @@ def _f_offsets(alpha: AlphaTriple) -> np.ndarray:
     return np.array([a[1] * a[2], a[0] * a[2], a[0] * a[1]], dtype=float)
 
 
-def f_from_conformal(cf, alpha: AlphaTriple) -> np.ndarray:
-    """Radial coefficients F_i from a conformal-factor value (or array);
-    returns shape (3,) or (3, n)."""
-    den = _f_denominators(alpha)
-    off = _f_offsets(alpha)
-    cf_arr = np.asarray(cf, dtype=float)
-    rad = (cf_arr[..., None] + off) / den
-    tol = -1e-12 * max(1.0, float(np.max(np.abs(cf_arr))))
-    if np.any(rad < tol):
+class LiftData(NamedTuple):
+    """The lift's data along x (see :func:`lift_data`): cf and cf_prime
+    shaped like x, the others (3,) + x.shape."""
+
+    cf: np.ndarray
+    cf_prime: np.ndarray
+    F: np.ndarray
+    F_prime: np.ndarray
+    G: np.ndarray
+    G_prime: np.ndarray
+
+
+def lift_data(x, d: DerivedConstants) -> LiftData:
+    """The lift psi = (F_i e^{i (G_i + alpha_i y)})_i along x (a scalar or
+    an array, in any order): cf = 2 e^v, F_i, G_i (:func:`g_phases`) and
+    their x-derivatives.  With o_i = alpha_j alpha_k and den_i = (alpha_i -
+    alpha_j)(alpha_i - alpha_k), F_i^2 = (cf + o_i)/den_i (sum F^2 = 1,
+    sum alpha F^2 = 0, sum alpha^2 F^2 = cf), F_i' = cf'/(2 den_i F_i) (0
+    where F_i vanishes) and G_i' = (c2 - a cf/2)/(cf + o_i).  cf and cf'
+    take sn, cn of x sqrt(a1+a3) itself, as conformal_factor does, not of
+    the 2K-reduced argument of G_i, whose last bits differ.  Raises
+    InfeasibleParameters where an F_i^2 is negative."""
+    x = np.asarray(x, dtype=float)
+    k = d.modulus.k
+    s, c = _sn_cn(x * d.sqrt_a1_a3, k, d.K)
+    cf = _conformal(s, d)
+    # d/dx of cf: -(a1 - a2) sqrt(a1+a3) d(sn^2)/du, d(sn^2)/du = 2 sn cn dn
+    cf_prime = (-2.0 * (d.a1 - d.a2) * d.sqrt_a1_a3 * s * c
+                * np.sqrt((1.0 - k * s) * (1.0 + k * s)))
+    a = d.alpha.weights
+    column = (3,) + (1,) * x.ndim
+    off = _f_offsets(d.alpha).reshape(column)
+    den = np.array([(a[0] - a[1]) * (a[0] - a[2]), (a[1] - a[0]) * (a[1] - a[2]),
+                    (a[2] - a[0]) * (a[2] - a[1])], dtype=float).reshape(column)
+    rad = (cf + off) / den
+    if np.any(rad < -1e-12 * max(1.0, float(np.max(np.abs(cf))))):
         raise InfeasibleParameters(
-            f"negative radicand in F_i at conformal factor {cf_arr!r}; "
+            f"negative radicand in F_i at conformal factor {cf!r}; "
             "moduli outside the feasible box")
-    out = np.sqrt(np.clip(rad, 0.0, None))
-    return np.moveaxis(out, -1, 0)
-
-
-def f_coefficients(x: float, d: DerivedConstants) -> np.ndarray:
-    """(F_1, F_2, F_3)(x); satisfies sum F^2 = 1, sum alpha F^2 = 0,
-    sum alpha^2 F^2 = conformal factor."""
-    return f_from_conformal(conformal_factor(x, d), d.alpha)
+    F = np.sqrt(np.clip(rad, 0.0, None))
+    G = g_phases(x, d)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        F_prime = np.where(F > 1e-150, cf_prime / (2.0 * den * F), 0.0)
+    return LiftData(cf, cf_prime, F, F_prime, G, (d.c2 - 0.5 * d.slope_x * cf) / (cf + off))
 
 
 def g_phases(x, d: DerivedConstants) -> np.ndarray:
@@ -451,4 +463,5 @@ def lift(x, y, d: DerivedConstants) -> np.ndarray:
     result has shape (3,) + their broadcast shape."""
     x, y = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(y, dtype=float))
     alphas = np.array(d.alpha.weights, dtype=float).reshape((3,) + (1,) * x.ndim)
-    return f_coefficients(x, d) * np.exp(1j * (g_phases(x, d) + alphas * y))
+    data = lift_data(x, d)
+    return data.F * np.exp(1j * (data.G + alphas * y))

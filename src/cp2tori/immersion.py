@@ -3,7 +3,8 @@ Lagrangian immersion with a linear Lagrangian angle, plus geometry export.
 
 Each lift component is F_j(x) e^{i (G_j(x) + alpha_j y)}, so the unitary
 frame at (x, y) is the frame at (x, 0) times diag(e^{i alpha_j y}): it is
-built along x only, and y comes back as that phase.  The sesquilinear
+built along x only, from ``family.lift_data`` (F_j, G_j and their
+derivatives), and y comes back as that phase.  The sesquilinear
 residuals are therefore y-independent and evaluated along the x-grid; the
 determinant is det R(x, 0) e^{i (alpha1+alpha2+alpha3) y}, so the Lagrangian
 angle is beta(x, 0) - (alpha1+alpha2+alpha3) y, and its linearity is checked
@@ -21,9 +22,7 @@ from typing import Optional, TextIO, Tuple
 
 import numpy as np
 
-from .family import (DerivedConstants, _f_denominators, _f_offsets,
-                     conformal_factor, conformal_factor_prime,
-                     f_from_conformal, g_phases, lift)
+from .family import DerivedConstants, lift_data
 
 
 @dataclass(frozen=True)
@@ -53,22 +52,15 @@ class PropertyReport:
 
 def _unit_frame(d: DerivedConstants, xs: np.ndarray):
     """The unitary frame (r, r_x/|r_x|, r_y/|r_y|) of the lift at (xs, 0),
-    as an array frame[row, component, ix], together with the F, F', G', cf
-    along xs that it was built from.  The frame at (x, y) is this one
-    times diag(e^{i alpha_j y}).
+    as an array frame[row, component, ix], together with the
+    :func:`~cp2tori.family.lift_data` along xs that it was built from.
+    The frame at (x, y) is this one times diag(e^{i alpha_j y}).
 
     Raises ValueError where r_x or r_y (nearly) vanishes, since the frame
     is undefined there."""
-    cf = conformal_factor(xs, d)
-    cfp = conformal_factor_prime(xs, d)
-    F = f_from_conformal(cf, d.alpha)          # (3, nx)
-    den = _f_denominators(d.alpha)[:, None]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        Fp = np.where(F > 1e-150, cfp[None, :] / (2.0 * den * F), 0.0)
-    # G_i' = (c2 - a cf / 2) / (cf + alpha_j alpha_k)
-    Gp = (d.c2 - 0.5 * d.slope_x * cf) / (cf + _f_offsets(d.alpha)[:, None])
+    _, _, F, Fp, G, Gp = data = lift_data(xs, d)
     alphas = np.array(d.alpha.weights, dtype=float)[:, None]
-    phase = np.exp(1j * g_phases(xs, d))
+    phase = np.exp(1j * G)
     r = F * phase
     frame = np.stack([r, (Fp + 1j * (F * Gp)) * phase, 1j * alphas * r])
     for row in frame[1:]:
@@ -76,7 +68,7 @@ def _unit_frame(d: DerivedConstants, xs: np.ndarray):
         if norm.min() < 1e-12:
             raise ValueError("degenerate derivative; cannot build the frame")
         row /= norm
-    return frame, F, Fp, Gp, cf
+    return frame, data
 
 
 def _det_at(d: DerivedConstants, frame: np.ndarray, y) -> np.ndarray:
@@ -103,7 +95,7 @@ def geometry_residuals(d: DerivedConstants,
         raise ValueError(f"grid {tuple(grid)} needs at least 2 points along each axis")
     xs = np.linspace(0.0, d.period, nx, endpoint=False)
     ys = np.linspace(0.0, 2.0 * math.pi, ny, endpoint=False)
-    frame, F, Fp, Gp, cf = _unit_frame(d, xs)
+    frame, (cf, _, F, Fp, _, Gp) = _unit_frame(d, xs)
     alphas = np.array(d.alpha.weights, dtype=float)[:, None]
 
     F2 = F * F
@@ -159,41 +151,6 @@ def lagrangian_angle(d: DerivedConstants, x, y):
     return float(beta) if beta.ndim == 0 else beta
 
 
-def frame_unitarity_residual(d: DerivedConstants, x: float, y: float) -> float:
-    """Max entry of R R* - I for the frame R(x, 0) diag(e^{i alpha y}) at
-    (x, y)."""
-    M = (_unit_frame(d, np.array([float(x)]))[0][:, :, 0]
-         * np.exp(1j * np.array(d.alpha.weights) * y))
-    return float(np.abs(M @ M.conj().T - np.eye(3)).max())
-
-
-def mean_curvature_check(d: DerivedConstants, samples: int = 100,
-                         seed: int = 20240801, h: float = 1e-5) -> float:
-    """Max residual of |H|^2 against the closed form (a^2 + b^2)/(2 e^v),
-    with |H|^2 computed as the conformal-metric norm of the numerical
-    gradient of the Lagrangian angle (Richardson-extrapolated central
-    differences, wrap-safe)."""
-    rng = np.random.default_rng(seed)
-    lo = np.array([0.1 * d.period, 0.0])
-    hi = np.array([0.9 * d.period, 2.0 * math.pi])
-    x, y = (lo + (hi - lo) * rng.random((samples, 2))).T
-    steps = np.array([[h], [h / 2]])
-
-    def deriv(dx, dy):
-        # central differences at the steps h and h/2 (rows), extrapolated
-        diff = lagrangian_angle(d, x + dx, y + dy) - lagrangian_angle(d, x - dx, y - dy)
-        wrapped = diff - 2.0 * math.pi * np.round(diff / (2.0 * math.pi))
-        slope = wrapped / (2.0 * steps)
-        return (4.0 * slope[1] - slope[0]) / 3.0
-
-    bx = deriv(steps, 0.0)
-    by = deriv(0.0, steps)
-    cf = conformal_factor(x, d)
-    h2_grad = (bx * bx + by * by) / cf
-    h2_closed = (d.slope_x ** 2 + d.slope_y ** 2) / cf
-    return float(np.abs(h2_grad - h2_closed).max())
-
-
 # ----------------------------------------------------------------------
 # Export
 # ----------------------------------------------------------------------
@@ -203,9 +160,8 @@ EXPORT_COLUMNS = ("x", "y", "re_w1", "im_w1", "re_w2", "im_w2",
 
 
 def default_chart(d: DerivedConstants) -> int:
-    """Index of the component largest in modulus at the cell center."""
-    v = lift(0.5 * d.period, math.pi, d)
-    return int(np.argmax(np.abs(v)))
+    """Index of the component largest in modulus at the cell center: max F_j(T/2)."""
+    return int(np.argmax(lift_data(0.5 * d.period, d).F))
 
 
 def export_samples(d: DerivedConstants, grid: Tuple[int, int],
@@ -220,7 +176,7 @@ def export_samples(d: DerivedConstants, grid: Tuple[int, int],
     nx, ny = grid
     xs = np.linspace(0.0, d.period, nx, endpoint=False)
     ys = np.linspace(0.0, 2.0 * math.pi, ny, endpoint=False)
-    frame, _F, _Fp, _Gp, cf = _unit_frame(d, xs)
+    frame, data = _unit_frame(d, xs)
     alphas = np.array(d.alpha.weights, dtype=float)[:, None, None]
     r = frame[0][..., None] * np.exp(1j * alphas * ys)
     beta = -np.angle(_det_at(d, frame[..., None], ys))
@@ -229,7 +185,7 @@ def export_samples(d: DerivedConstants, grid: Tuple[int, int],
     others = [i for i in range(3) if i != chart]
     w1, w2 = r[others] / np.where(flagged, complex(math.nan, math.nan), pivot)
     columns = (np.repeat(xs, ny), np.tile(ys, nx), w1.real, w1.imag,
-               w2.real, w2.imag, np.repeat(cf, ny), beta, flagged)
+               w2.real, w2.imag, np.repeat(data.cf, ny), beta, flagged)
     return tuple(c.ravel() for c in columns), chart
 
 

@@ -287,6 +287,32 @@ def test_lemma5_certificate_small_eps():
     assert certify_charts(["B2"], eps=1e-3)[0].notes == cert.notes
 
 
+def test_band_charts_cover_the_band_up_to_a_quarter(rng):
+    # a band point with x > 7/8 has s = 2 - x - y < 1/4 + eps, so at
+    # eps = 1/4 each band point is in the strip chart (x, d/x), x <= 7/8,
+    # or the corner chart (s, d/s), s <= 1/2
+    strip, corner = certify_charts(CLAIMS["B2"][1:], threshold=0.1, eps=0.25)
+    assert strip.status is corner.status is CertStatus.PROVED
+    x = rng.uniform(0, 1, 20000)
+    d = rng.uniform(0, 0.25, x.size) * np.minimum(1.0, x / 0.25)
+    x, d = x[d > 0], d[d > 0]
+    s = 2 - x - (x - d)
+    assert (x > 0.875).sum() > 1000
+    assert (_covered(strip.retained_boxes, np.column_stack([x, d / x]))
+            | _covered(corner.retained_boxes, np.column_stack([s, d / s]))).all()
+
+
+def test_band_width_outside_zero_to_a_quarter_is_refused():
+    # above 1/4 the two band charts miss part of the band: at eps = 0.4,
+    # (0.877, 0.6162) has x > 7/8 and s > 1/2
+    for eps in (0.4, 0.25000001, 0.0, -1e-4, math.nan):
+        for targets in (CLAIMS["B2"], ["B2-diagonal-strip-corner"], ["B1", "B2"]):
+            with pytest.raises(ValueError, match=r"eps must be in \(0, 0.25\]"):
+                certify_charts(targets, threshold=0.1, eps=eps)
+    # a chart without a band ignores eps
+    assert certify_charts(CLAIMS["B1"], eps=0.4)[0].epsilon == 0.0
+
+
 def test_lemma5_certificate_at_the_defaults():
     # the box count is pinned: boxes reaching the band prove unsplit
     cert = certify_lemma5()

@@ -145,6 +145,16 @@ def test_verify_rejects_nonpositive_eps(tmp_path, capsys):
     assert "--eps" in capsys.readouterr().err
 
 
+def test_verify_rejects_eps_above_a_quarter(tmp_path, capsys):
+    # the two band charts of B2 cover the band 0 < x - y <= eps only for
+    # eps <= 1/4; above it, B2 would be claimed with the band uncovered
+    for eps in ("0.4", "0.2500001", "1", "inf"):
+        assert _exit_code("verify", "--target", "B2", "--eps", eps, "--threshold", "0.1",
+                          "--out-dir", str(tmp_path)) == EXIT_USAGE, eps
+        assert "argument --eps: must be in (0, 1/4]" in capsys.readouterr().err
+    assert not (tmp_path / "B2.json").exists()
+
+
 def test_scan_has_no_jobs_option(tmp_path, capsys):
     # a scan runs in one process: --jobs is unknown on the command line
     # and in a config file

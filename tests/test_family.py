@@ -11,11 +11,9 @@ from cp2tori.errors import (DegenerateParameters, InfeasibleParameters,
                             SingularIntegrand)
 from cp2tori.family import (AlphaTriple, Branch, ModuliPoint, _p_discriminant,
                             _quartic_p_r,
-                            conformal_factor, conformal_factor_prime,
-                            derive_constants, derive_grid, f_coefficients,
-                            feasibility_check,
-                            g_phases, lemma3_box, lift, q_cubic,
-                            quartic_coefficients, solve_c2)
+                            conformal_factor, derive_constants, derive_grid,
+                            feasibility_check, g_phases, lemma3_box, lift,
+                            lift_data, q_cubic, quartic_coefficients, solve_c2)
 from cp2tori.functionals import feasible_grid
 from conftest import CANONICAL_TRIPLES, quad_g_phases
 
@@ -35,6 +33,16 @@ def test_alpha_normalized_constructor():
         AlphaTriple.normalized((1, 2, 3))  # all one sign
     with pytest.raises(ValueError):
         AlphaTriple.normalized((2, 0, -2))  # gcd(4, 2) != 1
+
+
+@pytest.mark.parametrize("weights", [(2.7, 1, -1), ("2", 1, -1), (2, 1, -0.5)])
+def test_normalized_rejects_what_the_constructor_rejects(weights):
+    # int() would truncate 2.7 and parse "2"; the constructor refuses both
+    with pytest.raises(ValueError, match="weights must be integers"):
+        AlphaTriple(*weights)
+    with pytest.raises(ValueError, match="weights must be integers"):
+        AlphaTriple.normalized(weights)
+    assert AlphaTriple.normalized((2.0, 1, -1))[0].weights == (2, 1, -1)
 
 
 def test_normalized_rule_on_every_small_triple():
@@ -271,12 +279,29 @@ def test_conformal_factor_endpoints_and_period(sample_derived):
     assert np.allclose(conformal_factor(xs + d.period, d), cf, atol=1e-10)
 
 
+def test_conformal_factor_does_no_phase_work(sample_derived, monkeypatch):
+    # 2 e^v is sn alone: no Carlson R_J, and no phase-denominator check,
+    # so it is defined where the phase integrals are singular
+    from cp2tori import family
+
+    def refused(*args):
+        raise AssertionError("conformal_factor called _carlson_rj")
+
+    monkeypatch.setattr(family, "_carlson_rj", refused)
+    d = derive_constants(AlphaTriple(2, 1, -1), ModuliPoint(1.8, 1.0 + 1e-12, Branch.MINUS))
+    assert conformal_factor(0.0, d) == pytest.approx(d.a1, abs=1e-12)
+    cf = conformal_factor(np.linspace(0.0, d.period, 9), d)
+    assert np.all(cf <= d.a1 + 1e-12) and np.all(cf >= d.a2 - 1e-12)
+    with pytest.raises(AssertionError, match="_carlson_rj"):
+        lift_data(0.5, sample_derived)  # the patch is where the lift reads it
+
+
 def test_conformal_factor_prime_fd(sample_derived):
     d = sample_derived
     h = 1e-6
     for x in np.linspace(0.05, d.period * 0.95, 17):
         fd = (conformal_factor(x + h, d) - conformal_factor(x - h, d)) / (2 * h)
-        assert conformal_factor_prime(x, d) == pytest.approx(fd, abs=5e-9)
+        assert lift_data(x, d).cf_prime == pytest.approx(fd, abs=5e-9)
 
 
 def _lagrange_basis_identity_oracle(al):
@@ -305,7 +330,7 @@ def test_f_coefficient_identities(weights, rng):
     d = derive_constants(al, ModuliPoint(hi - pad, lo + pad, Branch.MINUS))
     alphas = np.array(al.weights, dtype=float)
     for x in rng.uniform(0, d.period, 20):
-        F = f_coefficients(x, d)
+        F = lift_data(x, d).F
         cf = conformal_factor(x, d)
         assert np.all(F >= 0)
         assert abs(F @ F - 1.0) <= 1e-12
@@ -437,7 +462,7 @@ def test_lift_y_periodicity(sample_derived):
 def test_lift_real_at_origin(sample_derived):
     v = lift(0.0, 0.0, sample_derived)
     assert np.allclose(v.imag, 0.0, atol=1e-14)
-    assert np.allclose(v.real, f_coefficients(0.0, sample_derived), atol=1e-14)
+    assert np.allclose(v.real, lift_data(0.0, sample_derived).F, atol=1e-14)
 
 
 def test_degenerate_c2_error():

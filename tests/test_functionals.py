@@ -212,8 +212,9 @@ def test_energy_scan_matches_the_per_point_path():
 
 def test_a_moduli_point_runs_the_agm_once(monkeypatch):
     # derive_constants keeps K and D from its one AGM run, and the
-    # functionals, the conformal factor, its derivative, the phase
-    # integrals and the immersion read them from there; complete_kd is
+    # functionals, the conformal factor, the lift data (its derivative,
+    # F_i, G_i and theirs), the phase integrals and the immersion read
+    # them from there; complete_kd is
     # counted where family and elliptic (complete_k, jacobi_sn) call it
     from cp2tori import elliptic, family, immersion
     calls = []
@@ -232,8 +233,8 @@ def test_a_moduli_point_runs_the_agm_once(monkeypatch):
     xs = np.linspace(0.0, 2.0 * d.period, 9)
     family.conformal_factor(xs, d)
     family.conformal_factor(0.3, d)
-    family.conformal_factor_prime(xs, d)
-    family.conformal_factor_prime(0.3, d)
+    family.lift_data(xs, d)
+    family.lift_data(0.3, d)
     immersion.geometry_residuals(d, (8, 8))
     immersion.export_samples(d, (4, 4))
     assert len(calls) == 1

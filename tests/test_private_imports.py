@@ -1,16 +1,13 @@
 """Each cp2tori module uses another's private (single-underscore) names
-only where two modules share kernels: family reads elliptic's, and
-immersion reads family's F_i denominators and offsets."""
+only where two modules share kernels: family reads elliptic's."""
 
 import ast
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "cp2tori"
 
-# (importing module, imported module) -> the private names it may import
-# (None: any)
-ALLOWED = {("family", "elliptic"): None,
-           ("immersion", "family"): {"_f_denominators", "_f_offsets"}}
+# the (importing module, imported module) pair that may share private names
+ALLOWED = ("family", "elliptic")
 
 
 def _is_private(name):
@@ -40,8 +37,7 @@ def test_no_module_imports_another_modules_private_names():
     checked = 0
     for path in sorted(SRC.glob("*.py")):
         for origin, name in private_imports(path.stem, path.read_text()):
-            allowed = ALLOWED.get((path.stem, origin), set())
-            assert allowed is None or name in allowed, (
+            assert (path.stem, origin) == ALLOWED, (
                 f"{path.stem} imports the private name {name} from {origin}")
             checked += 1
     assert checked > 0  # the allowed imports are found, so the walk works
