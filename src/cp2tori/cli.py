@@ -31,7 +31,7 @@ from . import __version__
 from .bounds import CHARTS, CLAIMS, DEFAULT_EPS, MAX_BAND_EPS, certify_charts
 from .errors import Cp2ToriError, DegenerateParameters, InfeasibleParameters
 from .family import (AlphaTriple, Branch, ModuliPoint, derive_constants,
-                     feasibility_check, lemma3_box)
+                     derive_grid, feasibility_check, lemma3_box)
 from .functionals import (SCAN_COLUMNS, HomogeneousParams, clifford_energy,
                           energy_mironov, homogeneous_energy, scan_columns)
 from .immersion import export_samples, format_rows, write_csv, write_obj
@@ -214,33 +214,77 @@ def cmd_scan(ns) -> int:
     return EXIT_OK
 
 
+_SPOT_TRIPLES = tuple(AlphaTriple(*w) for w in
+                      ((2, 1, -1), (3, 1, -1), (3, 2, -1), (1, 0, -1), (2, 0, -1)))
+# each triple's moduli range, inset 1e-3 of its box width from both ends,
+# and that width, the least gap between a1 and a2
+_SPOT_RANGES = tuple((lo + 1e-3 * (hi - lo), hi - 1e-3 * (hi - lo), 1e-3 * (hi - lo))
+                     for lo, hi in map(lemma3_box, _SPOT_TRIPLES))
+_SPOT_BATCH = 256  # the most spot-check candidates drawn and evaluated at once
+
+
+def _spot_candidates(rng, count: int):
+    """``count`` candidates (triple index, a1, a2, minus branch) as arrays:
+    a triple, two sorted moduli in its range, redrawn while closer than its
+    gap, and then a branch."""
+    drawn = []
+    while len(drawn) < count:
+        t = int(rng.integers(len(_SPOT_TRIPLES)))
+        low, high, gap = _SPOT_RANGES[t]
+        a2v, a1v = sorted(rng.uniform(low, high, 2).tolist())
+        if a1v - a2v < gap:
+            continue
+        drawn.append((t, a1v, a2v, bool(rng.integers(2))))
+    return tuple(map(np.array, zip(*drawn)))
+
+
+def _kept(a1, a2, d) -> np.ndarray:
+    """Which points (a1, a2) gave a row of the grid ``d`` from derive_grid
+    on one branch: its rows keep the points' order, so one walk pairs each
+    row with its point (equal points give a row or none alike)."""
+    rows = zip(d.a1.tolist(), d.a2.tolist())
+    row = next(rows, None)
+    kept = []
+    for point in zip(a1.tolist(), a2.tolist()):
+        kept.append(point == row)
+        if kept[-1]:
+            row = next(rows, None)
+    return np.array(kept, dtype=bool)
+
+
 def _sampled_energy_bounds(seed: int, samples: int):
-    """Strict lower-bound spot checks at random feasible points (the area
-    bound, the Willmore bound and their energy combination)."""
+    """Strict lower-bound spot checks at the first ``samples`` random
+    feasible points (the area bound, the Willmore bound and their energy
+    combination).  Candidates are drawn in batches of at most the checks
+    still to make, and each batch is derived and checked as arrays, one
+    derive_grid call per triple and branch; a candidate without a row
+    (roots not real, c2 vanishing) is skipped."""
     rng = np.random.default_rng(seed)
-    triples = [(2, 1, -1), (3, 1, -1), (3, 2, -1), (1, 0, -1), (2, 0, -1)]
     violations = []
     checked = 0
     while checked < samples:
-        alpha = AlphaTriple(*triples[rng.integers(len(triples))])
-        lo, hi = lemma3_box(alpha)
-        a2v, a1v = np.sort(rng.uniform(lo + 1e-3 * (hi - lo), hi - 1e-3 * (hi - lo), 2))
-        if a1v - a2v < 1e-3 * (hi - lo):
-            continue
-        branch = Branch.MINUS if rng.integers(2) else Branch.PLUS
-        try:
-            d = derive_constants(alpha, ModuliPoint(float(a1v), float(a2v), branch))
-        except Cp2ToriError:
-            continue
-        fv = energy_mironov(d)
-        checked += 1
-        root = math.sqrt(d.a1 + d.a3)
-        ok = (fv.area > math.pi ** 2 * (d.a1 + d.a2) / root
-              and fv.willmore > 2 * math.pi ** 2 * (d.slope_x ** 2 + d.slope_y ** 2) / root
-              and fv.energy > math.pi ** 2 * (d.a1 + d.a2 + (d.slope_x ** 2 + d.slope_y ** 2) / 4) / root
-              and fv.ratio > 1.0)
-        if not ok:
-            violations.append((alpha.weights, float(a1v), float(a2v), branch.value))
+        t, a1, a2, minus = _spot_candidates(rng, min(_SPOT_BATCH, samples - checked))
+        feasible = np.zeros(t.size, dtype=bool)
+        ok = np.zeros(t.size, dtype=bool)
+        for i, alpha in enumerate(_SPOT_TRIPLES):
+            for branch in (Branch.MINUS, Branch.PLUS):
+                idx = np.flatnonzero((t == i) & (minus == (branch is Branch.MINUS)))
+                if not idx.size:
+                    continue
+                d = derive_grid(alpha, a1[idx], a2[idx], [branch])
+                fv = energy_mironov(d)
+                root = d.sqrt_a1_a3
+                slopes = d.slope_x ** 2 + d.slope_y ** 2
+                rows = idx[_kept(a1[idx], a2[idx], d)]
+                feasible[rows] = True
+                ok[rows] = ((fv.area > math.pi ** 2 * (d.a1 + d.a2) / root)
+                            & (fv.willmore > 2 * math.pi ** 2 * slopes / root)
+                            & (fv.energy > math.pi ** 2 * (d.a1 + d.a2 + slopes / 4) / root)
+                            & (fv.ratio > 1.0))
+        checked += int(np.count_nonzero(feasible))
+        violations += [(_SPOT_TRIPLES[t[j]].weights, float(a1[j]), float(a2[j]),
+                        (Branch.MINUS if minus[j] else Branch.PLUS).value)
+                       for j in np.flatnonzero(feasible & ~ok)]
     return checked, violations
 
 

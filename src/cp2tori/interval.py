@@ -363,13 +363,26 @@ class Interval:
         rh = math.sqrt(self.hi)
         lo = rl if _residual(self.lo, rl, rl) >= 0.0 else _nextafter(rl, -_INF)
         hi = rh if _residual(self.hi, rh, rh) <= 0.0 else _nextafter(rh, _INF)
-        return _interval(max(lo, 0.0), hi)
+        if 0.0 > lo:
+            lo = 0.0
+        if not lo <= hi:
+            raise IntervalDomainError(f"invalid interval bounds [{lo}, {hi}]")
+        iv = _new(Interval)
+        iv.lo = lo
+        iv.hi = hi
+        return iv
 
     def nonneg(self) -> "Interval":
         """Intersection with [0, inf); use when the domain guarantees >= 0."""
-        if self.hi < 0:
+        lo, hi = self.lo, self.hi
+        if hi < 0:
             raise IntervalDomainError(f"{self!r} entirely negative")
-        return _interval(max(self.lo, 0.0), self.hi)
+        if 0.0 > lo:
+            lo = 0.0
+        iv = _new(Interval)
+        iv.lo = lo
+        iv.hi = hi
+        return iv
 
 
 

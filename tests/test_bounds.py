@@ -413,7 +413,10 @@ PINNED_ENGINE_DECISIONS = {
          1, 0, "proved"),
 }
 PINNED_B1_WITNESS_AT_1_2 = ["0x1.9000000000000p-1", "0x1.0000000000000p-5",
-                            "0x1.30b3dc8c1b34cp+0"]
+                            "0x1.30b3dc8c1b348p+0"]
+# the witness's upper bound from the expanded numerator 16 + 8x + 8y - 7x^2
+# - 14xy - 7y^2, in 9 more interval operations, each rounded outward
+B1_WITNESS_UPPER_EXPANDED = "0x1.30b3dc8c1b34cp+0"
 
 
 def test_array_engine_decisions_are_pinned(tmp_path, capsys):
@@ -432,6 +435,7 @@ def test_array_engine_decisions_are_pinned(tmp_path, capsys):
     data = json.loads((tmp_path / "b1" / "B1.json").read_text())
     assert data["status"] == "failed"
     assert [float(v).hex() for v in data["witness"]] == PINNED_B1_WITNESS_AT_1_2
+    assert data["witness"][2] <= float.fromhex(B1_WITNESS_UPPER_EXPANDED)
 
 
 def _b1_plain(x, y):

@@ -12,8 +12,10 @@ import numpy as np
 import pytest
 
 import cp2tori
+from cp2tori import cli
 from cp2tori.cli import (EXIT_DEGENERATE, EXIT_INFEASIBLE, EXIT_NOT_PROVED,
                          EXIT_OK, EXIT_USAGE, main)
+from scalar_spot_checks import sampled_energy_bounds_loop
 
 
 def run(capsys, *argv):
@@ -495,6 +497,69 @@ def test_verify_reports_failed_energy_spot_checks(tmp_path, capsys, monkeypatch)
     found = re.findall(r"^energy bound spot checks: 200 random feasible points "
                        r"\(seed=7\): (\d+) violations$", out, re.M)
     assert len(found) == 1 and int(found[0]) > 0
+
+
+@pytest.mark.parametrize("samples", [1, 7, 200, 2 * cli._SPOT_BATCH + 19])
+def test_spot_checks_match_the_scalar_loop(samples):
+    # the batches check the points the one-at-a-time loop checks, with its
+    # verdicts; the last count takes three batches
+    for seed in range(1, 51):
+        assert (cli._sampled_energy_bounds(seed, samples)
+                == sampled_energy_bounds_loop(seed, samples)), seed
+
+
+def test_spot_check_violations_match_the_scalar_loop(monkeypatch):
+    # with halved energies, as in test_verify_reports_failed_energy_spot_checks
+    import dataclasses
+    real = cli.energy_mironov
+
+    def halved(d, n_periods=1):
+        fv = real(d, n_periods)
+        return dataclasses.replace(fv, energy=fv.energy / 2, ratio=fv.ratio / 2)
+
+    monkeypatch.setattr(cli, "energy_mironov", halved)
+    total = 0
+    for seed in range(1, 51):
+        checked, violations = cli._sampled_energy_bounds(seed, 200)
+        assert (checked, violations) == sampled_energy_bounds_loop(seed, 200), seed
+        total += len(violations)
+    assert total > 0
+
+
+def test_spot_check_rows_are_paired_with_their_points():
+    # derive_grid gives no row for an infeasible point (a1 above the box,
+    # a2 below it); each row is paired with its own point, an equal point
+    # included
+    from cp2tori.errors import Cp2ToriError
+    from cp2tori.family import (AlphaTriple, ModuliPoint, derive_constants,
+                                derive_grid)
+    alpha = AlphaTriple(2, 1, -1)
+    a1 = np.array([1.8, 2.5, 1.6, 1.5, 1.6, 1.9])
+    a2 = np.array([1.2, 1.5, 1.1, 0.5, 1.1, 1.3])
+    for branch in ("minus", "plus"):
+        expected = []
+        for point in zip(a1.tolist(), a2.tolist()):
+            try:
+                derive_constants(alpha, ModuliPoint(*point, cli.Branch(branch)))
+                expected.append(True)
+            except Cp2ToriError:
+                expected.append(False)
+        d = derive_grid(alpha, a1, a2, [cli.Branch(branch)])
+        assert cli._kept(a1, a2, d).tolist() == expected
+        assert expected.count(False) == 2
+
+
+def test_verify_spot_checks_derive_no_single_point(tmp_path, capsys, monkeypatch):
+    from cp2tori import family
+
+    def refused(*args):
+        raise AssertionError("derive_constants called")
+
+    monkeypatch.setattr(family, "derive_constants", refused)
+    monkeypatch.setattr(cli, "derive_constants", refused)
+    code, out, _ = run(capsys, "verify", "--out-dir", str(tmp_path))
+    assert code == EXIT_OK
+    assert "energy bound spot checks: 200 random feasible points" in out
 
 
 def test_periodicity_json(tmp_path, capsys):
