@@ -103,6 +103,17 @@ def _positive(kind):
     return parse
 
 
+def _seed(value: str) -> int:
+    """argparse type: a seed of numpy's random generator, an integer >= 0."""
+    try:
+        v = int(value)
+    except ValueError:
+        v = -1
+    if v < 0:
+        raise argparse.ArgumentTypeError(f"must be a non-negative integer, got {value!r}")
+    return v
+
+
 def _moduli_from(ns) -> ModuliPoint:
     return ModuliPoint(ns.a1, ns.a2, ns.branch or Branch.MINUS)
 
@@ -224,7 +235,7 @@ _SPOT_BATCH = 256  # the most spot-check candidates drawn and evaluated at once
 
 
 def _spot_candidates(rng, count: int):
-    """``count`` candidates (triple index, a1, a2, minus branch) as arrays:
+    """``count`` candidates (triple index, a1, a2, branch name) as arrays:
     a triple, two sorted moduli in its range, redrawn while closer than its
     gap, and then a branch."""
     drawn = []
@@ -234,56 +245,40 @@ def _spot_candidates(rng, count: int):
         a2v, a1v = sorted(rng.uniform(low, high, 2).tolist())
         if a1v - a2v < gap:
             continue
-        drawn.append((t, a1v, a2v, bool(rng.integers(2))))
+        drawn.append((t, a1v, a2v, (Branch.MINUS if rng.integers(2) else Branch.PLUS).value))
     return tuple(map(np.array, zip(*drawn)))
-
-
-def _kept(a1, a2, d) -> np.ndarray:
-    """Which points (a1, a2) gave a row of the grid ``d`` from derive_grid
-    on one branch: its rows keep the points' order, so one walk pairs each
-    row with its point (equal points give a row or none alike)."""
-    rows = zip(d.a1.tolist(), d.a2.tolist())
-    row = next(rows, None)
-    kept = []
-    for point in zip(a1.tolist(), a2.tolist()):
-        kept.append(point == row)
-        if kept[-1]:
-            row = next(rows, None)
-    return np.array(kept, dtype=bool)
 
 
 def _sampled_energy_bounds(seed: int, samples: int):
     """Strict lower-bound spot checks at the first ``samples`` random
-    feasible points (the area bound, the Willmore bound and their energy
+    feasible tori (the area bound, the Willmore bound and their energy
     combination).  Candidates are drawn in batches of at most the checks
     still to make, and each batch is derived and checked as arrays, one
-    derive_grid call per triple and branch; a candidate without a row
-    (roots not real, c2 vanishing) is skipped."""
+    derive_grid call per triple, each candidate on its own branch; a
+    candidate without a row (roots not real, c2 vanishing) is skipped."""
     rng = np.random.default_rng(seed)
     violations = []
     checked = 0
     while checked < samples:
-        t, a1, a2, minus = _spot_candidates(rng, min(_SPOT_BATCH, samples - checked))
+        t, a1, a2, branch = _spot_candidates(rng, min(_SPOT_BATCH, samples - checked))
         feasible = np.zeros(t.size, dtype=bool)
         ok = np.zeros(t.size, dtype=bool)
         for i, alpha in enumerate(_SPOT_TRIPLES):
-            for branch in (Branch.MINUS, Branch.PLUS):
-                idx = np.flatnonzero((t == i) & (minus == (branch is Branch.MINUS)))
-                if not idx.size:
-                    continue
-                d = derive_grid(alpha, a1[idx], a2[idx], [branch])
-                fv = energy_mironov(d)
-                root = d.sqrt_a1_a3
-                slopes = d.slope_x ** 2 + d.slope_y ** 2
-                rows = idx[_kept(a1[idx], a2[idx], d)]
-                feasible[rows] = True
-                ok[rows] = ((fv.area > math.pi ** 2 * (d.a1 + d.a2) / root)
-                            & (fv.willmore > 2 * math.pi ** 2 * slopes / root)
-                            & (fv.energy > math.pi ** 2 * (d.a1 + d.a2 + slopes / 4) / root)
-                            & (fv.ratio > 1.0))
+            idx = np.flatnonzero(t == i)
+            if not idx.size:
+                continue
+            d, kept = derive_grid(alpha, a1[idx], a2[idx], branch[idx])
+            fv = energy_mironov(d)
+            root = d.sqrt_a1_a3
+            slopes = d.slope_x ** 2 + d.slope_y ** 2
+            rows = idx[kept]
+            feasible[rows] = True
+            ok[rows] = ((fv.area > math.pi ** 2 * (d.a1 + d.a2) / root)
+                        & (fv.willmore > 2 * math.pi ** 2 * slopes / root)
+                        & (fv.energy > math.pi ** 2 * (d.a1 + d.a2 + slopes / 4) / root)
+                        & (fv.ratio > 1.0))
         checked += int(np.count_nonzero(feasible))
-        violations += [(_SPOT_TRIPLES[t[j]].weights, float(a1[j]), float(a2[j]),
-                        (Branch.MINUS if minus[j] else Branch.PLUS).value)
+        violations += [(_SPOT_TRIPLES[t[j]].weights, float(a1[j]), float(a2[j]), str(branch[j]))
                        for j in np.flatnonzero(feasible & ~ok)]
     return checked, violations
 
@@ -431,7 +426,7 @@ def build_parser() -> _Parser:
     p.add_argument("--max-boxes", type=_positive(int), default=MAX_BOXES)
     p.add_argument("--samples", type=_positive(int), default=200,
                    help="random feasible points for the energy spot checks")
-    p.add_argument("--seed", type=int, default=20240801)
+    p.add_argument("--seed", type=_seed, default=20240801)
     p.add_argument("--out-dir", default="certificates")
 
     p = sub.add_parser("periodicity", help="rational winding fit and lattice data")

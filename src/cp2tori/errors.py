@@ -10,17 +10,8 @@ class Cp2ToriError(Exception):
 
 
 class InfeasibleParameters(Cp2ToriError):
-    """Moduli parameters violate the feasibility inequalities.
-
-    Carries the evaluated diagnostics so callers can name the violated
-    bound instead of just saying "no".
-    """
-
-    def __init__(self, message, *, p_value=None, discriminant=None, box=None):
-        super().__init__(message)
-        self.p_value = p_value
-        self.discriminant = discriminant
-        self.box = box
+    """Moduli parameters violate the feasibility inequalities; the message
+    names the evaluated diagnostics, so that it says which bound fails."""
 
 
 class DegenerateParameters(Cp2ToriError):

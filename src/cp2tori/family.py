@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, NamedTuple, Sequence, Tuple
+from typing import Iterable, NamedTuple, Tuple
 
 import numpy as np
 
@@ -230,12 +230,10 @@ def solve_c2(alpha: AlphaTriple, point: ModuliPoint) -> C2Roots:
     Qa2 = q_cubic(a2, alpha)
     if not _roots_real(alpha, a1, a2):
         P, disc = _p_discriminant(alpha, a1, a2)
-        lo, hi = (lemma3_box(alpha) if alpha.is_ordered else (float("nan"),) * 2)
         raise InfeasibleParameters(
             f"(a1, a2)=({a1}, {a2}) infeasible for alpha={alpha.weights}: "
             f"Q(a1)={Qa1:.6g}, Q(a2)={Qa2:.6g}, P={P:.6g}, "
-            f"discriminant={disc:.6g}",
-            p_value=float(P), discriminant=float(disc), box=(lo, hi))
+            f"discriminant={disc:.6g}")
     return C2Roots(*_c2_pair(a1, a2, Qa1, Qa2))
 
 
@@ -322,26 +320,24 @@ def derive_constants(alpha: AlphaTriple, point: ModuliPoint) -> DerivedConstants
 
 
 def derive_grid(alpha: AlphaTriple, a1: np.ndarray, a2: np.ndarray,
-                branches: Sequence[Branch]) -> DerivedConstants:
-    """:func:`derive_constants` of the points (a1, a2) on each branch, as
-    arrays, point by point and then in the order of ``branches``; a point
-    whose c2 roots are not real, or a branch whose c2 vanishes, gives no
-    row.  A point that is not a1 > a2 > 0 raises ValueError naming it."""
+                branch: np.ndarray) -> Tuple[DerivedConstants, np.ndarray]:
+    """:func:`derive_constants` of the tori (a1, a2, branch), one per
+    entry, ``branch`` an array of branch names: their rows as arrays, in
+    the points' order, and the index of the point that each row came
+    from.  A point whose c2 roots are not real, or whose c2 vanishes,
+    gives no row.  A point that is not a1 > a2 > 0 raises ValueError
+    naming it."""
     unordered = np.flatnonzero(~((a1 > a2) & (a2 > 0)))
     if unordered.size:
         i = unordered[0]
         _require_ordered(float(a1[i]), float(a2[i]))  # raises, naming the point
-    real = _roots_real(alpha, a1, a2)
+    real = np.flatnonzero(_roots_real(alpha, a1, a2))
     a1, a2 = a1[real], a2[real]
-    roots = C2Roots(*_c2_pair(a1, a2, q_cubic(a1, alpha), q_cubic(a2, alpha)))
-    # one column per branch, so the rows come out point by point
-    c2 = np.empty((a1.size, len(branches)))
-    for j, b in enumerate(branches):
-        c2[:, j] = roots.pick(b)
-    a1, a2 = (np.broadcast_to(v[:, None], c2.shape) for v in (a1, a2))
+    c2 = np.where(branch[real] == Branch.MINUS.value,
+                  *_c2_pair(a1, a2, q_cubic(a1, alpha), q_cubic(a2, alpha)))
     keep = ~_c2_vanishes(c2, a1)
-    branch = np.broadcast_to(np.array([b.value for b in branches]), c2.shape)[keep]
-    return _derived(alpha, a1[keep], a2[keep], branch, c2[keep])
+    rows = real[keep]
+    return _derived(alpha, a1[keep], a2[keep], branch[rows], c2[keep]), rows
 
 
 # ----------------------------------------------------------------------

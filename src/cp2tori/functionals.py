@@ -139,9 +139,13 @@ def scan_columns(alpha: AlphaTriple, n: int, branches: Sequence[Branch],
     """The scan of one triple as the columns a1, a2, branch, c2, a3, a, T,
     A, W, E, ratio of :data:`SCAN_COLUMNS` (every column but the weights),
     each formula applied to the whole grid at once.  The rows are the tori
-    that :func:`derive_grid` takes from the grid of :func:`feasible_grid`,
-    in its order: a1, then a2, then the branches in the given order."""
-    d = derive_grid(alpha, *_grid_arrays(alpha, n, margin), branches)
+    that :func:`derive_grid` keeps of the grid of :func:`feasible_grid`,
+    each point repeated once per branch: a1, then a2, then the branches
+    in the given order."""
+    a1, a2 = _grid_arrays(alpha, n, margin)
+    names = np.array([b.value for b in branches])
+    d, _ = derive_grid(alpha, np.repeat(a1, names.size), np.repeat(a2, names.size),
+                       np.tile(names, a1.size))
     fv = energy_mironov(d, n_periods)
     return (d.a1, d.a2, d.branch, d.c2, d.a3, d.slope_x, d.period, fv.area,
             fv.willmore, fv.energy, fv.ratio)

@@ -108,10 +108,10 @@ def rational_fit(d: DerivedConstants, max_denominator: int = 10 ** 6,
     """
     if not 0.0 < tol < math.inf:  # a NaN tol would accept any fit
         raise ValueError(f"tol must be positive and finite, got {tol!r}")
+    if not d.alpha.weights_coprime:
+        raise ValueError(f"difference weights of {d.alpha.weights} are not coprime")
     m1 = d.alpha.alpha1 - d.alpha.alpha3
     m2 = d.alpha.alpha2 - d.alpha.alpha3
-    if math.gcd(m1, m2) != 1:
-        raise ValueError(f"difference weights of {d.alpha.weights} are not coprime")
     dg13, dg23 = phase_differences(d)
     mu = tau_free_invariant(d, dg13, dg23)
     best, err = best_rational(mu, max_denominator)

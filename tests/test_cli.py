@@ -385,11 +385,13 @@ def test_verify_depth_reaches_the_scalar_certificates(tmp_path, capsys):
 
 
 def test_verify_rejects_nonpositive_counts(tmp_path, capsys):
-    for option in ("--samples", "--max-depth", "--max-boxes"):
-        for value in ("0", "-5"):
-            assert _exit_code("verify", option, value,
-                              "--out-dir", str(tmp_path)) == EXIT_USAGE
-            assert option in capsys.readouterr().err
+    # a seed may be 0, but not negative
+    inputs = [(option, value) for option in ("--samples", "--max-depth", "--max-boxes")
+              for value in ("0", "-5")] + [("--seed", "-5")]
+    for option, value in inputs:
+        assert _exit_code("verify", option, value,
+                          "--out-dir", str(tmp_path)) == EXIT_USAGE
+        assert option in capsys.readouterr().err
     assert not list(tmp_path.iterdir())
 
 
@@ -528,7 +530,7 @@ def test_spot_check_violations_match_the_scalar_loop(monkeypatch):
 
 def test_spot_check_rows_are_paired_with_their_points():
     # derive_grid gives no row for an infeasible point (a1 above the box,
-    # a2 below it); each row is paired with its own point, an equal point
+    # a2 below it), and names the point of each row, an equal point
     # included
     from cp2tori.errors import Cp2ToriError
     from cp2tori.family import (AlphaTriple, ModuliPoint, derive_constants,
@@ -538,15 +540,32 @@ def test_spot_check_rows_are_paired_with_their_points():
     a2 = np.array([1.2, 1.5, 1.1, 0.5, 1.1, 1.3])
     for branch in ("minus", "plus"):
         expected = []
-        for point in zip(a1.tolist(), a2.tolist()):
+        for i, point in enumerate(zip(a1.tolist(), a2.tolist())):
             try:
                 derive_constants(alpha, ModuliPoint(*point, cli.Branch(branch)))
-                expected.append(True)
+                expected.append(i)
             except Cp2ToriError:
-                expected.append(False)
-        d = derive_grid(alpha, a1, a2, [cli.Branch(branch)])
-        assert cli._kept(a1, a2, d).tolist() == expected
-        assert expected.count(False) == 2
+                pass
+        _, rows = derive_grid(alpha, a1, a2, np.array([branch] * a1.size))
+        assert rows.tolist() == expected
+        assert a1.size - len(expected) == 2
+
+
+def test_spot_checks_make_one_derive_grid_call_per_triple(monkeypatch):
+    # each candidate is derived on its own branch: the five triples of a
+    # batch take one call each
+    calls = []
+    real = cli.derive_grid
+
+    def counted(alpha, *args):
+        calls.append(alpha)
+        return real(alpha, *args)
+
+    monkeypatch.setattr(cli, "derive_grid", counted)
+    for seed in (1, 7, 20240801):
+        calls.clear()
+        assert cli._sampled_energy_bounds(seed, 200)[0] == 200
+        assert sorted(a.weights for a in calls) == sorted(a.weights for a in cli._SPOT_TRIPLES)
 
 
 def test_verify_spot_checks_derive_no_single_point(tmp_path, capsys, monkeypatch):
@@ -834,6 +853,20 @@ def test_config_values_meet_the_flag_checks(tmp_path, capsys):
         assert _exit_code(*argv, "--config", str(cfg)) == EXIT_USAGE, bad
         assert next(iter(bad)) in capsys.readouterr().err
     assert not (tmp_path / "s.csv").exists() and not (tmp_path / "e.csv").exists()
+
+
+def test_a_bad_seed_is_a_usage_error_before_any_work(tmp_path, capsys):
+    # numpy's generator takes a seed >= 0: a negative one from a config
+    # file, like one from the flag, is refused by the parser, before a
+    # certificate is written
+    out_dir = tmp_path / "certs"
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"seed": -5}))
+    for argv in [("--config", str(cfg)), ("--seed", "seven")]:
+        assert _exit_code("verify", *argv, "--out-dir", str(out_dir)) == EXIT_USAGE, argv
+        assert "--seed: must be a non-negative integer" in capsys.readouterr().err
+    assert not out_dir.exists()
+    assert cli._main_parser().parse_args(["verify", "--seed", "0"]).seed == 0
 
 
 def test_scan_skips_degenerate_points_in_api_and_cli(tmp_path, capsys, monkeypatch):

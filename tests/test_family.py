@@ -428,14 +428,17 @@ def test_g_phase_singular_guard_names_the_first_singular_offset(a1, a2, message)
 def test_derive_grid_checks_its_points_and_keeps_the_branch_order():
     al = AlphaTriple(2, 1, -1)
     with pytest.raises(ValueError, match=r"^need a1 > a2 > 0, got a1=1\.2, a2=1\.5$"):
-        derive_grid(al, np.array([1.8, 1.2, 1.0]), np.array([1.2, 1.5, 1.1]), [Branch.MINUS])
-    d = derive_grid(al, np.array([1.8]), np.array([1.2]), [])
-    assert d.c2.shape == d.branch.shape == d.period.shape == (0,)
+        derive_grid(al, np.array([1.8, 1.2, 1.0]), np.array([1.2, 1.5, 1.1]),
+                    np.array(["minus"] * 3))
+    d, rows = derive_grid(al, np.empty(0), np.empty(0), np.array([], dtype=str))
+    assert d.c2.shape == d.branch.shape == d.period.shape == rows.shape == (0,)
     # (3, 2.5) is outside the box [1, 2]: its c2 roots are not real, no row
-    d = derive_grid(al, np.array([1.8, 3.0, 1.5]), np.array([1.2, 2.5, 1.1]),
-                    [Branch.PLUS, Branch.MINUS])
+    d, rows = derive_grid(al, np.array([1.8, 1.8, 3.0, 3.0, 1.5, 1.5]),
+                          np.array([1.2, 1.2, 2.5, 2.5, 1.1, 1.1]),
+                          np.array(["plus", "minus"] * 3))
     assert d.branch.tolist() == ["plus", "minus", "plus", "minus"]
     assert d.a1.tolist() == [1.8, 1.8, 1.5, 1.5]
+    assert rows.tolist() == [0, 1, 4, 5]
     for i in range(4):
         ref = derive_constants(al, ModuliPoint(d.a1[i], d.a2[i], Branch(d.branch[i])))
         assert (d.c2[i], d.a3[i], d.slope_x[i], d.period[i], d.K[i], d.D[i]) == (
