@@ -10,15 +10,15 @@ y = a2/p, p = -alpha1*alpha3), ``b1_expr`` (minus branch, evaluated as
 (1 + u/2 - 7u^2/16) / sqrt((2-x)(2-u)x) with u = x + y) exceeds 1, and
 ``b2_expr`` (plus branch, from the squeeze functions ``f_aux <= g_aux``,
 with d = x - y cleared so that a box reaching the diagonal band keeps a
-finite lower bound) exceeds 0.9 off the band 0 < x - y <= eps and, through
-a lower bound in two charts, on it.  The scalar bounds exceed
+finite lower bound) exceeds 0.9 off the band 0 < x - y <= BAND_EPS and,
+through a lower bound in two charts, on it.  The scalar bounds exceed
 4/(3 sqrt 3) on [0, 100] and, in the chart t = 1/x, beyond.
 
 Each certificate is one row of :data:`CHARTS`: expression, root box,
 outward-rounded domain clip (which also decides whether a disproved box's
-midpoint is a witness), threshold and notes.  :data:`CLAIMS` names the
-rows each ``verify --target`` proves, and :func:`certify_charts`
-certifies any of them.
+midpoint is a witness), threshold, band width and notes.  :data:`CLAIMS`
+names the rows each ``verify --target`` proves, and :func:`certify_charts`
+certifies any of them at the engine's depth and box budgets.
 
 The chain audits (:func:`case_chain_check`, :func:`degenerate_c2_bounds_check`)
 evaluate every displayed inequality of the underlying argument at a
@@ -38,7 +38,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cache, partial
+from functools import cache
 from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -46,10 +46,10 @@ import numpy as np
 from .family import (AlphaTriple, Branch, DerivedConstants, ModuliPoint,
                      derive_constants)
 from .functionals import clifford_energy, energy_mironov
-from .interval import (MAX_BOXES, MAX_DEPTH, Certificate, CertStatus,
-                       Interval, certify_lower_bound, sqrt)
+from .interval import (Certificate, CertStatus, Interval,
+                       certify_lower_bound, sqrt)
 
-DEFAULT_EPS = 1e-4     # width of the diagonal band that B2 certifies apart
+BAND_EPS = 1e-4        # width of the diagonal band that B2 certifies apart
 B2_THRESHOLD = 0.9
 SCALAR_X_MAX = 100.0   # scalar bounds: subdivision on [0, SCALAR_X_MAX], tails beyond
 
@@ -259,39 +259,40 @@ def comparison_threshold() -> Interval:
 @dataclass(frozen=True)
 class Chart:
     """One certificate: ``expr(x, y) > threshold`` on the root box
-    (x_lo, x_hi, y_lo, y_hi), cut to the domain by ``clip(eps)`` if it has
-    a clip.  Its eps, the band width if ``banded`` and else 0, also formats
-    its notes; ``cites`` names the charts whose certificates they cite."""
+    (x_lo, x_hi, y_lo, y_hi), cut to the domain by ``clip`` if it has one.
+    ``eps`` is the width of the diagonal band that its domain leaves out or
+    covers (BAND_EPS for B2 and its two band charts, else 0); ``cites``
+    names the charts whose certificates its notes cite."""
 
     expr: Callable
     root: Tuple[float, float, float, float]
-    clip: Optional[Callable[[float], Callable]]
+    clip: Optional[Callable]
     threshold: float
-    banded: bool
+    eps: float
     notes: Tuple[str, ...]
     cites: Tuple[str, ...] = ()
 
 
 def _scalar_chart(f, x_max: float, note: str) -> Chart:
     return Chart(lambda x, y: f(x), (0.0, x_max, 0.0, 0.0), None,
-                 comparison_threshold().hi, False, (note,))
+                 comparison_threshold().hi, 0.0, (note,))
 
 
 _STRIP_X_CAP = 0.875  # the strip chart's x <= 7/8 and the corner chart's
-_STRIP_S_CAP = 0.5    # s <= 1/2 cover the band when eps <= 1/4, since a band
-MAX_BAND_EPS = 0.25   # point with x > 7/8 has s = 2 - x - y < 1/4 + eps
+_STRIP_S_CAP = 0.5    # s <= 1/2 cover the band, since BAND_EPS <= 1/4 and a
+                      # band point with x > 7/8 has s = 2 - x - y < 1/4 + eps
 _SCALAR_NOTE = f"1D domain [0, {SCALAR_X_MAX:g}]; monotone tail certified separately"
 _TAIL_NOTE = (f"x >= {SCALAR_X_MAX:g} in the chart t = 1/x, t in [0, fl(1/100)]: "
               "{}; the box on the pole t = 0 has a one-sided enclosure")
 
 CHARTS = {
     "B1": Chart(
-        b1_expr, (0.0, 1.0, 0.0, 1.0), clip_triangle, 1.0, False,
+        b1_expr, (0.0, 1.0, 0.0, 1.0), clip_triangle(0.0), 1.0, 0.0,
         ("domain: the closed triangle 0 <= y <= x <= 1; boxes on x = 0 or at "
          "(1, 1), where the denominator vanishes, have one-sided enclosures",)),
     "B2": Chart(
-        b2_expr, (0.0, 1.0, 0.0, 1.0), clip_triangle, B2_THRESHOLD, True,
-        ("domain: 0 <= y <= x - {eps:g}, x <= 1 (includes the y = 0 edge, "
+        b2_expr, (0.0, 1.0, 0.0, 1.0), clip_triangle(BAND_EPS), B2_THRESHOLD, BAND_EPS,
+        (f"domain: 0 <= y <= x - {BAND_EPS:g}, x <= 1 (includes the y = 0 edge, "
          "where the cleared form of b2 is regular; d = x - y sits in one "
          "denominator under a positive numerator, so a box reaching the cut "
          "x - y = eps has a finite lower bound)",
@@ -302,14 +303,14 @@ CHARTS = {
     # the band in (x, d/x) for x <= 7/8 and in (s, d/s) for s <= 1/2
     "B2-diagonal-strip": Chart(
         b2_strip_lower_expr, (0.0, _STRIP_X_CAP, 0.0, 1.0),
-        partial(clip_band, cap=_STRIP_X_CAP), B2_THRESHOLD, True,
-        ("band 0 < x - y <= {eps:g}, " f"x <= {_STRIP_X_CAP:g}, in "
+        clip_band(BAND_EPS, _STRIP_X_CAP), B2_THRESHOLD, BAND_EPS,
+        (f"band 0 < x - y <= {BAND_EPS:g}, x <= {_STRIP_X_CAP:g}, in "
          "(x, (x-y)/x) coordinates; target is a proven lower bound "
          "for b2 that tends to +inf on the diagonal",)),
     "B2-diagonal-strip-corner": Chart(
         b2_strip_corner_expr, (0.0, _STRIP_S_CAP, 0.0, 1.0),
-        partial(clip_band, cap=_STRIP_S_CAP), B2_THRESHOLD, True,
-        ("band 0 < x - y <= {eps:g} near (1, 1): s = 2-x-y <= "
+        clip_band(BAND_EPS, _STRIP_S_CAP), B2_THRESHOLD, BAND_EPS,
+        (f"band 0 < x - y <= {BAND_EPS:g} near (1, 1): s = 2-x-y <= "
          f"{_STRIP_S_CAP:g}, in (s, (x-y)/s) coordinates",)),
     "scalar-1": _scalar_chart(scalar_bound_1, SCALAR_X_MAX, _SCALAR_NOTE),
     "scalar-2": _scalar_chart(scalar_bound_2, SCALAR_X_MAX, _SCALAR_NOTE),
@@ -328,21 +329,16 @@ CLAIMS = {
 }
 
 
-def certify_charts(targets: Sequence[str], threshold: Optional[float] = None,
-                   eps: float = DEFAULT_EPS, max_depth: int = MAX_DEPTH,
-                   max_boxes: int = MAX_BOXES) -> List[Certificate]:
+def certify_charts(targets: Sequence[str],
+                   threshold: Optional[float] = None) -> List[Certificate]:
     """Certify the charts named in ``targets``, in that order, each at
-    ``threshold`` (default: its own) and band width ``eps``.  A chart that
-    another one cites is certified once, before the chart citing it.
-    Raises ValueError for a banded chart unless 0 < eps <= MAX_BAND_EPS,
-    where its two band charts cover the band."""
-    if not 0 < eps <= MAX_BAND_EPS and any(CHARTS[t].banded for t in targets):
-        raise ValueError(f"band width eps must be in (0, {MAX_BAND_EPS:g}], got {eps!r}")
+    ``threshold`` (default: its own) and within the engine's budgets
+    ``interval.MAX_DEPTH`` and ``interval.MAX_BOXES``.  A chart that
+    another one cites is certified once, before the chart citing it."""
     @cache
     def certify(target):
         chart = CHARTS[target]
-        gap = eps if chart.banded else 0.0
-        notes = [note.format(eps=gap) for note in chart.notes]
+        notes = list(chart.notes)
         for cited in map(certify, chart.cites):
             notes.append(
                 f"diagonal band covered by companion certificate "
@@ -353,8 +349,7 @@ def certify_charts(targets: Sequence[str], threshold: Optional[float] = None,
         return certify_lower_bound(
             target, chart.expr, chart.root,
             chart.threshold if threshold is None else threshold,
-            clip=chart.clip(gap) if chart.clip else None, epsilon=gap,
-            max_depth=max_depth, max_boxes=max_boxes, notes=notes)
+            clip=chart.clip, epsilon=chart.eps, notes=notes)
 
     return [certify(target) for target in targets]
 

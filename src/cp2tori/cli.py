@@ -28,14 +28,14 @@ from typing import List, Optional
 import numpy as np
 
 from . import __version__
-from .bounds import CHARTS, CLAIMS, DEFAULT_EPS, MAX_BAND_EPS, certify_charts
+from .bounds import CHARTS, CLAIMS, certify_charts
 from .errors import Cp2ToriError, DegenerateParameters, InfeasibleParameters
 from .family import (AlphaTriple, Branch, ModuliPoint, derive_constants,
                      derive_grid, feasibility_check, lemma3_box)
 from .functionals import (SCAN_COLUMNS, HomogeneousParams, clifford_energy,
                           energy_mironov, homogeneous_energy, scan_columns)
 from .immersion import export_samples, format_rows, write_csv, write_obj
-from .interval import MAX_BOXES, MAX_DEPTH, CertStatus
+from .interval import CertStatus
 from .mnk import ORIENTATION_CONVENTION, MnkParams, is_torus
 from .periodicity import rational_fit
 
@@ -114,8 +114,10 @@ def _seed(value: str) -> int:
     return v
 
 
-def _moduli_from(ns) -> ModuliPoint:
-    return ModuliPoint(ns.a1, ns.a2, ns.branch or Branch.MINUS)
+def _torus(ns):
+    """The torus that --alpha, --a1, --a2 and --branch (default minus) name."""
+    return derive_constants(AlphaTriple(*ns.alpha),
+                            ModuliPoint(ns.a1, ns.a2, ns.branch or Branch.MINUS))
 
 
 def _config_value(sub, action, value):
@@ -178,13 +180,11 @@ def cmd_energy(ns) -> int:
         e = homogeneous_energy(params)
         print(f"E = {_fmt(e)}  ratio = {_fmt(e / clifford_energy())}")
         return EXIT_OK
-    alpha = AlphaTriple(*ns.alpha)
-    point = _moduli_from(ns)
-    d = derive_constants(alpha, point)
+    d = _torus(ns)
     periods = ns.periods or 1
     fv = energy_mironov(d, periods)
-    print(f"alpha = {alpha.weights}  a1 = {_fmt(point.a1)}  a2 = {_fmt(point.a2)}"
-          f"  branch = {point.branch.value}  N = {periods}")
+    print(f"alpha = {d.alpha.weights}  a1 = {_fmt(d.a1)}  a2 = {_fmt(d.a2)}"
+          f"  branch = {d.branch.value}  N = {periods}")
     print(f"c2 = {_fmt(d.c2)}  a3 = {_fmt(d.a3)}  a = {_fmt(d.slope_x)}"
           f"  b = {_fmt(d.slope_y)}  T = {_fmt(d.period)}")
     print(f"A = {_fmt(fv.area)}  W = {_fmt(fv.willmore)}  E = {_fmt(fv.energy)}"
@@ -287,8 +287,7 @@ def cmd_verify(ns) -> int:
     os.makedirs(ns.out_dir, exist_ok=True)
     # main() allows --threshold only with --target B1 or B2
     certs = [cert for claim in (CLAIMS if ns.target == "all" else [ns.target])
-             for cert in certify_charts(CLAIMS[claim], ns.threshold, ns.eps,
-                                        ns.max_depth, ns.max_boxes)]
+             for cert in certify_charts(CLAIMS[claim], ns.threshold)]
     all_proved = True
     for cert in certs:
         path = os.path.join(ns.out_dir, f"{cert.target}.json")
@@ -313,11 +312,10 @@ def cmd_verify(ns) -> int:
 
 
 def cmd_periodicity(ns) -> int:
-    alpha = AlphaTriple(*ns.alpha)
-    d = derive_constants(alpha, _moduli_from(ns))
+    d = _torus(ns)
     result = rational_fit(d, ns.max_denominator, ns.tol)
     payload = result.to_json_dict()
-    payload["alpha"] = list(alpha.weights)
+    payload["alpha"] = list(d.alpha.weights)
     payload["a1"], payload["a2"], payload["branch"] = d.a1, d.a2, d.branch.value
     payload["T"] = d.period
     text = json.dumps(payload, indent=2)
@@ -330,8 +328,7 @@ def cmd_periodicity(ns) -> int:
 
 def cmd_export(ns) -> int:
     start = time.perf_counter()
-    alpha = AlphaTriple(*ns.alpha)
-    d = derive_constants(alpha, _moduli_from(ns))
+    d = _torus(ns)
     chart = None if ns.chart == "auto" else int(ns.chart)
     columns, chart_used = export_samples(d, tuple(ns.grid), chart)
     with open(ns.out, "w") as fh:
@@ -379,6 +376,7 @@ def build_parser() -> _Parser:
                                  "with certified inequality verification")
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
+    parser.subcommands = sub.choices  # main() reparses over a --config file
 
     def add_common(p):
         p.add_argument("--config", help="JSON file presetting the options that "
@@ -418,12 +416,6 @@ def build_parser() -> _Parser:
     p.add_argument("--threshold", type=float, default=None,
                    help="prove this threshold instead of the default one "
                         "(with --target B1 or B2 only)")
-    p.add_argument("--eps", type=_float_in("(0, 1/4]", lambda v: 0 < v <= MAX_BAND_EPS),
-                   default=DEFAULT_EPS,
-                   help="width of the diagonal band x - y <= eps that B2 "
-                        "certifies in its own charts, which cover it up to 1/4")
-    p.add_argument("--max-depth", type=_positive(int), default=MAX_DEPTH)
-    p.add_argument("--max-boxes", type=_positive(int), default=MAX_BOXES)
     p.add_argument("--samples", type=_positive(int), default=200,
                    help="random feasible points for the energy spot checks")
     p.add_argument("--seed", type=_seed, default=20240801)
@@ -472,8 +464,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         # the subcommand's arguments parsed again, over the file's values:
         # argparse sets a default only where neither gives a value, so a
         # flag wins, even at its default value
-        sub = next(a for a in parser._actions
-                   if isinstance(a, argparse._SubParsersAction)).choices[ns.command]
+        sub = parser.subcommands[ns.command]
         ns = sub.parse_args(argv[1:], _config_namespace(sub, ns))
     if ns.command == "energy":
         reads = {"clifford": (), "homogeneous": ("r",)}.get(

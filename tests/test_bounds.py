@@ -9,7 +9,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from cp2tori.bounds import (CHARTS, CLAIMS, DEFAULT_EPS, b1_expr, b2_expr,
+from cp2tori.bounds import (BAND_EPS, CHARTS, CLAIMS, b1_expr, b2_expr,
                             b2_strip_corner_expr, b2_strip_lower_expr,
                             case_chain_check, certify_charts, certify_lemma4,
                             certify_lemma5, classify_case, clip_band,
@@ -275,42 +275,31 @@ def test_lemma4_fails_at_higher_threshold():
 
 
 def test_lemma5_certificate_small_eps():
-    cert, *strips = certify_charts(CLAIMS["B2"], eps=1e-3)
-    assert cert.status is CertStatus.PROVED
-    assert cert.retained_count == 866
+    cert, *strips = certify_charts(CLAIMS["B2"])
+    assert cert.status is CertStatus.PROVED and cert.epsilon == BAND_EPS
     assert replay_certificate(cert, b2_expr)
     assert all(c.status is CertStatus.PROVED for c in strips)
     # the notes cite the band certificates of the same run, and a run
     # that returns only B2 cites them alike
     for strip in strips:
         assert any(strip.box_digest()[:16] in n for n in cert.notes)
-    assert certify_charts(["B2"], eps=1e-3)[0].notes == cert.notes
+    assert certify_charts(["B2"])[0].notes == cert.notes
 
 
 def test_band_charts_cover_the_band_up_to_a_quarter(rng):
-    # a band point with x > 7/8 has s = 2 - x - y < 1/4 + eps, so at
-    # eps = 1/4 each band point is in the strip chart (x, d/x), x <= 7/8,
-    # or the corner chart (s, d/s), s <= 1/2
-    strip, corner = certify_charts(CLAIMS["B2"][1:], threshold=0.1, eps=0.25)
+    # a band point with x > 7/8 has s = 2 - x - y < 1/4 + eps, so for
+    # eps = BAND_EPS <= 1/4 each band point is in the strip chart (x, d/x),
+    # x <= 7/8, or the corner chart (s, d/s), s <= 1/2
+    assert 0 < BAND_EPS <= 0.25
+    strip, corner = lemma5_strip_certificates()
     assert strip.status is corner.status is CertStatus.PROVED
     x = rng.uniform(0, 1, 20000)
-    d = rng.uniform(0, 0.25, x.size) * np.minimum(1.0, x / 0.25)
+    d = rng.uniform(0, BAND_EPS, x.size) * np.minimum(1.0, x / BAND_EPS)
     x, d = x[d > 0], d[d > 0]
     s = 2 - x - (x - d)
-    assert (x > 0.875).sum() > 1000
+    assert (x > 0.875).sum() >= 1000
     assert (_covered(strip.retained_boxes, np.column_stack([x, d / x]))
             | _covered(corner.retained_boxes, np.column_stack([s, d / s]))).all()
-
-
-def test_band_width_outside_zero_to_a_quarter_is_refused():
-    # above 1/4 the two band charts miss part of the band: at eps = 0.4,
-    # (0.877, 0.6162) has x > 7/8 and s > 1/2
-    for eps in (0.4, 0.25000001, 0.0, -1e-4, math.nan):
-        for targets in (CLAIMS["B2"], ["B2-diagonal-strip-corner"], ["B1", "B2"]):
-            with pytest.raises(ValueError, match=r"eps must be in \(0, 0.25\]"):
-                certify_charts(targets, threshold=0.1, eps=eps)
-    # a chart without a band ignores eps
-    assert certify_charts(CLAIMS["B1"], eps=0.4)[0].epsilon == 0.0
 
 
 def test_lemma5_certificate_at_the_defaults():
@@ -328,7 +317,7 @@ def test_lemma5_fails_at_higher_threshold():
     assert cert.status is CertStatus.FAILED
     assert cert.witness is not None
     x, y, val = cert.witness
-    assert 0.0 <= y <= x - DEFAULT_EPS and x <= 1.0
+    assert 0.0 <= y <= x - BAND_EPS and x <= 1.0
     # the witness value is a proved upper bound of b2 at the witness
     assert b2_expr(x, y) <= val < 1.0
 
@@ -469,13 +458,12 @@ def test_windowed_bisection_matches_the_level_by_level_oracle():
     # one, and under a depth cap and a box cap
     kinds = set()
     for target, chart in CHARTS.items():
-        gap = DEFAULT_EPS if chart.banded else 0.0
-        clip = chart.clip(gap) if chart.clip else None
         for threshold, caps in [(chart.threshold, {}), (3.0, {}),
                                 (chart.threshold, {"max_depth": 4}),
                                 (chart.threshold, {"max_boxes": 20})]:
             args = (target, chart.expr, chart.root, threshold)
-            kwargs = dict(clip=clip, epsilon=gap, notes=("a chart note",), **caps)
+            kwargs = dict(clip=chart.clip, epsilon=chart.eps, notes=("a chart note",),
+                          **caps)
             want = certify_level_by_level(*args, **kwargs)
             assert (_certificate_fields(certify_lower_bound(*args, **kwargs))
                     == _certificate_fields(want)), (target, threshold, caps)
@@ -497,10 +485,8 @@ def test_a_window_stops_at_the_box_budget():
             enclosed += x.lo.shape[0]
             return expr(x, y)
 
-        gap = DEFAULT_EPS if chart.banded else 0.0
         cert = certify_lower_bound(target, counted, chart.root, chart.threshold,
-                                   clip=chart.clip(gap) if chart.clip else None,
-                                   epsilon=gap, max_boxes=20)
+                                   clip=chart.clip, epsilon=chart.eps, max_boxes=20)
         assert cert.status is CertStatus.INCONCLUSIVE
         assert cert.notes[-1].startswith("box budget 20 exhausted")
     assert enclosed < 64
@@ -610,6 +596,55 @@ def test_case_chain_holds_everywhere(weights):
             assert rep.all_hold, (
                 f"{weights} {br.value} ({a1:.3f}, {a2:.3f}): "
                 f"{[s.name for s in rep.failing]}")
+
+
+def _case_3_points():
+    """(t = a2/a1, the case-3 step's value) at each case-3 point of the sweep."""
+    for weights in POSITIVE_TRIPLES:
+        al = AlphaTriple(*weights)
+        for a1, a2 in feasible_grid(al, 8):
+            for br in (Branch.MINUS, Branch.PLUS):
+                rep = case_chain_check(al, a1, a2, br)
+                if rep.case_label == "case-3":
+                    yield a2 / a1, next(s.lhs for s in rep.steps if "(63/8)" in s.name)
+
+
+def test_final_steps_hold_in_exact_arithmetic():
+    # each final step f > 4/(3 sqrt 3), f = n/sqrt(q) with n, q > 0 for
+    # x >= 0, squares to 27 n^2 - 16 q > 0, a polynomial P with integer
+    # coefficients: a quadratic with a negative discriminant, or (case 3) a
+    # cubic with P(0) > 0 whose derivative has one, so P > 0 on x >= 0
+    def agree(lhs, rhs, degree):
+        # polynomials of degree <= n that agree at n + 1 points are equal
+        return all(lhs(Fraction(k)) == rhs(Fraction(k)) for k in range(degree + 1))
+
+    def disc(a, b, c):
+        return b * b - 4 * a * c
+
+    case_3_q = lambda t: 1 + Fraction(11, 4) * t + Fraction(63, 8) * t * t
+    case_3 = lambda t: 27 * t ** 3 - 45 * t ** 2 + 37 * t + 11
+    assert agree(lambda t: 27 * (1 + t) ** 3 - 16 * case_3_q(t), case_3, 3)
+    assert disc(81, -90, 37) == -3888 and case_3(0) == 11
+    scalar_1 = lambda x: 2187 * x * x - 14602 * x + 26411
+    assert agree(lambda x: 2401 * (27 * (1 + Fraction(9, 49) * x) ** 2 - 16 * (1 + x)),
+                 scalar_1, 2)
+    assert disc(2187, -14602, 26411) == -17_825_024
+    scalar_2 = lambda x: 27 * x * x - 120 * x + 208
+    assert agree(lambda x: 27 * (4 + x) ** 2 - 16 * (14 + 21 * x), scalar_2, 2)
+    assert disc(27, -120, 208) == -8064
+
+    # and the code evaluates these f: 27 f^2 - 16 = P/q up to rounding
+    def close(f, exact):
+        return abs(27 * f * f - 16 - float(exact)) <= 1e-12 * 27 * f * f
+
+    xs = [0.0, 1e-3, 0.5, 1.0, 3.3, 7.0, 42.0, 100.0]
+    assert all(close(scalar_bound_1(x), scalar_1(Fraction(x)) / (2401 * (1 + Fraction(x))))
+               for x in xs)
+    assert all(close(scalar_bound_2(x), scalar_2(Fraction(x)) / (14 + 21 * Fraction(x)))
+               for x in xs)
+    points = list(_case_3_points())
+    assert len(points) >= 20
+    assert all(close(val, case_3(Fraction(t)) / case_3_q(Fraction(t))) for t, val in points)
 
 
 def test_case_chain_rejects_degenerate_alpha():

@@ -141,20 +141,44 @@ def _exit_code(*argv):
 
 
 def test_verify_rejects_nonpositive_eps(tmp_path, capsys):
+    # the band width is not an option: every value of --eps is refused
     for eps in ("0", "-1e-4", "nan"):
         assert _exit_code("verify", "--target", "B1", "--eps", eps,
-                          "--out-dir", str(tmp_path)) == EXIT_USAGE
-    assert "--eps" in capsys.readouterr().err
+                          "--out-dir", str(tmp_path)) == EXIT_USAGE, eps
+        assert "--eps" in capsys.readouterr().err
+    assert not (tmp_path / "B1.json").exists()
 
 
 def test_verify_rejects_eps_above_a_quarter(tmp_path, capsys):
+    from cp2tori import bounds
+
     # the two band charts of B2 cover the band 0 < x - y <= eps only for
-    # eps <= 1/4; above it, B2 would be claimed with the band uncovered
+    # eps <= 1/4; the band width is fixed at bounds.BAND_EPS, so no wider
+    # band can be asked for and B2 is never claimed with the band uncovered
     for eps in ("0.4", "0.2500001", "1", "inf"):
         assert _exit_code("verify", "--target", "B2", "--eps", eps, "--threshold", "0.1",
                           "--out-dir", str(tmp_path)) == EXIT_USAGE, eps
-        assert "argument --eps: must be in (0, 1/4]" in capsys.readouterr().err
+        assert "--eps" in capsys.readouterr().err
     assert not (tmp_path / "B2.json").exists()
+    assert bounds.BAND_EPS <= 0.25
+
+
+def test_verify_sets_no_band_width_or_budget(tmp_path, capsys):
+    # the band width is a constant of the chart table and the budgets are
+    # the engine's own: a flag or a config key naming one is a usage error
+    # that names it, before any certificate is written
+    out_dir = tmp_path / "certs"
+    cfg = tmp_path / "cfg.json"
+    for option, key in [("--eps", "eps"), ("--max-depth", "max_depth"),
+                        ("--max-boxes", "max_boxes")]:
+        assert _exit_code("verify", "--target", "B2", option, "3",
+                          "--out-dir", str(out_dir)) == EXIT_USAGE, option
+        assert option in capsys.readouterr().err
+        cfg.write_text(json.dumps({key: 3}))
+        assert _exit_code("verify", "--target", "B2", "--config", str(cfg),
+                          "--out-dir", str(out_dir)) == EXIT_USAGE, key
+        assert repr(key) in capsys.readouterr().err
+    assert not out_dir.exists()
 
 
 def test_scan_has_no_jobs_option(tmp_path, capsys):
@@ -348,10 +372,9 @@ def test_verify_single_target_and_threshold(tmp_path, capsys):
     data = json.loads((tmp_path / "B1.json").read_text())
     assert data["status"] == "proved"
     assert data["epsilon"] == 0.0  # the closed triangle: no band excluded
-    code, out, _ = run(capsys, "verify", "--target", "B2", "--eps", "1e-3",
-                       "--out-dir", str(tmp_path))
+    code, out, _ = run(capsys, "verify", "--target", "B2", "--out-dir", str(tmp_path))
     assert code == EXIT_OK
-    assert json.loads((tmp_path / "B2.json").read_text())["epsilon"] == 1e-3
+    assert json.loads((tmp_path / "B2.json").read_text())["epsilon"] == 1e-4
     # a deliberately unprovable threshold fails with a witness
     code, out, _ = run(capsys, "verify", "--target", "B1", "--threshold", "1.2",
                        "--out-dir", str(tmp_path))
@@ -376,18 +399,9 @@ def test_verify_threshold_is_the_one_given(tmp_path, capsys):
         assert "--threshold" in capsys.readouterr().err
 
 
-def test_verify_depth_reaches_the_scalar_certificates(tmp_path, capsys):
-    code, out, _ = run(capsys, "verify", "--target", "scalars", "--max-depth", "3",
-                       "--out-dir", str(tmp_path))
-    assert code == EXIT_NOT_PROVED
-    assert "scalar-1: inconclusive" in out and "depth=3 " in out
-    assert "max depth 3 reached" in (tmp_path / "scalar-1.json").read_text()
-
-
 def test_verify_rejects_nonpositive_counts(tmp_path, capsys):
     # a seed may be 0, but not negative
-    inputs = [(option, value) for option in ("--samples", "--max-depth", "--max-boxes")
-              for value in ("0", "-5")] + [("--seed", "-5")]
+    inputs = [("--samples", "0"), ("--samples", "-5"), ("--seed", "-5")]
     for option, value in inputs:
         assert _exit_code("verify", option, value,
                           "--out-dir", str(tmp_path)) == EXIT_USAGE
@@ -406,8 +420,7 @@ def test_verify_computes_band_certificates_once(tmp_path, capsys, monkeypatch):
         return real(target, *args, **kwargs)
 
     monkeypatch.setattr(bounds, "certify_lower_bound", counted)
-    code, out, _ = run(capsys, "verify", "--target", "B2", "--eps", "1e-3",
-                       "--out-dir", str(tmp_path))
+    code, out, _ = run(capsys, "verify", "--target", "B2", "--out-dir", str(tmp_path))
     assert code == EXIT_OK
     assert calls == {"B2": 1, "B2-diagonal-strip": 1, "B2-diagonal-strip-corner": 1}
     notes = json.loads((tmp_path / "B2.json").read_text())["notes"]
@@ -800,7 +813,7 @@ def test_a_config_file_leaves_later_calls_at_the_defaults(tmp_path, capsys):
 def test_config_values_are_parsed_like_flags(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"threshold": "1.2"}))
-    code, out, _ = run(capsys, "verify", "--target", "B1", "--eps", "1e-3",
+    code, out, _ = run(capsys, "verify", "--target", "B1",
                        "--config", str(cfg), "--out-dir", str(tmp_path))
     assert code == EXIT_NOT_PROVED
     assert "threshold=1.2 " in out and "witness" in out
@@ -810,12 +823,11 @@ def test_flag_at_its_default_value_beats_the_config(tmp_path, capsys):
     # a flag given on the command line wins even where its value equals
     # the option's default
     cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"eps": 0.001}))
-    code, out, _ = run(capsys, "verify", "--target", "B2", "--eps", "1e-4",
+    cfg.write_text(json.dumps({"samples": 7}))
+    code, out, _ = run(capsys, "verify", "--target", "all", "--samples", "200",
                        "--config", str(cfg), "--out-dir", str(tmp_path))
     assert code == EXIT_OK
-    assert json.loads((tmp_path / "B2.json").read_text())["epsilon"] == 1e-4
-    assert "eps=0.0001 " in out and "eps=0.001 " not in out
+    assert "spot checks: 200 random feasible points" in out
 
 
 def test_branch_flag_at_its_default_beats_the_params_file(tmp_path, capsys):
@@ -846,7 +858,7 @@ def test_config_values_meet_the_flag_checks(tmp_path, capsys):
     scan = ("scan", "--alpha", "2", "1", "-1", "--out", str(tmp_path / "s.csv"))
     export = ("export", "--alpha", "2", "1", "-1", "--a1", "1.8", "--a2", "1.2",
               "--out", str(tmp_path / "e.csv"))
-    for bad, argv in [({"eps": 0, "target": "B1"}, verify), ({"samples": 0}, verify),
+    for bad, argv in [({"threshold": "x", "target": "B1"}, verify), ({"samples": 0}, verify),
                       ({"target": "B3"}, verify), ({"grid": "x"}, scan),
                       ({"grid": 4}, export)]:
         cfg.write_text(json.dumps(bad))
