@@ -507,8 +507,8 @@ def degenerate_c2_bounds_check(alpha: AlphaTriple, a1: float, a2: float,
     the square-root squeeze, the c2^2 and a3 sandwiches, and the displayed
     slope/area/Willmore/energy bounds down to E >= pi^2 B1 (minus branch)
     or E >= pi^2 B2 (plus branch)."""
-    if alpha.alpha2 != 0 or not alpha.is_ordered or alpha.alpha1 <= 0:
-        raise ValueError("degenerate_c2_bounds_check requires alpha2 = 0")
+    if alpha.alpha2 != 0 or not alpha.is_normalized:
+        raise ValueError("degenerate_c2_bounds_check requires normalized alpha with alpha2 = 0")
     p = alpha.p
     x, y = a1 / p, a2 / p
     if not (0.0 < y < x <= 1.0):

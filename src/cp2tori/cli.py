@@ -71,47 +71,18 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_USAGE)
 
 
-def _branch(value: str) -> Branch:
-    try:
-        return Branch(value)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"branch must be 'minus' or 'plus', got {value!r}")
-
-
-def _float_in(interval: str, inside):
-    """argparse type: a float for which ``inside`` holds, ``interval``
-    naming that range in the error."""
-    def parse(value: str) -> float:
-        try:
-            v = float(value)
-        except ValueError:
-            v = math.nan
-        if not inside(v):
-            raise argparse.ArgumentTypeError(f"must be in {interval}, got {value!r}")
-        return v
-    return parse
-
-
-def _positive(kind):
-    """argparse type: a finite number of ``kind`` that is > 0."""
+def _value(kind, what: str, inside=lambda v: True):
+    """argparse type: a value of ``kind`` (int, float or Branch) for which
+    ``inside`` holds; any other is refused as not being ``what``."""
     def parse(value: str):
-        v = kind(value)  # a ValueError becomes argparse's "invalid ... value"
-        if not (0 < v < math.inf):
-            raise argparse.ArgumentTypeError(f"must be positive and finite, got {value!r}")
-        return v
-    parse.__name__ = f"positive {kind.__name__}"
+        try:
+            v = kind(value)
+            if inside(v):
+                return v
+        except ValueError:
+            pass
+        raise argparse.ArgumentTypeError(f"must be {what}, got {value!r}")
     return parse
-
-
-def _seed(value: str) -> int:
-    """argparse type: a seed of numpy's random generator, an integer >= 0."""
-    try:
-        v = int(value)
-    except ValueError:
-        v = -1
-    if v < 0:
-        raise argparse.ArgumentTypeError(f"must be a non-negative integer, got {value!r}")
-    return v
 
 
 def _torus(ns):
@@ -377,6 +348,7 @@ def build_parser() -> _Parser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
     parser.subcommands = sub.choices  # main() reparses over a --config file
+    positive = _value(int, "a positive integer", lambda v: v > 0)
 
     def add_common(p):
         p.add_argument("--config", help="JSON file presetting the options that "
@@ -387,7 +359,7 @@ def build_parser() -> _Parser:
         p.add_argument("--a1", type=float)
         p.add_argument("--a2", type=float)
         # default None, so that a flag at the default value is seen as given
-        p.add_argument("--branch", type=_branch,
+        p.add_argument("--branch", type=_value(Branch, "'minus' or 'plus'"),
                        help="'minus' or 'plus' root branch (default minus)")
 
     p = sub.add_parser("energy", help="evaluate A, W, E and the energy ratio")
@@ -396,42 +368,44 @@ def build_parser() -> _Parser:
                    default="mironov")
     add_moduli(p)
     p.add_argument("--r", nargs=3, type=float, metavar=("R1", "R2", "R3"))
-    p.add_argument("--periods", type=_positive(int))  # default 1, where it is read
+    p.add_argument("--periods", type=positive)  # default 1, where it is read
 
     p = sub.add_parser("scan", help="sweep feasible grids, CSV output")
     add_common(p)
     p.add_argument("--alpha", nargs=3, type=int, action="append", required=True,
                    metavar=("A1", "A2", "A3"))
-    p.add_argument("--grid", type=_positive(int), default=20)
+    p.add_argument("--grid", type=positive, default=20)
     p.add_argument("--branch", choices=("minus", "plus", "both"), default="both")
     # from 1/2 on, the trim would leave no box
-    p.add_argument("--margin", type=_float_in("[0, 1/2)", lambda v: 0 <= v < 0.5), default=0.02,
-                   help="trim of the feasibility box, as a fraction of its width")
-    p.add_argument("--periods", type=_positive(int), default=1)
+    p.add_argument("--margin", type=_value(float, "in [0, 1/2)", lambda v: 0 <= v < 0.5),
+                   default=0.02, help="trim of the feasibility box, as a fraction of its width")
+    p.add_argument("--periods", type=positive, default=1)
     p.add_argument("--out", help="CSV path (stdout when omitted)")
 
     p = sub.add_parser("verify", help="run the certified lemma and bound checks")
     add_common(p)
     p.add_argument("--target", choices=("all", *CLAIMS), default="all")
-    p.add_argument("--threshold", type=float, default=None,
+    p.add_argument("--threshold", type=_value(float, "a finite number", math.isfinite),
                    help="prove this threshold instead of the default one "
                         "(with --target B1 or B2 only)")
-    p.add_argument("--samples", type=_positive(int), default=200,
+    p.add_argument("--samples", type=positive, default=200,
                    help="random feasible points for the energy spot checks")
-    p.add_argument("--seed", type=_seed, default=20240801)
+    p.add_argument("--seed", type=_value(int, "a non-negative integer", lambda v: v >= 0),
+                   default=20240801)
     p.add_argument("--out-dir", default="certificates")
 
     p = sub.add_parser("periodicity", help="rational winding fit and lattice data")
     add_common(p)
     add_moduli(p)
-    p.add_argument("--max-denominator", type=_positive(int), default=10 ** 6)
-    p.add_argument("--tol", type=_positive(float), default=1e-9)
+    p.add_argument("--max-denominator", type=positive, default=10 ** 6)
+    p.add_argument("--tol", type=_value(float, "positive and finite", lambda v: 0 < v < math.inf),
+                   default=1e-9)
     p.add_argument("--json-out", help="also write the JSON result here")
 
     p = sub.add_parser("export", help="sample the immersion into CSV/OBJ")
     add_common(p)
     add_moduli(p)
-    p.add_argument("--grid", nargs=2, type=_positive(int), default=(64, 64),
+    p.add_argument("--grid", nargs=2, type=positive, default=(64, 64),
                    metavar=("NX", "NY"))
     p.add_argument("--chart", choices=("auto", "0", "1", "2"), default="auto",
                    help="affine chart component")
@@ -479,9 +453,8 @@ def main(argv: Optional[List[str]] = None) -> int:
         parser.error(f"{ns.command}: --alpha/--a1/--a2 required")
     if ns.command == "energy" and ns.family == "homogeneous" and ns.r is None:
         parser.error("energy: --r R1 R2 R3 required for the homogeneous family")
-    if ns.command == "verify" and ns.threshold is not None and (
-            ns.target not in ("B1", "B2") or not math.isfinite(ns.threshold)):
-        parser.error("verify: --threshold takes a finite number, with --target B1 or B2")
+    if ns.command == "verify" and ns.threshold is not None and ns.target not in ("B1", "B2"):
+        parser.error("verify: --threshold needs --target B1 or B2")
     try:
         # looked up at each call, so that a replaced cmd_* is the one run
         return globals()[f"cmd_{ns.command}"](ns)

@@ -325,15 +325,19 @@ def derive_grid(alpha: AlphaTriple, a1: np.ndarray, a2: np.ndarray,
     entry, ``branch`` an array of branch names: their rows as arrays, in
     the points' order, and the index of the point that each row came
     from.  A point whose c2 roots are not real, or whose c2 vanishes,
-    gives no row.  A point that is not a1 > a2 > 0 raises ValueError
-    naming it."""
+    gives no row.  A point that is not a1 > a2 > 0, or whose branch is
+    not "minus" or "plus", raises ValueError naming it."""
     unordered = np.flatnonzero(~((a1 > a2) & (a2 > 0)))
     if unordered.size:
         i = unordered[0]
         _require_ordered(float(a1[i]), float(a2[i]))  # raises, naming the point
+    minus = branch == Branch.MINUS.value
+    unknown = np.flatnonzero(~minus & (branch != Branch.PLUS.value))
+    if unknown.size:
+        Branch(str(branch[unknown[0]]))  # raises, naming the branch
     real = np.flatnonzero(_roots_real(alpha, a1, a2))
     a1, a2 = a1[real], a2[real]
-    c2 = np.where(branch[real] == Branch.MINUS.value,
+    c2 = np.where(minus[real],
                   *_c2_pair(a1, a2, q_cubic(a1, alpha), q_cubic(a2, alpha)))
     keep = ~_c2_vanishes(c2, a1)
     rows = real[keep]

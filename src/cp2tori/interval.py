@@ -476,6 +476,11 @@ class IntervalArray:
         e = np.array(np.broadcast_arrays(lo, hi), dtype=np.float64)
         if e.ndim != 2:
             raise ValueError(f"IntervalArray takes 1-D endpoint arrays, got shape {e.shape[1:]}")
+        bad = np.flatnonzero(~(e[0] <= e[1]))  # also finds NaN ends
+        if bad.size:
+            i = bad[0]
+            raise IntervalDomainError(f"invalid interval bounds [{e[0, i]}, {e[1, i]}] "
+                                      f"at element {i}")
         self.e = e
 
     @property

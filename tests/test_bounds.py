@@ -650,6 +650,9 @@ def test_final_steps_hold_in_exact_arithmetic():
 def test_case_chain_rejects_degenerate_alpha():
     with pytest.raises(ValueError):
         case_chain_check(AlphaTriple(1, 0, -1), 0.9, 0.4, Branch.MINUS)
+    # alpha3 = 0 makes p = -alpha1 alpha3 vanish: refused, not divided by
+    with pytest.raises(ValueError, match="requires normalized alpha with alpha2 = 0"):
+        degenerate_c2_bounds_check(AlphaTriple(1, 0, 0), 0.5, 0.2, Branch.MINUS)
     # the alpha2 = 0 audit takes only points of the open triangle
     for a1, a2 in [(0.5, 0.5), (0.5, 0.6), (1.2, 0.5), (0.5, 0.0)]:
         with pytest.raises(ValueError):

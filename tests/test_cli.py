@@ -1054,6 +1054,46 @@ def test_periods_and_max_denominator_are_positive(tmp_path, capsys):
         assert run(capsys, *argv, flag, "2")[0] == EXIT_OK
 
 
+_MODULI = ("--alpha", "2", "1", "-1", "--a1", "1.8", "--a2", "1.2")
+_SCAN = ("scan", "--alpha", "2", "1", "-1", "--out", "out")
+_EXPORT = ("export", *_MODULI, "--out", "out")
+_VERIFY = ("verify", "--out-dir", "out")
+_RANGED = [  # (argv, option, a non-number and an out-of-range value, rule)
+    (_SCAN, "--grid", ("x", "0"), "a positive integer"),
+    (_EXPORT, "--grid", ("4 x", "4 -5"), "a positive integer"),
+    (("energy", *_MODULI), "--periods", ("x", "-5"), "a positive integer"),
+    (_SCAN, "--periods", ("x", "0"), "a positive integer"),
+    (_VERIFY, "--samples", ("x", "0"), "a positive integer"),
+    (_VERIFY, "--seed", ("x", "-5"), "a non-negative integer"),
+    (("periodicity", *_MODULI), "--max-denominator", ("x", "0"), "a positive integer"),
+    (("periodicity", *_MODULI), "--tol", ("x", "inf"), "positive and finite"),
+    (_SCAN, "--margin", ("x", "nan"), "in [0, 1/2)"),
+    ((*_VERIFY, "--target", "B1"), "--threshold", ("x", "inf"), "a finite number"),
+    (("energy", *_MODULI), "--branch", ("up", "both"), "'minus' or 'plus'"),
+    (("periodicity", *_MODULI), "--branch", ("up", "both"), "'minus' or 'plus'"),
+    (_EXPORT, "--branch", ("up", "both"), "'minus' or 'plus'"),
+]
+
+
+@pytest.mark.parametrize("argv, option, value, rule", [
+    pytest.param(argv, option, value, rule, id=f"{argv[0]} {option} {value}")
+    for argv, option, values, rule in _RANGED for value in values])
+def test_every_ranged_option_names_its_rule(tmp_path, capsys, monkeypatch,
+                                            argv, option, value, rule):
+    # one message form for every ranged option, from a flag and from
+    # --config; the last of the value's words is the bad one
+    monkeypatch.chdir(tmp_path)
+    tokens = value.split()
+    message = f"argument {option}: must be {rule}, got {tokens[-1]!r}"
+    Path("cfg.json").write_text(json.dumps({option[2:]: tokens if len(tokens) > 1 else tokens[0]}))
+    for extra, prefix in (([option, *tokens], "error: "),
+                          (["--config", "cfg.json"], "error: config: ")):
+        assert _exit_code(*argv, *extra) == EXIT_USAGE, extra
+        captured = capsys.readouterr()
+        assert captured.out == "" and prefix + message in captured.err, captured.err
+    assert [p.name for p in tmp_path.iterdir()] == ["cfg.json"]
+
+
 def test_readme_cli_commands_run(tmp_path, monkeypatch):
     # every command of the README's fenced CLI block runs as shown, so the
     # README cannot show an option that the parser no longer has; the B1

@@ -430,6 +430,11 @@ def test_derive_grid_checks_its_points_and_keeps_the_branch_order():
     with pytest.raises(ValueError, match=r"^need a1 > a2 > 0, got a1=1\.2, a2=1\.5$"):
         derive_grid(al, np.array([1.8, 1.2, 1.0]), np.array([1.2, 1.5, 1.1]),
                     np.array(["minus"] * 3))
+    # a name other than "minus" or "plus" is refused, even at an infeasible point
+    for names in (["minus", "MINUS", "plus"], ["plus", "plus", "up"]):
+        with pytest.raises(ValueError, match=r"^'(MINUS|up)' is not a valid Branch$"):
+            derive_grid(al, np.array([1.8, 1.8, 3.0]), np.array([1.2, 1.2, 2.5]),
+                        np.array(names))
     d, rows = derive_grid(al, np.empty(0), np.empty(0), np.array([], dtype=str))
     assert d.c2.shape == d.branch.shape == d.period.shape == rows.shape == (0,)
     # (3, 2.5) is outside the box [1, 2]: its c2 roots are not real, no row

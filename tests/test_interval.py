@@ -116,6 +116,12 @@ def test_invalid_bounds_rejected():
         Interval(2, 1)
     with pytest.raises(IntervalDomainError):
         Interval(float("nan"))
+    # the array constructor checks each element the same way, naming the
+    # first bad one; [+0.0, -0.0] (element 0 of the last case) is valid
+    for lo, hi in [([1.0, 2.0], [1.5, 1.0]), ([1.0, float("nan")], [1.5, 2.0]),
+                   ([0.0, 0.0], [-0.0, -1.0])]:
+        with pytest.raises(IntervalDomainError, match="at element 1"):
+            IntervalArray(lo, hi)
 
 
 @given(a=finite, b=finite)
