@@ -6,13 +6,22 @@ floats, ``Interval`` and ``IntervalArray``.  They divide with plain ``/``:
 where a denominator vanishes on the edge of a domain, both interval
 engines give a one-sided enclosure by the same rule, so a proof and its
 scalar replay agree there.  On the triangle 0 <= y <= x <= 1 (x = a1/p,
-y = a2/p, p = -alpha1*alpha3), ``b1_expr`` (minus branch, evaluated as
-(1 + u/2 - 7u^2/16) / sqrt((2-x)(2-u)x) with u = x + y) exceeds 1, and
+y = a2/p, p = -alpha1*alpha3), ``b1_expr`` (minus branch) exceeds 1, and
 ``b2_expr`` (plus branch, from the squeeze functions ``f_aux <= g_aux``,
 with d = x - y cleared so that a box reaching the diagonal band keeps a
 finite lower bound) exceeds 0.9 off the band 0 < x - y <= BAND_EPS and,
 through a lower bound in two charts, on it.  The scalar bounds exceed
 4/(3 sqrt 3) on [0, 100] and, in the chart t = 1/x, beyond.
+
+b1 factors as g(u) h(x) with u = x + y, g(u) = N(u)/sqrt(2 - u), N(u) =
+1 + u/2 - 7u^2/16 and h(x) = 1/sqrt(x(2 - x)).  Its certificate rests on
+a lemma about the factors, checked in exact rationals by the tests:
+32 (N'(u)(2 - u) + N(u)/2) = (3u - 4)(7u - 12), so g rises on [0, 4/3],
+falls on [4/3, 12/7] and rises on [12/7, 2); N is concave with N(0) = 1
+and N(2) = 1/4, so g > 0 on [0, 2); and h > 0 falls on (0, 1].  So a
+box's enclosure of b1 is the product of the factors' exact ranges, from
+their values at a few points of the box, and needs next to no
+subdivision (9 boxes at the defaults).
 
 Each certificate is one row of :data:`CHARTS`: expression, root box,
 outward-rounded domain clip (which also decides whether a disproved box's
@@ -70,20 +79,53 @@ def _nonneg(v):
     return v.nonneg() if type(v) is Interval or hasattr(v, "nonneg") else v  # as _sq
 
 
+def _b1_g(u):
+    """g(u) = N(u) / sqrt(2 - u), N(u) = 1 + u/2 - 7u^2/16 (exact constants)."""
+    return (1.0 + 0.5 * u - 0.4375 * _sq(u)) / sqrt(_nonneg(2.0 - u))
+
+
+def _b1_h(x):
+    """h(x) = 1 / sqrt(x (2 - x))."""
+    return 1.0 / sqrt(_nonneg(x * (2.0 - x)))
+
+
+# where g' = (3u - 4)(7u - 12) / (32 (2 - u)^(3/2)) changes sign, enclosed
+_G_PEAK = Interval(4.0) / 3.0
+_G_DIP = Interval(12.0) / 7.0
+
+
 def b1_expr(x, y):
-    """(16 + 8u - 7u^2) / (16 sqrt((2-x)(2-u)x)), u = x + y, evaluated as
+    """(16 + 8u - 7u^2) / (16 sqrt((2-x)(2-u)x)), u = x + y, as the product
 
-        b1 = (1 + u/2 - 7u^2/16) / sqrt((2-x)(2-u)x),
+        b1 = g(u) h(x),  g(u) = N(u) / sqrt(2 - u),  h(x) = 1 / sqrt(x (2 - x)),
 
-    the paper's display with numerator and denominator divided by 16, whose
-    constants 1/2 and 7/16 are exact in floats.  x and y occur fewer
-    times than in the expanded numerator 16 + 8x + 8y - 7x^2 - 14xy - 7y^2:
-    13 interval operations instead of 22, and by subdistributivity an
-    enclosure no wider in exact interval arithmetic (Moore, Kearfott &
-    Cloud 2009, ch. 5)."""
+    with 16 N(u) = 16 + 8u - 7u^2, whose constants 1/2 and 7/16 are exact.
+    Floats evaluate it directly.  On a box of the triangle (0 <= x <= 1,
+    0 <= u <= 2, as the clip keeps every box) the enclosure is the product
+    of the two factors' exact ranges, so x and y never meet twice in one
+    interval expression (Moore, Kearfott & Cloud 2009, ch. 5-6):
+
+    * g rises on [0, 4/3], falls on [4/3, 12/7] and rises on [12/7, 2),
+      so its least value on U is at the point of U nearest 0 (U's left
+      end) or nearest 12/7, and its largest nearest 4/3 or 2 (its pole);
+    * N is concave with N(0) = 1 and N(2) = 1/4, so N > 0 and g > 0;
+    * x (2 - x) rises on [0, 1], so h > 0 falls there, from its pole at 0.
+
+    Each of these points is a thin interval (``clamp``, with 4/3 and 12/7
+    taken as their outward-rounded enclosures) on which g or h is
+    evaluated, so every end stays rounded outward on both engines.  The
+    two ends come from separate evaluations: the poles make only the upper
+    end infinite, and a box on x = 0 or at (1, 1) keeps a finite lower
+    end."""
     u = x + y
-    num = 1.0 + 0.5 * u - 0.4375 * _sq(u)
-    return num / sqrt(_nonneg((2.0 - x) * (2.0 - u) * x))
+    if not hasattr(u, "clamp"):  # a float or an array of floats
+        return _b1_g(u) * _b1_h(x)
+    h_min, h_max = _b1_h(x.clamp(1.0)), _b1_h(x.clamp(0.0))
+    lo = np.minimum((_b1_g(u.clamp(0.0)) * h_min).lo,
+                    (_b1_g(u.clamp(_G_DIP.lo, _G_DIP.hi)) * h_min).lo)
+    hi = np.maximum((_b1_g(u.clamp(2.0)) * h_max).hi,
+                    (_b1_g(u.clamp(_G_PEAK.lo, _G_PEAK.hi)) * h_max).hi)
+    return type(u)(lo, hi)
 
 
 def f_aux(x, y):
@@ -289,7 +331,11 @@ CHARTS = {
     "B1": Chart(
         b1_expr, (0.0, 1.0, 0.0, 1.0), clip_triangle(0.0), 1.0, 0.0,
         ("domain: the closed triangle 0 <= y <= x <= 1; boxes on x = 0 or at "
-         "(1, 1), where the denominator vanishes, have one-sided enclosures",)),
+         "(1, 1), where the denominator vanishes, have one-sided enclosures",
+         "b1 = g(x+y) h(x) with g(u) = (1 + u/2 - 7u^2/16)/sqrt(2-u), rising on "
+         "[0, 4/3], falling on [4/3, 12/7], rising on [12/7, 2), and "
+         "h(x) = 1/sqrt(x(2-x)), falling on (0, 1]; both positive, so a box's "
+         "enclosure is the product of their exact ranges")),
     "B2": Chart(
         b2_expr, (0.0, 1.0, 0.0, 1.0), clip_triangle(BAND_EPS), B2_THRESHOLD, BAND_EPS,
         (f"domain: 0 <= y <= x - {BAND_EPS:g}, x <= 1 (includes the y = 0 edge, "

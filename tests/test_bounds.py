@@ -6,10 +6,11 @@ import struct
 import warnings
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 
-from cp2tori.bounds import (BAND_EPS, CHARTS, CLAIMS, b1_expr, b2_expr,
+from cp2tori.bounds import (_G_DIP, _G_PEAK, BAND_EPS, CHARTS, CLAIMS, b1_expr, b2_expr,
                             b2_strip_corner_expr, b2_strip_lower_expr,
                             case_chain_check, certify_charts, certify_lemma4,
                             certify_lemma5, classify_case, clip_band,
@@ -326,8 +327,8 @@ def test_lemma5_fails_at_higher_threshold():
 # to 300 seeded retained boxes of each certificate, drawn in the order
 # listed below (the order of the claims)
 PINNED_REPLAY_DIGESTS = {
-    "B1": "5dfba1253d9760591fca313a72ed64258994548c6e999454006e65a29b8f2fe6",
-    "B2": "74b420f6ab6b084391e87901c84a42a55831948d465c7ed4177b2b648a3181a6",
+    "B1": "c3a09bf127d9313b64f2e41fa0f574cb32bad905719377ba78a77cc2f7847ece",
+    "B2": "443dc246dc808f8d4dd988d11dd11fdc6d89d21bd0ccfece141aa2317f4c5ebd",
     "B2-diagonal-strip":
         "d4f0e2206b7cadf35044a26d9504dd3c0c53a132617f28b042e4c8d23b08adec",
     "B2-diagonal-strip-corner":
@@ -362,7 +363,7 @@ def test_replay_enclosures_are_pinned():
 # SHA-256 of the scalar enclosures (lo, hi as little-endian doubles) of
 # every retained box of every certificate, certificates in the order of
 # the claims and boxes in their retained order
-PINNED_ALL_BOX_DIGEST = "32a6bd6eda64cfd1f634de58a368622f6f5ba892ecbf3d3f777bffdc0cfb7986"
+PINNED_ALL_BOX_DIGEST = "7f775bd4d87373c9948e32aad5f422f97fe628325e6431f16fc6daff85c2e4f3"
 
 
 def test_replay_enclosures_of_every_box_are_pinned():
@@ -372,7 +373,7 @@ def test_replay_enclosures_of_every_box_are_pinned():
         for xlo, xhi, ylo, yhi in cert.retained_boxes:
             enc = CHARTS[cert.target].expr(Interval(xlo, xhi), Interval(ylo, yhi))
             digest.update(struct.pack("<2d", enc.lo, enc.hi))
-    assert sum(cert.retained_count for cert in certs) == 1980
+    assert sum(cert.retained_count for cert in certs) == 1086
     assert digest.hexdigest() == PINNED_ALL_BOX_DIGEST
 
 
@@ -380,8 +381,8 @@ def test_replay_enclosures_of_every_box_are_pinned():
 # retained boxes' digest, boxes examined, depth reached, status), and the
 # bits of the witness that disproves B1 > 1.2
 PINNED_ENGINE_DECISIONS = {
-    "B1": ("4a9fb04cd3fc484e5444eed9bdc12c726fb9484309064aa08dda8cfcc92ad407",
-           1805, 14, "proved"),
+    "B1": ("b96903ddaa10abbc73c9209c52f31efce12ac584d4ea51fba6fbe26236f4ed0b",
+           17, 5, "proved"),
     "B2": ("0ba6d011798e68b230fe2406cad596d87d9de9f164bd3b6cd1b85cb811e37d1b",
            1907, 32, "proved"),
     "B2-diagonal-strip":
@@ -401,11 +402,12 @@ PINNED_ENGINE_DECISIONS = {
         ("4842b550a68e8e9931d82db2606c27d372f04096bec79789765f2e4d09d307db",
          1, 0, "proved"),
 }
-PINNED_B1_WITNESS_AT_1_2 = ["0x1.9000000000000p-1", "0x1.0000000000000p-5",
-                            "0x1.30b3dc8c1b348p+0"]
-# the witness's upper bound from the expanded numerator 16 + 8x + 8y - 7x^2
-# - 14xy - 7y^2, in 9 more interval operations, each rounded outward
-B1_WITNESS_UPPER_EXPANDED = "0x1.30b3dc8c1b34cp+0"
+PINNED_B1_WITNESS_AT_1_2 = ["0x1.c000000000000p-1", "0x1.0000000000000p-2",
+                            "0x1.1fd66904040fcp+0"]
+# the upper bound on the witness's box [3/4, 1] x [0, 1/2] from the expanded
+# numerator 16 + 8x + 8y - 7x^2 - 14xy - 7y^2 over 16 sqrt((2-x)(2-x-y)x),
+# each operation rounded outward on the array engine
+B1_WITNESS_UPPER_EXPANDED = "0x1.3a59e72c1274ep+1"
 
 
 def test_array_engine_decisions_are_pinned(tmp_path, capsys):
@@ -443,6 +445,77 @@ def test_b1_with_plain_division_proves_and_replays():
     assert replay_certificate(cert, _b1_plain)
 
 
+def test_b1_factors_into_monotone_pieces_in_exact_arithmetic():
+    # b1 = g(u) h(x), u = x + y, g = N(u)/sqrt(2-u), h = 1/sqrt(x(2-x)), with
+    # 16 N(u) = 16 + 8u - 7u^2; g' = (N'(u)(2-u) + N(u)/2) / (2-u)^(3/2)
+    def agree(lhs, rhs, degree):
+        # polynomials of degree <= n that agree at n + 1 points are equal
+        return all(lhs(Fraction(k)) == rhs(Fraction(k)) for k in range(degree + 1))
+
+    def derivative(p):
+        # the central difference, exact for polynomials of degree <= 2
+        return lambda t: (p(t + 1) - p(t - 1)) / 2
+
+    N = lambda u: 1 + u / 2 - Fraction(7, 16) * u * u
+    dN = derivative(N)
+    assert agree(lambda u: 16 * N(u), lambda u: 16 + 8 * u - 7 * u * u, 2)
+    assert agree(lambda u: 32 * (dN(u) * (2 - u) + N(u) / 2),
+                 lambda u: (3 * u - 4) * (7 * u - 12), 2)
+    # so g' has the roots 4/3 < 12/7 and a positive leading coefficient:
+    # g rises on [0, 4/3], falls on [4/3, 12/7] and rises on [12/7, 2)
+    assert Fraction(4, 3) < Fraction(12, 7) < 2
+    # N is concave (N'' = -7/8) with N(0), N(2) > 0, so N > 0 on [0, 2]
+    assert agree(derivative(dN), lambda u: Fraction(-7, 8), 0)
+    assert N(Fraction(0)) == 1 and N(Fraction(2)) == Fraction(1, 4)
+    # d/dx x(2-x) = 2 - 2x, which is >= 0 on [0, 1], so h falls there
+    assert agree(derivative(lambda x: x * (2 - x)), lambda x: 2 - 2 * x, 1)
+    assert all(2 - 2 * Fraction(x) >= 0 for x in (0, 1))
+    # the float enclosures of the turning points that b1_expr clamps
+    assert Fraction(_G_PEAK.lo) < Fraction(4, 3) < Fraction(_G_PEAK.hi)
+    assert Fraction(_G_DIP.lo) < Fraction(12, 7) < Fraction(_G_DIP.hi)
+
+
+def _b1_exact(x, y):
+    u = mpmath.mpf(x) + mpmath.mpf(y)
+    return (16 + 8 * u - 7 * u * u) / (16 * mpmath.sqrt((2 - x) * (2 - u) * mpmath.mpf(x)))
+
+
+def _triangle_boxes(rng, n, fixed=None, u_inside=None):
+    """n boxes of the triangle 0 <= y <= x <= 1, widths up to 0.3, after
+    the B1 clip; ``fixed`` pins endpoints as in ``_edge_boxes`` and
+    ``u_inside`` keeps the boxes whose x + y range contains it."""
+    xlo, ylo = rng.uniform(0, 1, (2, n))
+    wx, wy = rng.uniform(1e-9, 0.3, (2, n))
+    boxes = np.array([xlo, xlo + wx, ylo, ylo + wy])
+    for col, val in (fixed or {}).items():
+        boxes[col] = val
+    xlo, xhi, ylo, yhi, keep = clip_triangle(0.0)(*boxes)
+    if u_inside is not None:
+        keep &= (xlo + ylo < u_inside) & (u_inside < xhi + yhi)
+    return xlo[keep], xhi[keep], ylo[keep], yhi[keep]
+
+
+@pytest.mark.parametrize("fixed, u_inside", [
+    (None, None), (None, 4 / 3), (None, 12 / 7), ({0: 0.0}, None), ({1: 1.0, 3: 1.0}, None)],
+    ids=["triangle", "u-straddles-4/3", "u-straddles-12/7", "on-x=0", "at-(1,1)"])
+def test_b1_enclosures_contain_b1_on_both_engines(fixed, u_inside):
+    # every enclosure holds b1 at random points of its box, and the scalar
+    # enclosure lies inside the array one
+    rng = np.random.default_rng(1710)
+    xlo, xhi, ylo, yhi = _triangle_boxes(rng, 3000, fixed, u_inside)
+    assert xlo.size >= 100
+    arr = b1_expr(IntervalArray(xlo, xhi), IntervalArray(ylo, yhi))
+    assert np.isfinite(arr.lo).all() and (arr.lo > 1.0).any()
+    for i in range(xlo.size):
+        enc = b1_expr(Interval(xlo[i], xhi[i]), Interval(ylo[i], yhi[i]))
+        assert arr.lo[i] <= enc.lo <= enc.hi <= arr.hi[i]
+        for _ in range(3):
+            px = rng.uniform(xlo[i], xhi[i])
+            py = rng.uniform(ylo[i], min(yhi[i], px))
+            if px > 0.0:
+                assert enc.lo <= _b1_exact(px, py) <= enc.hi
+
+
 def _certificate_fields(cert):
     """Every field but ``elapsed_s`` as JSON, which also rejects a numpy
     count, and the retained boxes' bytes."""
@@ -474,7 +547,7 @@ def test_windowed_bisection_matches_the_level_by_level_oracle():
 
 def test_a_window_stops_at_the_box_budget():
     # a window grows only while its boxes fit the boxes left in the
-    # budget, so at max_boxes=20 B1 and B2 enclose a few dozen boxes
+    # budget, so at max_boxes=8 B1 and B2 enclose fewer than 64 boxes
     # between them, not a 511-box window each
     enclosed = 0
     for target in ("B1", "B2"):
@@ -486,9 +559,9 @@ def test_a_window_stops_at_the_box_budget():
             return expr(x, y)
 
         cert = certify_lower_bound(target, counted, chart.root, chart.threshold,
-                                   clip=chart.clip, epsilon=chart.eps, max_boxes=20)
+                                   clip=chart.clip, epsilon=chart.eps, max_boxes=8)
         assert cert.status is CertStatus.INCONCLUSIVE
-        assert cert.notes[-1].startswith("box budget 20 exhausted")
+        assert cert.notes[-1].startswith("box budget 8 exhausted")
     assert enclosed < 64
 
 

@@ -432,7 +432,7 @@ CERTIFICATES = ("B1", "B2", "B2-diagonal-strip", "B2-diagonal-strip-corner",
 
 
 def test_verify_encloses_a_window_of_levels_per_call(tmp_path, capsys, monkeypatch):
-    # one evaluator call per depth level made 88 calls for the 3,980 boxes
+    # one evaluator call per depth level makes 79 calls for the 2,192 boxes
     # of the eight certificates; a window of levels per call makes at most
     # 30, and no call holds more boxes than the larger of the window budget
     # and the frontier the window started from
@@ -462,7 +462,7 @@ def test_verify_encloses_a_window_of_levels_per_call(tmp_path, capsys, monkeypat
     assert all(n <= max(interval._WINDOW, start) for n, start in sizes), sizes
     examined = [json.loads((tmp_path / f"{name}.json").read_text())["boxes_examined"]
                 for name in CERTIFICATES]
-    assert sum(examined) == 3980
+    assert sum(examined) == 2192
 
 
 def test_verify_stdout_at_the_defaults(tmp_path, capsys):
