@@ -99,33 +99,38 @@ def b1_expr(x, y):
 
         b1 = g(u) h(x),  g(u) = N(u) / sqrt(2 - u),  h(x) = 1 / sqrt(x (2 - x)),
 
-    with 16 N(u) = 16 + 8u - 7u^2, whose constants 1/2 and 7/16 are exact.
-    Floats evaluate it directly.  On a box of the triangle (0 <= x <= 1,
-    0 <= u <= 2, as the clip keeps every box) the enclosure is the product
-    of the two factors' exact ranges, so x and y never meet twice in one
-    interval expression (Moore, Kearfott & Cloud 2009, ch. 5-6):
+    with 16 N(u) = 16 + 8u - 7u^2, whose constants 1/2 and 7/16 are exact,
+    defined for u < 2 and 0 < x < 2.  Floats evaluate it directly.  On a
+    box the enclosure is the interval product of the two factors' exact
+    ranges G and H over the box's points where they are defined, so x and
+    y never meet twice in one interval expression (Moore, Kearfott & Cloud
+    2009, ch. 5-6):
 
-    * g rises on [0, 4/3], falls on [4/3, 12/7] and rises on [12/7, 2),
-      so its least value on U is at the point of U nearest 0 (U's left
-      end) or nearest 12/7, and its largest nearest 4/3 or 2 (its pole);
-    * N is concave with N(0) = 1 and N(2) = 1/4, so N > 0 and g > 0;
-    * x (2 - x) rises on [0, 1], so h > 0 falls there, from its pole at 0.
+    * g rises on (-inf, 4/3], falls on [4/3, 12/7] and rises on [12/7, 2),
+      so its least value on U is at U's left end or at the point of U
+      nearest 12/7, and its largest at the point nearest 4/3 or 2 (its
+      pole);
+    * x (2 - x) rises on (0, 1] and falls on [1, 2), so h falls and then
+      rises: its least value on X is at the point of X nearest 1, its
+      largest at the point nearest 0 or 2 (its poles).
 
     Each of these points is a thin interval (``clamp``, with 4/3 and 12/7
     taken as their outward-rounded enclosures) on which g or h is
-    evaluated, so every end stays rounded outward on both engines.  The
-    two ends come from separate evaluations: the poles make only the upper
-    end infinite, and a box on x = 0 or at (1, 1) keeps a finite lower
-    end."""
+    evaluated, so every end stays rounded outward on both engines.  On the
+    triangle g > 0 (N is concave with N(0) = 1 and N(2) = 1/4) and h > 0,
+    so the enclosure is [min G * min H, max G * max H]: the poles make only
+    the upper end infinite, and a box on x = 0 or at (1, 1) keeps a finite
+    lower end.  A number x with an interval y is the thin interval [x, x]."""
     u = x + y
     if not hasattr(u, "clamp"):  # a float or an array of floats
         return _b1_g(u) * _b1_h(x)
-    h_min, h_max = _b1_h(x.clamp(1.0)), _b1_h(x.clamp(0.0))
-    lo = np.minimum((_b1_g(u.clamp(0.0)) * h_min).lo,
-                    (_b1_g(u.clamp(_G_DIP.lo, _G_DIP.hi)) * h_min).lo)
-    hi = np.maximum((_b1_g(u.clamp(2.0)) * h_max).hi,
-                    (_b1_g(u.clamp(_G_PEAK.lo, _G_PEAK.hi)) * h_max).hi)
-    return type(u)(lo, hi)
+    if not hasattr(x, "clamp"):
+        x = Interval(x) if type(u) is Interval else type(u)(np.atleast_1d(x), np.atleast_1d(x))
+    g = type(u)(np.minimum(_b1_g(u.clamp(-math.inf)).lo, _b1_g(u.clamp(_G_DIP.lo, _G_DIP.hi)).lo),
+                np.maximum(_b1_g(u.clamp(2.0)).hi, _b1_g(u.clamp(_G_PEAK.lo, _G_PEAK.hi)).hi))
+    h = type(u)(_b1_h(x.clamp(1.0)).lo,
+                np.maximum(_b1_h(x.clamp(0.0)).hi, _b1_h(x.clamp(2.0)).hi))
+    return g * h
 
 
 def f_aux(x, y):

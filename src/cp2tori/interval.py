@@ -1,8 +1,7 @@
 """Directed-rounding interval arithmetic and certified branch-and-bound.
 
-Outward rounding is implemented by one-ulp nudging (``math.nextafter``,
-and an integer step of the endpoint bits on arrays) rather than FPU
-rounding-mode control: Python gives no
+Outward rounding is implemented by one-ulp nudging (``math.nextafter`` /
+``np.nextafter``) rather than FPU rounding-mode control: Python gives no
 portable, thread-safe access to the rounding mode, and a correctly rounded
 IEEE result is always within one ulp of the exact value, so nudging is
 sound for ``+ - * / sqrt``.  The scalar path additionally detects *exact*
@@ -19,13 +18,12 @@ does the same for a sum).  Outside the band where Dekker's splits are
 exact, the end moves one ulp out.  An Interval operand's ends are read
 directly; a number operand such as the ``8.0`` in ``8.0 * x`` is read as
 the endpoint pair (8.0, 8.0) and is not wrapped in an ``Interval``.
-A product takes the two endpoint pairs that the signs of its factors
-name, or four when both contain 0 (Moore, Kearfott & Cloud, *Introduction
-to Interval Analysis*, SIAM 2009, §2.3): both factors >= 0 give
-[a*c, b*d], for one.  A dividend >= 0 over a divisor > 0 gives [a/d, b/c];
-any other quotient rounds its four pairs down for the lower end and up for
-the upper one.  On both engines an endpoint product of 0 and +-inf is
-+0.0 (IEEE Std 1788-2015).
+Operands of one sign need two endpoint pairs, not four (Moore, Kearfott &
+Cloud, *Introduction to Interval Analysis*, SIAM 2009, §2.3): both
+factors >= 0 give [a*c, b*d] and a dividend >= 0 over a divisor > 0 gives
+[a/d, b/c]; any other case rounds its four pairs down for the lower end
+and up for the upper one.  On both engines an endpoint product of 0 and
++-inf is +0.0 (IEEE Std 1788-2015).
 
 Two arithmetic engines share one operator API:
 
@@ -37,13 +35,13 @@ An ``IntervalArray`` keeps its endpoints in one float64 array of shape
 operation costs a few numpy calls whatever n is: ``+`` and ``-`` are one
 operation on both rows, ``*`` and ``/`` form their four endpoint products
 or quotients in one broadcast (two for a number operand) and reduce them
-in fixed pairs, and one helper nudges both rows, as ``np.nextafter``
-towards -inf for row 0 and +inf for row 1 would, by an integer step of
-each end's bits, keeping an exact +0.0 lower end and -0.0 upper end at
-0.0.  So an element's enclosure depends only on its own operands, not on
-how many others share the call.  ``clamp`` makes, on either engine, the
-thin interval at the points of an interval nearest given numbers, on
-which a bound expression can evaluate a monotone piece at its extremes.
+in fixed pairs, and one helper nudges both rows, ``np.nextafter`` towards
+-inf for row 0 and +inf for row 1, keeping an exact +0.0 lower end and
+-0.0 upper end at 0.0.  So an element's enclosure depends only on its own
+operands, not on how many others share the call.  ``clamp`` makes, on
+either engine, the thin interval at the points of an interval nearest
+given numbers, on which a bound expression can evaluate a monotone piece
+at its extremes.
 
 Both divide by one rule (IEEE Std 1788-2015): a divisor that touches zero
 at one end gives an enclosure of n/d over its nonzero part -- one-sided
@@ -196,33 +194,6 @@ def _div_up(a, b):
     return q if (r <= 0.0 if b > 0.0 else r >= 0.0) else _nextafter(q, _INF)
 
 
-def _mul_signed(a, b, c, d):
-    """The ends of [a, b] * [c, d] for factors not both >= 0, from the
-    endpoint pairs that Moore's sign table names, two of them or four when
-    both factors contain 0 (Moore, Kearfott & Cloud 2009, §2.3), rounded
-    down for the lower end and up for the upper one.  An end that comes
-    out 0 is taken again from all four pairs, as min(ac, ad, bc, bd) (max
-    alike), so that which signed zero it is does not depend on the case."""
-    if a >= 0.0:
-        lo, hi = _mul_down(b, c), _mul_up(a, d) if d <= 0.0 else _mul_up(b, d)
-    elif b <= 0.0:
-        if c >= 0.0:
-            lo, hi = _mul_down(a, d), _mul_up(b, c)
-        else:
-            lo, hi = (_mul_down(b, d) if d <= 0.0 else _mul_down(a, d)), _mul_up(a, c)
-    elif c >= 0.0:
-        lo, hi = _mul_down(a, d), _mul_up(b, d)
-    elif d <= 0.0:
-        lo, hi = _mul_down(b, c), _mul_up(a, c)
-    else:
-        lo, hi = min(_mul_down(a, d), _mul_down(b, c)), max(_mul_up(a, c), _mul_up(b, d))
-    if lo == 0.0:
-        lo = min(_mul_down(a, c), _mul_down(a, d), _mul_down(b, c), _mul_down(b, d))
-    if hi == 0.0:
-        hi = max(_mul_up(a, c), _mul_up(a, d), _mul_up(b, c), _mul_up(b, d))
-    return lo, hi
-
-
 def _interval(lo, hi):
     """An Interval from float endpoints: the constructor's check, without
     its float() conversions."""
@@ -351,7 +322,8 @@ class Interval:
         if a >= 0.0 and c >= 0.0:  # the pairs (a, c) and (b, d) bound it
             lo, hi = _mul_down(a, c), _mul_up(b, d)
         else:
-            lo, hi = _mul_signed(a, b, c, d)
+            lo = min(_mul_down(a, c), _mul_down(a, d), _mul_down(b, c), _mul_down(b, d))
+            hi = max(_mul_up(a, c), _mul_up(a, d), _mul_up(b, c), _mul_up(b, d))
         if not lo <= hi:
             raise IntervalDomainError(f"invalid interval bounds [{lo}, {hi}]")
         iv = _new(Interval)
@@ -442,26 +414,19 @@ def sqrt(v):
 
 
 _OUT = np.array([[-_INF], [_INF]])  # outward: row 0 down, row 1 up
-# (an end's bits >> 63, its sign mask, ^ _STEP) | 1 is the integer step of
-# its bits that moves it one ulp outward: row 0 toward -inf, row 1 toward +inf
-_STEP = np.array([[-1], [0]], dtype=np.int64)
+# the bits of +0.0 (row 0) and -0.0 (row 1): such an end stays 0.0 when nudged
+_ZERO_STAYS = np.array([[0], [np.iinfo(np.int64).min]], dtype=np.int64)
 _FLOOR = np.array([[0.0], [-_INF]])  # np.maximum with it clamps row 0 at 0
 _SIGNS = np.array([[1.0], [-1.0]])
 
 
 def _nudge(e):
-    """Endpoint rows e moved one ulp outward, row 0 down and row 1 up, as
-    ``np.nextafter`` does: an integer step of each end's bits, which the
-    ordering of IEEE doubles by sign and magnitude makes the next float.
-    An exact +0.0 lower end or -0.0 upper end stays 0.0, so that
-    sign-definite products keep their sign (such a zero comes from an exact
-    zero or from an underflow on its own side of 0).  The step gives NaN
-    for those two zeros and for an infinite end at its own side, and may
-    turn a NaN into anything; where the step or the end is NaN the result
-    is e + 0.0, which is +0.0 for the zeros and the end itself otherwise."""
-    b = e.view(np.int64)
-    out = (b + (((b >> 63) ^ _STEP) | 1)).view(np.float64)
-    np.add(e, 0.0, out=out, where=(out != out) | (e != e))
+    """Endpoint rows e moved one ulp outward, row 0 down and row 1 up.  An
+    exact +0.0 lower end or -0.0 upper end stays 0.0, so that sign-definite
+    products keep their sign (such a zero comes from an exact zero or from
+    an underflow on its own side of 0)."""
+    out = np.nextafter(e, _OUT)
+    np.copyto(out, 0.0, where=e.view(np.int64) == _ZERO_STAYS)
     return out
 
 

@@ -516,6 +516,33 @@ def test_b1_enclosures_contain_b1_on_both_engines(fixed, u_inside):
                 assert enc.lo <= _b1_exact(px, py) <= enc.hi
 
 
+@pytest.mark.parametrize("xs, ys", [
+    ((0.9, 1.5), (0.0, 0.0)), ((1.2, 1.9), (-0.5, 0.0)), ((0.5, 0.6), (-3.0, -2.0))],
+    ids=["x-beyond-1", "x-near-2", "g-negative"])
+def test_b1_encloses_b1_off_the_triangle(xs, ys):
+    # beyond x = 1 h rises again, and below u = -1.04 N and g are negative:
+    # both engines still enclose b1 on a grid of the box
+    enc = b1_expr(Interval(*xs), Interval(*ys))
+    arr = b1_expr(IntervalArray([xs[0]], [xs[1]]), IntervalArray([ys[0]], [ys[1]]))
+    for px in np.linspace(*xs, 9):
+        for py in np.linspace(*ys, 9):
+            v = _b1_exact(px, py)
+            assert enc.lo <= v <= enc.hi and arr.lo[0] <= v <= arr.hi[0]
+
+
+def test_b1_takes_a_number_with_an_interval():
+    # a number operand is the thin interval at it, on either side and on
+    # both engines
+    cases = [(0.5, Interval(0.1, 0.2), [(0.5, 0.1), (0.5, 0.2)]),
+             (Interval(0.5, 0.6), 0.1, [(0.5, 0.1), (0.6, 0.1)]),
+             (0.5, IntervalArray([0.1, 0.2], [0.2, 0.3]), [(0.5, 0.1), (0.5, 0.3)])]
+    for x, y, (p0, p1) in cases:
+        enc = b1_expr(x, y)
+        lo, hi = np.min(enc.lo), np.max(enc.hi)
+        assert lo <= _b1_exact(*p0) <= hi and lo <= _b1_exact(*p1) <= hi
+        assert np.all(enc.lo <= enc.hi)
+
+
 def _certificate_fields(cert):
     """Every field but ``elapsed_s`` as JSON, which also rejects a numpy
     count, and the retained boxes' bytes."""

@@ -7,10 +7,9 @@ from fractions import Fraction
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import assume, example, given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from cp2tori import interval
 from cp2tori.errors import IntervalDomainError
 from cp2tori.interval import (PI, CertStatus, Interval, IntervalArray,
                               certify_lower_bound, replay_certificate)
@@ -696,60 +695,6 @@ def test_extended_division_touching_zero():
     arr = IntervalArray(np.array([1.0]), np.array([2.0])) / IntervalArray(
         np.array([-1.0]), np.array([1.0]))
     assert arr.lo[0] == -math.inf and arr.hi[0] == math.inf
-
-
-def _nudge_by_nextafter(e):
-    """The nudge as np.nextafter toward each row's side, with an exact +0.0
-    lower end and -0.0 upper end kept at 0.0: the reference for the
-    integer step."""
-    out = np.nextafter(e, np.array([[-INF], [INF]]))
-    np.copyto(out, 0.0, where=e.view(np.int64) == np.array([[0], [np.iinfo(np.int64).min]]))
-    return out
-
-
-def test_nudge_steps_the_bits_as_nextafter_does():
-    # random bit patterns (NaNs of every payload among them, and the NaNs
-    # next to +-inf and at the ends of the integer range), signed zeros,
-    # infinities, subnormals and the largest floats, on both rows
-    rng = np.random.default_rng(754)
-    bits = rng.integers(np.iinfo(np.int64).min, np.iinfo(np.int64).max, size=(2, 100_000),
-                        dtype=np.int64, endpoint=True)
-    special = np.array([0.0, -0.0, INF, -INF, 5e-324, -5e-324, 1e-310, -1e-310,
-                        sys.float_info.min, -sys.float_info.min, sys.float_info.max,
-                        -sys.float_info.max, 1.0, -1.0, math.nan]).view(np.int64)
-    nan_edges = np.array([0x7FF0000000000001, 0x7FF8000000000000, 0x7FFFFFFFFFFFFFFF,
-                          -0x000FFFFFFFFFFFFF, -0x0008000000000000, -1], dtype=np.int64)
-    assert np.isnan(nan_edges.view(np.float64)).all()
-    ends = np.concatenate([bits, np.tile(np.concatenate([special, nan_edges]), (2, 1))], axis=1)
-    e = ends.view(np.float64)
-    assert np.isnan(e).any() and np.isinf(e).any() and (np.abs(e) < sys.float_info.min).any()
-    with np.errstate(all="ignore"):
-        got, want = interval._nudge(e), _nudge_by_nextafter(e)
-    assert got.view(np.int64).tobytes() == want.view(np.int64).tobytes()
-
-
-def _mul_four_pairs(x, y):
-    """[a, b] * [c, d] as the min of the four endpoint products rounded
-    down and the max of the four rounded up, in the order ac, ad, bc, bd."""
-    (a, b), (c, d) = x, y
-    pairs = [(a, c), (a, d), (b, c), (b, d)]
-    return (min(interval._mul_down(p, q) for p, q in pairs),
-            max(interval._mul_up(p, q) for p, q in pairs))
-
-
-@given(x=_scalar_ends(), y=_scalar_ends())
-@settings(max_examples=500)
-@example(x=(0.0, 0.0), y=(-1.0, 2.0))      # a zero end: the four pairs' signed zero
-@example(x=(-0.0, 3.0), y=(-INF, -0.0))
-@example(x=(-INF, INF), y=(0.0, 0.0))      # 0 * inf is +0.0
-@example(x=(-1e-310, 5e-324), y=(-3.0, -5e-324))
-def test_a_mixed_sign_product_takes_the_sign_tables_pairs(x, y):
-    # the two (or four) pairs of Moore's sign table give the bits of the
-    # four-pair reduction, signed zeros and infinite ends included; two
-    # factors >= 0 take the pairs (a, c) and (b, d) as before
-    assume(not (x[0] >= 0.0 and y[0] >= 0.0))
-    got = Interval(*x) * Interval(*y)
-    assert _bits(got.lo, got.hi) == _bits(*_mul_four_pairs(x, y))
 
 
 @pytest.mark.parametrize("box, lo, hi, want", [
