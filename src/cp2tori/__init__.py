@@ -4,7 +4,7 @@ torus."""
 
 __version__ = "0.1.0"
 
-from .elliptic import EllipticModulus, complete_k, incomplete_f, jacobi_sn
+from .elliptic import EllipticModulus
 from .family import (AlphaTriple, Branch, DerivedConstants, ModuliPoint,
                      conformal_factor, derive_constants, feasibility_check,
                      g_phases, lemma3_box, lift, lift_data, q_cubic, solve_c2)
@@ -14,7 +14,7 @@ from .interval import Certificate, CertStatus, Interval
 
 __all__ = [
     "__version__",
-    "EllipticModulus", "complete_k", "incomplete_f", "jacobi_sn",
+    "EllipticModulus",
     "AlphaTriple", "Branch", "DerivedConstants", "ModuliPoint",
     "conformal_factor", "derive_constants", "feasibility_check",
     "g_phases", "lemma3_box", "lift", "lift_data", "q_cubic", "solve_c2",

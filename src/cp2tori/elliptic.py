@@ -1,20 +1,19 @@
 """Elliptic integrals, Carlson's symmetric forms and the Jacobi sn, cn
-functions.
+functions: the kernels of the torus family's closed forms.
 
 Conventions: the second argument is the *modulus* k, i.e. the integrand of
 the incomplete integral is 1/sqrt(1 - k^2 sin^2(phi)), and it is the
 modulus (not k^2) that the torus family passes around.
 
-Algorithms: the complete integral uses the arithmetic-geometric mean (which
-also gives D = (K - E)/k^2 without cancellation, see :func:`complete_kd`), the
-incomplete integral the Carlson symmetric form R_F, and sn, cn a descending
-Landen transformation.  K and D (one AGM loop for a float modulus or,
-elementwise, for an array of moduli, which the energy scan needs), R_F,
-R_J (which the family's third-kind phase integrals need) and sn, cn work
-elementwise on numpy arrays; for scalar input K, D, R_F and sn return
-floats.  The test suite checks them against direct
-adaptive quadrature of the defining integral, scipy.special and mpmath.
-Relative accuracy is about 1e-13 for k <= 0.99; k >= 1 is rejected.
+Algorithms: K and D = (K - E)/k^2 come from one arithmetic-geometric mean
+run (:func:`complete_kd`, which gives D without cancellation), the phase
+integrals from Carlson's symmetric forms R_F and R_J by duplication, and
+sn, cn from a descending Landen transformation.  :func:`complete_kd` takes
+a float modulus, for which it returns floats without numpy, or an array of
+moduli, which the energy scan needs; R_F, R_J, sn and cn work elementwise
+on numpy arrays.  The test suite checks them against direct adaptive
+quadrature of the defining integral, scipy.special and mpmath.  Relative
+accuracy is about 1e-13 for k <= 0.99; k >= 1 is rejected.
 """
 
 from __future__ import annotations
@@ -42,10 +41,6 @@ class EllipticModulus:
         if not 0.0 <= k < 1.0:  # false for NaN too
             raise ValueError(f"elliptic modulus must satisfy 0 <= k < 1, got {k}")
 
-    @property
-    def k2(self) -> float:
-        return self.k * self.k
-
 
 def _as_k(k):
     """k as a checked float, or as a checked float array for an array
@@ -71,8 +66,7 @@ def _where(run, new, old):
 
 def _carlson_rf(x, y, z):
     """Carlson R_F(x, y, z) by the duplication theorem (x, y, z >= 0,
-    at most one zero); elementwise over numpy arrays, a float for
-    scalars."""
+    at most one zero), elementwise over numpy arrays."""
     x, y, z = (np.asarray(v, dtype=float) for v in (x, y, z))
     A = (x + y + z) / 3.0
     Q = (3.0e-16) ** (-1.0 / 8.0) * np.maximum.reduce([abs(A - x), abs(A - y), abs(A - z)])
@@ -91,11 +85,10 @@ def _carlson_rf(x, y, z):
     Z = -(X + Y)
     E2 = X * Y - Z * Z
     E3 = X * Y * Z
-    out = (
+    return (
         1.0 - E2 / 10.0 + E3 / 14.0 + E2 * E2 / 24.0 - 3.0 * E2 * E3 / 44.0
         - 5.0 * E2 ** 3 / 208.0 + 3.0 * E3 * E3 / 104.0 + E2 * E2 * E3 / 16.0
     ) / np.sqrt(A)
-    return float(out) if out.ndim == 0 else out
 
 
 def _carlson_rj(x, y, z, p):
@@ -143,12 +136,6 @@ def _carlson_rj(x, y, z, p):
     return series / (f * A * np.sqrt(A)) + 6.0 * total
 
 
-def complete_k(k) -> float:
-    """Complete elliptic integral K(k) = F(pi/2, k), by the AGM run of
-    :func:`complete_kd`."""
-    return complete_kd(k)[0]
-
-
 def complete_kd(k):
     """K(k) and D(k) = (K(k) - E(k)) / k^2 from one AGM run.
 
@@ -179,28 +166,6 @@ def complete_kd(k):
     return K, K * s
 
 
-def incomplete_f(theta: float, k) -> float:
-    """Incomplete elliptic integral F(theta, k) of the first kind.
-
-    Strictly increasing in theta, with F(theta + pi, k) = F(theta, k) + 2K(k).
-    """
-    kk = _as_k(k)
-    if math.isnan(theta) or math.isinf(theta):
-        raise ValueError(f"theta must be finite, got {theta}")
-    if kk == 0.0:
-        return theta
-    # reduce to phi in [-pi/2, pi/2]: F(phi + n*pi) = F(phi) + 2nK
-    n = math.floor(theta / math.pi + 0.5)
-    phi = theta - n * math.pi
-    base = 2.0 * n * complete_k(kk) if n else 0.0
-    s = math.sin(phi)
-    c = math.cos(phi)
-    if abs(phi) >= 0.5 * math.pi:  # phi == +-pi/2 up to rounding
-        sgn = 1.0 if phi > 0 else -1.0
-        return base + sgn * complete_k(kk)
-    return base + s * _carlson_rf(c * c, (1.0 - kk * s) * (1.0 + kk * s), 1.0)
-
-
 def _sn_cn(u, k: float, K: float):
     """sn(u, k) and cn(u, k) elementwise by descending Landen (DLMF 22.7.1,
     22.7.2), with K = K(k) from the caller's AGM run.  cn is carried as a
@@ -227,11 +192,3 @@ def _sn_cn(u, k: float, K: float):
         s = (1.0 + ki) * s / den
     return s, c
 
-
-def jacobi_sn(u, k):
-    """Jacobi sn(u, k), the inverse of incomplete_f: sn(F(theta,k),k) =
-    sin(theta).  Elementwise over a numpy array of u; a float for a
-    scalar u."""
-    k = _as_k(k)
-    s = _sn_cn(u, k, complete_k(k))[0]
-    return float(s) if s.ndim == 0 else s

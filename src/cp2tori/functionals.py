@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -104,10 +104,14 @@ SCAN_COLUMNS = ("alpha1", "alpha2", "alpha3", "a1", "a2", "branch",
                 "c2", "a3", "a", "T", "A", "W", "E", "ratio")
 
 
-def _grid_arrays(alpha: AlphaTriple, n: int, margin: float):
-    """The (a1, a2) arrays of :func:`feasible_grid`, in its order: the
-    points a2 < a1 - sep of the n x n grid on ``vals``, built from the
-    kept triangle alone."""
+def feasible_grid(alpha: AlphaTriple, n: int, margin: float = 0.02):
+    """Interior (a1, a2) grid points of the feasibility box with a1 > a2,
+    as an a1 array and an a2 array ordered by a1, then a2: the points
+    a2 < a1 - sep of an n x n grid, built from the kept triangle alone.
+
+    ``margin``, in [0, 1/2), trims the box boundary (degenerate loci) as
+    a fraction of the box width; sep is the same fraction.
+    """
     if not 0 <= margin < 0.5:
         raise ValueError(f"margin must be in [0, 1/2), got {margin!r}")
     lo, hi = lemma3_box(alpha)
@@ -123,17 +127,6 @@ def _grid_arrays(alpha: AlphaTriple, n: int, margin: float):
     return np.repeat(vals, counts), vals[j]
 
 
-def feasible_grid(alpha: AlphaTriple, n: int, margin: float = 0.02) -> List[tuple]:
-    """Interior (a1, a2) grid points of the feasibility box with a1 > a2,
-    ordered by a1, then a2.
-
-    ``margin``, in [0, 1/2), trims the box boundary (degenerate loci) as
-    a fraction of the box width.
-    """
-    a1, a2 = _grid_arrays(alpha, n, margin)
-    return list(zip(a1.tolist(), a2.tolist()))
-
-
 def scan_columns(alpha: AlphaTriple, n: int, branches: Sequence[Branch],
                  n_periods: int, margin: float) -> tuple:
     """The scan of one triple as the columns a1, a2, branch, c2, a3, a, T,
@@ -142,7 +135,7 @@ def scan_columns(alpha: AlphaTriple, n: int, branches: Sequence[Branch],
     that :func:`derive_grid` keeps of the grid of :func:`feasible_grid`,
     each point repeated once per branch: a1, then a2, then the branches
     in the given order."""
-    a1, a2 = _grid_arrays(alpha, n, margin)
+    a1, a2 = feasible_grid(alpha, n, margin)
     names = np.array([b.value for b in branches])
     d, _ = derive_grid(alpha, np.repeat(a1, names.size), np.repeat(a2, names.size),
                        np.tile(names, a1.size))

@@ -15,9 +15,10 @@ keeps the float result where the exact value lies on the bounded side of
 it and moves one ulp out otherwise, which Dekker's error term shows for a
 product and the residual a - q*b for a quotient or root q (TwoSum's error
 does the same for a sum).  Outside the band where Dekker's splits are
-exact, the end moves one ulp out.  An Interval operand's ends are read
-directly; a number operand such as the ``8.0`` in ``8.0 * x`` is read as
-the endpoint pair (8.0, 8.0) and is not wrapped in an ``Interval``.
+exact, the end moves one ulp out, unless a zero factor or dividend makes
+it an exact zero.  An Interval operand's ends are read directly; a number
+operand such as the ``8.0`` in ``8.0 * x`` is read as the endpoint pair
+(8.0, 8.0) and is not wrapped in an ``Interval``.
 Operands of one sign need two endpoint pairs, not four (Moore, Kearfott &
 Cloud, *Introduction to Interval Analysis*, SIAM 2009, §2.3): both
 factors >= 0 give [a*c, b*d] and a dividend >= 0 over a divisor > 0 gives
@@ -121,8 +122,8 @@ def _add_up(a, b):
 
 
 def _mul_down(a, b):
-    """RD(a * b) in the band, fl(a * b) one ulp down outside it; a product
-    of 0 and +-inf is +0.0 (IEEE Std 1788-2015)."""
+    """RD(a * b) in the band, fl(a * b) one ulp down outside it but for a
+    zero factor; a product of 0 and +-inf is +0.0 (IEEE Std 1788-2015)."""
     p = a * b
     if (-_SPLIT_SAFE <= a <= _SPLIT_SAFE and -_SPLIT_SAFE <= b <= _SPLIT_SAFE
             and (1e-290 <= p <= _SPLIT_SAFE or -_SPLIT_SAFE <= p <= -1e-290
@@ -135,7 +136,9 @@ def _mul_down(a, b):
         bl = b - bh
         e = ((ah * bh - p) + ah * bl + al * bh) + al * bl
         return p if e >= 0.0 else _nextafter(p, -_INF)
-    return 0.0 if p != p else _nextafter(p, -_INF)
+    if a == 0.0 or b == 0.0:  # an exact zero, or 0 * +-inf
+        return 0.0 if p != p else p
+    return _nextafter(p, -_INF)
 
 
 def _mul_up(a, b):
@@ -152,14 +155,16 @@ def _mul_up(a, b):
         bl = b - bh
         e = ((ah * bh - p) + ah * bl + al * bh) + al * bl
         return p if e <= 0.0 else _nextafter(p, _INF)
-    return 0.0 if p != p else _nextafter(p, _INF)
+    if a == 0.0 or b == 0.0:
+        return 0.0 if p != p else p
+    return _nextafter(p, _INF)
 
 
 def _residual(a, q, b):
     """a - q*b, with its exact sign, for q = fl(a / b) or q = b = fl(sqrt(a)),
-    as a - p - e with p = fl(q*b) and e its Dekker error; NaN outside the
-    band, an infinite q included.  a - p is exact by Sterbenz's lemma, so
-    only the last subtraction rounds."""
+    as a - p - e with p = fl(q*b) and e its Dekker error; outside the band
+    NaN (an infinite q included), or 0 for a zero dividend.  a - p is exact
+    by Sterbenz's lemma, so only the last subtraction rounds."""
     p = q * b
     if (-_SPLIT_SAFE <= q <= _SPLIT_SAFE and -_SPLIT_SAFE <= b <= _SPLIT_SAFE
             and (1e-290 <= p <= _SPLIT_SAFE or -_SPLIT_SAFE <= p <= -1e-290
@@ -171,7 +176,7 @@ def _residual(a, q, b):
         bh = c - (c - b)
         bl = b - bh
         return (a - p) - (((qh * bh - p) + qh * bl + ql * bh) + ql * bl)
-    return _NAN
+    return 0.0 if a == 0.0 else _NAN
 
 
 def _div_down(a, b):
@@ -514,7 +519,8 @@ class IntervalArray:
         return v
 
     def __add__(self, other):
-        return _array(_nudge(self.e + self._operand(other)))
+        with np.errstate(over="ignore"):
+            return _array(_nudge(self.e + self._operand(other)))
 
     __radd__ = __add__
 
@@ -523,10 +529,12 @@ class IntervalArray:
 
     def __sub__(self, other):
         o = self._operand(other)
-        return _array(_nudge(self.e - (o[::-1] if o.ndim == 2 else o)))
+        with np.errstate(over="ignore"):
+            return _array(_nudge(self.e - (o[::-1] if o.ndim == 2 else o)))
 
     def __rsub__(self, other):
-        return _array(_nudge(self._operand(other) - self.e[::-1]))
+        with np.errstate(over="ignore"):
+            return _array(_nudge(self._operand(other) - self.e[::-1]))
 
     def __mul__(self, other):
         o = self._operand(other)
@@ -545,7 +553,8 @@ class IntervalArray:
 
     def sq(self):
         m = _hull(np.abs(self.e))  # [min, max] of |lo|, |hi|
-        e = _nudge(m * m)
+        with np.errstate(over="ignore"):
+            e = _nudge(m * m)
         np.copyto(e[0], 0.0, where=(self.e[0] <= 0.0) & (self.e[1] >= 0.0))
         return _array(e)
 

@@ -5,8 +5,10 @@ import pytest
 from scipy.integrate import quad
 from scipy.special import ellipj
 
+from cp2tori.elliptic import _carlson_rf
 from cp2tori.family import (AlphaTriple, Branch, ModuliPoint, conformal_factor,
                             derive_constants)
+from cp2tori.functionals import feasible_grid
 from cp2tori.immersion import _det_at, _unit_frame
 
 # triples used throughout the sweeps (all normalized, coprime differences)
@@ -22,6 +24,20 @@ SIGN_SLIP_STEPS = (
     "2 pi^2 a^2/sqrt(a1+a3) >= 2 pi^2 sqrt(p) beta^2 s/sqrt(x+xy/s)",
     "W >= 2 pi^2 sqrt(p) beta^2 s/sqrt(x+xy/s)",
 )
+
+
+def grid_points(alpha, n, margin=0.02):
+    """The points of functionals.feasible_grid as (a1, a2) float pairs,
+    in its order."""
+    return list(zip(*(c.tolist() for c in feasible_grid(alpha, n, margin))))
+
+
+def carlson_f(theta, k):
+    """F(theta, k) for |theta| <= pi/2 as sin(theta) R_F(cos^2 theta,
+    1 - k^2 sin^2 theta, 1) (DLMF 19.25.5), by the R_F kernel that
+    family.g_phases runs; elementwise over an array of theta."""
+    s, c = np.sin(theta), np.cos(theta)
+    return s * _carlson_rf(c * c, (1.0 - k * s) * (1.0 + k * s), 1.0)
 
 
 def quad_period_integral(d):
@@ -43,7 +59,7 @@ def quad_g_phases(x, d):
 
     def integral(off, upper):
         def rate(z):
-            sn = ellipj(z * d.sqrt_a1_a3, d.modulus.k2)[0]
+            sn = ellipj(z * d.sqrt_a1_a3, d.modulus.k * d.modulus.k)[0]
             cf = d.a1 - (d.a1 - d.a2) * sn * sn
             return (d.c2 - 0.5 * d.slope_x * cf) / (cf + off)
         val, _ = quad(rate, 0.0, upper, epsabs=1e-13, epsrel=1e-13, limit=400)

@@ -23,20 +23,21 @@ from cp2tori.bounds import (b1_expr, b2_expr, b2_strip_corner_expr,
                             certify_lemma4, certify_lemma5,
                             degenerate_c2_bounds_check,
                             lemma5_strip_certificates, scalar_bound_checks)
-from cp2tori.elliptic import incomplete_f, jacobi_sn
+from cp2tori.elliptic import _sn_cn, complete_kd
 from cp2tori.family import (AlphaTriple, Branch, ModuliPoint, derive_constants,
                             feasibility_check, lemma3_box, quartic_coefficients,
                             solve_c2)
 from cp2tori.functionals import (HomogeneousParams, clifford_energy,
-                                 energy_mironov, feasible_grid,
-                                 homogeneous_energy, willmore_mironov)
+                                 energy_mironov, homogeneous_energy,
+                                 willmore_mironov)
 from cp2tori.interval import CertStatus, replay_certificate
 from cp2tori.periodicity import (LatticeData, best_rational, closure_residual,
                                  phase_differences, rational_fit,
                                  tau_free_invariant)
 from cp2tori.immersion import geometry_residuals
 from conftest import (CANONICAL_TRIPLES, SIGN_SLIP_STEPS, SLOPE_SLIP_STEP,
-                      angle_willmore, quad_period_integral)
+                      angle_willmore, carlson_f, grid_points,
+                      quad_period_integral)
 
 POSITIVE_TRIPLES = [(2, 1, -1), (3, 1, -1), (3, 2, -1)]
 DEGENERATE_TRIPLES = [(1, 0, -1), (2, 0, -1)]
@@ -55,7 +56,7 @@ def full_sweep():
         al = AlphaTriple(*weights)
         for br in (Branch.MINUS, Branch.PLUS):
             pts = []
-            for a1, a2 in feasible_grid(al, 30):
+            for a1, a2 in grid_points(al, 30):
                 d = derive_constants(al, ModuliPoint(a1, a2, br))
                 pts.append((a1, a2, d, energy_mironov(d)))
             out[(weights, br)] = pts
@@ -102,11 +103,13 @@ def test_02_homogeneous_inequality():
 
 
 def test_03_elliptic_roundtrip():
+    # sn(F(theta, k), k) = sin(theta) through the kernels g_phases runs:
+    # F by Carlson's R_F, sn by Landen with K from the AGM run
     t0 = time.perf_counter()
     worst = 0.0
     for theta in np.linspace(-math.pi / 2 + 1e-6, math.pi / 2 - 1e-6, 100):
         for k in np.linspace(0.0, 0.95, 10):
-            s = jacobi_sn(incomplete_f(theta, k), k)
+            s = _sn_cn(carlson_f(theta, k), k, complete_kd(k)[0])[0]
             worst = max(worst, abs(s - math.sin(theta)))
     elapsed = time.perf_counter() - t0
     ok = worst <= 1e-10 and elapsed < 1.0
@@ -170,7 +173,7 @@ def test_06_theorem1_numerical_witness():
     reports = 0
     for weights in CANONICAL_TRIPLES:
         al = AlphaTriple(*weights)
-        pts = feasible_grid(al, 4, margin=0.05)[:5]
+        pts = grid_points(al, 4, margin=0.05)[:5]
         assert len(pts) == 5
         for a1, a2 in pts:
             for br in (Branch.MINUS, Branch.PLUS):

@@ -21,10 +21,9 @@ from cp2tori.bounds import (_G_DIP, _G_PEAK, BAND_EPS, CHARTS, CLAIMS, b1_expr, 
                             scalar_tail_1, scalar_tail_2)
 from cp2tori.cli import EXIT_NOT_PROVED, EXIT_OK, main
 from cp2tori.family import AlphaTriple, Branch, ModuliPoint, derive_constants
-from cp2tori.functionals import feasible_grid
 from cp2tori.interval import (CertStatus, Interval, IntervalArray,
                               certify_lower_bound, replay_certificate, sqrt)
-from conftest import SIGN_SLIP_STEPS
+from conftest import SIGN_SLIP_STEPS, grid_points
 from level_by_level import certify_level_by_level
 
 
@@ -681,7 +680,7 @@ DEGENERATE_TRIPLES = [(1, 0, -1), (2, 0, -1)]
 def test_case_classification_trichotomy(rng):
     al = AlphaTriple(2, 1, -1)
     seen = set()
-    for a1, a2 in feasible_grid(al, 12):
+    for a1, a2 in grid_points(al, 12):
         d = derive_constants(al, ModuliPoint(a1, a2, Branch.MINUS))
         seen.add(classify_case(al, d))
     assert seen <= {1, 2, 3} and len(seen) >= 2
@@ -690,7 +689,7 @@ def test_case_classification_trichotomy(rng):
 @pytest.mark.parametrize("weights", POSITIVE_TRIPLES)
 def test_case_chain_holds_everywhere(weights):
     al = AlphaTriple(*weights)
-    for a1, a2 in feasible_grid(al, 8):
+    for a1, a2 in grid_points(al, 8):
         for br in (Branch.MINUS, Branch.PLUS):
             rep = case_chain_check(al, a1, a2, br)
             assert rep.all_hold, (
@@ -702,7 +701,7 @@ def _case_3_points():
     """(t = a2/a1, the case-3 step's value) at each case-3 point of the sweep."""
     for weights in POSITIVE_TRIPLES:
         al = AlphaTriple(*weights)
-        for a1, a2 in feasible_grid(al, 8):
+        for a1, a2 in grid_points(al, 8):
             for br in (Branch.MINUS, Branch.PLUS):
                 rep = case_chain_check(al, a1, a2, br)
                 if rep.case_label == "case-3":
@@ -764,7 +763,7 @@ def test_degenerate_chain_sound_steps_hold(weights):
     """Every step except the three documented sign-slip displays holds at
     every sampled point, and the enclosing conclusions always hold."""
     al = AlphaTriple(*weights)
-    for a1, a2 in feasible_grid(al, 8):
+    for a1, a2 in grid_points(al, 8):
         for br in (Branch.MINUS, Branch.PLUS):
             rep = degenerate_c2_bounds_check(al, a1, a2, br)
             for step in rep.steps:
@@ -808,6 +807,6 @@ def test_degenerate_gap_only_when_bracket_negative():
 
 def test_degenerate_plus_branch_chain_holds(rng):
     al = AlphaTriple(2, 0, -1)
-    for a1, a2 in feasible_grid(al, 6):
+    for a1, a2 in grid_points(al, 6):
         rep = degenerate_c2_bounds_check(al, a1, a2, Branch.PLUS)
         assert rep.all_hold, [s.name for s in rep.failing]

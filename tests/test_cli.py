@@ -352,7 +352,8 @@ def test_scan_zero_rows_warning_covers_a_vanishing_c2(tmp_path, capsys):
     from cp2tori.family import AlphaTriple, feasibility_check
     from cp2tori.functionals import feasible_grid
     al = AlphaTriple(2, 1, -1)
-    assert feasible_grid(al, 2, 0.0) == [(2.0, 1.0)]
+    a1, a2 = feasible_grid(al, 2, 0.0)
+    assert a1.tolist() == [2.0] and a2.tolist() == [1.0]
     assert feasibility_check(al, 2.0, 1.0).feasible
     out = tmp_path / "s.csv"
     code, _, err = run(capsys, "scan", "--alpha", "2", "1", "-1", "--grid", "2",
@@ -888,7 +889,7 @@ def test_scan_skips_degenerate_points_in_api_and_cli(tmp_path, capsys, monkeypat
     from cp2tori import family, functionals
     from cp2tori.family import AlphaTriple, Branch
     al = AlphaTriple(2, 1, -1)
-    a1, a2 = functionals.feasible_grid(al, 4)[0]
+    a1, a2 = (float(c[0]) for c in functionals.feasible_grid(al, 4))
     real = family._c2_pair
 
     def c2_pair(g1, g2, q1, q2):

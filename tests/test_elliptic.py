@@ -4,10 +4,16 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from scipy.special import ellipe, ellipj, ellipk, elliprj
+from scipy.special import ellipe, ellipj, ellipk, elliprf, elliprj
 
-from cp2tori.elliptic import (EllipticModulus, _carlson_rj, _sn_cn, complete_k,
-                              complete_kd, incomplete_f, jacobi_sn)
+from cp2tori.elliptic import (EllipticModulus, _carlson_rf, _carlson_rj, _sn_cn,
+                              complete_kd)
+from conftest import carlson_f
+
+
+def sn(u, k):
+    """sn(u, k) by the Landen kernel, with K from the AGM run."""
+    return _sn_cn(u, k, complete_kd(k)[0])[0]
 
 
 def oracle_f(theta, k):
@@ -29,18 +35,13 @@ def test_modulus_validation():
         EllipticModulus(float("nan"))
 
 
-def test_incomplete_f_trivial_modulus():
-    assert incomplete_f(math.pi / 2, 0.0) == math.pi / 2
-    assert incomplete_f(0.7, 0.0) == 0.7
-
-
 def test_complete_k_values():
-    assert complete_k(0.0) == math.pi / 2
+    assert complete_kd(0.0)[0] == math.pi / 2
     # frozen from the defining-integral oracle
-    assert complete_k(0.8) == pytest.approx(1.9953027776647292, abs=1e-12)
-    assert abs(complete_k(0.8) - 1.9953) < 1e-4
-    assert complete_k(0.5) == pytest.approx(1.685750354812596, abs=1e-12)
-    k99 = complete_k(0.99)
+    assert complete_kd(0.8)[0] == pytest.approx(1.9953027776647292, abs=1e-12)
+    assert abs(complete_kd(0.8)[0] - 1.9953) < 1e-4
+    assert complete_kd(0.5)[0] == pytest.approx(1.685750354812596, abs=1e-12)
+    k99 = complete_kd(0.99)[0]
     assert k99 > 3.0 and math.isfinite(k99)
     assert k99 == pytest.approx(oracle_f(math.pi / 2, 0.99), rel=1e-12)
 
@@ -49,7 +50,6 @@ def test_complete_kd_against_scipy():
     # scipy.special takes the parameter m = k^2
     for k in [0.0, 1e-5, *np.linspace(1e-3, 0.999, 400)]:
         K, D = complete_kd(k)
-        assert K == complete_k(k)  # the same AGM run, bit for bit
         m = k * k
         assert K == pytest.approx(ellipk(m), rel=2e-15)
         # E = K - k^2 D and K - E = k^2 D, to the rounding of K and E
@@ -95,48 +95,40 @@ def test_complete_kd_against_mpmath():
 
 def test_complete_k_exceeds_pi_half():
     for k in (0.05, 0.3, 0.6, 0.9):
-        assert complete_k(k) > math.pi / 2
+        assert complete_kd(k)[0] > math.pi / 2
 
 
 def test_incomplete_f_against_quadrature(rng):
+    # the R_F form is F on |theta| <= pi/2, the range g_phases reduces to
     for _ in range(200):
-        theta = rng.uniform(-4.0, 4.0)
+        theta = rng.uniform(-math.pi / 2, math.pi / 2)
         k = rng.uniform(0.0, 0.95)
-        assert incomplete_f(theta, k) == pytest.approx(oracle_f(theta, k), abs=1e-11)
-
-
-def test_incomplete_f_shift_identity(rng):
-    for _ in range(50):
-        theta = rng.uniform(-2.0, 2.0)
-        k = rng.uniform(0.0, 0.95)
-        lhs = incomplete_f(theta + math.pi, k)
-        rhs = incomplete_f(theta, k) + 2.0 * complete_k(k)
-        assert lhs == pytest.approx(rhs, abs=1e-12)
+        assert carlson_f(theta, k) == pytest.approx(oracle_f(theta, k), abs=1e-11)
 
 
 def test_incomplete_f_monotone_grid():
     thetas = np.linspace(0.0, math.pi / 2, 201)
     for k in (0.0, 0.4, 0.8, 0.95):
-        vals = [incomplete_f(t, k) for t in thetas]
+        vals = [carlson_f(t, k) for t in thetas]
         assert all(b > a for a, b in zip(vals, vals[1:]))
 
 
 def test_sn_trivial():
-    assert jacobi_sn(0.73, 0.0) == math.sin(0.73)
+    assert sn(0.73, 0.0) == math.sin(0.73)
     for k in (0.0, 0.3, 0.9):
-        assert jacobi_sn(0.0, k) == 0.0
+        assert sn(0.0, k) == 0.0
 
 
 def test_sn_at_quarter_period():
-    K = complete_k(0.6)
-    assert jacobi_sn(K, 0.6) == pytest.approx(1.0, abs=1e-12)
+    K = complete_kd(0.6)[0]
+    assert sn(K, 0.6) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_sn_roundtrip(rng):
     for _ in range(400):
         theta = rng.uniform(-math.pi / 2 + 1e-9, math.pi / 2 - 1e-9)
         k = rng.uniform(0.0, 0.95)
-        s = jacobi_sn(incomplete_f(theta, k), k)
+        s = sn(carlson_f(theta, k), k)
         assert abs(s - math.sin(theta)) <= 1e-10
 
 
@@ -144,16 +136,16 @@ def test_sn_bounded_and_periodic(rng):
     for _ in range(200):
         u = rng.uniform(-30.0, 30.0)
         k = rng.uniform(0.0, 0.95)
-        s = jacobi_sn(u, k)
+        s = sn(u, k)
         assert abs(s) <= 1.0 + 1e-15
-        K2 = 2.0 * complete_k(k)
-        assert abs(jacobi_sn(u + K2, k) ** 2 - s * s) <= 1e-10
+        K2 = 2.0 * complete_kd(k)[0]
+        assert abs(sn(u + K2, k) ** 2 - s * s) <= 1e-10
 
 
 def test_sn_degenerate_modulus_agreement(rng):
     for _ in range(100):
         u = rng.uniform(-10.0, 10.0)
-        assert abs(jacobi_sn(u, 0.0) - math.sin(u)) <= 1e-12
+        assert abs(sn(u, 0.0) - math.sin(u)) <= 1e-12
 
 
 def test_sn2_prime_matches_finite_differences(rng):
@@ -162,20 +154,20 @@ def test_sn2_prime_matches_finite_differences(rng):
     for _ in range(100):
         u = rng.uniform(-8.0, 8.0)
         k = rng.uniform(0.01, 0.95)
-        fd = (jacobi_sn(u + h, k) ** 2 - jacobi_sn(u - h, k) ** 2) / (2.0 * h)
-        s, c = _sn_cn(u, k, complete_k(k))
+        fd = (sn(u + h, k) ** 2 - sn(u - h, k) ** 2) / (2.0 * h)
+        s, c = _sn_cn(u, k, complete_kd(k)[0])
         assert 2.0 * s * c * math.sqrt(1.0 - (k * s) ** 2) == pytest.approx(fd, abs=5e-9)
 
 
 def test_sn_cn_arrays_against_scipy(rng):
     u = rng.uniform(-30.0, 30.0, 500)
     for k in (0.0, 0.3, 0.9, 0.99):
-        s, c = _sn_cn(u, k, complete_k(k))
+        s, c = _sn_cn(u, k, complete_kd(k)[0])
         sr, cr, _, _ = ellipj(u, k * k)  # scipy takes m = k^2
         assert np.abs(s - sr).max() <= 2e-14 and np.abs(c - cr).max() <= 2e-14
-        # one implementation: the scalar call gives the array's value
-        assert all(jacobi_sn(float(v), k) == sv for v, sv in zip(u[:20], s[:20]))
-        assert isinstance(jacobi_sn(float(u[0]), k), float)
+        # elementwise: a scalar u gives the array's value
+        assert all(sn(float(v), k) == sv for v, sv in zip(u[:20], s[:20]))
+        assert isinstance(sn(float(u[0]), k), float)
 
 
 def test_cn_keeps_relative_accuracy_near_its_zeros():
@@ -183,7 +175,7 @@ def test_cn_keeps_relative_accuracy_near_its_zeros():
     # half its digits where u is near an odd multiple of K
     import mpmath
     k = 0.8
-    K = complete_k(k)
+    K = complete_kd(k)[0]
     for u in (K - 1e-3, K - 1e-7, K + 1e-9, 3 * K + 1e-5):
         ref = float(mpmath.ellipfun("cn", mpmath.mpf(u), m=mpmath.mpf(k) ** 2))
         assert _sn_cn(u, k, K)[1] == pytest.approx(ref, rel=1e-8, abs=1e-15)
@@ -200,3 +192,15 @@ def test_carlson_rj_against_scipy_and_mpmath(rng):
     for args in [(0.0, 0.36, 1.0, 0.2), (0.5, 0.9, 1.0, 3.7), (1e-9, 0.1, 1.0, 1.0)]:
         assert float(_carlson_rj(*args)) == pytest.approx(
             float(mpmath.elliprj(*args)), rel=5e-15)
+
+
+def test_carlson_rf_against_scipy_and_mpmath(rng):
+    import mpmath
+    x, y = rng.uniform(0.0, 3.0, (2, 2000))
+    z = rng.uniform(0.01, 3.0, 2000)
+    x[:200] = 0.0  # cn = 0 at u = K gives g_phases R_F(0, 1 - k^2, 1)
+    ref = elliprf(x, y, z)
+    assert np.abs(_carlson_rf(x, y, z) / ref - 1.0).max() <= 5e-15
+    for args in [(0.0, 0.36, 1.0), (0.5, 0.9, 1.0), (1e-9, 0.1, 1.0), (2.0, 3.0, 4.0)]:
+        assert float(_carlson_rf(*args)) == pytest.approx(
+            float(mpmath.elliprf(*args)), rel=5e-15)

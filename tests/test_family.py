@@ -14,8 +14,7 @@ from cp2tori.family import (AlphaTriple, Branch, ModuliPoint, _p_discriminant,
                             conformal_factor, derive_constants, derive_grid,
                             feasibility_check, g_phases, lemma3_box, lift,
                             lift_data, q_cubic, quartic_coefficients, solve_c2)
-from cp2tori.functionals import feasible_grid
-from conftest import CANONICAL_TRIPLES, quad_g_phases
+from conftest import CANONICAL_TRIPLES, grid_points, quad_g_phases
 
 
 def test_alpha_derived_quantities():
@@ -383,7 +382,7 @@ def test_g_phases_closed_form_matches_quadrature():
     worst, n = 0.0, 0
     for weights in CANONICAL_TRIPLES:
         al = AlphaTriple(*weights)
-        for a1, a2 in feasible_grid(al, 6):
+        for a1, a2 in grid_points(al, 6):
             for br in (Branch.MINUS, Branch.PLUS):
                 d = derive_constants(al, ModuliPoint(a1, a2, br))
                 xs = fractions * d.period

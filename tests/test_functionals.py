@@ -7,11 +7,12 @@ from scipy.integrate import quad
 from cp2tori.errors import Cp2ToriError
 from cp2tori.family import (AlphaTriple, Branch, ModuliPoint, derive_constants,
                             lemma3_box)
-from cp2tori.functionals import (HomogeneousParams, _grid_arrays, area_mironov,
+from cp2tori.functionals import (HomogeneousParams, area_mironov,
                                  clifford_energy, energy_mironov, feasible_grid,
                                  homogeneous_energy, period_integral,
                                  scan_columns, willmore_mironov)
-from conftest import CANONICAL_TRIPLES, angle_willmore, quad_period_integral
+from conftest import (CANONICAL_TRIPLES, angle_willmore, grid_points,
+                      quad_period_integral)
 
 SQ3 = 1.0 / math.sqrt(3.0)
 BOTH = (Branch.MINUS, Branch.PLUS)
@@ -82,7 +83,7 @@ def test_area_substitution_identity(sample_derived, sample_derived_plus):
     # one-period quadrature of the conformal factor equals the angular form
     # (a1/sqrt(a1+a3)) * int_0^pi (1 - ((a1-a2)/a1) sin^2 t)/sqrt(1-k^2 sin^2 t) dt
     for d in (sample_derived, sample_derived_plus):
-        k2 = d.modulus.k2
+        k2 = d.modulus.k * d.modulus.k
         ratio = (d.a1 - d.a2) / d.a1
         angular, _ = quad(
             lambda t: (1.0 - ratio * math.sin(t) ** 2)
@@ -97,7 +98,7 @@ def test_area_closed_form_matches_quadrature_on_sweep():
     worst, n = 0.0, 0
     for weights in CANONICAL_TRIPLES:
         al = AlphaTriple(*weights)
-        for a1, a2 in feasible_grid(al, 30):
+        for a1, a2 in grid_points(al, 30):
             for br in (Branch.MINUS, Branch.PLUS):
                 d = derive_constants(al, ModuliPoint(a1, a2, br))
                 ref = quad_period_integral(d)
@@ -191,7 +192,7 @@ def test_energy_scan_matches_the_per_point_path():
             for row in zip(*(c.tolist() for c in scan_columns(al, 30, BOTH, 1, 0.02)))]
     expected = []
     for al in alphas:
-        for a1, a2 in feasible_grid(al, 30):
+        for a1, a2 in grid_points(al, 30):
             for branch in (Branch.MINUS, Branch.PLUS):
                 try:
                     d = derive_constants(al, ModuliPoint(a1, a2, branch))
@@ -214,9 +215,8 @@ def test_a_moduli_point_runs_the_agm_once(monkeypatch):
     # derive_constants keeps K and D from its one AGM run, and the
     # functionals, the conformal factor, the lift data (its derivative,
     # F_i, G_i and theirs), the phase integrals and the immersion read
-    # them from there; complete_kd is
-    # counted where family and elliptic (complete_k, jacobi_sn) call it
-    from cp2tori import elliptic, family, immersion
+    # them from there; complete_kd is counted where family calls it
+    from cp2tori import family, immersion
     calls = []
     real = family.complete_kd
 
@@ -225,7 +225,6 @@ def test_a_moduli_point_runs_the_agm_once(monkeypatch):
         return real(k)
 
     monkeypatch.setattr(family, "complete_kd", counted)
-    monkeypatch.setattr(elliptic, "complete_kd", counted)
     d = derive_constants(AlphaTriple(2, 1, -1), ModuliPoint(1.8, 1.2))
     energy_mironov(d, 2)
     period_integral(d)
@@ -284,19 +283,18 @@ def test_grid_arrays_match_the_meshgrid_oracle(weights):
     al = AlphaTriple(*weights)
     for n in (1, 2, 5, 30, 101):
         for margin in (0.0, 0.001, 0.02, 0.3, 0.49, 0.5 - 2.0 ** -54):
-            got = _grid_arrays(al, n, margin)
+            got = feasible_grid(al, n, margin)
             ref = _meshgrid_oracle(al, n, margin)
             assert all(g.dtype == r.dtype and g.shape == r.shape and
                        g.tobytes() == r.tobytes() for g, r in zip(got, ref)), (n, margin)
         for margin in (0.5, 0.75, 1.5, 3.0, 1e308, -0.1, math.nan):
             with pytest.raises(ValueError, match=r"margin must be in \[0, 1/2\)"):
-                _grid_arrays(al, n, margin)
+                feasible_grid(al, n, margin)
 
 
 def test_feasible_grid_stays_inside_box():
     al = AlphaTriple(3, 1, -1)
     lo, hi = lemma3_box(al)
-    pts = feasible_grid(al, 10)
-    assert pts
-    for a1, a2 in pts:
-        assert lo < a2 < a1 < hi
+    a1, a2 = feasible_grid(al, 10)
+    assert a1.size
+    assert ((lo < a2) & (a2 < a1) & (a1 < hi)).all()

@@ -104,6 +104,12 @@ def test_overflow_rounds_to_the_largest_float():
         assert (enc.lo, enc.hi) == (sys.float_info.max, INF)
     for enc in (-big - big, -big * 10.0, -big / 1e-10):
         assert (enc.lo, enc.hi) == (-INF, -sys.float_info.max)
+    # the array engine too, without numpy's overflow warning, which the
+    # suite's error::RuntimeWarning would raise
+    big = IntervalArray([1e308], [1e308])
+    for enc in (big + 1e308, big - (-1e308), 1e308 - IntervalArray([-1e308], [-1e308]),
+                big.sq(), big * 10.0, big / 1e-10):
+        assert (float(enc.lo[0]), float(enc.hi[0])) == (sys.float_info.max, INF)
 
 
 def test_sqrt_negative_raises():
@@ -273,11 +279,23 @@ TINY = 5e-324
 
 # results at the edges of Dekker's band, where the scalar path nudges both
 # sides instead of trusting the error term, or is exact at the band's
-# edge: (operation, x, y, (lo, hi))
+# edge: (operation, x, y, (lo, hi)).  Beyond the band a zero factor or a
+# zero dividend still gives an exact zero, with the sign of zero that a
+# factor or divisor inside the band gives.
 EDGE_CASES = [
-    pytest.param("mul", (1e200, 1e200), (0.0, 0.0), (-TINY, TINY), id="huge-times-0"),
-    pytest.param("mul", (0.0, 0.0), (-1e200, -1e200), (-TINY, TINY), id="0-times-huge"),
-    pytest.param("mul", (-1e200, 1e200), (0.0, 0.0), (-TINY, TINY), id="huge-span-times-0"),
+    pytest.param("mul", (1e200, 1e200), (0.0, 0.0), (0.0, 0.0), id="huge-times-0"),
+    pytest.param("mul", (0.0, 0.0), (-1e200, -1e200), (-0.0, -0.0), id="0-times-huge"),
+    pytest.param("mul", (-1e200, 1e200), (0.0, 0.0), (-0.0, -0.0), id="huge-span-times-0"),
+    pytest.param("mul", (0.0, 0.0), (2e150, 2e150), (0.0, 0.0), id="0-times-2e150"),
+    pytest.param("mul", (0.0, 1.0), (-3e150, -1.0), (-3.0000000000000005e150, -0.0),
+                 id="0-span-times-huge-negative"),
+    pytest.param("mul", (-1.0, 0.0), (1.0, 3e150), (-3.0000000000000005e150, 0.0),
+                 id="span-to-0-times-huge-positive"),
+    pytest.param("div", (0.0, 1.0), (2e150, 3e150), (0.0, 5.000000000000001e-151),
+                 id="0-span-over-huge"),
+    pytest.param("div", (-1.0, 0.0), (2e150, 3e150), (-5.000000000000001e-151, 0.0),
+                 id="negative-span-to-0-over-huge"),
+    pytest.param("div", (0.0, 0.0), (-3e150, -2e150), (-0.0, -0.0), id="0-over-huge-negative"),
     pytest.param("mul", (1e-200, 1e-200), (1e-200, 1e-200), (-TINY, TINY), id="underflow"),
     pytest.param("mul", (-1e-200, -1e-200), (1e-200, 1e-200), (-TINY, TINY),
                  id="negative-underflow"),

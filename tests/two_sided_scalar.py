@@ -69,13 +69,18 @@ def _mul_out(a, b):
         return p, p
     if p != p:  # 0 * inf is 0 (IEEE Std 1788-2015)
         return 0.0, 0.0
+    if a == 0.0 or b == 0.0:  # an exact zero beyond the band
+        return p, p
     if math.isinf(p):
         return (p, -_MAX) if p < 0 else (_MAX, p)
     return _down(p), _up(p)
 
 
 def _residual(a, q, b):
-    """a - q*b with its exact sign; NaN outside Dekker's band."""
+    """a - q*b with its exact sign; NaN outside Dekker's band, but 0 for
+    a zero dividend a, whose quotient q is an exact 0."""
+    if a == 0.0:
+        return 0.0
     p = q * b
     return (a - p) - _prod_err(q, b, p)
 
