@@ -7,11 +7,10 @@ where a denominator vanishes on the edge of a domain, both interval
 engines give a one-sided enclosure by the same rule, so a proof and its
 scalar replay agree there.  On the triangle 0 <= y <= x <= 1 (x = a1/p,
 y = a2/p, p = -alpha1*alpha3), ``b1_expr`` (minus branch) exceeds 1, and
-``b2_expr`` (plus branch, from the squeeze functions ``f_aux <= g_aux``,
-with d = x - y cleared so that a box reaching the diagonal band keeps a
-finite lower bound) exceeds 0.9 off the band 0 < x - y <= BAND_EPS and,
-through a lower bound in two charts, on it.  The scalar bounds exceed
-4/(3 sqrt 3) on [0, 100] and, in the chart t = 1/x, beyond.
+``b2_expr`` (plus branch, from the squeeze functions ``f_aux <= g_aux``)
+exceeds 0.9 off the band 0 < x - y <= BAND_EPS and, through a lower bound
+in two charts, on it.  The scalar bounds exceed 4/(3 sqrt 3) on [0, 100]
+and, in the chart t = 1/x, beyond.
 
 b1 factors as g(u) h(x) with u = x + y, g(u) = N(u)/sqrt(2 - u), N(u) =
 1 + u/2 - 7u^2/16 and h(x) = 1/sqrt(x(2 - x)).  Its certificate rests on
@@ -22,6 +21,18 @@ and N(2) = 1/4, so g > 0 on [0, 2); and h > 0 falls on (0, 1].  So a
 box's enclosure of b1 is the product of the factors' exact ranges, from
 their values at a few points of the box, and needs next to no
 subdivision (9 boxes at the defaults).
+
+b2 is enclosed on a box in s = 2 - x - y and t = (x - y)/s: with d = s t
+the s^4 factors of its cleared numerator cancel, leaving
+
+    b2 = (u s t + 2 (u - t^2)^2 / (t (4 - t^2))) / sqrt(x s (s t^2 + y (4 - t^2)/2))
+
+with u = 2 - s, and t = 2/(1 + (1-x)/(1-y)) - 1 names x and y once each,
+so its interval is t's exact range on the box.  A box reaching the cut
+x - y = eps has t near 0 in one denominator under a positive numerator,
+so it keeps a finite lower end and proves unsplit; B2 retains 504 boxes
+at the defaults.  Floats evaluate the cleared (x, y) form, whose rounding
+error is smaller.
 
 Each certificate is one row of :data:`CHARTS`: expression, root box,
 outward-rounded domain clip (which also decides whether a disproved box's
@@ -150,7 +161,7 @@ def b2_expr(x, y):
 
         b2 = (x + y + ((x+y) f/(x y) - x y)^2 / (4 g)) / sqrt(x + g/(x y))
 
-    with f = f_aux, g = g_aux, and evaluated after clearing the f/g
+    with f = f_aux, g = g_aux.  Floats evaluate it after clearing the f/g
     compositions and multiplying numerator and denominator by d:
 
         b2 = (u d + 2 (u s^2 - d^2)^2 / (s d (4 s^2 - d^2)))
@@ -158,22 +169,40 @@ def b2_expr(x, y):
 
     u = x+y, s = 2-u, d = x-y.  Defined on y = 0 as well (only d = 0 is
     excluded); the cleared form avoids the catastrophic cancellation of
-    the composed one near y = 0.  Dividing by d^2 twice, as the form
-    without the factor d does, gives a box reaching d = 0 an enclosure
-    whose lower end is about 0, and it is split until narrower than the
-    band x - y <= eps.  Here d divides once, under a positive numerator,
-    so such a box gets a one-sided enclosure with a finite lower end and
-    proves at a width far above eps.
+    the composed one near y = 0.
+
+    On a box, x and y each occur about ten times in that form, and the
+    enclosure is evaluated instead in s and t = d/s.  With d = s t the
+    s^4 factors of the cleared numerator cancel, and
+
+        b2 = (u s t + 2 (u - t^2)^2 / (t (4 - t^2)))
+             / sqrt(x s (s t^2 + y (4 - t^2) / 2)),   u = 2 - s.
+
+    For y < 1, t = 2 / (1 + (1-x)/(1-y)) - 1, in which x and y occur once
+    each, so its interval is t's exact range on the box (Moore, Kearfott &
+    Cloud 2009, ch. 5-6).  On the clipped domain x <= 1 and 0 <= y <= x -
+    eps, so 1 - x >= 0, 1 - y >= eps, s >= 0 and 0 <= t <= 1, which justify
+    the clamps; u - t^2 changes sign on some boxes and is squared as it is.
+    A box reaching the cut x - y = eps has t near 0 under a positive
+    numerator, so it gets a one-sided enclosure with a finite lower end.
+    Floats stay on the cleared form, whose rounding error is smaller: t
+    from the ratio cancels near the diagonal.  A number x with an interval
+    y is the thin interval [x, x].
     """
     u = x + y
+    if not hasattr(u, "nonneg"):  # a float or an array of floats
+        s, d = 2.0 - u, x - y
+        s2, d2 = s * s, d * d
+        four_s2_d2 = 4.0 * s2 - d2
+        v = u * s2 - d2
+        return ((u * d + 2.0 * (v * v) / (s * d * four_s2_d2))
+                / sqrt(x * d2 + x * y * four_s2_d2 / (2.0 * s)))
     s = _nonneg(2.0 - u)
-    d = _nonneg(x - y)
-    s2 = _sq(s)
-    d2 = _sq(d)
-    four_s2_d2 = _nonneg(4.0 * s2 - d2)
-    w = 2.0 * _sq(u * s2 - d2) / (s * d * four_s2_d2)
-    den = sqrt(_nonneg(x * d2 + x * y * four_s2_d2 / (2.0 * s)))
-    return (u * d + w) / den
+    t = _nonneg(2.0 / (1.0 + _nonneg(1.0 - x) / (1.0 - y)) - 1.0)
+    t2 = _sq(t)
+    four_t2 = 4.0 - t2
+    num = u * s * t + 2.0 * _sq(u - t2) / (t * four_t2)
+    return num / sqrt(_nonneg(x * s * (s * t2 + 0.5 * y * four_t2)))
 
 
 def b2_strip_lower_expr(x, rho):
@@ -344,9 +373,13 @@ CHARTS = {
     "B2": Chart(
         b2_expr, (0.0, 1.0, 0.0, 1.0), clip_triangle(BAND_EPS), B2_THRESHOLD, BAND_EPS,
         (f"domain: 0 <= y <= x - {BAND_EPS:g}, x <= 1 (includes the y = 0 edge, "
-         "where the cleared form of b2 is regular; d = x - y sits in one "
-         "denominator under a positive numerator, so a box reaching the cut "
-         "x - y = eps has a finite lower bound)",
+         "where the cleared form of b2 is regular)",
+         "a box's enclosure is b2 in s = 2-x-y and t = (x-y)/s: "
+         "(u s t + 2(u - t^2)^2/(t(4 - t^2))) / sqrt(x s (s t^2 + y(4 - t^2)/2)), "
+         "u = 2-s, the cleared form with its s^4 factors cancelled, and "
+         "t = 2/(1 + (1-x)/(1-y)) - 1 is t's exact range on the box; t sits in "
+         "one denominator under a positive numerator, so a box reaching the cut "
+         "x - y = eps has a finite lower bound",
          "the certified target is the plus-branch bound function; the "
          "sometimes-reused label B1 for this claim is a misprint -- "
          "b1 > 0.9 already follows from the b1 > 1 certificate"),

@@ -134,7 +134,10 @@ def scan_columns(alpha: AlphaTriple, n: int, branches: Sequence[Branch],
     each formula applied to the whole grid at once.  The rows are the tori
     that :func:`derive_grid` keeps of the grid of :func:`feasible_grid`,
     each point repeated once per branch: a1, then a2, then the branches
-    in the given order."""
+    in the given order.  A triple not in strict normal form is refused."""
+    if not alpha.is_normalized:
+        raise ValueError(f"{alpha.weights} is not in normal form "
+                         "alpha1 > alpha2 >= 0 > alpha3")
     a1, a2 = feasible_grid(alpha, n, margin)
     names = np.array([b.value for b in branches])
     d, _ = derive_grid(alpha, np.repeat(a1, names.size), np.repeat(a2, names.size),

@@ -16,9 +16,12 @@ it and moves one ulp out otherwise, which Dekker's error term shows for a
 product and the residual a - q*b for a quotient or root q (TwoSum's error
 does the same for a sum).  Outside the band where Dekker's splits are
 exact, the end moves one ulp out, unless a zero factor or dividend makes
-it an exact zero.  An Interval operand's ends are read directly; a number
-operand such as the ``8.0`` in ``8.0 * x`` is read as the endpoint pair
-(8.0, 8.0) and is not wrapped in an ``Interval``.
+it an exact zero or the result underflows to the zero on the side the end
+bounds: RD of a positive result that underflows is +0.0 and RU of a
+negative one -0.0, as on the vectorized path.  An Interval operand's ends
+are read directly; a number operand such as the ``8.0`` in ``8.0 * x`` is
+read as the endpoint pair (8.0, 8.0) and is not wrapped in an
+``Interval``.
 Operands of one sign need two endpoint pairs, not four (Moore, Kearfott &
 Cloud, *Introduction to Interval Analysis*, SIAM 2009, §2.3): both
 factors >= 0 give [a*c, b*d] and a dividend >= 0 over a divisor > 0 gives
@@ -117,13 +120,15 @@ def _add_up(a, b):
 # only in a band: both factors and p within 1e150 of 0 (away from
 # overflow), and p at least 1e-290 in magnitude or 0 from a zero factor;
 # outside it, an underflowed product among them, the end moves one ulp
-# out.  The band test and the error are written out in _mul_down, _mul_up
-# and _residual, the innermost steps of every product, quotient and root.
+# out, but a zero on the bounded side of the exact result stays.  The
+# band test and the error are written out in _mul_down, _mul_up and
+# _residual, the innermost steps of every product, quotient and root.
 
 
 def _mul_down(a, b):
     """RD(a * b) in the band, fl(a * b) one ulp down outside it but for a
-    zero factor; a product of 0 and +-inf is +0.0 (IEEE Std 1788-2015)."""
+    zero factor or a positive product underflowed to +0.0, which stays; a
+    product of 0 and +-inf is +0.0 (IEEE Std 1788-2015)."""
     p = a * b
     if (-_SPLIT_SAFE <= a <= _SPLIT_SAFE and -_SPLIT_SAFE <= b <= _SPLIT_SAFE
             and (1e-290 <= p <= _SPLIT_SAFE or -_SPLIT_SAFE <= p <= -1e-290
@@ -138,6 +143,8 @@ def _mul_down(a, b):
         return p if e >= 0.0 else _nextafter(p, -_INF)
     if a == 0.0 or b == 0.0:  # an exact zero, or 0 * +-inf
         return 0.0 if p != p else p
+    if p == 0.0 and (a > 0.0) == (b > 0.0):  # a positive product underflowed
+        return 0.0
     return _nextafter(p, -_INF)
 
 
@@ -157,6 +164,8 @@ def _mul_up(a, b):
         return p if e <= 0.0 else _nextafter(p, _INF)
     if a == 0.0 or b == 0.0:
         return 0.0 if p != p else p
+    if p == 0.0 and (a > 0.0) != (b > 0.0):  # a negative product underflowed
+        return -0.0
     return _nextafter(p, _INF)
 
 
@@ -182,12 +191,17 @@ def _residual(a, q, b):
 def _div_down(a, b):
     """RD(a / b) for b != 0: q = fl(a / b) moves one ulp down unless the
     residual, of the sign of a/b - q times that of b, shows it below the
-    exact quotient; inf / inf is unbounded."""
+    exact quotient, or it is a positive quotient underflowed to +0.0;
+    inf / inf is unbounded."""
     q = a / b
     if q != q:
         return -_INF
     r = _residual(a, q, b)
-    return q if (r >= 0.0 if b > 0.0 else r <= 0.0) else _nextafter(q, -_INF)
+    if (r >= 0.0 if b > 0.0 else r <= 0.0):
+        return q
+    if q == 0.0 and (a > 0.0) == (b > 0.0):  # a positive quotient underflowed
+        return 0.0
+    return _nextafter(q, -_INF)
 
 
 def _div_up(a, b):
@@ -196,7 +210,11 @@ def _div_up(a, b):
     if q != q:
         return _INF
     r = _residual(a, q, b)
-    return q if (r <= 0.0 if b > 0.0 else r >= 0.0) else _nextafter(q, _INF)
+    if (r <= 0.0 if b > 0.0 else r >= 0.0):
+        return q
+    if q == 0.0 and (a > 0.0) != (b > 0.0):  # a negative quotient underflowed
+        return -0.0
+    return _nextafter(q, _INF)
 
 
 def _interval(lo, hi):

@@ -108,9 +108,10 @@ def test_b2_agrees_with_single_fraction_form():
 
 
 def test_b2_box_reaching_the_band_proves_without_splitting():
-    # a box of x-width 2^-8 whose clipped corner reaches x - y = eps: d is
-    # [0, ...] there, and with d in one denominator under a positive
-    # numerator the enclosure keeps a finite lower end above 0.9
+    # a box of x-width 2^-8 whose clipped corner reaches x - y = eps: t =
+    # (x - y)/(2 - x - y) is [0, ...] there, and with t in one denominator
+    # under a positive numerator the enclosure keeps a finite lower end
+    # above 0.9
     eps = 1e-4
     box = [np.array([v]) for v in
            (0.5, 0.5 + 2.0 ** -8, 0.5 - 2.0 ** -7, 0.5 + 2.0 ** -8 - eps)]
@@ -306,7 +307,7 @@ def test_lemma5_certificate_at_the_defaults():
     # the box count is pinned: boxes reaching the band prove unsplit
     cert = certify_lemma5()
     assert cert.status is CertStatus.PROVED
-    assert (cert.boxes_examined, cert.retained_count) == (1907, 954)
+    assert (cert.boxes_examined, cert.retained_count) == (1007, 504)
     assert replay_certificate(cert, b2_expr)
     assert [c.target for c in lemma5_strip_certificates()] == [
         "B2-diagonal-strip", "B2-diagonal-strip-corner"]
@@ -327,7 +328,7 @@ def test_lemma5_fails_at_higher_threshold():
 # listed below (the order of the claims)
 PINNED_REPLAY_DIGESTS = {
     "B1": "c3a09bf127d9313b64f2e41fa0f574cb32bad905719377ba78a77cc2f7847ece",
-    "B2": "443dc246dc808f8d4dd988d11dd11fdc6d89d21bd0ccfece141aa2317f4c5ebd",
+    "B2": "3fc826221649c53705daee33159342c84f4b3517121c02b4140390aabaf5a0c1",
     "B2-diagonal-strip":
         "d4f0e2206b7cadf35044a26d9504dd3c0c53a132617f28b042e4c8d23b08adec",
     "B2-diagonal-strip-corner":
@@ -362,7 +363,7 @@ def test_replay_enclosures_are_pinned():
 # SHA-256 of the scalar enclosures (lo, hi as little-endian doubles) of
 # every retained box of every certificate, certificates in the order of
 # the claims and boxes in their retained order
-PINNED_ALL_BOX_DIGEST = "7f775bd4d87373c9948e32aad5f422f97fe628325e6431f16fc6daff85c2e4f3"
+PINNED_ALL_BOX_DIGEST = "9f9ef1b6089362784883867f810a04c27391721501b19bd599117a28f067b712"
 
 
 def test_replay_enclosures_of_every_box_are_pinned():
@@ -372,7 +373,7 @@ def test_replay_enclosures_of_every_box_are_pinned():
         for xlo, xhi, ylo, yhi in cert.retained_boxes:
             enc = CHARTS[cert.target].expr(Interval(xlo, xhi), Interval(ylo, yhi))
             digest.update(struct.pack("<2d", enc.lo, enc.hi))
-    assert sum(cert.retained_count for cert in certs) == 1086
+    assert sum(cert.retained_count for cert in certs) == 636
     assert digest.hexdigest() == PINNED_ALL_BOX_DIGEST
 
 
@@ -382,8 +383,8 @@ def test_replay_enclosures_of_every_box_are_pinned():
 PINNED_ENGINE_DECISIONS = {
     "B1": ("b96903ddaa10abbc73c9209c52f31efce12ac584d4ea51fba6fbe26236f4ed0b",
            17, 5, "proved"),
-    "B2": ("0ba6d011798e68b230fe2406cad596d87d9de9f164bd3b6cd1b85cb811e37d1b",
-           1907, 32, "proved"),
+    "B2": ("18a86183c1f7deb1ad4ac5a420d3e5182e78d27726ad05ebc4f855d08b291f81",
+           1007, 23, "proved"),
     "B2-diagonal-strip":
         ("d9939dcde59c1b08efe37f4fb2e0022dfe8b83398aaae027ecd45759f6473d77",
          43, 8, "proved"),
@@ -540,6 +541,127 @@ def test_b1_takes_a_number_with_an_interval():
         lo, hi = np.min(enc.lo), np.max(enc.hi)
         assert lo <= _b1_exact(*p0) <= hi and lo <= _b1_exact(*p1) <= hi
         assert np.all(enc.lo <= enc.hi)
+
+
+# SHA-256 of b2_expr's float64 values at the points of ``_b2_float_points``,
+# from the cleared (x, y) form
+B2_FLOAT_DIGEST = "372ab8b97f90f445afeefdc6399d3054237052bbd6c3f0f4176a44133b761df2"
+
+
+def _b2_float_points():
+    """Seeded points of the triangle, 500 of them at x = 1 and 500 at y = 0."""
+    rng = np.random.default_rng(2033)
+    x = np.concatenate([rng.uniform(0, 1, 3000), np.ones(500), rng.uniform(0, 1, 500)])
+    y = x * rng.uniform(0, 1, x.size)
+    y[-500:] = 0.0
+    return x, y
+
+
+def test_b2_floats_keep_the_cleared_form_bit_for_bit():
+    # only a box's enclosure is taken in (s, t): a float and an array of
+    # floats are evaluated in the cleared (x, y) form, whose rounding error
+    # is smaller, and give the same bits
+    x, y = _b2_float_points()
+    values = b2_expr(x, y)
+    assert hashlib.sha256(values.tobytes()).hexdigest() == B2_FLOAT_DIGEST
+    scalars = np.array([b2_expr(float(a), float(b)) for a, b in zip(x, y)])
+    assert scalars.tobytes() == values.tobytes()
+
+
+def test_b2_in_s_and_t_is_the_cleared_form_in_exact_arithmetic():
+    # with s = 2 - x - y, d = x - y = s t and u = x + y = 2 - s, the s^4
+    # factors of the cleared numerator cancel, the radicand takes out x s,
+    # and the ratio form of t names x and y once each
+    rng = np.random.default_rng(33)
+    points = [(Fraction(1), Fraction(0)), (Fraction(1), Fraction(1, 2)),
+              (Fraction(1, 10 ** 6), Fraction(0)), (Fraction(1), Fraction(999_999, 10 ** 6))]
+    for _ in range(300):
+        q = int(rng.integers(2, 10 ** 9))
+        j, i = sorted(int(v) for v in rng.choice(q + 1, 2, replace=False))
+        points.append((Fraction(i, q), Fraction(j, q)))  # 0 <= y < x <= 1
+        points.append((Fraction(i, q), Fraction(0)))
+        points.append((Fraction(1), Fraction(j, q)))
+    for x, y in points:
+        u, s, d = x + y, 2 - x - y, x - y
+        t = d / s
+        assert 2 / (1 + (1 - x) / (1 - y)) - 1 == t and 0 < t <= 1
+        assert (u * d + 2 * (u * s ** 2 - d ** 2) ** 2 / (s * d * (4 * s ** 2 - d ** 2))
+                == (2 - s) * s * t + 2 * (2 - s - t ** 2) ** 2 / (t * (4 - t ** 2)))
+        assert (x * d ** 2 + x * y * (4 * s ** 2 - d ** 2) / (2 * s)
+                == x * s * (s * t ** 2 + y * (4 - t ** 2) / 2))
+
+
+def _b2_exact(x, y):
+    """b2 in the cleared (x, y) form at 40 digits, for 0 <= y < x <= 1."""
+    with mpmath.workdps(40):
+        x, y = mpmath.mpf(x), mpmath.mpf(y)
+        u, s, d = x + y, 2 - x - y, x - y
+        num = u * d + 2 * (u * s * s - d * d) ** 2 / (s * d * (4 * s * s - d * d))
+        return num / mpmath.sqrt(x * d * d + x * y * (4 * s * s - d * d) / (2 * s))
+
+
+def _log_widths(rng, width, size):
+    """Widths log-uniform in [1e-12, width]: narrow boxes, whose enclosures
+    are tight, as well as wide ones."""
+    return 10.0 ** rng.uniform(-12, math.log10(width), size)
+
+
+def _b2_boxes(rng, n, corner, width, fixed=None):
+    """n boxes with lower-left corners uniform in ``corner`` = (x range,
+    y range) and widths log-uniform in [1e-12, width], pinned as in
+    ``_edge_boxes`` by ``fixed``, after the B2 clip."""
+    (x0, x1), (y0, y1) = corner
+    xlo, ylo = rng.uniform(x0, x1, n), rng.uniform(y0, y1, n)
+    wx, wy = _log_widths(rng, width, (2, n))
+    boxes = np.array([xlo, xlo + wx, ylo, ylo + wy])
+    for col, val in (fixed or {}).items():
+        boxes[col] = val
+    xlo, xhi, ylo, yhi, keep = CHARTS["B2"].clip(*boxes)
+    return xlo[keep], xhi[keep], ylo[keep], yhi[keep]
+
+
+B2_BOXES = {
+    "triangle": (((0, 1), (0, 1)), 0.3, None),
+    # the cut x - y = eps runs through the box
+    "straddles-the-cut": (((0, 1), (0, 1)), 0.02, "cut"),
+    "on-y=0": (((0, 1), (0, 1)), 0.1, {2: 0.0}),
+    "at-x=1": (((0.5, 1), (0, 1)), 0.1, {1: 1.0}),
+    "near-the-origin": (((0, 1e-3), (0, 1e-3)), 1e-3, None),
+    "near-(1,1)": (((0.98, 1), (0.98, 1)), 0.02, {1: 1.0, 3: 1.0}),
+}
+
+
+@pytest.mark.parametrize("kind", B2_BOXES)
+def test_b2_enclosures_contain_b2_on_both_engines(kind):
+    # every enclosure holds b2 at random points of its box's domain, by
+    # mpmath at 40 digits, with a finite lower end; the scalar enclosure
+    # lies inside the array one
+    corner, width, fixed = B2_BOXES[kind]
+    rng = np.random.default_rng(1789)
+    if fixed == "cut":
+        x = rng.uniform(BAND_EPS, 1, 3000)
+        w = _log_widths(rng, width, (2, x.size))
+        boxes = np.array([x - w[0], x + w[0], x - BAND_EPS - w[1], x - BAND_EPS + w[1]])
+        xlo, xhi, ylo, yhi, keep = CHARTS["B2"].clip(*boxes)
+        keep &= (xlo - yhi < BAND_EPS) & (BAND_EPS < xhi - ylo)
+        xlo, xhi, ylo, yhi = xlo[keep], xhi[keep], ylo[keep], yhi[keep]
+    else:
+        xlo, xhi, ylo, yhi = _b2_boxes(rng, 3000, corner, width, fixed)
+    assert xlo.size >= 100
+    arr = b2_expr(IntervalArray(xlo, xhi), IntervalArray(ylo, yhi))
+    assert np.isfinite(arr.lo).all()
+    checked = 0
+    for i in range(0, xlo.size, max(1, xlo.size // 400)):
+        enc = b2_expr(Interval(xlo[i], xhi[i]), Interval(ylo[i], yhi[i]))
+        assert math.isfinite(enc.lo)
+        assert arr.lo[i] <= enc.lo <= enc.hi <= arr.hi[i]
+        for _ in range(3):
+            px = rng.uniform(max(xlo[i], ylo[i] + BAND_EPS), xhi[i])
+            py = rng.uniform(ylo[i], max(ylo[i], min(yhi[i], px - BAND_EPS)))
+            if py < px:
+                assert enc.lo <= _b2_exact(px, py) <= enc.hi
+                checked += 1
+    assert checked >= 300
 
 
 def _certificate_fields(cert):

@@ -268,9 +268,9 @@ def test_scan_acceptance_sweep_csv_is_pinned(tmp_path, capsys):
 
 CANONICAL_ALPHAS = [v for t in ("2 1 -1", "3 1 -1", "3 2 -1", "1 0 -1", "2 0 -1")
                     for v in ("--alpha", *t.split())]
-# the canonical triples reversed, with the infeasible (1, 1, -1) among them
-MIXED_ALPHAS = [v for t in ("2 0 -1", "1 1 -1", "1 0 -1", "3 2 -1", "3 1 -1",
-                            "1 1 -1", "2 1 -1") for v in ("--alpha", *t.split())]
+# the canonical triples reversed
+MIXED_ALPHAS = [v for t in ("2 0 -1", "1 0 -1", "3 2 -1", "3 1 -1", "2 1 -1")
+                for v in ("--alpha", *t.split())]
 
 
 @pytest.mark.parametrize("alphas, options, rows, digest", [
@@ -287,7 +287,7 @@ MIXED_ALPHAS = [v for t in ("2 0 -1", "1 1 -1", "1 0 -1", "3 2 -1", "3 1 -1",
 ])
 def test_scan_csv_variants_are_pinned(tmp_path, capsys, alphas, options, rows, digest):
     # one branch, several periods, a finer grid with a thinner margin and
-    # triples in another order with an empty one among them, byte for byte
+    # triples in another order, byte for byte
     out = tmp_path / "scan.csv"
     code, _, err = run(capsys, "scan", *alphas, *options, "--out", str(out))
     assert code == EXIT_OK and f"rows = {rows} " in err
@@ -336,12 +336,30 @@ def test_scan_grid_too_large_to_allocate_is_an_error(tmp_path, capsys):
 
 
 def test_scan_empty_feasible_set_warns(tmp_path, capsys):
+    # a grid of one point has a1 = a2 there, so it keeps no point
     out = tmp_path / "empty.csv"
-    code, _, err = run(capsys, "scan", "--alpha", "1", "1", "-1",
-                       "--grid", "5", "--out", str(out))
+    code, _, err = run(capsys, "scan", "--alpha", "2", "1", "-1",
+                       "--grid", "1", "--out", str(out))
     assert code == EXIT_OK
     assert "zero rows" in err
     assert len(out.read_text().strip().splitlines()) == 1  # header only
+
+
+@pytest.mark.parametrize("weights", [("0", "0", "0"), ("1", "1", "-1"), ("1", "2", "-1"),
+                                     ("2", "1", "0")])
+def test_scan_refuses_a_triple_not_in_strict_normal_form(tmp_path, capsys, weights):
+    # a triple whose Lemma 3 box is a point, or that is unordered, is a
+    # usage error naming the strict normal form, before any output;
+    # feasibility still evaluates it
+    out = tmp_path / "s.csv"
+    code, stdout, err = run(capsys, "scan", "--alpha", "2", "1", "-1", "--alpha", *weights,
+                            "--grid", "5", "--out", str(out))
+    assert code == EXIT_USAGE and stdout == ""
+    assert err == (f"error: ({', '.join(weights)}) is not in normal form "
+                   "alpha1 > alpha2 >= 0 > alpha3\n")
+    assert not out.exists()
+    code, stdout, _ = run(capsys, "feasibility", "--alpha", *weights, "--a1", "1", "--a2", "0.5")
+    assert code == EXIT_OK and "feasible: False" in stdout
 
 
 def test_scan_zero_rows_warning_covers_a_vanishing_c2(tmp_path, capsys):
@@ -433,7 +451,7 @@ CERTIFICATES = ("B1", "B2", "B2-diagonal-strip", "B2-diagonal-strip-corner",
 
 
 def test_verify_encloses_a_window_of_levels_per_call(tmp_path, capsys, monkeypatch):
-    # one evaluator call per depth level makes 79 calls for the 2,192 boxes
+    # one evaluator call per depth level makes 70 calls for the 1,292 boxes
     # of the eight certificates; a window of levels per call makes at most
     # 30, and no call holds more boxes than the larger of the window budget
     # and the frontier the window started from
@@ -463,7 +481,7 @@ def test_verify_encloses_a_window_of_levels_per_call(tmp_path, capsys, monkeypat
     assert all(n <= max(interval._WINDOW, start) for n, start in sizes), sizes
     examined = [json.loads((tmp_path / f"{name}.json").read_text())["boxes_examined"]
                 for name in CERTIFICATES]
-    assert sum(examined) == 2192
+    assert sum(examined) == 1292
 
 
 def test_verify_stdout_at_the_defaults(tmp_path, capsys):

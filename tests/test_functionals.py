@@ -257,8 +257,13 @@ def test_energy_scan_keeps_its_error_paths():
     assert all(c.size == 0 for c in scan_columns(al, 5, (), 1, 0.02))
 
 
-def test_energy_scan_empty_for_unfeasible_triple():
-    assert all(c.size == 0 for c in scan_columns(AlphaTriple(1, 1, -1), 8, BOTH, 1, 0.02))
+def test_energy_scan_refuses_a_triple_not_in_strict_normal_form():
+    # (1, 1, -1) and (0, 0, 0) pass the loose order, but their Lemma 3 box
+    # is a point; a grid of one point keeps no point of a normal triple
+    for weights in ((1, 1, -1), (0, 0, 0), (2, 1, 0)):
+        with pytest.raises(ValueError, match=r"alpha1 > alpha2 >= 0 > alpha3"):
+            scan_columns(AlphaTriple(*weights), 8, BOTH, 1, 0.02)
+    assert all(c.size == 0 for c in scan_columns(AlphaTriple(2, 1, -1), 1, BOTH, 1, 0.02))
 
 
 def _meshgrid_oracle(alpha, n, margin):

@@ -281,7 +281,8 @@ TINY = 5e-324
 # sides instead of trusting the error term, or is exact at the band's
 # edge: (operation, x, y, (lo, hi)).  Beyond the band a zero factor or a
 # zero dividend still gives an exact zero, with the sign of zero that a
-# factor or divisor inside the band gives.
+# factor or divisor inside the band gives, and a result that underflows
+# keeps the zero on its own side of 0 at the end it bounds.
 EDGE_CASES = [
     pytest.param("mul", (1e200, 1e200), (0.0, 0.0), (0.0, 0.0), id="huge-times-0"),
     pytest.param("mul", (0.0, 0.0), (-1e200, -1e200), (-0.0, -0.0), id="0-times-huge"),
@@ -296,8 +297,8 @@ EDGE_CASES = [
     pytest.param("div", (-1.0, 0.0), (2e150, 3e150), (-5.000000000000001e-151, 0.0),
                  id="negative-span-to-0-over-huge"),
     pytest.param("div", (0.0, 0.0), (-3e150, -2e150), (-0.0, -0.0), id="0-over-huge-negative"),
-    pytest.param("mul", (1e-200, 1e-200), (1e-200, 1e-200), (-TINY, TINY), id="underflow"),
-    pytest.param("mul", (-1e-200, -1e-200), (1e-200, 1e-200), (-TINY, TINY),
+    pytest.param("mul", (1e-200, 1e-200), (1e-200, 1e-200), (0.0, TINY), id="underflow"),
+    pytest.param("mul", (-1e-200, -1e-200), (1e-200, 1e-200), (-TINY, -0.0),
                  id="negative-underflow"),
     pytest.param("mul", (-1e-200, 1e-200), (1e-200, 2e-200), (-TINY, TINY),
                  id="span-underflow"),
@@ -361,6 +362,34 @@ def test_edge_of_dekker_band_results_are_pinned(op, x, y, expected):
     else:
         enc = Interval(*x) / Interval(*y)
     assert _bits(enc.lo, enc.hi) == _bits(*expected)
+
+
+# results that underflow beyond Dekker's band, each end's bits against
+# RD and RU of the exact result: a positive one rounds down to +0.0 and a
+# negative one up to -0.0, so that a product or quotient of one sign
+# keeps it, as on the array engine
+UNDERFLOWS = [
+    pytest.param("mul", (1e-300, 1.0), (1e-100, 1.0), (0.0, 1.0), id="product"),
+    pytest.param("mul", (-1.0, -1e-300), (1e-100, 1.0), (-1.0, -0.0), id="negative-product"),
+    pytest.param("mul", (-1.0, -1e-300), (-1.0, -1e-100), (0.0, 1.0),
+                 id="product-of-negatives"),
+    pytest.param("div", (1.7648945052746497e-206, 1.0), (1.0, 1.0000000000000002e150),
+                 (0.0, 1.0), id="quotient"),
+    pytest.param("div", (-1.0, -1.7648945052746497e-206), (1.0, 1.0000000000000002e150),
+                 (-1.0, -0.0), id="negative-quotient"),
+    pytest.param("div", (1.7648945052746497e-206, 1.0), (-1.0000000000000002e150, -1.0),
+                 (-1.0, -0.0), id="quotient-over-negatives"),
+    pytest.param("div", (1e-300, 1.0), (INF, INF), (0.0, TINY), id="over-infinity"),
+]
+
+
+@pytest.mark.parametrize("op, x, y, expected", UNDERFLOWS)
+def test_an_underflow_rounds_to_the_zero_on_its_side(op, x, y, expected):
+    enc = Interval(*x) * Interval(*y) if op == "mul" else Interval(*x) / Interval(*y)
+    assert _bits(enc.lo, enc.hi) == _bits(*expected)
+    arr = (IntervalArray([x[0]], [x[1]]) * IntervalArray([y[0]], [y[1]]) if op == "mul"
+           else IntervalArray([x[0]], [x[1]]) / IntervalArray([y[0]], [y[1]]))
+    assert arr.lo[0] <= enc.lo <= enc.hi <= arr.hi[0]
 
 
 ARITHMETIC = [operator.add, operator.sub, operator.mul, operator.truediv]

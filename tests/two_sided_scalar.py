@@ -73,6 +73,8 @@ def _mul_out(a, b):
         return p, p
     if math.isinf(p):
         return (p, -_MAX) if p < 0 else (_MAX, p)
+    if p == 0.0:  # an underflow: RD of a positive product is +0.0, RU of a negative one -0.0
+        return (0.0, _up(p)) if (a > 0.0) == (b > 0.0) else (_down(p), -0.0)
     return _down(p), _up(p)
 
 
@@ -93,6 +95,8 @@ def _div_out(a, b):
     if math.isinf(q):
         return (q, -_MAX) if q < 0 else (_MAX, q)
     r = _residual(a, q, b) if b > 0.0 else -_residual(a, q, b)  # ~ a/b - q
+    if r != r and q == 0.0:  # an underflow beyond the band, signed as _mul_out's
+        return (0.0, _up(q)) if (a > 0.0) == (b > 0.0) else (_down(q), -0.0)
     return (q if r >= 0.0 else _down(q)), (q if r <= 0.0 else _up(q))
 
 
