@@ -10,7 +10,8 @@ y = a2/p, p = -alpha1*alpha3), ``b1_expr`` (minus branch) exceeds 1, and
 ``b2_expr`` (plus branch, from the squeeze functions ``f_aux <= g_aux``)
 exceeds 0.9 off the band 0 < x - y <= BAND_EPS and, through a lower bound
 in two charts, on it.  The scalar bounds exceed 4/(3 sqrt 3) on [0, 100]
-and, in the chart t = 1/x, beyond.
+by certificate and, by the integer quadratics of :data:`SCALAR_QUADRATICS`,
+for every x.
 
 b1 factors as g(u) h(x) with u = x + y, g(u) = N(u)/sqrt(2 - u), N(u) =
 1 + u/2 - 7u^2/16 and h(x) = 1/sqrt(x(2 - x)).  Its certificate rests on
@@ -71,7 +72,7 @@ from .interval import (Certificate, CertStatus, Interval,
 
 BAND_EPS = 1e-4        # width of the diagonal band that B2 certifies apart
 B2_THRESHOLD = 0.9
-SCALAR_X_MAX = 100.0   # scalar bounds: subdivision on [0, SCALAR_X_MAX], tails beyond
+SCALAR_X_MAX = 100.0   # scalar certificates on [0, SCALAR_X_MAX]; beyond, SCALAR_QUADRATICS
 
 
 def _sq(v):
@@ -295,7 +296,7 @@ def clip_band(eps: float, cap: float):
 
 
 # ----------------------------------------------------------------------
-# Scalar bounds, and their tails in the chart t = 1/x
+# Scalar bounds, and the quadratics that prove them for every x
 # ----------------------------------------------------------------------
 
 
@@ -310,16 +311,14 @@ def scalar_bound_2(x):
     return sqrt(_nonneg(_sq(4.0 + x) / (14.0 + 21.0 * x)))
 
 
-def scalar_tail_1(t):
-    """scalar_bound_1(1/t) = (t + 9/49) / sqrt(t (t+1)), written with exact
-    constants; it blows up at t = 0, where a box gets a one-sided enclosure."""
-    return (49.0 * t + 9.0) / (49.0 * sqrt(t * (t + 1.0)))
-
-
-def scalar_tail_2(t):
-    """scalar_bound_2(1/t) = sqrt(8/7) (t + 1/4) / sqrt(t (t + 3/2)), written
-    as (4t + 1) / sqrt(7 t (2t + 3)) with exact constants."""
-    return (4.0 * t + 1.0) / sqrt(7.0 * t * (2.0 * t + 3.0))
+# Each scalar bound is n/sqrt(q) with n, q > 0 for x >= 0, so it exceeds
+# 4/(3 sqrt 3) exactly where 27 n^2 - 16 q > 0: the quadratic a x^2 + b x + c
+# below (for scalar-1 times 2401 = 49^2), positive for every x when a > 0
+# and b^2 < 4ac.  ``verify`` checks this in integers beside each certificate.
+SCALAR_QUADRATICS = {
+    "scalar-1": (2187, -14602, 26411),  # n = 1 + 9x/49, q = 1 + x
+    "scalar-2": (27, -120, 208),        # n = 4 + x, q = 14 + 21x
+}
 
 
 def comparison_threshold() -> Interval:
@@ -349,17 +348,16 @@ class Chart:
     cites: Tuple[str, ...] = ()
 
 
-def _scalar_chart(f, x_max: float, note: str) -> Chart:
-    return Chart(lambda x, y: f(x), (0.0, x_max, 0.0, 0.0), None,
-                 comparison_threshold().hi, 0.0, (note,))
+def _scalar_chart(f) -> Chart:
+    return Chart(lambda x, y: f(x), (0.0, SCALAR_X_MAX, 0.0, 0.0), None,
+                 comparison_threshold().hi, 0.0, (_SCALAR_NOTE,))
 
 
 _STRIP_X_CAP = 0.875  # the strip chart's x <= 7/8 and the corner chart's
 _STRIP_S_CAP = 0.5    # s <= 1/2 cover the band, since BAND_EPS <= 1/4 and a
                       # band point with x > 7/8 has s = 2 - x - y < 1/4 + eps
-_SCALAR_NOTE = f"1D domain [0, {SCALAR_X_MAX:g}]; monotone tail certified separately"
-_TAIL_NOTE = (f"x >= {SCALAR_X_MAX:g} in the chart t = 1/x, t in [0, fl(1/100)]: "
-              "{}; the box on the pole t = 0 has a one-sided enclosure")
+_SCALAR_NOTE = (f"1D domain [0, {SCALAR_X_MAX:g}]; every x by the bound's quadratic "
+                "27 n^2 - 16 q with a negative discriminant")
 
 CHARTS = {
     "B1": Chart(
@@ -396,20 +394,15 @@ CHARTS = {
         clip_band(BAND_EPS, _STRIP_S_CAP), B2_THRESHOLD, BAND_EPS,
         (f"band 0 < x - y <= {BAND_EPS:g} near (1, 1): s = 2-x-y <= "
          f"{_STRIP_S_CAP:g}, in (s, (x-y)/s) coordinates",)),
-    "scalar-1": _scalar_chart(scalar_bound_1, SCALAR_X_MAX, _SCALAR_NOTE),
-    "scalar-2": _scalar_chart(scalar_bound_2, SCALAR_X_MAX, _SCALAR_NOTE),
-    # fl(1/100) > 1/100, so each tail overlaps [0, SCALAR_X_MAX]
-    "scalar-1-tail": _scalar_chart(scalar_tail_1, 1.0 / SCALAR_X_MAX, _TAIL_NOTE.format(
-        "(t + 9/49)/sqrt(t(t+1))")),
-    "scalar-2-tail": _scalar_chart(scalar_tail_2, 1.0 / SCALAR_X_MAX, _TAIL_NOTE.format(
-        "sqrt(8/7)(t + 1/4)/sqrt(t(t + 3/2))")),
+    "scalar-1": _scalar_chart(scalar_bound_1),
+    "scalar-2": _scalar_chart(scalar_bound_2),
 }
 
 # what each ``verify --target`` proves: together, every chart once
 CLAIMS = {
     "B1": ("B1",),
     "B2": ("B2", "B2-diagonal-strip", "B2-diagonal-strip-corner"),
-    "scalars": ("scalar-1", "scalar-2", "scalar-1-tail", "scalar-2-tail"),
+    "scalars": ("scalar-1", "scalar-2"),
 }
 
 
@@ -463,8 +456,8 @@ class ScalarBoundReport:
 
 
 def scalar_bound_checks() -> ScalarBoundReport:
-    """Both scalar comparison functions above 4/(3 sqrt(3)) on [0, 100]
-    and, in the chart t = 1/x, beyond: scalar-1, scalar-2, their tails."""
+    """Both scalar comparison functions above 4/(3 sqrt(3)) on [0, 100]:
+    [scalar-1, scalar-2].  Beyond, :data:`SCALAR_QUADRATICS` proves them."""
     return ScalarBoundReport(certify_charts(CLAIMS["scalars"]))
 
 

@@ -28,7 +28,7 @@ from typing import List, Optional
 import numpy as np
 
 from . import __version__
-from .bounds import CHARTS, CLAIMS, certify_charts
+from .bounds import CLAIMS, SCALAR_QUADRATICS, SCALAR_X_MAX, certify_charts
 from .errors import Cp2ToriError, DegenerateParameters, InfeasibleParameters
 from .family import (AlphaTriple, Branch, ModuliPoint, derive_constants,
                      derive_grid, feasibility_check, lemma3_box)
@@ -269,11 +269,17 @@ def cmd_verify(ns) -> int:
               f"retained={cert.retained_count}  depth={cert.max_depth_reached}  -> {path}")
         if cert.witness is not None:
             print(f"  witness: {[_fmt(v) for v in cert.witness]}")
-        proved = cert.status is CertStatus.PROVED
-        if cert.target.endswith("-tail"):
-            print(f"tail {cert.target}: x = 1/t, t in (0, "
-                  f"{_fmt(CHARTS[cert.target].root[1])}]  -> {'ok' if proved else 'FAILED'}")
-        all_proved &= proved
+        all_proved &= cert.status is CertStatus.PROVED
+        if cert.target in SCALAR_QUADRATICS:
+            # beyond the certificate's domain, in integers: the bound's
+            # quadratic is positive for every x when a > 0 and b^2 < 4ac
+            a, b, c = SCALAR_QUADRATICS[cert.target]
+            disc = b * b - 4 * a * c
+            holds = a > 0 and disc < 0
+            print(f"tail {cert.target}: x >= {_fmt(SCALAR_X_MAX)}, indeed every x: "
+                  f"{a}x^2 {b:+}x {c:+} > 0, discriminant {disc}  -> "
+                  f"{'ok' if holds else 'FAILED'}")
+            all_proved &= holds
     if ns.target == "all":
         checked, violations = _sampled_energy_bounds(ns.seed, ns.samples)
         print(f"energy bound spot checks: {checked} random feasible points "

@@ -18,7 +18,7 @@ import numpy as np
 import pytest
 from scipy.optimize import brentq
 
-from cp2tori.bounds import (b1_expr, b2_expr, b2_strip_corner_expr,
+from cp2tori.bounds import (SCALAR_QUADRATICS, b1_expr, b2_expr, b2_strip_corner_expr,
                             b2_strip_lower_expr, case_chain_check,
                             certify_lemma4, certify_lemma5,
                             degenerate_c2_bounds_check,
@@ -254,10 +254,13 @@ def test_10_scalar_bounds():
     t0 = time.perf_counter()
     report = scalar_bound_checks()
     elapsed = time.perf_counter() - t0
-    ok = report.all_proved and elapsed < 10.0
+    # beyond the certificates, each bound's quadratic 27 n^2 - 16 q has no
+    # real root
+    beyond = all(a > 0 and b * b < 4 * a * c for a, b, c in SCALAR_QUADRATICS.values())
+    ok = report.all_proved and beyond and elapsed < 10.0
     thr = 4.0 / (3.0 * math.sqrt(3.0))
-    _report(10, ok, f"both scalar bounds certified above {thr:.6f} on (0, 100] "
-                    f"with monotone tails, {elapsed:.2f} s")
+    _report(10, ok, f"both scalar bounds certified above {thr:.6f} on [0, 100], "
+                    f"{elapsed:.2f} s; above it for every x by their quadratics: {beyond}")
 
 
 def test_11_case_chain_audit(full_sweep):

@@ -10,15 +10,15 @@ import mpmath
 import numpy as np
 import pytest
 
-from cp2tori.bounds import (_G_DIP, _G_PEAK, BAND_EPS, CHARTS, CLAIMS, b1_expr, b2_expr,
+from cp2tori.bounds import (_G_DIP, _G_PEAK, BAND_EPS, CHARTS, CLAIMS,
+                            SCALAR_QUADRATICS, b1_expr, b2_expr,
                             b2_strip_corner_expr, b2_strip_lower_expr,
                             case_chain_check, certify_charts, certify_lemma4,
                             certify_lemma5, classify_case, clip_band,
                             clip_triangle, comparison_threshold,
                             degenerate_c2_bounds_check, f_aux, g_aux,
                             lemma5_strip_certificates, scalar_bound_1,
-                            scalar_bound_2, scalar_bound_checks,
-                            scalar_tail_1, scalar_tail_2)
+                            scalar_bound_2, scalar_bound_checks)
 from cp2tori.cli import EXIT_NOT_PROVED, EXIT_OK, main
 from cp2tori.family import AlphaTriple, Branch, ModuliPoint, derive_constants
 from cp2tori.interval import (CertStatus, Interval, IntervalArray,
@@ -184,32 +184,11 @@ def test_scalar_bound_certification():
     report = scalar_bound_checks()
     assert report.all_proved
     assert all(c.status is CertStatus.PROVED for c in report.certificates)
-    # the tails beyond x = 100 are certificates of their own
-    assert [c.target for c in report.certificates] == [
-        "scalar-1", "scalar-2", "scalar-1-tail", "scalar-2-tail"]
+    # beyond x = 100 the bounds' quadratics prove them, not a certificate
+    assert [c.target for c in report.certificates] == ["scalar-1", "scalar-2"]
     # certified minima really clear the constant
     assert all(c.threshold > 4.0 / (3.0 * math.sqrt(3.0)) - 1e-15
                for c in report.certificates)
-
-
-@pytest.mark.parametrize("tail, bound", [(scalar_tail_1, scalar_bound_1),
-                                         (scalar_tail_2, scalar_bound_2)])
-def test_scalar_tail_is_the_bound_at_one_over_t(tail, bound):
-    t = np.random.default_rng(100).uniform(0.0, 0.01, 10_000)
-    t = np.concatenate([t[t > 0.0], [1e-12, 1e-9, 0.01]])
-    assert np.abs(tail(t) / bound(1.0 / t) - 1.0).max() <= 1e-14
-
-
-def test_scalar_tails_overlap_the_subdivided_range_and_replay():
-    for target in ("scalar-1-tail", "scalar-2-tail"):
-        chart = CHARTS[target]
-        # t <= fl(1/100) reaches down to x = 1/fl(1/100) < 100
-        assert chart.root[:2] == (0.0, 1.0 / 100.0)
-        assert Fraction(chart.root[1]) >= Fraction(1, 100)
-        assert CHARTS[target.removesuffix("-tail")].root[:2] == (0.0, 100.0)
-        cert, = certify_charts([target])
-        assert cert.status is CertStatus.PROVED and cert.retained_count == 1
-        assert replay_certificate(cert, chart.expr)
 
 
 def test_claims_use_every_chart_once():
@@ -335,10 +314,6 @@ PINNED_REPLAY_DIGESTS = {
         "d3e13c7117ea94300a75d06c623b5025b0f71b8784512d338b8b322f5ac141f8",
     "scalar-1": "c5b325a668aee8334b97f31d34a7a2b83a5973324c92384a7d0a0ed507dacce3",
     "scalar-2": "83ac8ea405c455755db249326edcd4791384be98b7d220f199e4d9b06415da02",
-    "scalar-1-tail":
-        "28475f24076cb79d20399555dbab08290e8766b37c2c367d1d96ac7b57a9c434",
-    "scalar-2-tail":
-        "20cde1060706375af63e9c1b9b645609dc5f00ce7b7fbe6a985f5faffba1d719",
 }
 
 
@@ -363,7 +338,7 @@ def test_replay_enclosures_are_pinned():
 # SHA-256 of the scalar enclosures (lo, hi as little-endian doubles) of
 # every retained box of every certificate, certificates in the order of
 # the claims and boxes in their retained order
-PINNED_ALL_BOX_DIGEST = "9f9ef1b6089362784883867f810a04c27391721501b19bd599117a28f067b712"
+PINNED_ALL_BOX_DIGEST = "a5696830e4b78450574d86ce6e3d7cbc7665f462f32512ec83f0f1da0d6b8147"
 
 
 def test_replay_enclosures_of_every_box_are_pinned():
@@ -373,7 +348,7 @@ def test_replay_enclosures_of_every_box_are_pinned():
         for xlo, xhi, ylo, yhi in cert.retained_boxes:
             enc = CHARTS[cert.target].expr(Interval(xlo, xhi), Interval(ylo, yhi))
             digest.update(struct.pack("<2d", enc.lo, enc.hi))
-    assert sum(cert.retained_count for cert in certs) == 636
+    assert sum(cert.retained_count for cert in certs) == 634
     assert digest.hexdigest() == PINNED_ALL_BOX_DIGEST
 
 
@@ -395,12 +370,6 @@ PINNED_ENGINE_DECISIONS = {
                  149, 11, "proved"),
     "scalar-2": ("91f7a65637ba6aaba352989ffae830e10c2c0a032d239b398219a8180931310e",
                  61, 9, "proved"),
-    "scalar-1-tail":
-        ("4842b550a68e8e9931d82db2606c27d372f04096bec79789765f2e4d09d307db",
-         1, 0, "proved"),
-    "scalar-2-tail":
-        ("4842b550a68e8e9931d82db2606c27d372f04096bec79789765f2e4d09d307db",
-         1, 0, "proved"),
 }
 PINNED_B1_WITNESS_AT_1_2 = ["0x1.c000000000000p-1", "0x1.0000000000000p-2",
                             "0x1.1fd66904040fcp+0"]
@@ -853,6 +822,23 @@ def test_final_steps_hold_in_exact_arithmetic():
     scalar_2 = lambda x: 27 * x * x - 120 * x + 208
     assert agree(lambda x: 27 * (4 + x) ** 2 - 16 * (14 + 21 * x), scalar_2, 2)
     assert disc(27, -120, 208) == -8064
+
+    # the quadratics that `verify` checks are these: each is the scale
+    # times 27 n^2 - 16 q for the bound's own numerator n and radicand q
+    own = {"scalar-1": (2401, lambda x: 1 + Fraction(9, 49) * x, lambda x: 1 + x,
+                        scalar_bound_1, -17_825_024),
+           "scalar-2": (1, lambda x: 4 + x, lambda x: 14 + 21 * x,
+                        scalar_bound_2, -8064)}
+    assert sorted(SCALAR_QUADRATICS) == sorted(own)
+    for target, (a, b, c) in SCALAR_QUADRATICS.items():
+        scale, n, q, bound, want = own[target]
+        assert agree(lambda x: scale * (27 * n(x) ** 2 - 16 * q(x)),
+                     lambda x: a * x * x + b * x + c, 2)
+        assert a > 0 and disc(a, b, c) == want
+        assert all(type(v) is int for v in (a, b, c))
+        # and n / sqrt(q) is the bound the certificate encloses
+        assert all(bound(x) == pytest.approx(n(x) / math.sqrt(q(x)), rel=1e-14)
+                   for x in (0.0, 0.5, 7.0, 100.0, 1e6))
 
     # and the code evaluates these f: 27 f^2 - 16 = P/q up to rounding
     def close(f, exact):

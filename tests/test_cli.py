@@ -447,12 +447,12 @@ def test_verify_computes_band_certificates_once(tmp_path, capsys, monkeypatch):
 
 
 CERTIFICATES = ("B1", "B2", "B2-diagonal-strip", "B2-diagonal-strip-corner",
-                "scalar-1", "scalar-2", "scalar-1-tail", "scalar-2-tail")
+                "scalar-1", "scalar-2")
 
 
 def test_verify_encloses_a_window_of_levels_per_call(tmp_path, capsys, monkeypatch):
-    # one evaluator call per depth level makes 70 calls for the 1,292 boxes
-    # of the eight certificates; a window of levels per call makes at most
+    # one evaluator call per depth level makes 68 calls for the 1,290 boxes
+    # of the six certificates; a window of levels per call makes at most
     # 30, and no call holds more boxes than the larger of the window budget
     # and the frontier the window started from
     from cp2tori import bounds, interval
@@ -481,7 +481,7 @@ def test_verify_encloses_a_window_of_levels_per_call(tmp_path, capsys, monkeypat
     assert all(n <= max(interval._WINDOW, start) for n, start in sizes), sizes
     examined = [json.loads((tmp_path / f"{name}.json").read_text())["boxes_examined"]
                 for name in CERTIFICATES]
-    assert sum(examined) == 1292
+    assert sum(examined) == 1290
 
 
 def test_verify_stdout_at_the_defaults(tmp_path, capsys):
@@ -498,18 +498,23 @@ def test_verify_stdout_at_the_defaults(tmp_path, capsys):
 
 
 def test_verify_reports_a_failed_tail(tmp_path, capsys, monkeypatch):
-    import dataclasses
+    # x^2 - 3x + 2 has the real roots 1 and 2: the integer check fails and
+    # says so on its own line, while the certificate beside it is proved
     from cp2tori import bounds
-    chart = bounds.CHARTS["scalar-1-tail"]
-    # (t + 9/49)/sqrt(t(t+1)) is about 1.83 at t = 0.01
-    monkeypatch.setitem(bounds.CHARTS, "scalar-1-tail",
-                        dataclasses.replace(chart, threshold=2.0))
+    monkeypatch.setitem(bounds.SCALAR_QUADRATICS, "scalar-1", (1, -3, 2))
     code, out, _ = run(capsys, "verify", "--target", "scalars",
                        "--out-dir", str(tmp_path))
     assert code == EXIT_NOT_PROVED
-    assert "scalar-1-tail: failed" in out
-    assert re.search(r"^tail scalar-1-tail: .*-> FAILED$", out, re.M)
-    assert re.search(r"^tail scalar-2-tail: .*-> ok$", out, re.M)
+    assert re.search(r"^scalar-1: proved  ", out, re.M)
+    assert re.search(r"^tail scalar-1: .*discriminant 1  -> FAILED$", out, re.M)
+    assert re.search(r"^tail scalar-2: .*-> ok$", out, re.M)
+
+
+@pytest.mark.parametrize("target", ["B1", "B2"])
+def test_verify_prints_no_tail_line_without_the_scalars(tmp_path, capsys, target):
+    code, out, _ = run(capsys, "verify", "--target", target, "--out-dir", str(tmp_path))
+    assert code == EXIT_OK
+    assert not re.search(r"^tail ", out, re.M)
 
 
 def test_verify_reports_failed_energy_spot_checks(tmp_path, capsys, monkeypatch):
