@@ -11,7 +11,10 @@ y = a2/p, p = -alpha1*alpha3), ``b1_expr`` (minus branch) exceeds 1, and
 exceeds 0.9 off the band 0 < x - y <= BAND_EPS and, through a lower bound
 in two charts, on it.  The scalar bounds exceed 4/(3 sqrt 3) on [0, 100]
 by certificate and, by the integer quadratics of :data:`SCALAR_QUADRATICS`,
-for every x.
+for every x.  Each scalar bound n/sqrt(q) falls and then rises, with one
+dip where the linear n' q - n q'/2 vanishes (x = 31/9 and x = 8/3), so a
+box's enclosure is its exact range, from its values at the dip and at the
+box's ends, and each certificate proves with one box.
 
 b1 factors as g(u) h(x) with u = x + y, g(u) = N(u)/sqrt(2 - u), N(u) =
 1 + u/2 - 7u^2/16 and h(x) = 1/sqrt(x(2 - x)).  Its certificate rests on
@@ -300,15 +303,49 @@ def clip_band(eps: float, cap: float):
 # ----------------------------------------------------------------------
 
 
-def scalar_bound_1(x):
-    """(1 + 9x/49) / sqrt(1 + x); exceeds 4/(3 sqrt(3)) for all x > 0."""
+def _falls_then_rises(f, x, dip):
+    """f(x), for an f that falls and then rises, with its one dip in the
+    interval ``dip``.  A float x evaluates f directly.  On a box x the
+    enclosure is f's exact range there: the least value is at the point of
+    x nearest the dip, inside the thin interval ``x.clamp(dip.lo,
+    dip.hi)``, and the largest at an end of x, so the enclosure is [f on
+    that interval .lo, max of f at both ends .hi], on either engine
+    (Moore, Kearfott & Cloud 2009, ch. 5-6)."""
+    if not hasattr(x, "clamp"):  # a float or an array of floats
+        return f(x)
+    return type(x)(f(x.clamp(dip.lo, dip.hi)).lo,
+                   np.maximum(f(x.clamp(-math.inf)).hi, f(x.clamp(math.inf)).hi))
+
+
+# The derivative of n / sqrt(q), for n and q linear and q > 0, has the sign
+# of n' q - n q'/2, which is linear: 98 (n' q - n q'/2) = 9x - 31 for
+# scalar-1 (n = 1 + 9x/49, q = 1 + x) and (14 + 21x) - (21/2)(4 + x) =
+# (21x - 56)/2 for scalar-2 (n = 4 + x, q = 14 + 21x).  So each bound falls,
+# then rises, with its one dip at 31/9 and at 8/3, here enclosed.
+_SCALAR_1_DIP = Interval(31.0) / 9.0
+_SCALAR_2_DIP = Interval(8.0) / 3.0
+
+
+def _scalar_1(x):
     return (1.0 + 9.0 * x / 49.0) / sqrt(_nonneg(1.0 + x))
+
+
+def _scalar_2(x):
+    return sqrt(_nonneg(_sq(4.0 + x) / (14.0 + 21.0 * x)))
+
+
+def scalar_bound_1(x):
+    """(1 + 9x/49) / sqrt(1 + x); exceeds 4/(3 sqrt(3)) for all x > 0.  It
+    falls on [0, 31/9] and rises beyond, so a box's enclosure is its exact
+    range (see ``_falls_then_rises``)."""
+    return _falls_then_rises(_scalar_1, x, _SCALAR_1_DIP)
 
 
 def scalar_bound_2(x):
     """sqrt(8/7) (1 + x/4) / sqrt(1 + 3x/2), written as (4 + x) / sqrt(14 +
-    21x) with exact constants; exceeds 4/(3 sqrt(3))."""
-    return sqrt(_nonneg(_sq(4.0 + x) / (14.0 + 21.0 * x)))
+    21x) with exact constants; exceeds 4/(3 sqrt(3)).  It falls on [0, 8/3]
+    and rises beyond, so a box's enclosure is its exact range."""
+    return _falls_then_rises(_scalar_2, x, _SCALAR_2_DIP)
 
 
 # Each scalar bound is n/sqrt(q) with n, q > 0 for x >= 0, so it exceeds
@@ -357,7 +394,8 @@ _STRIP_X_CAP = 0.875  # the strip chart's x <= 7/8 and the corner chart's
 _STRIP_S_CAP = 0.5    # s <= 1/2 cover the band, since BAND_EPS <= 1/4 and a
                       # band point with x > 7/8 has s = 2 - x - y < 1/4 + eps
 _SCALAR_NOTE = (f"1D domain [0, {SCALAR_X_MAX:g}]; every x by the bound's quadratic "
-                "27 n^2 - 16 q with a negative discriminant")
+                "27 n^2 - 16 q with a negative discriminant; the bound falls, then "
+                "rises with one dip, so a box's enclosure is its exact range")
 
 CHARTS = {
     "B1": Chart(
@@ -457,7 +495,8 @@ class ScalarBoundReport:
 
 def scalar_bound_checks() -> ScalarBoundReport:
     """Both scalar comparison functions above 4/(3 sqrt(3)) on [0, 100]:
-    [scalar-1, scalar-2].  Beyond, :data:`SCALAR_QUADRATICS` proves them."""
+    [scalar-1, scalar-2], each with one box, their exact range.  Beyond,
+    :data:`SCALAR_QUADRATICS` proves them."""
     return ScalarBoundReport(certify_charts(CLAIMS["scalars"]))
 
 

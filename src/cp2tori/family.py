@@ -367,6 +367,31 @@ def _f_offsets(alpha: AlphaTriple) -> np.ndarray:
     return np.array([a[1] * a[2], a[0] * a[2], a[0] * a[1]], dtype=float)
 
 
+def _f_columns(alpha: AlphaTriple, ndim: int):
+    """o_i = alpha_j alpha_k and den_i = (alpha_i - alpha_j)(alpha_i -
+    alpha_k), each shaped (3,) + (1,) * ndim to broadcast against x."""
+    a = alpha.weights
+    column = (3,) + (1,) * ndim
+    den = np.array([(a[0] - a[1]) * (a[0] - a[2]), (a[1] - a[0]) * (a[1] - a[2]),
+                    (a[2] - a[0]) * (a[2] - a[1])], dtype=float)
+    return _f_offsets(alpha).reshape(column), den.reshape(column)
+
+
+def lift_moduli(cf, d: DerivedConstants) -> np.ndarray:
+    """The moduli F_i of the lift's components where the conformal factor
+    2 e^v is cf (a scalar or an array), shape (3,) + cf's shape: F_i^2 =
+    (cf + o_i)/den_i with o_i and den_i as in :func:`lift_data`.  Raises
+    InfeasibleParameters where an F_i^2 is negative."""
+    cf = np.asarray(cf, dtype=float)
+    off, den = _f_columns(d.alpha, cf.ndim)
+    rad = (cf + off) / den
+    if np.any(rad < -1e-12 * max(1.0, float(np.max(np.abs(cf))))):
+        raise InfeasibleParameters(
+            f"negative radicand in F_i at conformal factor {cf!r}; "
+            "moduli outside the feasible box")
+    return np.sqrt(np.clip(rad, 0.0, None))
+
+
 class LiftData(NamedTuple):
     """The lift's data along x (see :func:`lift_data`): cf and cf_prime
     shaped like x, the others (3,) + x.shape."""
@@ -387,8 +412,9 @@ def lift_data(x, d: DerivedConstants) -> LiftData:
     sum alpha F^2 = 0, sum alpha^2 F^2 = cf), F_i' = cf'/(2 den_i F_i) (0
     where F_i vanishes) and G_i' = (c2 - a cf/2)/(cf + o_i).  cf and cf'
     take sn, cn of x sqrt(a1+a3) itself, as conformal_factor does, not of
-    the 2K-reduced argument of G_i, whose last bits differ.  Raises
-    InfeasibleParameters where an F_i^2 is negative."""
+    the 2K-reduced argument of G_i, whose last bits differ.  F_i is
+    :func:`lift_moduli` at cf, which raises InfeasibleParameters where an
+    F_i^2 is negative."""
     x = np.asarray(x, dtype=float)
     k = d.modulus.k
     s, c = _sn_cn(x * d.sqrt_a1_a3, k, d.K)
@@ -396,17 +422,8 @@ def lift_data(x, d: DerivedConstants) -> LiftData:
     # d/dx of cf: -(a1 - a2) sqrt(a1+a3) d(sn^2)/du, d(sn^2)/du = 2 sn cn dn
     cf_prime = (-2.0 * (d.a1 - d.a2) * d.sqrt_a1_a3 * s * c
                 * np.sqrt((1.0 - k * s) * (1.0 + k * s)))
-    a = d.alpha.weights
-    column = (3,) + (1,) * x.ndim
-    off = _f_offsets(d.alpha).reshape(column)
-    den = np.array([(a[0] - a[1]) * (a[0] - a[2]), (a[1] - a[0]) * (a[1] - a[2]),
-                    (a[2] - a[0]) * (a[2] - a[1])], dtype=float).reshape(column)
-    rad = (cf + off) / den
-    if np.any(rad < -1e-12 * max(1.0, float(np.max(np.abs(cf))))):
-        raise InfeasibleParameters(
-            f"negative radicand in F_i at conformal factor {cf!r}; "
-            "moduli outside the feasible box")
-    F = np.sqrt(np.clip(rad, 0.0, None))
+    off, den = _f_columns(d.alpha, x.ndim)
+    F = lift_moduli(cf, d)
     G = g_phases(x, d)
     with np.errstate(divide="ignore", invalid="ignore"):
         F_prime = np.where(F > 1e-150, cf_prime / (2.0 * den * F), 0.0)

@@ -22,7 +22,7 @@ from typing import Optional, TextIO, Tuple
 
 import numpy as np
 
-from .family import DerivedConstants, lift_data
+from .family import DerivedConstants, conformal_factor, lift_data, lift_moduli
 
 
 @dataclass(frozen=True)
@@ -160,8 +160,9 @@ EXPORT_COLUMNS = ("x", "y", "re_w1", "im_w1", "re_w2", "im_w2",
 
 
 def default_chart(d: DerivedConstants) -> int:
-    """Index of the component largest in modulus at the cell center: max F_j(T/2)."""
-    return int(np.argmax(lift_data(0.5 * d.period, d).F))
+    """Index of the component largest in modulus at the cell center: max
+    F_j(T/2), from the conformal factor there alone."""
+    return int(np.argmax(lift_moduli(conformal_factor(0.5 * d.period, d), d)))
 
 
 def export_samples(d: DerivedConstants, grid: Tuple[int, int],

@@ -21,7 +21,12 @@ bounds: RD of a positive result that underflows is +0.0 and RU of a
 negative one -0.0, as on the vectorized path.  An Interval operand's ends
 are read directly; a number operand such as the ``8.0`` in ``8.0 * x`` is
 read as the endpoint pair (8.0, 8.0) and is not wrapped in an
-``Interval``.
+``Interval``.  The hot operators compute their error terms in their own
+body, without a call per end: ``+`` and ``-`` TwoSum's, and ``*`` and
+``/`` Dekker's where both operands are >= 0 and the product lies in the
+band.  The one-sided helpers ``_mul_down``, ``_mul_up``, ``_div_down``
+and ``_div_up`` round every other case and are the reference that those
+inline terms match bit for bit.
 Operands of one sign need two endpoint pairs, not four (Moore, Kearfott &
 Cloud, *Introduction to Interval Analysis*, SIAM 2009, §2.3): both
 factors >= 0 give [a*c, b*d] and a dividend >= 0 over a divisor > 0 gives
@@ -100,21 +105,6 @@ _SPLIT_SAFE = 1e150
 # negative, so an overflow keeps a finite bound on the side away from it.
 
 
-def _add_down(a, b):
-    """RD(a + b): TwoSum's error (a - (s - bb)) + (b - bb) is a + b - s
-    exactly, and NaN where s is +-inf or NaN, which then moves out."""
-    s = a + b
-    bb = s - a
-    return s if (a - (s - bb)) + (b - bb) >= 0 else _nextafter(s, -_INF)
-
-
-def _add_up(a, b):
-    """RU(a + b), as ``_add_down``."""
-    s = a + b
-    bb = s - a
-    return s if (a - (s - bb)) + (b - bb) <= 0 else _nextafter(s, _INF)
-
-
 # Dekker's exact error a*b - p of p = fl(a * b), from Veltkamp splits,
 # shows on which side of p the exact product lies.  The splits are exact
 # only in a band: both factors and p within 1e150 of 0 (away from
@@ -122,7 +112,11 @@ def _add_up(a, b):
 # outside it, an underflowed product among them, the end moves one ulp
 # out, but a zero on the bounded side of the exact result stays.  The
 # band test and the error are written out in _mul_down, _mul_up and
-# _residual, the innermost steps of every product, quotient and root.
+# _residual, the reference for every product, quotient and root.  The
+# one sign case that certificate replay meets in nearly every product and
+# quotient, operands >= 0, writes them out again in Interval.__mul__ and
+# _div, to save a call per end, and goes through the helpers outside the
+# band.
 
 
 def _mul_down(a, b):
@@ -242,7 +236,35 @@ def _ends(v):
 def _div(a, b, c, d):
     """[a, b] / [c, d]; a divisor containing 0 as the module docstring says."""
     if c > 0.0 and a >= 0.0:  # the pairs (a, d) and (b, c) bound it
-        return _interval(_div_down(a, d), _div_up(b, c))
+        # _div_down(a, d) and _div_up(b, c), with _residual written out for
+        # a check product in the band
+        lo = a / d
+        p = lo * d
+        if 1e-290 <= p <= _SPLIT_SAFE and lo <= _SPLIT_SAFE and d <= _SPLIT_SAFE:
+            z = 134217729.0 * lo
+            qh = z - (z - lo)
+            ql = lo - qh
+            z = 134217729.0 * d
+            dh = z - (z - d)
+            dl = d - dh
+            if (a - p) - (((qh * dh - p) + qh * dl + ql * dh) + ql * dl) < 0.0:
+                lo = _nextafter(lo, -_INF)
+        else:
+            lo = _div_down(a, d)
+        hi = b / c
+        p = hi * c
+        if 1e-290 <= p <= _SPLIT_SAFE and hi <= _SPLIT_SAFE and c <= _SPLIT_SAFE:
+            z = 134217729.0 * hi
+            qh = z - (z - hi)
+            ql = hi - qh
+            z = 134217729.0 * c
+            ch = z - (z - c)
+            cl = c - ch
+            if (b - p) - (((qh * ch - p) + qh * cl + ql * ch) + ql * cl) > 0.0:
+                hi = _nextafter(hi, _INF)
+        else:
+            hi = _div_up(b, c)
+        return _interval(lo, hi)
     if c == 0.0 < d:  # divisor in (0, d]
         return _interval(_div_down(a, d) if a >= 0.0 else -_INF,
                          _div_up(b, d) if b <= 0.0 else _INF)
@@ -287,10 +309,13 @@ class Interval:
         return hash((self.lo, self.hi))
 
     # -- arithmetic: a number operand is the interval [v, v] -------------
-    # The hot operators read an Interval or float operand's ends directly
-    # and build their result in place: they run for every operation of
-    # every box that a certificate replay re-verifies.  Any other operand
-    # goes through _ends.
+    # The hot operators read an Interval or float operand's ends directly,
+    # round each end in their own body and build their result in place:
+    # they run for every operation of every box that a certificate replay
+    # re-verifies.  A sum's end is the float sum s, moved one ulp out
+    # unless TwoSum's error (a - (s - z)) + (c - z), z = s - a, which is
+    # a + c - s exactly and NaN where s is +-inf or NaN, shows the exact sum
+    # on the bounded side of s.  Any other operand goes through _ends.
 
     def __add__(self, other):
         if type(other) is Interval:
@@ -299,7 +324,15 @@ class Interval:
             c = d = other
         else:
             c, d = _ends(other)
-        lo, hi = _add_down(self.lo, c), _add_up(self.hi, d)
+        a, b = self.lo, self.hi
+        lo = a + c
+        z = lo - a
+        if not (a - (lo - z)) + (c - z) >= 0.0:
+            lo = _nextafter(lo, -_INF)
+        hi = b + d
+        z = hi - b
+        if not (b - (hi - z)) + (d - z) <= 0.0:
+            hi = _nextafter(hi, _INF)
         if not lo <= hi:  # also rejects NaN
             raise IntervalDomainError(f"invalid interval bounds [{lo}, {hi}]")
         iv = _new(Interval)
@@ -312,14 +345,23 @@ class Interval:
     def __neg__(self):
         return _interval(-self.hi, -self.lo)
 
-    def __sub__(self, other):
+    def __sub__(self, other):  # [a, b] + [-d, -c], as __add__
         if type(other) is Interval:
-            c, d = other.lo, other.hi
+            c, d = -other.hi, -other.lo
         elif type(other) is float and other == other:
-            c = d = other
+            c = d = -other
         else:
             c, d = _ends(other)
-        lo, hi = _add_down(self.lo, -d), _add_up(self.hi, -c)
+            c, d = -d, -c
+        a, b = self.lo, self.hi
+        lo = a + c
+        z = lo - a
+        if not (a - (lo - z)) + (c - z) >= 0.0:
+            lo = _nextafter(lo, -_INF)
+        hi = b + d
+        z = hi - b
+        if not (b - (hi - z)) + (d - z) <= 0.0:
+            hi = _nextafter(hi, _INF)
         if not lo <= hi:
             raise IntervalDomainError(f"invalid interval bounds [{lo}, {hi}]")
         iv = _new(Interval)
@@ -327,12 +369,26 @@ class Interval:
         iv.hi = hi
         return iv
 
-    def __rsub__(self, other):
+    def __rsub__(self, other):  # [a, b] + [-hi, -lo], as __add__
         if type(other) is float and other == other:
             a = b = other
         else:
             a, b = _ends(other)
-        return _interval(_add_down(a, -self.hi), _add_up(b, -self.lo))
+        c, d = -self.hi, -self.lo
+        lo = a + c
+        z = lo - a
+        if not (a - (lo - z)) + (c - z) >= 0.0:
+            lo = _nextafter(lo, -_INF)
+        hi = b + d
+        z = hi - b
+        if not (b - (hi - z)) + (d - z) <= 0.0:
+            hi = _nextafter(hi, _INF)
+        if not lo <= hi:
+            raise IntervalDomainError(f"invalid interval bounds [{lo}, {hi}]")
+        iv = _new(Interval)
+        iv.lo = lo
+        iv.hi = hi
+        return iv
 
     def __mul__(self, other):
         a, b = self.lo, self.hi
@@ -343,7 +399,32 @@ class Interval:
         else:
             c, d = _ends(other)
         if a >= 0.0 and c >= 0.0:  # the pairs (a, c) and (b, d) bound it
-            lo, hi = _mul_down(a, c), _mul_up(b, d)
+            # _mul_down(a, c) and _mul_up(b, d), written out for a product
+            # in the band
+            lo = a * c
+            if 1e-290 <= lo <= _SPLIT_SAFE and a <= _SPLIT_SAFE and c <= _SPLIT_SAFE:
+                z = 134217729.0 * a  # 2**27 + 1
+                ah = z - (z - a)
+                al = a - ah
+                z = 134217729.0 * c
+                ch = z - (z - c)
+                cl = c - ch
+                if ((ah * ch - lo) + ah * cl + al * ch) + al * cl < 0.0:
+                    lo = _nextafter(lo, -_INF)
+            else:
+                lo = _mul_down(a, c)
+            hi = b * d
+            if 1e-290 <= hi <= _SPLIT_SAFE and b <= _SPLIT_SAFE and d <= _SPLIT_SAFE:
+                z = 134217729.0 * b
+                bh = z - (z - b)
+                bl = b - bh
+                z = 134217729.0 * d
+                dh = z - (z - d)
+                dl = d - dh
+                if ((bh * dh - hi) + bh * dl + bl * dh) + bl * dl > 0.0:
+                    hi = _nextafter(hi, _INF)
+            else:
+                hi = _mul_up(b, d)
         else:
             lo = min(_mul_down(a, c), _mul_down(a, d), _mul_down(b, c), _mul_down(b, d))
             hi = max(_mul_up(a, c), _mul_up(a, d), _mul_up(b, c), _mul_up(b, d))

@@ -10,8 +10,8 @@ import mpmath
 import numpy as np
 import pytest
 
-from cp2tori.bounds import (_G_DIP, _G_PEAK, BAND_EPS, CHARTS, CLAIMS,
-                            SCALAR_QUADRATICS, b1_expr, b2_expr,
+from cp2tori.bounds import (_G_DIP, _G_PEAK, _SCALAR_1_DIP, _SCALAR_2_DIP,
+                            BAND_EPS, CHARTS, CLAIMS, SCALAR_QUADRATICS, b1_expr, b2_expr,
                             b2_strip_corner_expr, b2_strip_lower_expr,
                             case_chain_check, certify_charts, certify_lemma4,
                             certify_lemma5, classify_case, clip_band,
@@ -191,6 +191,75 @@ def test_scalar_bound_certification():
                for c in report.certificates)
 
 
+def test_scalar_bounds_fall_then_rise_in_exact_arithmetic():
+    # each bound is n / sqrt(q) with n, q linear and positive on x >= 0, so
+    # f' = (n' q - n q'/2) / q^(3/2), and n' q - n q'/2 is linear
+    def agree(lhs, rhs, degree):
+        return all(lhs(Fraction(k)) == rhs(Fraction(k)) for k in range(degree + 1))
+
+    def turn(n, q):
+        dn, dq = n(1) - n(0), q(1) - q(0)
+        return lambda x: dn * q(x) - n(x) * dq / 2
+
+    n1, q1 = (lambda x: 1 + Fraction(9, 49) * x), (lambda x: 1 + x)
+    n2, q2 = (lambda x: 4 + x), (lambda x: 14 + 21 * x)
+    assert agree(lambda x: 98 * turn(n1, q1)(x), lambda x: 9 * x - 31, 1)
+    assert agree(turn(n2, q2), lambda x: (14 + 21 * x) - Fraction(21, 2) * (4 + x), 1)
+    assert agree(turn(n2, q2), lambda x: (21 * x - 56) / 2, 1)
+    # each turn has a positive slope, so f falls before its root, the dip,
+    # and rises after it; n and q have positive values at 0 and slopes
+    for (n, q), dip in (((n1, q1), Fraction(31, 9)), ((n2, q2), Fraction(8, 3))):
+        assert turn(n, q)(dip) == 0 and turn(n, q)(dip + 1) > 0
+        assert min(n(0), q(0), n(1) - n(0), q(1) - q(0)) > 0
+    # the float enclosures of the dips that the box enclosures clamp to
+    assert Fraction(_SCALAR_1_DIP.lo) < Fraction(31, 9) < Fraction(_SCALAR_1_DIP.hi)
+    assert Fraction(_SCALAR_2_DIP.lo) < Fraction(8, 3) < Fraction(_SCALAR_2_DIP.hi)
+    # and a float or float array evaluates the formula as written
+    xs = np.array([0.0, 1e-3, 0.5, 31 / 9, 8 / 3, 7.0, 100.0, 1e6])
+    for x in xs.tolist():
+        assert scalar_bound_1(x) == (1.0 + 9.0 * x / 49.0) / math.sqrt(1.0 + x)
+        assert scalar_bound_2(x) == math.sqrt((4.0 + x) * (4.0 + x) / (14.0 + 21.0 * x))
+    assert scalar_bound_1(xs).tolist() == [scalar_bound_1(x) for x in xs.tolist()]
+
+
+def _scalar_exact(bound, x):
+    with mpmath.workdps(40):
+        x = mpmath.mpf(x)
+        if bound is scalar_bound_1:
+            return (1 + 9 * x / 49) / mpmath.sqrt(1 + x)
+        return (4 + x) / mpmath.sqrt(14 + 21 * x)
+
+
+@pytest.mark.parametrize("bound, dip", [(scalar_bound_1, Fraction(31, 9)),
+                                        (scalar_bound_2, Fraction(8, 3))],
+                         ids=["scalar-1", "scalar-2"])
+@pytest.mark.parametrize("kind", ["random", "straddles-the-dip", "at-0", "at-100"])
+def test_scalar_enclosures_contain_the_bound_on_both_engines(bound, dip, kind):
+    # every enclosure holds the bound, by mpmath at 40 digits, at the box's
+    # ends, at random points and at its point nearest the dip, where the
+    # bound is least; the scalar enclosure lies inside the array one
+    rng = np.random.default_rng(1791)
+    w = _log_widths(rng, 50.0, 300)
+    lo = {"random": rng.uniform(0, 100 - w),
+          "straddles-the-dip": np.maximum(float(dip) - w * rng.uniform(0, 1, w.size), 0.0),
+          "at-0": np.zeros(w.size), "at-100": 100.0 - w}[kind]
+    hi = np.full(w.size, 100.0) if kind == "at-100" else lo + w
+    if kind == "straddles-the-dip":
+        keep = (lo < dip) & (dip < hi)
+        lo, hi = lo[keep], hi[keep]
+    assert lo.size >= 100
+    arr = bound(IntervalArray(lo, hi))
+    for i in range(lo.size):
+        enc = bound(Interval(lo[i], hi[i]))
+        assert arr.lo[i] <= enc.lo <= enc.hi <= arr.hi[i]
+        nearest = min(max(dip, Fraction(lo[i])), Fraction(hi[i]))
+        with mpmath.workdps(40):
+            least = _scalar_exact(bound, mpmath.mpf(nearest.numerator) / nearest.denominator)
+        assert enc.lo <= least
+        for px in (lo[i], hi[i], rng.uniform(lo[i], hi[i])):
+            assert enc.lo <= _scalar_exact(bound, px) <= enc.hi
+
+
 def test_claims_use_every_chart_once():
     targets = [t for claim in CLAIMS.values() for t in claim]
     assert sorted(targets) == sorted(CHARTS) and len(set(targets)) == len(targets)
@@ -312,8 +381,8 @@ PINNED_REPLAY_DIGESTS = {
         "d4f0e2206b7cadf35044a26d9504dd3c0c53a132617f28b042e4c8d23b08adec",
     "B2-diagonal-strip-corner":
         "d3e13c7117ea94300a75d06c623b5025b0f71b8784512d338b8b322f5ac141f8",
-    "scalar-1": "c5b325a668aee8334b97f31d34a7a2b83a5973324c92384a7d0a0ed507dacce3",
-    "scalar-2": "83ac8ea405c455755db249326edcd4791384be98b7d220f199e4d9b06415da02",
+    "scalar-1": "ac0b331176909cdc12a57fe90d8c801958a1a3fbbf2acc54918000fb60d3e490",
+    "scalar-2": "3606a0ecadf58a58666a3664d0b4222f5d587fc3ce1439170b1bcb6acda42f10",
 }
 
 
@@ -338,7 +407,7 @@ def test_replay_enclosures_are_pinned():
 # SHA-256 of the scalar enclosures (lo, hi as little-endian doubles) of
 # every retained box of every certificate, certificates in the order of
 # the claims and boxes in their retained order
-PINNED_ALL_BOX_DIGEST = "a5696830e4b78450574d86ce6e3d7cbc7665f462f32512ec83f0f1da0d6b8147"
+PINNED_ALL_BOX_DIGEST = "03f25db322aae8220892f9163e0a1ce3cfb64ac80e43d90d58e61797d43fc581"
 
 
 def test_replay_enclosures_of_every_box_are_pinned():
@@ -348,7 +417,7 @@ def test_replay_enclosures_of_every_box_are_pinned():
         for xlo, xhi, ylo, yhi in cert.retained_boxes:
             enc = CHARTS[cert.target].expr(Interval(xlo, xhi), Interval(ylo, yhi))
             digest.update(struct.pack("<2d", enc.lo, enc.hi))
-    assert sum(cert.retained_count for cert in certs) == 634
+    assert sum(cert.retained_count for cert in certs) == 530
     assert digest.hexdigest() == PINNED_ALL_BOX_DIGEST
 
 
@@ -366,10 +435,10 @@ PINNED_ENGINE_DECISIONS = {
     "B2-diagonal-strip-corner":
         ("3efa6dc538d475cd683086adaa287accba598d63c07bede80c2a4a60ed6c481d",
          13, 6, "proved"),
-    "scalar-1": ("a7a52b409fb6a767a88521f10567fe82bdd7bad8e2e83bf0b5f26f9b0cd3ec83",
-                 149, 11, "proved"),
-    "scalar-2": ("91f7a65637ba6aaba352989ffae830e10c2c0a032d239b398219a8180931310e",
-                 61, 9, "proved"),
+    "scalar-1": ("990187f5560919b1cdd870fb3b92eca04007e71cc0888315c797205173c82148",
+                 1, 0, "proved"),
+    "scalar-2": ("990187f5560919b1cdd870fb3b92eca04007e71cc0888315c797205173c82148",
+                 1, 0, "proved"),
 }
 PINNED_B1_WITNESS_AT_1_2 = ["0x1.c000000000000p-1", "0x1.0000000000000p-2",
                             "0x1.1fd66904040fcp+0"]

@@ -451,7 +451,7 @@ CERTIFICATES = ("B1", "B2", "B2-diagonal-strip", "B2-diagonal-strip-corner",
 
 
 def test_verify_encloses_a_window_of_levels_per_call(tmp_path, capsys, monkeypatch):
-    # one evaluator call per depth level makes 68 calls for the 1,290 boxes
+    # one evaluator call per depth level makes 48 calls for the 1,082 boxes
     # of the six certificates; a window of levels per call makes at most
     # 30, and no call holds more boxes than the larger of the window budget
     # and the frontier the window started from
@@ -481,7 +481,7 @@ def test_verify_encloses_a_window_of_levels_per_call(tmp_path, capsys, monkeypat
     assert all(n <= max(interval._WINDOW, start) for n, start in sizes), sizes
     examined = [json.loads((tmp_path / f"{name}.json").read_text())["boxes_examined"]
                 for name in CERTIFICATES]
-    assert sum(examined) == 1290
+    assert sum(examined) == 1082
 
 
 def test_verify_stdout_at_the_defaults(tmp_path, capsys):

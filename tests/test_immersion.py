@@ -7,8 +7,10 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from cp2tori import family
+from cp2tori.errors import InfeasibleParameters
 from cp2tori.family import (AlphaTriple, Branch, ModuliPoint, conformal_factor,
-                            derive_constants, lift)
+                            derive_constants, lift, lift_data, lift_moduli)
 from cp2tori.immersion import (EXPORT_COLUMNS, _det_at, _unit_frame, default_chart,
                                export_samples, geometry_residuals,
                                lagrangian_angle, write_csv, write_obj)
@@ -173,6 +175,23 @@ def test_export_row_count_and_roundtrip(sample_derived):
     reread = [float(v) for v in lines[1].split(",")[:-1]]
     for orig, back in zip(_rows(columns)[0][:-1], reread):
         assert back == pytest.approx(orig, rel=1e-11, abs=1e-11)
+
+
+def test_default_chart_reads_the_moduli_alone(sample_derived, sample_derived_plus,
+                                            degenerate_derived, monkeypatch):
+    # the chart is the argmax of F at T/2 that the whole lift gives, chosen
+    # from the conformal factor there without the phase integrals
+    ds = (sample_derived, sample_derived_plus, degenerate_derived)
+    want = [int(np.argmax(lift_data(0.5 * d.period, d).F)) for d in ds]
+
+    def no_phases(x, d):
+        raise AssertionError("default_chart evaluated the phase integrals")
+
+    monkeypatch.setattr(family, "g_phases", no_phases)
+    assert [default_chart(d) for d in ds] == want
+    # a conformal factor beyond the feasible range has a negative F_i^2
+    with pytest.raises(InfeasibleParameters, match="negative radicand"):
+        lift_moduli(np.array([sample_derived.a1, -1e3]), sample_derived)
 
 
 def test_export_values_match_the_lift(sample_derived, sample_derived_plus,

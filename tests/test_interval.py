@@ -11,10 +11,11 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cp2tori.errors import IntervalDomainError
-from cp2tori.interval import (PI, CertStatus, Interval, IntervalArray,
-                              certify_lower_bound, replay_certificate)
+from cp2tori.interval import (PI, CertStatus, Interval, IntervalArray, _div_down,
+                              _div_up, _mul_down, _mul_up, certify_lower_bound,
+                              replay_certificate)
 from two_array_engine import TwoArrayIntervals
-from two_sided_scalar import TwoSidedInterval
+from two_sided_scalar import TwoSidedInterval, _add_down, _add_up
 
 finite = st.floats(min_value=-1e12, max_value=1e12, allow_nan=False,
                    allow_subnormal=False)
@@ -694,6 +695,84 @@ def test_scalar_engine_matches_two_sided_oracle_on_fixed_operands(ends, numbers)
             for v in numbers:
                 assert _outcome(lambda: op(X, v)) == _outcome(lambda: op(OX, v)), (op, x, v)
                 assert _outcome(lambda: op(v, X)) == _outcome(lambda: op(v, OX)), (op, v, x)
+
+
+# ends at which the operators' inline rounding changes course: signed
+# zeros, subnormals, Dekker's band edges 1e-290 and 1e150 with their
+# neighbours, factors whose products or quotients underflow or overflow,
+# and infinities
+_BAND_EDGES = [0.0, -0.0, TINY, 1e-310, sys.float_info.min, 1e-300,
+               math.nextafter(1e-290, 0.0), 1e-290, math.nextafter(1e-290, INF),
+               1e-200, 1e-145, 0.1, 1.0, 3.0, 1e75, math.nextafter(1e150, 0.0),
+               1e150, math.nextafter(1e150, INF), 1e200, sys.float_info.max, INF]
+
+
+def _one_sided(op, x, y):
+    """The ends of op on the intervals x and y (y a float for rsub, which
+    gives y - x) by the one-sided helpers: TwoSum's RD and RU for a sum, and
+    for a product of factors >= 0 or a dividend >= 0 over a divisor > 0 the
+    helpers at the two endpoint pairs that bound it."""
+    a, b = x
+    if op == "rsub":
+        return _add_down(y, -b), _add_up(y, -a)
+    c, d = y
+    return {"add": lambda: (_add_down(a, c), _add_up(b, d)),
+            "sub": lambda: (_add_down(a, -d), _add_up(b, -c)),
+            "mul": lambda: (_mul_down(a, c), _mul_up(b, d)),
+            "div": lambda: (_div_down(a, d), _div_up(b, c))}[op]()
+
+
+_INLINE_OPS = {"add": operator.add, "sub": operator.sub, "mul": operator.mul,
+               "div": operator.truediv, "rsub": lambda x, v: v - x}
+
+
+def _check_inline(op, x, y):
+    # the operator's bits, on an Interval operand and on a float one, are
+    # the helpers' at both ends, or it raises where they give no interval
+    lo, hi = _one_sided(op, x, y)
+    want = _bits(lo, hi) if lo <= hi else "raises"
+    others = [y] if op == "rsub" else [Interval(*y)] + (
+        [y[0]] if _bits(y[0], y[0]) == _bits(*y) else [])
+    for other in others:
+        assert _outcome(lambda: _INLINE_OPS[op](Interval(*x), other)) == want, (op, x, y)
+
+
+def test_inline_rounding_matches_the_one_sided_helpers_at_band_edges():
+    signed = sorted(set(_BAND_EDGES) | {-v for v in _BAND_EDGES})
+    pairs = [(a, b) for a in _BAND_EDGES for b in _BAND_EDGES if a <= b]
+    points = [(v, v) for v in signed]
+    for x in pairs + points:
+        for y in points + pairs[::7]:
+            _check_inline("add", x, y)
+            _check_inline("sub", x, y)
+        for v in signed:
+            _check_inline("rsub", x, v)
+    for x in pairs:
+        for y in pairs:
+            _check_inline("mul", x, y)
+            if y[0] > 0.0:
+                _check_inline("div", x, y)
+
+
+_any_end = st.one_of(st.sampled_from(_BAND_EDGES), st.floats(allow_nan=False),
+                     st.floats(min_value=1e-310, max_value=1e-280),
+                     st.floats(min_value=1e140, max_value=1e160))
+
+
+@given(op=st.sampled_from(sorted(_INLINE_OPS)), ends=st.lists(_any_end, min_size=4, max_size=4),
+       signs=st.lists(st.booleans(), min_size=4, max_size=4))
+@settings(max_examples=500)
+def test_inline_rounding_matches_the_one_sided_helpers(op, ends, signs):
+    # + and - on ends of any sign; * and / on the sign class they round
+    # inline: factors >= 0, and a dividend >= 0 over a divisor > 0
+    if op in ("add", "sub", "rsub"):
+        ends = [-v if neg else v for v, neg in zip(ends, signs)]
+    else:
+        ends = [abs(v) for v in ends]
+    x, y = tuple(sorted(ends[:2])), tuple(sorted(ends[2:]))
+    if op == "div" and not y[0] > 0.0:
+        y = (y[1], y[1]) if y[1] > 0.0 else (1.0, 1.0)
+    _check_inline(op, x, y[0] if op == "rsub" else y)
 
 
 def test_certify_rejects_an_unordered_root():
